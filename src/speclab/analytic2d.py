@@ -22,13 +22,15 @@ import numpy as np
 from .interval1d import tan_root
 from .specfun import (
     RootBracket,
-    bessel_i,
+    bessel_i_ratio,
     bessel_j,
-    bessel_j_prime_zero,
-    bessel_j_zero,
+    bessel_j_prime_zeros,
+    bessel_j_zeros,
     find_root,
 )
 from .spectra import ProblemKind, Spectrum
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_positive(name: str, value: float) -> float:
@@ -247,19 +249,28 @@ def buckling_product_residual(
 # disk
 
 
-def _disk_clamped_root(m: int, l: int) -> float:
-    """l-th root of J_m(x) I_{m+1}(x) + I_m(x) J_{m+1}(x) = 0.
+def _disk_clamped_roots(m: int, limit: float) -> np.ndarray:
+    """Roots up to ``limit`` of J_m(x) I_{m+1}(x) + I_m(x) J_{m+1}(x) = 0.
 
-    Bracketed between consecutive zeros of J_m: at j_m^l the function
-    equals I_m J_{m+1}, whose sign alternates with l.
+    Dividing by I_m > 0 gives the overflow-free ratio form
+    J_m I_{m+1}/I_m + J_{m+1}.  At each zero of J_m it equals J_{m+1},
+    whose sign alternates, so one root lies between each pair of
+    consecutive zeros of J_m.  Past the last zero below the limit, a
+    sign change up to the limit tells whether that pair's root is in
+    range.  Bisection runs down to a few ulps.
     """
 
     def f(x: float) -> float:
-        return bessel_j(m, x) * bessel_i(m + 1, x) + bessel_i(m, x) * bessel_j(m + 1, x)
+        return bessel_j(m, x) * bessel_i_ratio(m, x) + bessel_j(m + 1, x)
 
-    lo = bessel_j_zero(m, l)
-    hi = bessel_j_zero(m, l + 1)
-    return find_root(f, RootBracket(lo, hi))
+    def root(lo: float, hi: float) -> float:
+        return find_root(f, RootBracket(lo, hi), tol=4.0 * _EPS * hi)
+
+    zeros = bessel_j_zeros(m, limit)
+    roots = [root(lo, hi) for lo, hi in zip(zeros[:-1], zeros[1:])]
+    if zeros.size and zeros[-1] < limit and f(zeros[-1]) * f(limit) <= 0.0:
+        roots.append(root(zeros[-1], limit))
+    return np.array(roots)
 
 
 def disk_spectrum(radius: float, kind: ProblemKind, count: int) -> Spectrum:
@@ -272,45 +283,44 @@ def disk_spectrum(radius: float, kind: ProblemKind, count: int) -> Spectrum:
     Bessel radial part with a harmonic r^m correction, and the first of
     them coincides with the second Dirichlet value.  Angular orders
     m >= 1 carry multiplicity two.
+
+    Every root up to a limit x is taken, order by order, until an order
+    has none; the first root grows with the order for m >= 1.  By Weyl's
+    law about x^2 / 4 values lie below (x / R)^2, and the limit grows
+    until at least ``count`` of them do.
     """
     radius = _check_positive("radius", radius)
     count = _check_count(count)
     kind = ProblemKind(kind)
 
-    def order_value(m: int, l: int) -> float:
+    def order_roots(m: int, limit: float) -> np.ndarray:
         if kind is ProblemKind.DIRICHLET:
-            return (bessel_j_zero(m, l) / radius) ** 2
+            return bessel_j_zeros(m, limit)
         if kind is ProblemKind.NEUMANN:
-            return (bessel_j_prime_zero(m, l) / radius) ** 2
+            return bessel_j_prime_zeros(m, limit)
         if kind is ProblemKind.CLAMPED:
-            return (_disk_clamped_root(m, l) / radius) ** 2
-        return (bessel_j_zero(m + 1, l) / radius) ** 2
+            return _disk_clamped_roots(m, limit)
+        return bessel_j_zeros(m + 1, limit)
 
-    values: list[float] = [0.0] if kind is ProblemKind.NEUMANN else []
-
-    def kth_cutoff() -> float:
-        if len(values) < count:
-            return math.inf
-        return sorted(values)[count - 1]
-
-    m = 0
+    # the 4 covers the boundary terms of the two-term Weyl law
+    limit = 2.0 * math.sqrt(count) + 4.0
     while True:
-        if order_value(m, 1) > kth_cutoff():
-            break
-        mult = 1 if m == 0 else 2
-        l = 1
+        parts = [np.zeros(1)] if kind is ProblemKind.NEUMANN else []
+        m = 0
         while True:
-            v = order_value(m, l)
-            if v > kth_cutoff():
+            roots = order_roots(m, limit)
+            if m > 0 and roots.size == 0:
                 break
-            values.extend([v] * mult)
-            l += 1
-        m += 1
-    values.sort()
+            parts.append(np.repeat(roots, 1 if m == 0 else 2))
+            m += 1
+        roots = np.sort(np.concatenate(parts))
+        if len(roots) >= count:
+            break
+        limit *= math.sqrt(2.0)
     return Spectrum(
         kind=kind,
         domain=f"disk(R={radius:g})",
-        values=np.array(values[:count]),
+        values=(roots[:count] / radius) ** 2,
         source="analytic",
         trusted_count=count,
     )

@@ -64,6 +64,22 @@ VERB_CHECKS = {
 }
 
 
+#: Numeric fields each domain type requires; a mask domain names a file.
+DOMAIN_FIELDS = {
+    "interval": ("length",),
+    "rect": ("a", "b"),
+    "disk": (),
+    "lshape": ("a", "b"),
+    "cap": ("delta",),
+    "mask": (),
+}
+
+#: Positive integers, numbers and lists of numbers a check may carry.
+CHECK_COUNTS = ("count", "points")
+CHECK_NUMBERS = ("rtol", "volume", "boundary")
+CHECK_NUMBER_LISTS = ("taus", "times", "window")
+
+
 class ConfigError(ValueError):
     """The experiment configuration is malformed."""
 
@@ -122,6 +138,48 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; true and false do not count as numbers."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _check_domain(where: str, domain) -> str:
+    """Validate a domain object's type and fields; returns its type."""
+    _require(isinstance(domain, dict), f"{where}: 'domain' must be an object")
+    dtype = domain.get("type")
+    _require(
+        isinstance(dtype, str) and dtype in DOMAIN_FIELDS,
+        f"{where}: domain type must be one of {sorted(DOMAIN_FIELDS)}",
+    )
+    for key in DOMAIN_FIELDS[dtype]:
+        _require(
+            _is_number(domain.get(key)), f"{where}: {dtype} domain needs a number {key!r}"
+        )
+    for key in ("radius", "notch"):
+        if key in domain:
+            _require(_is_number(domain[key]), f"{where}: domain {key!r} must be a number")
+    for key in ("corner", "center"):
+        if key in domain:
+            point = domain[key]
+            _require(
+                isinstance(point, list) and len(point) == 2 and all(map(_is_number, point)),
+                f"{where}: domain {key!r} must be a pair of numbers",
+            )
+    if dtype == "mask":
+        _require(
+            isinstance(domain.get("path"), str), f"{where}: mask domain needs a 'path' string"
+        )
+    return dtype
+
+
 def parse_config(text: str) -> list[Experiment]:
     """Parse and validate the JSON experiment list."""
     try:
@@ -134,7 +192,6 @@ def parse_config(text: str) -> list[Experiment]:
     experiments = raw.get("experiments")
     _require(isinstance(experiments, list), 'missing "experiments" list')
 
-    known_domains = {"interval", "rect", "disk", "lshape", "cap", "mask"}
     out: list[Experiment] = []
     names: set[str] = set()
     for pos, block in enumerate(experiments):
@@ -149,12 +206,7 @@ def parse_config(text: str) -> list[Experiment]:
         names.add(name)
 
         domain = block.get("domain")
-        _require(isinstance(domain, dict), f"{where}: 'domain' must be an object")
-        dtype = domain.get("type")
-        _require(
-            dtype in known_domains,
-            f"{where}: domain type must be one of {sorted(known_domains)}",
-        )
+        dtype = _check_domain(where, domain)
 
         kinds_raw = block.get("kinds")
         _require(
@@ -170,7 +222,7 @@ def parse_config(text: str) -> list[Experiment]:
         _require(isinstance(backend, dict), f"{where}: 'backend' must be an object")
         btype = backend.get("type")
         _require(
-            btype in {"analytic", "fd", "cap"},
+            btype in ("analytic", "fd", "cap"),
             f"{where}: backend type must be analytic, fd or cap",
         )
         if btype == "fd":
@@ -186,7 +238,9 @@ def parse_config(text: str) -> list[Experiment]:
             else:
                 hs = backend.get("h")
                 _require(
-                    isinstance(hs, list) and hs and all(h > 0 for h in hs),
+                    isinstance(hs, list)
+                    and hs
+                    and all(_is_number(h) and h > 0 for h in hs),
                     f"{where}: fd backend needs a nonempty list of positive 'h'",
                 )
         elif btype == "analytic":
@@ -205,12 +259,14 @@ def parse_config(text: str) -> list[Experiment]:
             _require(dtype == "cap", f"{where}: cap backend needs a cap domain")
             bad = [k.value for k in kinds if k not in MEMBRANE_KINDS]
             _require(not bad, f"{where}: cap spectra cover membrane problems only")
+            if "points" in backend:
+                _require(
+                    _is_count(backend["points"]),
+                    f"{where}: cap 'points' must be a positive integer",
+                )
 
         count = block.get("count", 6)
-        _require(
-            isinstance(count, int) and count >= 1,
-            f"{where}: 'count' must be a positive integer",
-        )
+        _require(_is_count(count), f"{where}: 'count' must be a positive integer")
 
         checks = block.get("checks", [])
         _require(isinstance(checks, list), f"{where}: 'checks' must be a list")
@@ -219,9 +275,26 @@ def parse_config(text: str) -> list[Experiment]:
             _require(isinstance(check, dict), f"{cwhere} must be an object")
             ctype = check.get("type")
             _require(
-                ctype in VERB_CHECKS["report"],
+                isinstance(ctype, str) and ctype in VERB_CHECKS["report"],
                 f"{cwhere}: unknown check type {ctype!r}",
             )
+            for key in CHECK_COUNTS:
+                if check.get(key) is not None:
+                    _require(
+                        _is_count(check[key]), f"{cwhere}: {key!r} must be a positive integer"
+                    )
+            for key in CHECK_NUMBERS:
+                if check.get(key) is not None:
+                    _require(
+                        _is_number(check[key]), f"{cwhere}: {key!r} must be a number"
+                    )
+            for key in CHECK_NUMBER_LISTS:
+                if check.get(key) is not None:
+                    _require(
+                        isinstance(check[key], list)
+                        and all(_is_number(v) for v in check[key]),
+                        f"{cwhere}: {key!r} must be a list of numbers",
+                    )
             if ctype in {"chain", "counting-chain"}:
                 _require(
                     set(kinds) == set(ProblemKind),
@@ -242,6 +315,8 @@ def parse_config(text: str) -> list[Experiment]:
                     isinstance(parts, list) and len(parts) >= 1,
                     f"{cwhere}: needs a nonempty 'parts' list of domain objects",
                 )
+                for ppos, part in enumerate(parts):
+                    _check_domain(f"{cwhere}.parts[{ppos}]", part)
             if ctype == "sharpness":
                 _require(
                     dtype == "disk" and btype == "analytic",
@@ -250,6 +325,18 @@ def parse_config(text: str) -> list[Experiment]:
                 _require(
                     set(kinds) == set(ProblemKind),
                     f"{cwhere}: sharpness needs all four disk spectra",
+                )
+                caps = check.get("caps", [])
+                _require(
+                    isinstance(caps, list)
+                    and all(
+                        isinstance(c, dict)
+                        and _is_number(c.get("delta"))
+                        and _is_count(c.get("points", 1))
+                        for c in caps
+                    ),
+                    f"{cwhere}: 'caps' must be a list of objects with a number 'delta'"
+                    " and an optional positive integer 'points'",
                 )
             if ctype in {"weyl", "weyl2", "heat"}:
                 kind = check.get("kind")

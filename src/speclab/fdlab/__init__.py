@@ -4,7 +4,6 @@ from .cap import CapDomain, cap_spectrum
 from .grid import (
     DegenerateDomainError,
     GridDomain,
-    build_grid_domain,
     disk_domain,
     interval_domain,
     lshape_domain,
@@ -29,7 +28,6 @@ __all__ = [
     "SparseSymOperator",
     "assemble_bilaplacian_clamped",
     "assemble_laplacian",
-    "build_grid_domain",
     "cap_spectrum",
     "disk_domain",
     "fd_spectrum",

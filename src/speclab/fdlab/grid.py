@@ -12,7 +12,6 @@ from a small text format, one line ``h <value>`` followed by rows of
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -185,38 +184,6 @@ def lshape_domain(
         origin=base.origin,
         descriptor=f"lshape({a:g},{b:g},notch={notch:g})",
     )
-
-
-def build_grid_domain(shape: str, h: float | None = None) -> GridDomain:
-    """Build a domain from a shape descriptor string.
-
-    Accepted forms: ``rectangle(a,b)``, ``disk(R)``, ``lshape(a,b,notch)``
-    and a path to a mask file (for which ``h`` comes from the file).
-    """
-    shape = shape.strip()
-    match = re.fullmatch(r"(\w+)\(([^)]*)\)", shape)
-    if match is None:
-        path = Path(shape)
-        if path.suffix or path.exists():
-            return read_mask_file(path)
-        raise ValueError(f"unrecognised shape descriptor {shape!r}")
-    name, arg_text = match.group(1), match.group(2)
-    try:
-        args = [float(p) for p in arg_text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad shape arguments in {shape!r}") from exc
-    if h is None:
-        raise ValueError(f"shape {shape!r} requires an explicit spacing h")
-    if name == "rectangle" and len(args) == 2:
-        return rectangle_domain(args[0], args[1], h)
-    if name == "disk" and len(args) == 1:
-        return disk_domain(args[0], h)
-    if name == "lshape" and len(args) in (2, 3):
-        notch = args[2] if len(args) == 3 else 0.5
-        return lshape_domain(args[0], args[1], h, notch=notch)
-    if name == "interval" and len(args) == 1:
-        return interval_domain(args[0], h)
-    raise ValueError(f"unrecognised shape descriptor {shape!r}")
 
 
 def read_mask_file(path: str | Path) -> GridDomain:

@@ -90,37 +90,6 @@ def _accepted(relative: np.ndarray, backward: np.ndarray, tol: float) -> np.ndar
     return (relative <= tol) | (backward <= _BACKWARD_SLACK * _EPS)
 
 
-def _polish(a_csc, m_csc, lu, values, vectors, tol: float, max_steps: int = 3):
-    """Inverse-iteration cleanup of Lanczos eigenpairs.
-
-    Back-transforming shift-invert results leaves residuals well above
-    the factorization's own accuracy for stiff operators.  Reapplying
-    the already-factored shifted operator damps exactly the high-mode
-    error that dominates those residuals, and the Rayleigh quotient
-    then refreshes each value.
-    """
-    values = np.asarray(values, dtype=float).copy()
-    vectors = np.asarray(vectors, dtype=float).copy()
-    for _ in range(max_steps):
-        ok = _accepted(*_residuals(a_csc, m_csc, values, vectors), tol)
-        if np.all(ok):
-            break
-        for idx in range(len(values)):
-            if ok[idx]:
-                continue
-            u = vectors[:, idx]
-            w = lu.solve(u if m_csc is None else m_csc @ u)
-            mw = w if m_csc is None else m_csc @ w
-            norm = np.sqrt(w @ mw)
-            if not np.isfinite(norm) or norm == 0.0:
-                continue
-            w /= norm
-            mw = w if m_csc is None else m_csc @ w
-            vectors[:, idx] = w
-            values[idx] = (w @ (a_csc @ w)) / (w @ mw)
-    return values, vectors
-
-
 def solve_gevp(
     a: SparseSymOperator,
     m: SparseSymOperator | None = None,
@@ -151,14 +120,6 @@ def solve_gevp(
     a_csc = a_mat.tocsc()
     m_csc = None if m_mat is None else m_mat.tocsc()
 
-    def shifted_lu():
-        shifted = a_csc if sigma == 0.0 else (
-            a_csc
-            - sigma * (sp.identity(n, format="csc") if m_csc is None else m_csc)
-        )
-        return spla.splu(shifted.tocsc())
-
-    lu = None
     if n <= DENSE_LIMIT:
         method = "dense"
         if m_mat is None:
@@ -174,7 +135,11 @@ def solve_gevp(
         if count >= n - 1:
             raise ValueError("iterative path requires count < dimension - 1")
         v0 = np.full(n, 1.0 / np.sqrt(n))
-        lu = shifted_lu()
+        shifted = a_csc if sigma == 0.0 else (
+            a_csc
+            - sigma * (sp.identity(n, format="csc") if m_csc is None else m_csc)
+        )
+        lu = spla.splu(shifted.tocsc())
         opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         try:
             values, vectors = spla.eigsh(
@@ -200,14 +165,6 @@ def solve_gevp(
                 f"eigensolver did not converge ({len(exc.eigenvalues or [])} of {count} pairs)",
                 partial=partial,
             ) from exc
-
-    # Stiff operators (the bilaplacian) leave both LAPACK and ARPACK
-    # residuals near eps * ||A|| / theta, far above tol; a few inverse
-    # iteration steps on the factored shift recover what is possible.
-    if not np.all(_accepted(*_residuals(a_csc, m_csc, values, vectors), tol)):
-        if lu is None:
-            lu = shifted_lu()
-        values, vectors = _polish(a_csc, m_csc, lu, values, vectors, tol=tol)
 
     order = np.argsort(values)
     values = np.asarray(values, dtype=float)[order]

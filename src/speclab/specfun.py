@@ -1,15 +1,14 @@
-"""Bessel evaluation and root finding used by the analytic spectra.
+"""Bessel functions, their zeros, and the bracketed root finder.
 
-Integer-order J_m and I_m are evaluated from scratch with a two-regime
-scheme: an ascending power series close to the origin and the standard
-large-argument expansion beyond a switchover that tracks the turning
-point.  Both regimes accumulate in extended precision so the absolute
-error stays at or below 1e-12 for the orders this package uses
-(m <= 12, x <= 50; verified on a dense grid against an independent
-implementation, degrading gracefully to roughly 1e-9 by m = 30).
+J_m, J_m' and I_m for integer m >= 0, the ratio I_{m+1}/I_m, and the
+zeros of J_m and J_m' are thin wrappers over ``scipy.special`` (the
+Amos routines and scipy's Bessel zero tables).  They hold to roughly
+machine precision at every order and argument, so the analytic disk
+spectra built on them hold at any ``count``.  ``scipy.special`` is
+imported on the first Bessel call: the command line pays its import
+cost only when a run needs a Bessel function.
 
-Zeros of J_m and J_m' are located by interlacing brackets plus
-deterministic bisection, which is also exposed as ``find_root`` for the
+``find_root`` is the package's one root finder, used for the
 transcendental characteristic equations elsewhere in the package.
 """
 
@@ -22,14 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-#: Default absolute tolerance for function evaluation contracts.
-EVAL_TOL = 1e-12
-
 #: Default bracket width at which root bisection stops.
 ROOT_TOL = 1e-10
-
-_LD = np.longdouble
-_LD_PI = _LD(np.pi)
 
 # I_m overflows float64 shortly past this argument (e^x / sqrt(2 pi x)).
 _BESSEL_I_MAX_X = 705.0
@@ -53,122 +46,68 @@ class RootBracket:
             raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
+def _special():
+    import scipy.special
+
+    return scipy.special
+
+
 def _check_order(m: int) -> int:
     if m != int(m) or m < 0:
         raise ValueError(f"Bessel order must be a nonnegative integer, got {m!r}")
     return int(m)
 
 
-def _series_j(m: int, x: float) -> float:
-    # Ascending series sum_k (-1)^k (x/2)^(m+2k) / (k! (m+k)!), extended
-    # precision to absorb the alternating-term cancellation near the cutover.
-    half = _LD(x) / 2
-    term = half**m
-    for k in range(1, m + 1):
-        term /= k
-    total = term
-    k = 0
-    while k < 500:
-        k += 1
-        term *= -(half * half) / (k * (k + m))
-        total += term
-        if k > 4 and abs(term) < 1e-25 * max(_LD(1), abs(total)):
-            break
-    return float(total)
+def _check_argument(x: float) -> float:
+    x = float(x)
+    if not math.isfinite(x) or x < 0:
+        raise ValueError(f"argument must be finite and >= 0, got {x!r}")
+    return x
 
 
-def _asympt_j(m: int, x: float) -> float:
-    # Large-argument expansion J_m = sqrt(2/(pi x)) (P cos chi - Q sin chi)
-    # truncated at its smallest term.  For moderate orders the terms first
-    # grow while (2k+1)^2 < 4m^2, so divergence is only declared past that
-    # hump; the partial sums at the smallest term are kept as the answer.
-    xl = _LD(x)
-    mu = _LD(4 * m * m)
-    eight_x = 8 * xl
-    p_sum = _LD(1.0)
-    q_sum = _LD(0.0)
-    term = _LD(1.0)
-    best = (abs(term), p_sum, q_sum)
-    k = 0
-    while k < 400:
-        nxt = term * (mu - (2 * k + 1) ** 2) / ((k + 1) * eight_x)
-        if (2 * k + 1) ** 2 > mu and abs(nxt) >= abs(term):
-            break
-        term = nxt
-        k += 1
-        if k % 2 == 1:
-            q_sum += (-1) ** ((k - 1) // 2) * term
-        else:
-            p_sum += (-1) ** (k // 2) * term
-        if abs(term) < best[0]:
-            best = (abs(term), p_sum, q_sum)
-        if abs(term) < _LD(1e-30):
-            break
-    _, p_sum, q_sum = best
-    chi = xl - (2 * m + 1) * _LD_PI / 4
-    amp = np.sqrt(2 / (_LD_PI * xl))
-    return float(amp * (p_sum * np.cos(chi) - q_sum * np.sin(chi)))
-
-
-def bessel_series_cutover(m: int) -> float:
-    """Argument at which evaluation switches from the series to the expansion.
-
-    Sits past the turning point x = m so the expansion side is already in
-    its oscillatory regime when it takes over.
-    """
-    m = _check_order(m)
-    return max(14.0, m + 3.0 * float(m) ** (1.0 / 3.0))
+def _check_index(l: int) -> int:
+    if l != int(l) or l < 1:
+        raise ValueError(f"zero index must be a positive integer, got {l!r}")
+    return int(l)
 
 
 def bessel_j(m: int, x: float) -> float:
     """Bessel function of the first kind J_m(x) for integer m >= 0, x >= 0."""
-    m = _check_order(m)
-    x = float(x)
-    if not math.isfinite(x) or x < 0:
-        raise ValueError(f"argument must be finite and >= 0, got {x!r}")
-    if x <= bessel_series_cutover(m):
-        return _series_j(m, x)
-    return _asympt_j(m, x)
+    return float(_special().jv(_check_order(m), _check_argument(x)))
 
 
 def bessel_j_prime(m: int, x: float) -> float:
-    """Derivative J_m'(x), via J_0' = -J_1 and 2 J_m' = J_{m-1} - J_{m+1}."""
-    m = _check_order(m)
-    if m == 0:
-        return -bessel_j(1, x)
-    return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
+    """Derivative J_m'(x) for integer m >= 0, x >= 0."""
+    return float(_special().jvp(_check_order(m), _check_argument(x)))
 
 
 def bessel_i(m: int, x: float) -> float:
     """Modified Bessel function I_m(x) for integer m >= 0, x >= 0.
 
-    All series terms are positive so there is no cancellation; relative
-    error is below 1e-12 across the supported range.
-
     Raises:
         OverflowError: if x is large enough that I_m(x) exceeds float64.
     """
     m = _check_order(m)
-    x = float(x)
-    if not math.isfinite(x) or x < 0:
-        raise ValueError(f"argument must be finite and >= 0, got {x!r}")
+    x = _check_argument(x)
     if x > _BESSEL_I_MAX_X:
         raise OverflowError(
             f"I_{m}({x:g}) exceeds float64 range (supported up to x = {_BESSEL_I_MAX_X:g})"
         )
-    half = _LD(x) / 2
-    term = half**m
-    for k in range(1, m + 1):
-        term /= k
-    total = term
-    k = 0
-    while k < 1000:
-        k += 1
-        term *= (half * half) / (k * (k + m))
-        total += term
-        if k > 4 and term < 1e-25 * total:
-            break
-    return float(total)
+    return float(_special().iv(m, x))
+
+
+def bessel_i_ratio(m: int, x: float) -> float:
+    """I_{m+1}(x) / I_m(x) for integer m >= 0, x >= 0, at any x.
+
+    The exponentially scaled functions have the same ratio and never
+    overflow.
+    """
+    m = _check_order(m)
+    x = _check_argument(x)
+    if x == 0.0:
+        return 0.0
+    ive = _special().ive
+    return float(ive(m + 1, x) / ive(m, x))
 
 
 def find_root(
@@ -226,50 +165,49 @@ def find_root(
     return float(root)
 
 
-@lru_cache(maxsize=None)
-def bessel_j_zero(m: int, l: int) -> float:
-    """l-th positive zero of J_m (l >= 1).
+def _zeros_up_to(table, m: int, limit: float) -> np.ndarray:
+    # Zeros of J_m and J_m' start past m and lie about pi apart, so this
+    # many reach past the limit; the loop covers a short first guess.
+    n = int(max(limit - m, 0.0) / math.pi) + 3
+    while True:
+        zeros = table(m, n)
+        if zeros[-1] > limit:
+            return zeros[zeros <= limit]
+        n *= 2
 
-    The zero is bracketed between consecutive zeros of J_{m-1}, which
-    interlace with those of J_m; the m = 0 ladder base uses the fact that
-    j_0^l lies within ((l - 1/2) pi, l pi).
+
+def bessel_j_zeros(m: int, limit: float) -> np.ndarray:
+    """Every positive zero of J_m up to ``limit``, ascending."""
+    return _zeros_up_to(_special().jn_zeros, _check_order(m), _check_argument(limit))
+
+
+def bessel_j_prime_zeros(m: int, limit: float) -> np.ndarray:
+    """Every positive zero of J_m' up to ``limit``, ascending.
+
+    For m = 0 these are the zeros of J_1, since J_0' = -J_1.
     """
     m = _check_order(m)
-    if l != int(l) or l < 1:
-        raise ValueError(f"zero index must be a positive integer, got {l!r}")
-    l = int(l)
     if m == 0:
-        lo = (l - 0.5) * math.pi
-        hi = l * math.pi
-    else:
-        lo = bessel_j_zero(m - 1, l)
-        hi = bessel_j_zero(m - 1, l + 1)
-    return find_root(
-        lambda x: bessel_j(m, x),
-        RootBracket(lo, hi),
-        tol=ROOT_TOL,
-        fprime=lambda x: bessel_j_prime(m, x),
-    )
+        return bessel_j_zeros(1, limit)
+    return _zeros_up_to(_special().jnp_zeros, m, _check_argument(limit))
+
+
+@lru_cache(maxsize=None)
+def bessel_j_zero(m: int, l: int) -> float:
+    """l-th positive zero of J_m (l >= 1)."""
+    m = _check_order(m)
+    l = _check_index(l)
+    return float(_special().jn_zeros(m, l)[l - 1])
 
 
 @lru_cache(maxsize=None)
 def bessel_j_prime_zero(m: int, l: int) -> float:
     """l-th positive zero of J_m' (l >= 1, the trivial zero at 0 excluded).
 
-    For m = 0 these are the zeros of J_1.  For m >= 1 the first zero sits
-    on the initial rise of J_m, between the turning point and j_m^1, and
-    later ones fall between consecutive zeros of J_m by Rolle's theorem.
+    For m = 0 these are the zeros of J_1.
     """
     m = _check_order(m)
-    if l != int(l) or l < 1:
-        raise ValueError(f"zero index must be a positive integer, got {l!r}")
-    l = int(l)
+    l = _check_index(l)
     if m == 0:
         return bessel_j_zero(1, l)
-    if l == 1:
-        lo = 0.9 * m  # below sqrt(m (m + 2)) <= j'_m1, where J_m is still rising
-        hi = bessel_j_zero(m, 1)
-    else:
-        lo = bessel_j_zero(m, l - 1)
-        hi = bessel_j_zero(m, l)
-    return find_root(lambda x: bessel_j_prime(m, x), RootBracket(lo, hi), tol=ROOT_TOL)
+    return float(_special().jnp_zeros(m, l)[l - 1])

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as ss
+from scipy.optimize import brentq
 
 from speclab.analytic2d import (
     buckling_family_counts,
@@ -198,6 +199,39 @@ class TestProductResidual:
             buckling_product_residual(1.0, 1.0, 1, 1, grid=4)
 
 
+def merged_disk_roots(order_roots, count: int, initial=()) -> np.ndarray:
+    """Oracle: smallest ``count`` roots over all angular orders, m >= 1 twice.
+
+    ``order_roots(m)`` gives a prefix of the ascending roots of order m.
+    The merge checks that the prefixes reach past the answer and that
+    the next order starts above it, so no root can be missing.
+    """
+    merged = list(initial)
+    per_order = []
+    m = 0
+    while True:
+        roots = order_roots(m)
+        per_order.append(roots)
+        merged.extend(np.repeat(roots, 1 if m == 0 else 2))
+        if m > 1 and len(merged) >= count and roots[0] > np.sort(merged)[count - 1]:
+            break
+        m += 1
+    result = np.sort(merged)[:count]
+    assert all(roots[-1] > result[-1] for roots in per_order)
+    return result
+
+
+def ratio_clamped_determinant(m: int):
+    """J_m I_{m+1}/I_m + J_{m+1}, written with scaled I so it never overflows."""
+    return lambda x: ss.jv(m, x) * ss.ive(m + 1, x) / ss.ive(m, x) + ss.jv(m + 1, x)
+
+
+def brentq_clamped_roots(m: int, n: int) -> np.ndarray:
+    zeros = ss.jn_zeros(m, n + 1)
+    f = ratio_clamped_determinant(m)
+    return np.array([brentq(f, lo, hi, xtol=1e-14) for lo, hi in zip(zeros[:-1], zeros[1:])])
+
+
 DISK_REFERENCE = {
     # direct evaluation of the characteristic roots, frozen
     ProblemKind.NEUMANN: [
@@ -293,6 +327,22 @@ class TestDiskSpectrum:
         base = disk_spectrum(1.0, ProblemKind.DIRICHLET, 6).values
         scaled = disk_spectrum(c, ProblemKind.DIRICHLET, 6).values
         assert np.allclose(scaled, base / c**2, rtol=1e-12)
+
+    def test_dirichlet_at_count_2000(self):
+        values = disk_spectrum(1.0, ProblemKind.DIRICHLET, 2000).values
+        oracle = merged_disk_roots(lambda m: ss.jn_zeros(m, 40), 2000) ** 2
+        assert np.allclose(values, oracle, rtol=1e-12, atol=0.0)
+
+    def test_neumann_at_count_1000(self):
+        values = disk_spectrum(1.0, ProblemKind.NEUMANN, 1000).values
+        oracle = merged_disk_roots(lambda m: ss.jnp_zeros(m, 30), 1000, [0.0]) ** 2
+        assert values[0] == 0.0
+        assert np.allclose(values[1:], oracle[1:], rtol=1e-12, atol=0.0)
+
+    def test_clamped_at_count_500(self):
+        values = disk_spectrum(1.0, ProblemKind.CLAMPED, 500).values
+        oracle = merged_disk_roots(lambda m: brentq_clamped_roots(m, 20), 500)
+        assert np.allclose(np.sqrt(values), oracle, rtol=0.0, atol=1e-10)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -97,6 +97,90 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="analytic"):
             parse_config(json.dumps({"experiments": [block]}))
 
+    def test_string_mesh_width_rejected(self, tmp_path, capsys):
+        block = {
+            "name": "sq",
+            "domain": {"type": "rect", "a": 1.0, "b": 1.0},
+            "kinds": ["dirichlet"],
+            "backend": {"type": "fd", "h": ["0.1"]},
+        }
+        with pytest.raises(ConfigError, match="'h'"):
+            parse_config(json.dumps({"experiments": [block]}))
+        config = write_config(tmp_path, {"experiments": [block]})
+        assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert "speclab:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [True, False, 2.0, "6", 0])
+    def test_count_must_be_a_positive_integer(self, tmp_path, count):
+        block = interval_block()
+        block["count"] = count
+        with pytest.raises(ConfigError, match="'count'"):
+            parse_config(json.dumps({"experiments": [block]}))
+        config = write_config(tmp_path, {"experiments": [block]})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "domain, missing",
+        [
+            ({"type": "rect", "b": 1.0}, "'a'"),
+            ({"type": "lshape", "a": 1.0}, "'b'"),
+            ({"type": "interval"}, "'length'"),
+            ({"type": "cap"}, "'delta'"),
+            ({"type": "mask"}, "'path'"),
+            ({"type": "rect", "a": True, "b": 1.0}, "'a'"),
+            ({"type": "disk", "radius": "1"}, "'radius'"),
+            ({"type": "disk", "center": [0.0, False]}, "'center'"),
+            ({"type": "rect", "a": 1.0, "b": 1.0, "corner": ["x", 0.0]}, "'corner'"),
+        ],
+    )
+    def test_domain_fields_checked_before_running(self, domain, missing):
+        backend = {"cap": {"type": "cap"}, "mask": {"type": "fd"}}.get(
+            domain["type"], {"type": "fd", "h": [0.25]}
+        )
+        block = {"name": "d", "domain": domain, "kinds": ["dirichlet"], "backend": backend}
+        with pytest.raises(ConfigError, match=missing):
+            parse_config(json.dumps({"experiments": [block]}))
+
+    def test_decomposition_parts_are_checked(self):
+        block = {
+            "name": "split",
+            "domain": {"type": "rect", "a": 1.0, "b": 1.0},
+            "kinds": ["buckling"],
+            "backend": {"type": "fd", "h": [0.25]},
+            "checks": [{"type": "decomposition", "parts": [{"type": "rect", "a": 0.5}]}],
+        }
+        with pytest.raises(ConfigError, match=r"parts\[0\].*'b'"):
+            parse_config(json.dumps({"experiments": [block]}))
+
+    def test_check_numbers_rejected_when_not_numbers(self):
+        for field, value in [("rtol", True), ("window", [1.0, "9"]), ("points", "50")]:
+            block = interval_block(checks=[{"type": "weyl", field: value}])
+            with pytest.raises(ConfigError, match=repr(field)):
+                parse_config(json.dumps({"experiments": [block]}))
+
+    @pytest.mark.parametrize("cap", [{"delta": "2.0"}, {"delta": 2.0, "points": True}, 2.0])
+    def test_sharpness_caps_checked(self, cap):
+        block = {
+            "name": "disk",
+            "domain": {"type": "disk"},
+            "kinds": ["neumann", "dirichlet", "clamped", "buckling"],
+            "backend": {"type": "analytic"},
+            "checks": [{"type": "sharpness", "caps": [cap]}],
+        }
+        with pytest.raises(ConfigError, match="'caps'"):
+            parse_config(json.dumps({"experiments": [block]}))
+
+    def test_unhashable_type_names_rejected(self):
+        block = interval_block()
+        block["domain"] = {"type": ["interval"], "length": 2.0}
+        with pytest.raises(ConfigError, match="domain type"):
+            parse_config(json.dumps({"experiments": [block]}))
+        block = interval_block(checks=[{"type": ["chain"]}])
+        with pytest.raises(ConfigError, match="unknown check"):
+            parse_config(json.dumps({"experiments": [block]}))
+
 
 class TestMainRuns:
     def test_interval_spectrum_csv(self, tmp_path):

@@ -16,7 +16,6 @@ from speclab.fdlab import (
     SparseSymOperator,
     assemble_bilaplacian_clamped,
     assemble_laplacian,
-    build_grid_domain,
     disk_domain,
     fd_spectrum,
     interval_domain,
@@ -92,15 +91,6 @@ class TestGridDomains:
         path.write_text("###\n###\n###\n")
         with pytest.raises(ValueError, match="first line"):
             read_mask_file(path)
-
-    def test_build_grid_domain_descriptors(self):
-        assert build_grid_domain("rectangle(1,2)", h=0.25).descriptor == "rectangle(1,2)"
-        assert build_grid_domain("disk(1)", h=0.25).descriptor == "disk(R=1)"
-        assert build_grid_domain("interval(1)", h=0.05).descriptor == "interval(1)"
-        with pytest.raises(ValueError, match="spacing"):
-            build_grid_domain("disk(1)")
-        with pytest.raises(ValueError, match="descriptor"):
-            build_grid_domain("blob(1)", h=0.25)
 
     def test_interval_domain_needs_nine_nodes(self):
         with pytest.raises(DegenerateDomainError):

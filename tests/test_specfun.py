@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from speclab.specfun import (
     BracketError,
     RootBracket,
-    _asympt_j,
-    _series_j,
     bessel_i,
+    bessel_i_ratio,
     bessel_j,
     bessel_j_prime,
     bessel_j_prime_zero,
+    bessel_j_prime_zeros,
     bessel_j_zero,
-    bessel_series_cutover,
+    bessel_j_zeros,
     find_root,
 )
 
@@ -30,6 +30,10 @@ J_REFERENCE = {
     (5, 17.3): -0.195789936948724024671741607516,
     (7, 21.5): -0.0236275808264812294857641658029,
     (12, 40.0): -0.126977996117848063612192200383,
+    # the turning-point regime m ~ x, where a large-argument expansion fails
+    (60, 70.0): -0.124230136973084740592636506909,
+    (100, 100.0): 0.0963666732958615596743140248704,
+    (200, 230.0): -0.0746792147105686048894925619076,
 }
 I_REFERENCE = {
     (0, 1.0): 1.26606587775200833559824462521,
@@ -56,17 +60,6 @@ class TestBesselJ:
     def test_special_arguments(self):
         assert bessel_j(0, 0.0) == 1.0
         assert bessel_j(3, 0.0) == 0.0
-
-    def test_regime_agreement_at_cutover(self):
-        # both evaluation routes must agree where the dispatch switches
-        for m in (0, 3, 7, 12):
-            x = bessel_series_cutover(m)
-            assert abs(_series_j(m, x) - _asympt_j(m, x)) < 1e-10
-
-    def test_cutover_grows_with_order(self):
-        cuts = [bessel_series_cutover(m) for m in range(30)]
-        assert all(c >= 14.0 for c in cuts)
-        assert all(b >= a for a, b in zip(cuts, cuts[1:]))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -121,6 +114,23 @@ class TestBesselI:
     def test_at_zero(self):
         assert bessel_i(0, 0.0) == 1.0
         assert bessel_i(2, 0.0) == 0.0
+
+
+class TestBesselIRatio:
+    def test_frozen_reference_values(self):
+        # mpmath besseli(m + 1, x) / besseli(m, x) at 30 digits
+        assert bessel_i_ratio(29, 40.0) == pytest.approx(0.501999686243623062937678864226, rel=1e-13)
+        # far past the point where I_m itself overflows float64
+        assert bessel_i_ratio(0, 800.0) == pytest.approx(0.999374804442881294052532166889, rel=1e-13)
+
+    def test_matches_quotient_where_both_are_finite(self):
+        for m in range(6):
+            for x in (0.5, 3.0, 17.0, 90.0):
+                assert bessel_i_ratio(m, x) == pytest.approx(bessel_i(m + 1, x) / bessel_i(m, x), rel=1e-13)
+
+    def test_at_zero(self):
+        assert bessel_i_ratio(0, 0.0) == 0.0
+        assert bessel_i_ratio(3, 0.0) == 0.0
 
 
 class TestFindRoot:
@@ -183,6 +193,18 @@ class TestBesselZeros:
         with pytest.raises(ValueError):
             bessel_j_zero(-1, 1)
 
+    @pytest.mark.parametrize("m", [0, 1, 7, 40, 150])
+    def test_zeros_up_to_a_limit(self, m):
+        limit = 180.0
+        zeros = bessel_j_zeros(m, limit)
+        table = ss.jn_zeros(m, len(zeros) + 1)
+        assert np.array_equal(zeros, table[:-1])
+        assert zeros[-1] <= limit < table[-1]
+
+    def test_no_zeros_below_the_first(self):
+        assert bessel_j_zeros(5, 8.0).size == 0
+        assert bessel_j_zeros(5, 0.0).size == 0
+
 
 class TestBesselPrimeZeros:
     def test_first_values(self):
@@ -209,3 +231,14 @@ class TestBesselPrimeZeros:
             for l in range(1, 6):
                 z = bessel_j_prime_zero(m, l)
                 assert abs(bessel_j_prime(m, z)) < 1e-9
+
+    @pytest.mark.parametrize("m", [1, 2, 40, 150])
+    def test_zeros_up_to_a_limit(self, m):
+        limit = 180.0
+        zeros = bessel_j_prime_zeros(m, limit)
+        table = ss.jnp_zeros(m, len(zeros) + 1)
+        assert np.array_equal(zeros, table[:-1])
+        assert zeros[-1] <= limit < table[-1]
+
+    def test_order_zero_uses_the_zeros_of_j1(self):
+        assert np.array_equal(bessel_j_prime_zeros(0, 50.0), bessel_j_zeros(1, 50.0))

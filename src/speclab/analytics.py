@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import MEMBRANE_KINDS, ProblemKind, Spectrum
+from .spectra import CHAIN_ORDER, MEMBRANE_KINDS, ProblemKind, Spectrum
 
 
 class TrustRangeError(ValueError):
@@ -60,14 +60,19 @@ def count_leq(spectrum: Spectrum, tau: float) -> int:
         TrustRangeError: when ``tau`` exceeds the last trusted value,
             where the computed list stops being a reliable census.
     """
-    tau = float(tau)
+    return int(_counts_leq(spectrum, np.array([tau], dtype=float))[0])
+
+
+def _counts_leq(spectrum: Spectrum, taus: np.ndarray) -> np.ndarray:
+    """``count_leq`` at every tau; the error names the first tau out of range."""
     edge = trusted_edge(spectrum)
-    if tau > edge:
+    beyond = taus[taus > edge]
+    if len(beyond):
         raise TrustRangeError(
-            f"tau={tau:g} beyond trusted range (edge {edge:g}) of "
+            f"tau={float(beyond[0]):g} beyond trusted range (edge {edge:g}) of "
             f"{spectrum.kind.value} spectrum on {spectrum.domain}"
         )
-    return int(np.searchsorted(spectrum.values, tau, side="right"))
+    return np.searchsorted(spectrum.values, taus, side="right")
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ class CountingFunction:
 def counting_function(spectrum: Spectrum, taus) -> CountingFunction:
     """Tabulate ``count_leq`` on an increasing tau grid."""
     taus = np.asarray(taus, dtype=float)
-    counts = np.array([count_leq(spectrum, t) for t in taus], dtype=np.int64)
+    counts = _counts_leq(spectrum, taus).astype(np.int64)
     return CountingFunction(spectrum=spectrum, taus=taus, counts=counts)
 
 
@@ -162,17 +167,11 @@ def inequality_chain_check(
     endpoints, so grid error can never produce a false strictness claim.
     Analytic spectra default to zero uncertainty.
     """
-    order = (
-        ProblemKind.NEUMANN,
-        ProblemKind.DIRICHLET,
-        ProblemKind.CLAMPED,
-        ProblemKind.BUCKLING,
-    )
-    missing = [k.value for k in order if k not in spectra]
+    missing = [k.value for k in CHAIN_ORDER if k not in spectra]
     if missing:
         raise ValueError(f"chain check needs all four spectra, missing {missing}")
-    domain = _shared_domain([spectra[k] for k in order])
-    limit = min(spectra[k].trusted_count for k in order)
+    domain = _shared_domain([spectra[k] for k in CHAIN_ORDER])
+    limit = min(spectra[k].trusted_count for k in CHAIN_ORDER)
     if count > limit:
         raise TrustRangeError(
             f"count {count} exceeds the common trusted count {limit}"
@@ -186,10 +185,10 @@ def inequality_chain_check(
 
     rows = []
     for idx in range(count):
-        vals = tuple(float(spectra[k].values[idx]) for k in order)
+        vals = tuple(float(spectra[k].values[idx]) for k in CHAIN_ORDER)
         margins = tuple(vals[j + 1] - vals[j] for j in range(3))
         passes = tuple(
-            margins[j] > unc(order[j], idx) + unc(order[j + 1], idx)
+            margins[j] > unc(CHAIN_ORDER[j], idx) + unc(CHAIN_ORDER[j + 1], idx)
             for j in range(3)
         )
         rows.append(ChainRow(k=idx + 1, values=vals, margins=margins, passes=passes))
@@ -231,35 +230,30 @@ def counting_chain_check(
     spectra: dict[ProblemKind, Spectrum], taus
 ) -> CountingChainReport:
     """Verify the counting chain at every tau in the grid."""
-    order = (
-        ProblemKind.NEUMANN,
-        ProblemKind.DIRICHLET,
-        ProblemKind.CLAMPED,
-        ProblemKind.BUCKLING,
-    )
-    missing = [k.value for k in order if k not in spectra]
+    missing = [k.value for k in CHAIN_ORDER if k not in spectra]
     if missing:
         raise ValueError(f"counting chain needs all four spectra, missing {missing}")
-    domain = _shared_domain([spectra[k] for k in order])
-    taus = [float(t) for t in np.asarray(taus, dtype=float)]
+    domain = _shared_domain([spectra[k] for k in CHAIN_ORDER])
+    taus = np.asarray(taus, dtype=float)
+    # tabulate up to the first tau beyond any trusted edge, so the error
+    # names that tau and the first kind in chain order it exceeds
+    beyond = np.flatnonzero(taus > min(trusted_edge(spectra[k]) for k in CHAIN_ORDER))
+    stop = beyond[0] + 1 if len(beyond) else len(taus)
+    table = np.array([_counts_leq(spectra[k], taus[:stop]) for k in CHAIN_ORDER])
 
-    counts: dict[str, list[int]] = {k.value: [] for k in order}
-    violations: list[dict] = []
-    for tau in taus:
-        row = [count_leq(spectra[k], tau) for k in order]
-        for k, c in zip(order, row):
-            counts[k.value].append(c)
-        for j in range(3):
-            if row[j] < row[j + 1]:
-                violations.append(
-                    {
-                        "tau": tau,
-                        "pair": f"{order[j].value}>={order[j + 1].value}",
-                        "counts": row,
-                    }
-                )
+    violations = [
+        {
+            "tau": float(taus[i]),
+            "pair": f"{CHAIN_ORDER[j].value}>={CHAIN_ORDER[j + 1].value}",
+            "counts": table[:, i].tolist(),
+        }
+        for i, j in np.argwhere(table[:-1].T < table[1:].T)
+    ]
     return CountingChainReport(
-        domain=domain, taus=taus, counts=counts, violations=violations
+        domain=domain,
+        taus=taus.tolist(),
+        counts={k.value: row.tolist() for k, row in zip(CHAIN_ORDER, table)},
+        violations=violations,
     )
 
 

@@ -49,19 +49,8 @@ VERB_CHECKS = {
         {"chain", "counting-chain", "payne", "decomposition", "sharpness"}
     ),
     "weyl": frozenset({"weyl", "weyl2", "heat"}),
-    "report": frozenset(
-        {
-            "chain",
-            "counting-chain",
-            "payne",
-            "decomposition",
-            "sharpness",
-            "weyl",
-            "weyl2",
-            "heat",
-        }
-    ),
 }
+VERB_CHECKS["report"] = VERB_CHECKS["verify"] | VERB_CHECKS["weyl"]
 
 
 #: Numeric fields each domain type requires; a mask domain names a file.

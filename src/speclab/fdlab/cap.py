@@ -78,10 +78,10 @@ def cap_spectrum(
 ) -> Spectrum:
     """Lowest ``count`` membrane eigenvalues of the cap, all orders merged.
 
-    Orders m >= 1 carry multiplicity 2 (the two azimuthal phases).  The
-    outer loop stops once the lowest value of the next order exceeds the
-    running cutoff, which is safe because the potential m^2/sin t grows
-    with m.
+    Orders m >= 1 carry multiplicity 2 (the two azimuthal phases).  After
+    each order only the lowest ``count`` values are kept, and the loop
+    stops once the lowest value of the next order exceeds the largest of
+    them, which is safe because the potential m^2/sin t grows with m.
     """
     kind = ProblemKind(kind)
     if kind not in MEMBRANE_KINDS:
@@ -91,26 +91,16 @@ def cap_spectrum(
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
 
-    values: list[float] = []
-
-    def cutoff() -> float:
-        if len(values) < count:
-            return math.inf
-        return sorted(values)[count - 1]
-
+    out = np.empty(0)
     order = 0
     while True:
         radial = _radial_values(domain, order, kind, count)
-        if radial[0] > cutoff():
+        if len(out) == count and radial[0] > out[-1]:
             break
         mult = 1 if order == 0 else 2
-        for value in radial:
-            if value > cutoff():
-                break
-            values.extend([float(value)] * mult)
+        out = np.sort(np.concatenate((out, np.repeat(radial, mult))))[:count]
         order += 1
 
-    out = np.sort(np.asarray(values))[:count]
     if kind is ProblemKind.NEUMANN:
         # the flux form annihilates constants, but the symmetrized solve
         # reports the null value with roundoff of order eps * ||A||

@@ -64,20 +64,19 @@ def _validate_mask(mask: np.ndarray) -> None:
         raise DegenerateDomainError(
             f"domain resolves to {n} unknowns at this spacing; at least 9 are required"
         )
-    # single 4-connected component, checked by flood fill from the first node
-    seen = np.zeros_like(mask)
-    seeds = np.argwhere(mask)
-    stack = [tuple(seeds[0])]
-    seen[stack[0]] = True
-    while stack:
-        j, i = stack.pop()
-        for dj, di in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            jj, ii = j + dj, i + di
-            if 0 <= jj < mask.shape[0] and 0 <= ii < mask.shape[1]:
-                if mask[jj, ii] and not seen[jj, ii]:
-                    seen[jj, ii] = True
-                    stack.append((jj, ii))
-    if int(seen.sum()) != n:
+    # single 4-connected component of the graph joining horizontal and
+    # vertical neighbour pairs
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    index = np.full(mask.shape, -1, dtype=np.int64)
+    index[mask] = np.arange(n)
+    across = mask[:, :-1] & mask[:, 1:]
+    down = mask[:-1, :] & mask[1:, :]
+    rows = np.concatenate((index[:, :-1][across], index[:-1, :][down]))
+    cols = np.concatenate((index[:, 1:][across], index[1:, :][down]))
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    if connected_components(graph, directed=False, return_labels=False) != 1:
         raise ValueError("mask must form a single 4-connected component")
 
 
@@ -112,9 +111,9 @@ def rectangle_domain(
 def interval_domain(length: float, h: float) -> GridDomain:
     """Single-row mask standing in for the interval (0, L).
 
-    The operator assemblers recognise one-row masks and switch to their
-    one-dimensional stencils, so this is the grid-side twin of the
-    closed-form interval spectra.
+    The operator assemblers only step along the axes a mask spans, so a
+    one-row mask gets the rod stencils and this is the grid-side twin of
+    the closed-form interval spectra.
     """
     length = _positive("length", length)
     h = _positive("spacing h", h)
@@ -168,19 +167,15 @@ def lshape_domain(
     if not 0.0 < notch < 1.0:
         raise ValueError(f"notch fraction must lie in (0, 1), got {notch!r}")
     base = rectangle_domain(a, b, h, corner=corner)
-    mask = base.mask.copy()
-    ny, nx = mask.shape
+    ny, nx = base.mask.shape
+    x = np.arange(1, nx + 1) * h
+    y = np.arange(1, ny + 1) * h
     x_cut = a * (1.0 - notch)
     y_cut = b * (1.0 - notch)
-    for j in range(ny):
-        y = (j + 1) * h
-        for i in range(nx):
-            x = (i + 1) * h
-            if x >= x_cut - _REL_TOL * a and y >= y_cut - _REL_TOL * b:
-                mask[j, i] = False
+    notched = (y[:, None] >= y_cut - _REL_TOL * b) & (x[None, :] >= x_cut - _REL_TOL * a)
     return GridDomain(
         h=h,
-        mask=mask,
+        mask=base.mask & ~notched,
         origin=base.origin,
         descriptor=f"lshape({a:g},{b:g},notch={notch:g})",
     )
@@ -203,13 +198,12 @@ def read_mask_file(path: str | Path) -> GridDomain:
     if not rows:
         raise ValueError(f"{path}: no mask rows")
     width = max(len(r) for r in rows)
-    mask = np.zeros((len(rows), width), dtype=bool)
-    for j, row in enumerate(rows):
-        for i, ch in enumerate(row):
-            if ch == "#":
-                mask[j, i] = True
-            elif ch not in ".":
-                raise ValueError(f"{path}: row {j + 2} has invalid character {ch!r}")
+    cells = np.array([row.ljust(width, ".") for row in rows]).view("U1").reshape(len(rows), -1)
+    mask = cells == "#"
+    bad = np.argwhere(~mask & (cells != "."))
+    if len(bad):
+        j, i = bad[0]
+        raise ValueError(f"{path}: row {j + 2} has invalid character {rows[j][i]!r}")
     return GridDomain(h=h, mask=mask, origin=(0.0, 0.0), descriptor=f"mask({path.name})")
 
 

@@ -9,9 +9,15 @@ two-step neighbour and the node between both fall outside, the ghost
 value equals the centre value, which folds one unit back onto the
 diagonal and keeps the matrix symmetric.
 
-One-row (or one-column) masks are handled as genuine one-dimensional
-problems with the corresponding rod stencils, so the same assemblers
-double as the interval oracles.
+Both operators are one array stencil over the d steps along the axes a
+mask spans: d = 4 on two-dimensional masks, d = 2 on one-row and
+one-column masks.  The Laplacian puts d (Dirichlet) or the present
+neighbour count (Neumann) on the diagonal and -1 on each neighbour.  The
+bilaplacian puts d^2 + d at the centre, -2d on near and +1 on far
+neighbours, and +2 on the diagonals that pair one step on each axis.
+For d = 4 that is the 13-point stencil (20, -8, 1, 2); for d = 2 it is
+the rod stencil (6, -4, 1, with 7 at the clamped ends), so the same
+assemblers double as the interval oracles.
 """
 
 from __future__ import annotations
@@ -23,9 +29,6 @@ import scipy.sparse as sp
 
 from ..spectra import ProblemKind
 from .grid import GridDomain
-
-_AXES_2D = ((0, 1), (0, -1), (1, 0), (-1, 0))
-_DIAGS_2D = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 @dataclass(frozen=True)
@@ -51,21 +54,40 @@ class SparseSymOperator:
         return self.matrix.toarray()
 
 
-def _index_map(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    index = -np.ones(mask.shape, dtype=np.int64)
-    nodes = np.argwhere(mask)
-    index[mask] = np.arange(len(nodes))
-    return index, nodes
+def _layout(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Node indices padded by two layers of wall (-1), node positions, steps.
+
+    Positions are the (2, n) row and column coordinates of the nodes in
+    the padded array, so every gather up to two steps away stays inside
+    it.  Steps run both ways along each axis the mask spans (size > 1).
+    """
+    index = np.full(np.add(mask.shape, 4), -1, dtype=np.int64)
+    nodes = np.argwhere(mask).T + 2
+    index[tuple(nodes)] = np.arange(nodes.shape[1])
+    unit = np.eye(2, dtype=np.int64)
+    steps = [sign * unit[axis] for axis in (0, 1) if mask.shape[axis] > 1 for sign in (1, -1)]
+    return index, nodes, steps
 
 
-def _is_one_dimensional(mask: np.ndarray) -> bool:
-    return 1 in mask.shape
+def _neighbours(index: np.ndarray, nodes: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Index of the node ``offset`` away from every node, -1 where that is wall."""
+    return index[tuple(nodes + offset[:, None])]
 
 
-def _line_length(mask: np.ndarray) -> int:
-    # connectivity validation at build time already guarantees the row is
-    # one contiguous run, so only the node count matters here
-    return int(mask.sum())
+def _operator(diag: np.ndarray, couplings, scale: float) -> SparseSymOperator:
+    """Matrix with ``diag`` plus each ``(neighbours, value)`` coupling to present nodes."""
+    node = np.arange(len(diag))
+    rows, cols, vals = [node], [node], [diag]
+    for target, value in couplings:
+        present = target >= 0
+        rows.append(node[present])
+        cols.append(target[present])
+        vals.append(np.full(np.count_nonzero(present), value))
+    matrix = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(node), len(node)),
+    )
+    return SparseSymOperator(matrix / scale)
 
 
 def assemble_laplacian(domain: GridDomain, bc: ProblemKind) -> SparseSymOperator:
@@ -73,88 +95,25 @@ def assemble_laplacian(domain: GridDomain, bc: ProblemKind) -> SparseSymOperator
     bc = ProblemKind(bc)
     if bc not in (ProblemKind.DIRICHLET, ProblemKind.NEUMANN):
         raise ValueError(f"laplacian boundary condition must be membrane kind, got {bc.value}")
-    h2 = domain.h**2
-    mask = domain.mask
-    if _is_one_dimensional(mask):
-        n = _line_length(mask)
-        off = -np.ones(n - 1)
-        diag = np.full(n, 2.0)
-        if bc is ProblemKind.NEUMANN:
-            diag[0] = diag[-1] = 1.0
-        matrix = sp.diags([off, diag, off], (-1, 0, 1), format="csr") / h2
-        return SparseSymOperator(matrix.tocsr())
-
-    index, nodes = _index_map(mask)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    ny, nx = mask.shape
-    for q, (j, i) in enumerate(nodes):
-        present = 0
-        for dj, di in _AXES_2D:
-            jj, ii = j + dj, i + di
-            if 0 <= jj < ny and 0 <= ii < nx and mask[jj, ii]:
-                present += 1
-                rows.append(q)
-                cols.append(index[jj, ii])
-                vals.append(-1.0)
-        diag = 4.0 if bc is ProblemKind.DIRICHLET else float(present)
-        rows.append(q)
-        cols.append(q)
-        vals.append(diag)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(len(nodes), len(nodes))) / h2
-    return SparseSymOperator(matrix)
+    index, nodes, steps = _layout(domain.mask)
+    near = [_neighbours(index, nodes, s) for s in steps]
+    if bc is ProblemKind.DIRICHLET:
+        diag = np.full(nodes.shape[1], float(len(steps)))
+    else:
+        diag = np.sum([nb >= 0 for nb in near], axis=0, dtype=float)
+    return _operator(diag, [(nb, -1.0) for nb in near], domain.h**2)
 
 
 def assemble_bilaplacian_clamped(domain: GridDomain) -> SparseSymOperator:
     """Bilaplacian with clamped walls (zero value and normal derivative)."""
-    h4 = domain.h**4
-    mask = domain.mask
-    if _is_one_dimensional(mask):
-        n = _line_length(mask)
-        diag = np.full(n, 6.0)
-        diag[0] = diag[-1] = 7.0  # mirror ghost u(-h) = u(h) across each end
-        matrix = sp.diags(
-            [np.ones(n - 2), -4 * np.ones(n - 1), diag, -4 * np.ones(n - 1), np.ones(n - 2)],
-            (-2, -1, 0, 1, 2),
-            format="csr",
-        ) / h4
-        return SparseSymOperator(matrix.tocsr())
-
-    index, nodes = _index_map(mask)
-    ny, nx = mask.shape
-
-    def inside(j: int, i: int) -> bool:
-        return 0 <= j < ny and 0 <= i < nx and mask[j, i]
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for q, (j, i) in enumerate(nodes):
-        diag = 20.0
-        for dj, di in _AXES_2D:
-            j1, i1 = j + dj, i + di
-            j2, i2 = j + 2 * dj, i + 2 * di
-            near = inside(j1, i1)
-            if near:
-                rows.append(q)
-                cols.append(index[j1, i1])
-                vals.append(-8.0)
-            if inside(j2, i2):
-                rows.append(q)
-                cols.append(index[j2, i2])
-                vals.append(1.0)
-            elif not near:
-                # wall next to the node: the two-step ghost mirrors back here
-                diag += 1.0
-            # near in, far out: the far node is wall with value zero
-        for dj, di in _DIAGS_2D:
-            if inside(j + dj, i + di):
-                rows.append(q)
-                cols.append(index[j + dj, i + di])
-                vals.append(2.0)
-        rows.append(q)
-        cols.append(q)
-        vals.append(diag)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(len(nodes), len(nodes))) / h4
-    return SparseSymOperator(matrix)
+    index, nodes, steps = _layout(domain.mask)
+    d = len(steps)
+    near = [_neighbours(index, nodes, s) for s in steps]
+    far = [_neighbours(index, nodes, 2 * s) for s in steps]
+    diagonal = [_neighbours(index, nodes, s + t) for s in steps if s[0] for t in steps if t[1]]
+    # wall next to the node: the two-step ghost mirrors back onto the centre;
+    # near in, far out leaves the far node as wall with value zero
+    ghosts = np.sum([(a < 0) & (b < 0) for a, b in zip(near, far)], axis=0, dtype=float)
+    couplings = [(nb, -2.0 * d) for nb in near] + [(nb, 1.0) for nb in far]
+    couplings += [(nb, 2.0) for nb in diagonal]
+    return _operator(d * d + d + ghosts, couplings, domain.h**4)

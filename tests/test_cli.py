@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speclab.cli import ConfigError, main, parse_config, run_config
 from speclab.fdlab import lshape_domain, write_mask_file
@@ -29,7 +32,89 @@ def interval_block(name="rod", checks=None, count=10):
     }
 
 
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+KINDS = ["neumann", "dirichlet", "clamped", "buckling"]
+VALID_BLOCKS = [
+    interval_block(checks=[{"type": t} for t in ("chain", "counting-chain", "payne", "weyl2")]),
+    {
+        "name": "plate",
+        "domain": {"type": "lshape", "a": 1.0, "b": 1.0, "notch": 0.5, "corner": [0, 0]},
+        "kinds": KINDS,
+        "backend": {"type": "fd", "h": [0.25, 0.125]},
+        "checks": [
+            {"type": "decomposition", "parts": [{"type": "rect", "a": 0.5, "b": 1.0}], "count": 3},
+            {"type": "counting-chain", "taus": [1.0, 2.0], "points": 5},
+        ],
+    },
+    {
+        "name": "disk",
+        "domain": {"type": "disk", "radius": 1.0, "center": [0, 0]},
+        "kinds": KINDS,
+        "backend": {"type": "analytic"},
+        "checks": [
+            {"type": "sharpness", "caps": [{"delta": 2.0, "points": 100}]},
+            {"type": "heat", "kind": "dirichlet", "times": [0.1], "volume": 3.0, "rtol": 0.1},
+        ],
+    },
+    {
+        "name": "cap",
+        "domain": {"type": "cap", "delta": 1.0},
+        "kinds": ["neumann", "dirichlet"],
+        "backend": {"type": "cap", "points": 100},
+        "count": 4,
+        "checks": [{"type": "weyl", "window": [1.0, 50.0], "boundary": 1.0}],
+    },
+    {
+        "name": "file",
+        "domain": {"type": "mask", "path": "m.txt"},
+        "kinds": KINDS,
+        "backend": {"type": "fd"},
+    },
+]
+
+
+def mutate(node, data) -> None:
+    """Replace or drop one value somewhere inside ``node`` with arbitrary JSON."""
+    while node:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.integers(0, 3)):
+            node = child
+        elif isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = data.draw(JSON)
+            return
+
+
 class TestParseConfig:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_any_json_experiment_list_parses_or_raises_config_error(self, data):
+        # parse only: valid blocks with a few values replaced or dropped, and
+        # maybe one arbitrary entry, give experiments or ConfigError, nothing else
+        blocks = data.draw(st.lists(st.sampled_from(VALID_BLOCKS), min_size=1, unique_by=id))
+        experiments = copy.deepcopy(blocks)
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutate(data.draw(st.sampled_from(experiments)), data)
+        experiments += data.draw(st.lists(JSON, max_size=1))
+        try:
+            parsed = parse_config(json.dumps({"experiments": experiments}))
+        except ConfigError:
+            return
+        assert isinstance(parsed, list)
+
+    def test_property_test_starts_from_valid_blocks(self):
+        assert len(parse_config(json.dumps({"experiments": VALID_BLOCKS}))) == len(VALID_BLOCKS)
+
     def test_minimal_config(self):
         exps = parse_config(json.dumps({"experiments": [interval_block()]}))
         assert len(exps) == 1

@@ -137,23 +137,54 @@ class TestOperators:
         assert sol.values[0] == pytest.approx(18.745166004060962, rel=1e-13)
 
     def test_one_row_mask_uses_rod_stencils(self):
-        d = interval_domain(1.0, 1.0 / 16.0)
-        n = d.n_unknowns
-        h2, h4 = d.h**2, d.h**4
-        lap = assemble_laplacian(d, ProblemKind.NEUMANN).matrix
-        diag = np.full(n, 2.0)
-        diag[0] = diag[-1] = 1.0
-        expected = sp.diags([-np.ones(n - 1), diag, -np.ones(n - 1)], (-1, 0, 1)) / h2
-        assert self.asymmetry(lap - expected.tocsr()) == 0.0 and (lap - expected.tocsr()).nnz == 0
+        row = interval_domain(1.0, 1.0 / 16.0)
+        column = GridDomain(h=row.h, mask=row.mask.T, origin=(0.0, row.h))
+        for d in (row, column):
+            n = d.n_unknowns
+            h2, h4 = d.h**2, d.h**4
+            for kind, end in ((ProblemKind.NEUMANN, 1.0), (ProblemKind.DIRICHLET, 2.0)):
+                lap = assemble_laplacian(d, kind).matrix
+                diag = np.full(n, 2.0)
+                diag[0] = diag[-1] = end
+                expected = sp.diags([-np.ones(n - 1), diag, -np.ones(n - 1)], (-1, 0, 1)) / h2
+                assert self.asymmetry(lap - expected.tocsr()) == 0.0
+                assert (lap - expected.tocsr()).nnz == 0
 
-        bilap = assemble_bilaplacian_clamped(d).matrix
-        diag4 = np.full(n, 6.0)
-        diag4[0] = diag4[-1] = 7.0
-        expected4 = sp.diags(
-            [np.ones(n - 2), -4 * np.ones(n - 1), diag4, -4 * np.ones(n - 1), np.ones(n - 2)],
-            (-2, -1, 0, 1, 2),
-        ) / h4
-        assert (bilap - expected4.tocsr()).nnz == 0
+            bilap = assemble_bilaplacian_clamped(d).matrix
+            diag4 = np.full(n, 6.0)
+            diag4[0] = diag4[-1] = 7.0
+            expected4 = sp.diags(
+                [np.ones(n - 2), -4 * np.ones(n - 1), diag4, -4 * np.ones(n - 1), np.ones(n - 2)],
+                (-2, -1, 0, 1, 2),
+            ) / h4
+            assert (bilap - expected4.tocsr()).nnz == 0
+
+    def test_clamped_couplings_across_wall_and_reentrant_corner(self):
+        # a hole at (1, 1) and a notch at (0, 3):
+        #   ###.
+        #   #.##
+        #   ####
+        mask = np.array([[1, 1, 1, 0], [1, 0, 1, 1], [1, 1, 1, 1]], dtype=bool)
+        h = 0.5
+        d = GridDomain(h=h, mask=mask, origin=(0.0, 0.0))
+        index = -np.ones(mask.shape, dtype=int)
+        index[mask] = np.arange(d.n_unknowns)
+        bilap = assemble_bilaplacian_clamped(d).to_dense() * h**4
+        lap2 = np.linalg.matrix_power(assemble_laplacian(d, ProblemKind.DIRICHLET).to_dense(), 2)
+        lap2 *= h**4
+
+        # two steps across the single wall node: +1, where L_D^2 has 0
+        for a, b in (((1, 0), (1, 2)), ((0, 1), (2, 1))):
+            assert bilap[index[a], index[b]] == bilap[index[b], index[a]] == 1.0
+            assert lap2[index[a], index[b]] == 0.0
+        # diagonal past the re-entrant corner: +2, where L_D^2 has 1
+        a, b = index[0, 2], index[1, 3]
+        assert bilap[a, b] == bilap[b, a] == 2.0
+        assert lap2[a, b] == 1.0
+        # near node wall, far node present: no mirror ghost on the centre;
+        # the left wall with its outer ghost folds one unit back
+        assert bilap[index[1, 0], index[1, 0]] == 21.0
+        assert bilap[index[1, 0], index[0, 0]] == -8.0
 
     def test_clamped_corner_mirror_weight(self):
         h = 0.25

@@ -28,22 +28,9 @@ from .specfun import (
     bessel_j_zeros,
     find_root,
 )
-from .spectra import ProblemKind, Spectrum
+from .spectra import ProblemKind, Spectrum, check_count, check_positive
 
 _EPS = float(np.finfo(float).eps)
-
-
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    return value
-
-
-def _check_count(count: int) -> int:
-    if count != int(count) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    return int(count)
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +42,9 @@ def rect_spectrum(a: float, b: float, kind: ProblemKind, count: int) -> Spectrum
 
     Dirichlet indices run from 1, Neumann from 0 (the constant mode).
     """
-    a = _check_positive("side a", a)
-    b = _check_positive("side b", b)
-    count = _check_count(count)
+    a = check_positive("side a", a)
+    b = check_positive("side b", b)
+    count = check_count(count)
     kind = ProblemKind(kind)
     if kind not in (ProblemKind.NEUMANN, ProblemKind.DIRICHLET):
         raise ValueError(f"rectangle closed form covers membrane kinds only, got {kind.value}")
@@ -104,8 +91,8 @@ def rect_lattice_count(a: float, b: float, kind: ProblemKind, tau: float) -> Lat
     The Weyl term is tau * a * b / (4 pi); the remainder is count minus
     that term and carries the boundary contribution.
     """
-    a = _check_positive("side a", a)
-    b = _check_positive("side b", b)
+    a = check_positive("side a", a)
+    b = check_positive("side b", b)
     tau = float(tau)
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
@@ -161,8 +148,8 @@ def buckling_family_counts(a: float, b: float, tau: float) -> FamilyCounts:
     argument; see ``buckling_product_residual`` for why the underlying
     product functions are not actual buckling eigenfunctions.
     """
-    a = _check_positive("side a", a)
-    b = _check_positive("side b", b)
+    a = check_positive("side a", a)
+    b = check_positive("side b", b)
     tau = float(tau)
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
@@ -217,8 +204,8 @@ def buckling_product_residual(
     genuine eigenfunction would give a residual at roundoff scale; this
     one leaves alpha^2 beta^2 (cos(alpha x) + cos(beta y)) behind.
     """
-    a = _check_positive("side a", a)
-    b = _check_positive("side b", b)
+    a = check_positive("side a", a)
+    b = check_positive("side b", b)
     if l < 1 or m < 1 or l != int(l) or m != int(m):
         raise ValueError(f"mode indices must be positive integers, got ({l!r}, {m!r})")
     if grid < 8:
@@ -289,8 +276,8 @@ def disk_spectrum(radius: float, kind: ProblemKind, count: int) -> Spectrum:
     law about x^2 / 4 values lie below (x / R)^2, and the limit grows
     until at least ``count`` of them do.
     """
-    radius = _check_positive("radius", radius)
-    count = _check_count(count)
+    radius = check_positive("radius", radius)
+    count = check_count(count)
     kind = ProblemKind(kind)
 
     def order_roots(m: int, limit: float) -> np.ndarray:

@@ -311,7 +311,10 @@ def _weyl_samples(spectrum: Spectrum, window) -> tuple[np.ndarray, np.ndarray]:
             f"window edge {hi:g} beyond trusted range {trusted_edge(spectrum):g}"
         )
     values = spectrum.values[: spectrum.trusted_count]
-    taus = np.unique(values[(values > lo) & (values <= hi)])
+    inside = values[(values > lo) & (values <= hi)]
+    # A multiple eigenvalue can come back as floats a few ulps apart, so
+    # take one sample per cluster of values within 1e-9 relative, at its top.
+    taus = inside[np.diff(inside, append=np.inf) > 1e-9 * inside]
     if len(taus) < 10:
         raise InsufficientDataError(
             f"{len(taus)} sample points in window, need at least 10"

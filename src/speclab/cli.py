@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,20 +54,70 @@ VERB_CHECKS = {
 VERB_CHECKS["report"] = VERB_CHECKS["verify"] | VERB_CHECKS["weyl"]
 
 
-#: Numeric fields each domain type requires; a mask domain names a file.
-DOMAIN_FIELDS = {
-    "interval": ("length",),
-    "rect": ("a", "b"),
-    "disk": (),
-    "lshape": ("a", "b"),
-    "cap": ("delta",),
-    "mask": (),
+@dataclass(frozen=True)
+class DomainType:
+    """Everything the runner knows about one domain type.
+
+    ``required`` numeric fields must be given; ``optional`` ones fall
+    back to their defaults, and a tuple default marks a point.  ``grid``
+    builds the fd mask at one mesh width, ``spectrum`` is the closed form
+    for the ``kinds`` it covers, and ``geometry`` gives the dimension,
+    volume and boundary measure, None where the shape defines none.
+    Every callable takes the domain as ``_check_domain`` returns it.
+    """
+
+    required: tuple[str, ...] = ()
+    optional: dict = field(default_factory=dict)
+    grid: Callable | None = None
+    spectrum: Callable | None = None
+    kinds: tuple[ProblemKind, ...] = ()
+    geometry: Callable = lambda d: (2, None, None)
+
+
+#: The domain types a config may name; a mask domain also names a file.
+DOMAINS = {
+    "interval": DomainType(
+        required=("length",),
+        grid=lambda d, h: interval_domain(d["length"], h),
+        spectrum=lambda d, kind, count: interval_spectrum(d["length"], kind, count),
+        kinds=tuple(ProblemKind),
+        geometry=lambda d: (1, d["length"], 2.0),
+    ),
+    "rect": DomainType(
+        required=("a", "b"),
+        optional={"corner": (0.0, 0.0)},
+        grid=lambda d, h: rectangle_domain(d["a"], d["b"], h, corner=d["corner"]),
+        spectrum=lambda d, kind, count: rect_spectrum(d["a"], d["b"], kind, count),
+        kinds=MEMBRANE_KINDS,
+        geometry=lambda d: (2, d["a"] * d["b"], 2.0 * (d["a"] + d["b"])),
+    ),
+    "disk": DomainType(
+        optional={"radius": 1.0, "center": (0.0, 0.0)},
+        grid=lambda d, h: disk_domain(d["radius"], h, center=d["center"]),
+        spectrum=lambda d, kind, count: disk_spectrum(d["radius"], kind, count),
+        kinds=tuple(ProblemKind),
+        geometry=lambda d: (
+            2, math.pi * d["radius"] * d["radius"], 2.0 * math.pi * d["radius"]
+        ),
+    ),
+    "lshape": DomainType(
+        required=("a", "b"),
+        optional={"notch": 0.5, "corner": (0.0, 0.0)},
+        grid=lambda d, h: lshape_domain(
+            d["a"], d["b"], h, notch=d["notch"], corner=d["corner"]
+        ),
+        geometry=lambda d: (
+            2, d["a"] * d["b"] * (1.0 - d["notch"] * d["notch"]), 2.0 * (d["a"] + d["b"])
+        ),
+    ),
+    "cap": DomainType(required=("delta",)),
+    "mask": DomainType(),
 }
 
 #: Positive integers, numbers and lists of numbers a check may carry.
 CHECK_COUNTS = ("count", "points")
 CHECK_NUMBERS = ("rtol", "volume", "boundary")
-CHECK_NUMBER_LISTS = ("taus", "times", "window")
+CHECK_NUMBER_LISTS = ("taus", "times")
 
 
 class ConfigError(ValueError):
@@ -140,33 +191,38 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def _check_domain(where: str, domain) -> str:
-    """Validate a domain object's type and fields; returns its type."""
+def _check_domain(where: str, domain) -> dict:
+    """Validate a domain object; returns it with floats and defaults filled in."""
     _require(isinstance(domain, dict), f"{where}: 'domain' must be an object")
     dtype = domain.get("type")
     _require(
-        isinstance(dtype, str) and dtype in DOMAIN_FIELDS,
-        f"{where}: domain type must be one of {sorted(DOMAIN_FIELDS)}",
+        isinstance(dtype, str) and dtype in DOMAINS,
+        f"{where}: domain type must be one of {sorted(DOMAINS)}",
     )
-    for key in DOMAIN_FIELDS[dtype]:
+    spec = DOMAINS[dtype]
+    out = {"type": dtype}
+    for key in spec.required:
         _require(
             _is_number(domain.get(key)), f"{where}: {dtype} domain needs a number {key!r}"
         )
-    for key in ("radius", "notch"):
-        if key in domain:
-            _require(_is_number(domain[key]), f"{where}: domain {key!r} must be a number")
-    for key in ("corner", "center"):
-        if key in domain:
-            point = domain[key]
+        out[key] = float(domain[key])
+    for key, default in spec.optional.items():
+        value = domain.get(key, default)
+        if isinstance(default, tuple):
             _require(
-                isinstance(point, list) and len(point) == 2 and all(map(_is_number, point)),
+                isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)),
                 f"{where}: domain {key!r} must be a pair of numbers",
             )
+            out[key] = (float(value[0]), float(value[1]))
+        else:
+            _require(_is_number(value), f"{where}: domain {key!r} must be a number")
+            out[key] = float(value)
     if dtype == "mask":
         _require(
             isinstance(domain.get("path"), str), f"{where}: mask domain needs a 'path' string"
         )
-    return dtype
+        out["path"] = domain["path"]
+    return out
 
 
 def parse_config(text: str) -> list[Experiment]:
@@ -194,8 +250,9 @@ def parse_config(text: str) -> list[Experiment]:
         _require(name not in names, f"duplicate experiment name {name!r}")
         names.add(name)
 
-        domain = block.get("domain")
-        dtype = _check_domain(where, domain)
+        domain = _check_domain(where, block.get("domain"))
+        dtype = domain["type"]
+        spec = DOMAINS[dtype]
 
         kinds_raw = block.get("kinds")
         _require(
@@ -206,6 +263,7 @@ def parse_config(text: str) -> list[Experiment]:
             kinds = [ProblemKind(k) for k in kinds_raw]
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+        _require(len(set(kinds)) == len(kinds), f"{where}: 'kinds' repeats a kind")
 
         backend = block.get("backend")
         _require(isinstance(backend, dict), f"{where}: 'backend' must be an object")
@@ -216,7 +274,7 @@ def parse_config(text: str) -> list[Experiment]:
         )
         if btype == "fd":
             _require(
-                dtype in {"interval", "rect", "disk", "lshape", "mask"},
+                spec.grid is not None or dtype == "mask",
                 f"{where}: fd backend does not support domain {dtype!r}",
             )
             if dtype == "mask":
@@ -234,16 +292,15 @@ def parse_config(text: str) -> list[Experiment]:
                 )
         elif btype == "analytic":
             _require(
-                dtype in {"interval", "rect", "disk"},
+                spec.spectrum is not None,
                 f"{where}: analytic backend does not support domain {dtype!r}",
             )
-            if dtype == "rect":
-                bad = [k.value for k in kinds if k not in MEMBRANE_KINDS]
-                _require(
-                    not bad,
-                    f"{where}: rectangle analytic spectra cover the membrane "
-                    f"problems only, not {bad}",
-                )
+            bad = [k.value for k in kinds if k not in spec.kinds]
+            _require(
+                not bad,
+                f"{where}: {dtype} analytic spectra cover the membrane "
+                f"problems only, not {bad}",
+            )
         else:
             _require(dtype == "cap", f"{where}: cap backend needs a cap domain")
             bad = [k.value for k in kinds if k not in MEMBRANE_KINDS]
@@ -284,6 +341,15 @@ def parse_config(text: str) -> list[Experiment]:
                         and all(_is_number(v) for v in check[key]),
                         f"{cwhere}: {key!r} must be a list of numbers",
                     )
+            window = check.get("window")
+            if window is not None:
+                _require(
+                    isinstance(window, list)
+                    and len(window) == 2
+                    and all(map(_is_number, window))
+                    and 0 <= window[0] < window[1],
+                    f"{cwhere}: 'window' must be a pair [lo, hi] with 0 <= lo < hi",
+                )
             if ctype in {"chain", "counting-chain"}:
                 _require(
                     set(kinds) == set(ProblemKind),
@@ -305,7 +371,12 @@ def parse_config(text: str) -> list[Experiment]:
                     f"{cwhere}: needs a nonempty 'parts' list of domain objects",
                 )
                 for ppos, part in enumerate(parts):
-                    _check_domain(f"{cwhere}.parts[{ppos}]", part)
+                    pwhere = f"{cwhere}.parts[{ppos}]"
+                    parts[ppos] = part = _check_domain(pwhere, part)
+                    _require(
+                        DOMAINS[part["type"]].grid is not None,
+                        f"{pwhere}: no fd grid for domain type {part['type']!r}",
+                    )
             if ctype == "sharpness":
                 _require(
                     dtype == "disk" and btype == "analytic",
@@ -356,112 +427,42 @@ def parse_config(text: str) -> list[Experiment]:
     return out
 
 
-def _domain_geometry(domain: dict) -> tuple[int, float | None, float | None]:
-    """Dimension, volume and boundary measure when the shape defines them."""
-    dtype = domain["type"]
-    if dtype == "interval":
-        length = float(domain["length"])
-        return 1, length, 2.0
-    if dtype == "rect":
-        a, b = (float(domain["a"]), float(domain["b"]))
-        return 2, a * b, 2.0 * (a + b)
-    if dtype == "disk":
-        r = float(domain.get("radius", 1.0))
-        return 2, math.pi * r * r, 2.0 * math.pi * r
-    if dtype == "lshape":
-        a, b = (float(domain["a"]), float(domain["b"]))
-        notch = float(domain.get("notch", 0.5))
-        vol = a * b * (1.0 - notch * notch)
-        per = 2.0 * (a + b)
-        return 2, vol, per
-    return 2, None, None
-
-
-def _corner(domain: dict) -> tuple[float, float]:
-    corner = domain.get("corner", (0.0, 0.0))
-    return (float(corner[0]), float(corner[1]))
-
-
-def _build_grid(domain: dict, h: float):
-    dtype = domain["type"]
-    if dtype == "rect":
-        return rectangle_domain(
-            float(domain["a"]), float(domain["b"]), h, corner=_corner(domain)
-        )
-    if dtype == "disk":
-        center = domain.get("center", (0.0, 0.0))
-        return disk_domain(
-            float(domain.get("radius", 1.0)),
-            h,
-            center=(float(center[0]), float(center[1])),
-        )
-    if dtype == "lshape":
-        return lshape_domain(
-            float(domain["a"]),
-            float(domain["b"]),
-            h,
-            notch=float(domain.get("notch", 0.5)),
-            corner=_corner(domain),
-        )
-    if dtype == "interval":
-        return interval_domain(float(domain["length"]), h)
-    raise ConfigError(f"no grid construction for domain type {dtype!r}")
-
-
-def _analytic_spectrum(domain: dict, kind: ProblemKind, count: int) -> Spectrum:
-    dtype = domain["type"]
-    if dtype == "interval":
-        return interval_spectrum(float(domain["length"]), kind, count)
-    if dtype == "rect":
-        return rect_spectrum(float(domain["a"]), float(domain["b"]), kind, count)
-    if dtype == "disk":
-        return disk_spectrum(float(domain.get("radius", 1.0)), kind, count)
-    raise ConfigError(f"no analytic spectrum for domain type {dtype!r}")
-
-
 def _compute_spectra(exp: Experiment):
     """All spectra for the experiment.
 
-    Returns (per_level, finest, uncertainties): ``per_level`` maps each
-    fd mesh width (or None) to its kind-indexed spectra, ``finest`` is
-    the set checks run on, and ``uncertainties`` holds two-grid error
-    estimates when two or more mesh widths were given.
+    Returns (per_level, uncertainties): ``per_level`` pairs each fd grid,
+    coarsest first, with its kind-indexed spectra (the grid is None on
+    the other backends), and the last level is the one checks run on.
+    ``uncertainties`` holds two-grid error estimates when two or more
+    mesh widths were given.
     """
     btype = exp.backend["type"]
-    per_level: list[tuple[float | None, dict[ProblemKind, Spectrum]]] = []
+    spec = DOMAINS[exp.domain["type"]]
     if btype == "analytic":
-        spectra = {
-            kind: _analytic_spectrum(exp.domain, kind, exp.count)
-            for kind in exp.kinds
-        }
-        per_level.append((None, spectra))
+        spectra = {kind: spec.spectrum(exp.domain, kind, exp.count) for kind in exp.kinds}
+        per_level = [(None, spectra)]
     elif btype == "cap":
-        cap = CapDomain(
-            float(exp.domain["delta"]), int(exp.backend.get("points", 4000))
-        )
-        spectra = {kind: cap_spectrum(cap, kind, exp.count) for kind in exp.kinds}
-        per_level.append((None, spectra))
+        cap = CapDomain(exp.domain["delta"], exp.backend.get("points", CapDomain.points))
+        per_level = [(None, {kind: cap_spectrum(cap, kind, exp.count) for kind in exp.kinds})]
     else:
         if exp.domain["type"] == "mask":
             grids = [read_mask_file(Path(exp.domain["path"]))]
         else:
             hs = sorted(float(h) for h in exp.backend["h"])[::-1]
-            grids = [_build_grid(exp.domain, h) for h in hs]
-        for grid in grids:
-            spectra = {
-                kind: fd_spectrum(grid, kind, exp.count) for kind in exp.kinds
-            }
-            per_level.append((grid.h, spectra))
+            grids = [spec.grid(exp.domain, h) for h in hs]
+        per_level = [
+            (grid, {kind: fd_spectrum(grid, kind, exp.count) for kind in exp.kinds})
+            for grid in grids
+        ]
 
-    finest = per_level[-1][1]
     uncertainties = None
     if len(per_level) >= 2:
-        coarse = per_level[-2][1]
+        coarse, finest = per_level[-2][1], per_level[-1][1]
         uncertainties = {
             kind: analytics.two_grid_uncertainty(coarse[kind], finest[kind], exp.count)
             for kind in exp.kinds
         }
-    return per_level, finest, uncertainties
+    return per_level, uncertainties
 
 
 def _auto_window(spectrum: Spectrum) -> tuple[float, float]:
@@ -481,7 +482,7 @@ def _check_kind(check: dict, exp: Experiment, membrane_only: bool) -> ProblemKin
     return kind
 
 
-def _run_check(check: dict, exp: Experiment, finest, uncertainties) -> dict:
+def _run_check(check: dict, exp: Experiment, grid, finest, uncertainties) -> dict:
     ctype = check["type"]
     if ctype == "chain":
         rep = analytics.inequality_chain_check(
@@ -505,23 +506,16 @@ def _run_check(check: dict, exp: Experiment, finest, uncertainties) -> dict:
         )
         return {**rep.as_dict(), "asserted": False, "ok": None}
     if ctype == "decomposition":
-        hs = sorted(float(h) for h in exp.backend.get("h", []))
-        h = hs[0] if hs else None
-        whole = (
-            read_mask_file(Path(exp.domain["path"]))
-            if exp.domain["type"] == "mask"
-            else _build_grid(exp.domain, h)
-        )
-        parts = [_build_grid(d, whole.h) for d in check["parts"]]
+        parts = [DOMAINS[d["type"]].grid(d, grid.h) for d in check["parts"]]
         rep = analytics.decomposition_check(
-            whole, parts, int(check.get("count", exp.count))
+            grid, parts, int(check.get("count", exp.count))
         )
         return {**rep.as_dict(), "asserted": True, "ok": rep.ok}
     if ctype == "sharpness":
         caps = []
         for cap_cfg in check.get("caps", []):
             cap = CapDomain(
-                float(cap_cfg["delta"]), int(cap_cfg.get("points", 4000))
+                float(cap_cfg["delta"]), cap_cfg.get("points", CapDomain.points)
             )
             caps.append(
                 (
@@ -533,7 +527,7 @@ def _run_check(check: dict, exp: Experiment, finest, uncertainties) -> dict:
         rep = analytics.sharpness_report(finest, caps)
         return {**rep.as_dict(), "asserted": True, "ok": rep.ok}
 
-    dim, volume, boundary = _domain_geometry(exp.domain)
+    dim, volume, boundary = DOMAINS[exp.domain["type"]].geometry(exp.domain)
     if "volume" in check:
         volume = float(check["volume"])
     if "boundary" in check:
@@ -580,8 +574,9 @@ def run_experiment(exp: Experiment, check_types: frozenset[str]) -> ExperimentRe
     """Compute the experiment's spectra and run its selected checks."""
     result = ExperimentResult(name=exp.name)
     try:
-        per_level, finest, uncertainties = _compute_spectra(exp)
-        for h, spectra in per_level:
+        per_level, uncertainties = _compute_spectra(exp)
+        grid, finest = per_level[-1]
+        for level, spectra in per_level:
             for kind in exp.kinds:
                 spectrum = spectra[kind]
                 for idx, value in enumerate(spectrum.values, start=1):
@@ -591,11 +586,11 @@ def run_experiment(exp: Experiment, check_types: frozenset[str]) -> ExperimentRe
                             kind.value,
                             _fmt(float(value)),
                             spectrum.source,
-                            _fmt(h) if h is not None else "",
+                            _fmt(level.h) if level is not None else "",
                         )
                     )
         checks = [
-            _run_check(check, exp, finest, uncertainties)
+            _run_check(check, exp, grid, finest, uncertainties)
             for check in exp.checks
             if check["type"] in check_types
         ]

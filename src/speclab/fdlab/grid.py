@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..spectra import check_positive
+
 _REL_TOL = 1e-9
 
 
@@ -38,9 +40,7 @@ class GridDomain:
     descriptor: str = field(default="mask")
 
     def __post_init__(self) -> None:
-        self.h = float(self.h)
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"grid spacing must be positive, got {self.h!r}")
+        self.h = check_positive("grid spacing", self.h)
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.mask.ndim != 2:
             raise ValueError("mask must be a 2-d boolean array")
@@ -80,20 +80,13 @@ def _validate_mask(mask: np.ndarray) -> None:
         raise ValueError("mask must form a single 4-connected component")
 
 
-def _positive(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    return value
-
-
 def rectangle_domain(
     a: float, b: float, h: float, corner: tuple[float, float] = (0.0, 0.0)
 ) -> GridDomain:
     """Interior nodes of the rectangle [cx, cx + a] x [cy, cy + b]."""
-    a = _positive("side a", a)
-    b = _positive("side b", b)
-    h = _positive("spacing h", h)
+    a = check_positive("side a", a)
+    b = check_positive("side b", b)
+    h = check_positive("spacing h", h)
     cx, cy = float(corner[0]), float(corner[1])
     nx = int(math.floor((a - _REL_TOL * a) / h))
     ny = int(math.floor((b - _REL_TOL * b) / h))
@@ -115,8 +108,8 @@ def interval_domain(length: float, h: float) -> GridDomain:
     one-row mask gets the rod stencils and this is the grid-side twin of
     the closed-form interval spectra.
     """
-    length = _positive("length", length)
-    h = _positive("spacing h", h)
+    length = check_positive("length", length)
+    h = check_positive("spacing h", h)
     n = int(math.floor((length - _REL_TOL * length) / h))
     if n < 9:
         raise DegenerateDomainError(f"interval needs at least 9 nodes, got {n} at h={h:g}")
@@ -130,8 +123,8 @@ def interval_domain(length: float, h: float) -> GridDomain:
 
 def disk_domain(radius: float, h: float, center: tuple[float, float] = (0.0, 0.0)) -> GridDomain:
     """Interior nodes of a disk, nodes with |x - c| strictly below R."""
-    radius = _positive("radius", radius)
-    h = _positive("spacing h", h)
+    radius = check_positive("radius", radius)
+    h = check_positive("spacing h", h)
     n = int(math.ceil(radius / h))
     idx = np.arange(-n, n + 1)
     xx = idx[None, :] * h
@@ -160,9 +153,9 @@ def lshape_domain(
     The notch is the block [a (1 - notch), a] x [b (1 - notch), b]; its
     two inner edges belong to the boundary, so nodes on them are wall.
     """
-    a = _positive("side a", a)
-    b = _positive("side b", b)
-    h = _positive("spacing h", h)
+    a = check_positive("side a", a)
+    b = check_positive("side b", b)
+    h = check_positive("spacing h", h)
     notch = float(notch)
     if not 0.0 < notch < 1.0:
         raise ValueError(f"notch fraction must lie in (0, 1), got {notch!r}")

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import RootBracket, find_root
-from .spectra import ProblemKind, Spectrum
+from .spectra import ProblemKind, Spectrum, check_count, check_positive
 
 
 @dataclass(frozen=True)
@@ -67,19 +67,6 @@ def clamped_beam_root(k: int) -> float:
     )
 
 
-def _check_length(length: float) -> float:
-    length = float(length)
-    if not (math.isfinite(length) and length > 0):
-        raise ValueError(f"interval length must be positive, got {length!r}")
-    return length
-
-
-def _check_count(count: int) -> int:
-    if count != int(count) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    return int(count)
-
-
 def buckling_branches(length: float, count: int) -> list[BucklingBranch]:
     """Smallest ``count`` buckling values with their branch labels, sorted.
 
@@ -87,8 +74,8 @@ def buckling_branches(length: float, count: int) -> list[BucklingBranch]:
     (2 y_k / L)^2 with tan(y_k) = y_k; since k pi < y_k < k pi + pi / 2
     the branches alternate strictly.
     """
-    length = _check_length(length)
-    count = _check_count(count)
+    length = check_positive("interval length", length)
+    count = check_count(count)
     per_branch = count // 2 + 1
     labeled = [
         BucklingBranch(1, k, (2 * k * math.pi / length) ** 2)
@@ -107,8 +94,8 @@ def interval_spectrum(length: float, kind: ProblemKind, count: int) -> Spectrum:
     Clamped values are reported as kappa^2 where kappa^4 solves the rod
     equation, so they are directly comparable with the membrane values.
     """
-    length = _check_length(length)
-    count = _check_count(count)
+    length = check_positive("interval length", length)
+    count = check_count(count)
     kind = ProblemKind(kind)
     k = np.arange(1, count + 1, dtype=float)
     if kind is ProblemKind.DIRICHLET:

@@ -10,6 +10,7 @@ the membrane-to-plate comparisons are phrased in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -35,6 +36,21 @@ CHAIN_ORDER = (
 
 #: Second-order membrane problems (the ones with Weyl/heat predictions here).
 MEMBRANE_KINDS = (ProblemKind.NEUMANN, ProblemKind.DIRICHLET)
+
+
+def check_positive(name: str, value: float) -> float:
+    """``value`` as a float; ValueError unless it is finite and positive."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def check_count(count: int) -> int:
+    """``count`` as an int; ValueError unless it is a positive integer."""
+    if count != int(count) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
+    return int(count)
 
 
 @dataclass

@@ -194,6 +194,23 @@ class TestWeylFit:
         assert 0.9 < fit.ratio < 0.97
         assert "second" not in fit.as_dict()
 
+    def test_split_double_value_samples_like_an_exact_pair(self):
+        # a double eigenvalue can come back as two floats a hair apart;
+        # it must give one sample, counted after both copies
+        exact = np.sort(np.concatenate([np.arange(1.0, 40.0), [12.0, 25.0]]))
+        split = exact.copy()
+        split[np.flatnonzero(exact == 12.0)[1]] *= 1.0 + 1e-13
+        fits = [
+            fit(make_spectrum(ProblemKind.DIRICHLET, values), 2, 1.0, *extra, (5.0, 30.0))
+            for values in (exact, split)
+            for fit, extra in ((weyl_fit, ()), (weyl_two_term_fit, (4.0,)))
+        ]
+        for plain, nudged in zip(fits[:2], fits[2:]):
+            assert nudged.points == plain.points == 25
+            assert nudged.leading == pytest.approx(plain.leading, rel=1e-12)
+            assert nudged.ratio == pytest.approx(plain.ratio, rel=1e-12)
+        assert fits[3].second == pytest.approx(fits[1].second, rel=1e-11)
+
     def test_window_validation(self):
         s = rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 60)
         with pytest.raises(ValueError, match="window"):

@@ -245,6 +245,32 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=repr(field)):
                 parse_config(json.dumps({"experiments": [block]}))
 
+    @pytest.mark.parametrize("window", [[5.0], [1, 5, 9], [9.0, 5.0], [-1.0, 5.0], []])
+    def test_window_must_be_an_increasing_pair(self, window):
+        block = interval_block(checks=[{"type": "weyl", "window": window}])
+        with pytest.raises(ConfigError, match=r"'window' must be a pair \[lo, hi\]"):
+            parse_config(json.dumps({"experiments": [block]}))
+
+    def test_repeated_kinds_rejected(self):
+        block = interval_block()
+        block["kinds"] = ["dirichlet", "buckling", "dirichlet"]
+        with pytest.raises(ConfigError, match="repeats"):
+            parse_config(json.dumps({"experiments": [block]}))
+
+    @pytest.mark.parametrize(
+        "part", [{"type": "cap", "delta": 1.0}, {"type": "mask", "path": "half.mask"}]
+    )
+    def test_decomposition_parts_need_an_fd_grid(self, part):
+        block = {
+            "name": "split",
+            "domain": {"type": "rect", "a": 1.0, "b": 1.0},
+            "kinds": ["buckling"],
+            "backend": {"type": "fd", "h": [0.25]},
+            "checks": [{"type": "decomposition", "parts": [part]}],
+        }
+        with pytest.raises(ConfigError, match=rf"parts\[0\]: no fd grid for domain type '{part['type']}'"):
+            parse_config(json.dumps({"experiments": [block]}))
+
     @pytest.mark.parametrize("cap", [{"delta": "2.0"}, {"delta": 2.0, "points": True}, 2.0])
     def test_sharpness_caps_checked(self, cap):
         block = {

@@ -58,23 +58,26 @@ VERB_CHECKS["report"] = VERB_CHECKS["verify"] | VERB_CHECKS["weyl"]
 class DomainType:
     """Everything the runner knows about one domain type.
 
-    ``required`` numeric fields must be given; ``optional`` ones fall
-    back to their defaults, and a tuple default marks a point.  ``grid``
-    builds the fd mask at one mesh width, ``spectrum`` is the closed form
+    ``required`` numeric fields and ``strings`` must be given;
+    ``optional`` ones fall back to their defaults, a list default marking
+    a point.  ``grid`` builds the fd mask at one mesh width, which it
+    ignores where ``meshed`` is False.  ``spectrum`` is the closed form
     for the ``kinds`` it covers, and ``geometry`` gives the dimension,
     volume and boundary measure, None where the shape defines none.
     Every callable takes the domain as ``_check_domain`` returns it.
     """
 
     required: tuple[str, ...] = ()
+    strings: tuple[str, ...] = ()
     optional: dict = field(default_factory=dict)
     grid: Callable | None = None
+    meshed: bool = True
     spectrum: Callable | None = None
     kinds: tuple[ProblemKind, ...] = ()
     geometry: Callable = lambda d: (2, None, None)
 
 
-#: The domain types a config may name; a mask domain also names a file.
+#: The domain types a config may name.
 DOMAINS = {
     "interval": DomainType(
         required=("length",),
@@ -85,14 +88,14 @@ DOMAINS = {
     ),
     "rect": DomainType(
         required=("a", "b"),
-        optional={"corner": (0.0, 0.0)},
+        optional={"corner": [0.0, 0.0]},
         grid=lambda d, h: rectangle_domain(d["a"], d["b"], h, corner=d["corner"]),
         spectrum=lambda d, kind, count: rect_spectrum(d["a"], d["b"], kind, count),
         kinds=MEMBRANE_KINDS,
         geometry=lambda d: (2, d["a"] * d["b"], 2.0 * (d["a"] + d["b"])),
     ),
     "disk": DomainType(
-        optional={"radius": 1.0, "center": (0.0, 0.0)},
+        optional={"radius": 1.0, "center": [0.0, 0.0]},
         grid=lambda d, h: disk_domain(d["radius"], h, center=d["center"]),
         spectrum=lambda d, kind, count: disk_spectrum(d["radius"], kind, count),
         kinds=tuple(ProblemKind),
@@ -102,7 +105,7 @@ DOMAINS = {
     ),
     "lshape": DomainType(
         required=("a", "b"),
-        optional={"notch": 0.5, "corner": (0.0, 0.0)},
+        optional={"notch": 0.5, "corner": [0.0, 0.0]},
         grid=lambda d, h: lshape_domain(
             d["a"], d["b"], h, notch=d["notch"], corner=d["corner"]
         ),
@@ -111,7 +114,11 @@ DOMAINS = {
         ),
     ),
     "cap": DomainType(required=("delta",)),
-    "mask": DomainType(),
+    "mask": DomainType(
+        strings=("path",),
+        grid=lambda d, h: read_mask_file(Path(d["path"])),
+        meshed=False,
+    ),
 }
 
 #: Positive integers, numbers and lists of numbers a check may carry.
@@ -208,20 +215,20 @@ def _check_domain(where: str, domain) -> dict:
         out[key] = float(domain[key])
     for key, default in spec.optional.items():
         value = domain.get(key, default)
-        if isinstance(default, tuple):
+        if isinstance(default, list):
             _require(
-                isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)),
+                isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)),
                 f"{where}: domain {key!r} must be a pair of numbers",
             )
             out[key] = (float(value[0]), float(value[1]))
         else:
             _require(_is_number(value), f"{where}: domain {key!r} must be a number")
             out[key] = float(value)
-    if dtype == "mask":
+    for key in spec.strings:
         _require(
-            isinstance(domain.get("path"), str), f"{where}: mask domain needs a 'path' string"
+            isinstance(domain.get(key), str), f"{where}: {dtype} domain needs a {key!r} string"
         )
-        out["path"] = domain["path"]
+        out[key] = domain[key]
     return out
 
 
@@ -274,10 +281,10 @@ def parse_config(text: str) -> list[Experiment]:
         )
         if btype == "fd":
             _require(
-                spec.grid is not None or dtype == "mask",
+                spec.grid is not None,
                 f"{where}: fd backend does not support domain {dtype!r}",
             )
-            if dtype == "mask":
+            if not spec.meshed:
                 _require(
                     "h" not in backend,
                     f"{where}: mask files carry their own mesh width",
@@ -373,8 +380,9 @@ def parse_config(text: str) -> list[Experiment]:
                 for ppos, part in enumerate(parts):
                     pwhere = f"{cwhere}.parts[{ppos}]"
                     parts[ppos] = part = _check_domain(pwhere, part)
+                    part_spec = DOMAINS[part["type"]]
                     _require(
-                        DOMAINS[part["type"]].grid is not None,
+                        part_spec.grid is not None and part_spec.meshed,
                         f"{pwhere}: no fd grid for domain type {part['type']!r}",
                     )
             if ctype == "sharpness":
@@ -445,11 +453,8 @@ def _compute_spectra(exp: Experiment):
         cap = CapDomain(exp.domain["delta"], exp.backend.get("points", CapDomain.points))
         per_level = [(None, {kind: cap_spectrum(cap, kind, exp.count) for kind in exp.kinds})]
     else:
-        if exp.domain["type"] == "mask":
-            grids = [read_mask_file(Path(exp.domain["path"]))]
-        else:
-            hs = sorted(float(h) for h in exp.backend["h"])[::-1]
-            grids = [spec.grid(exp.domain, h) for h in hs]
+        hs = sorted(float(h) for h in exp.backend["h"])[::-1] if spec.meshed else [None]
+        grids = [spec.grid(exp.domain, h) for h in hs]
         per_level = [
             (grid, {kind: fd_spectrum(grid, kind, exp.count) for kind in exp.kinds})
             for grid in grids

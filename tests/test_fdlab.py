@@ -241,10 +241,15 @@ class TestSolver:
                 dense = scipy.linalg.eigh(
                     a.to_dense(), None if m is None else m.to_dense(), eigvals_only=True
                 )
-                for count in (1, n - 1, n):
+                # the square's double eigenvalues: count 5 ends on one copy of a pair
+                for count in (1, 5, n - 1, n):
                     sol = solve_gevp(a, m=m, count=count, sigma=sigma)
-                    assert sol.method == ("dense" if count == n else "shift-invert")
                     assert np.allclose(sol.values, dense[:count], rtol=1e-10)
+                    if count == n:
+                        assert sol.method == "dense"
+                    else:
+                        assert sol.method == "shift-invert"
+                        assert np.all(sol.residuals <= sol.tol)
 
     def test_symmetric_domain_keeps_the_mode_its_start_vector_misses(self):
         # the L-shape and the constant start vector are both symmetric about
@@ -280,15 +285,23 @@ class TestSolver:
         assert np.all(np.diff(sol.values) >= 0)
         assert sol.values[0] > 0
 
-    def test_stalled_lanczos_raises_with_its_converged_pairs(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "converged, message, partial",
+        [([2.0, 1.0], "2 of 3", [1.0, 2.0]), ([4.0, 2.0, 1.0, 3.0], "3 of 3", [1.0, 2.0, 3.0])],
+    )
+    def test_stalled_lanczos_raises_with_its_converged_pairs(
+        self, monkeypatch, converged, message, partial
+    ):
+        # counts are against the pairs asked for, not the spare ones
         def stalled(*args, **kwargs):
-            raise spla.ArpackNoConvergence("stalled", np.array([2.0, 1.0]), np.zeros((9, 2)))
+            values = np.array(converged)
+            raise spla.ArpackNoConvergence("stalled", values, np.zeros((9, len(values))))
 
         monkeypatch.setattr(spla, "eigsh", stalled)
         op = SparseSymOperator(sp.diags(np.arange(1.0, 10.0)).tocsr())
-        with pytest.raises(ConvergenceError, match=r"\(2 of 6 pairs\)") as info:
+        with pytest.raises(ConvergenceError, match=rf"\({message} pairs\)") as info:
             solve_gevp(op, count=3)
-        assert np.array_equal(info.value.partial.values, [1.0, 2.0])
+        assert np.array_equal(info.value.partial.values, partial)
 
     def test_convergence_error_carries_partial(self):
         err = ConvergenceError("stalled")

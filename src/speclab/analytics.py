@@ -4,7 +4,9 @@ Counting functions, the per-index inequality chain, its counting-function
 counterpart, Weyl fits with and without the boundary term, heat-trace
 diagnostics, buckling decomposition bounds, and the two sharpness
 studies.  Everything here consumes immutable Spectrum values and returns
-report objects that serialize through ``as_dict``.
+report objects that serialize through ``as_dict``.  The one solve made
+here is the decomposition check's: it takes the whole domain's buckling
+spectrum from its caller and solves only the parts.
 
 FD spectra are only trusted for their resolved low end, so every check
 refuses tau values beyond the trusted range instead of silently reading
@@ -562,17 +564,22 @@ def _grid_index_set(domain, whole) -> set[tuple[int, int]]:
 
 
 def decomposition_check(
-    whole, parts, count: int, tol: float = 1e-8
+    whole, parts, buckling: Spectrum, count: int
 ) -> DecompositionReport:
     """Buckling eigenvalues of the whole against a disjoint decomposition.
 
     Restricting trial functions to the parts can only raise Rayleigh
     quotients, so the merged, sorted part values Lambda*_k bound the
-    whole-domain values from above, index by index.
+    whole-domain values from above, index by index.  ``buckling`` is the
+    whole domain's buckling spectrum, which the caller has already
+    solved; only the parts are solved here, at ``count``.
 
     Raises:
         PartitionError: parts overlap, stick out of the whole, or sit
             on a different lattice.
+        DomainMismatchError: ``buckling`` is not a buckling spectrum of
+            ``whole``.
+        ValueError: ``buckling`` holds fewer than ``count`` values.
     """
     from .fdlab import fd_spectrum
 
@@ -591,25 +598,31 @@ def decomposition_check(
             )
         seen |= nodes
 
-    whole_spec = fd_spectrum(whole, ProblemKind.BUCKLING, count=count, tol=tol)
+    if buckling.kind is not ProblemKind.BUCKLING or buckling.domain != whole.descriptor:
+        raise DomainMismatchError(
+            f"need the buckling spectrum on {whole.descriptor}, got the "
+            f"{buckling.kind.value} spectrum on {buckling.domain}"
+        )
+    if count > len(buckling):
+        raise ValueError(
+            f"count {count} exceeds the {len(buckling)} whole-domain buckling values"
+        )
     merged = np.sort(
         np.concatenate(
-            [
-                fd_spectrum(p, ProblemKind.BUCKLING, count=count, tol=tol).values
-                for p in parts
-            ]
+            [fd_spectrum(p, ProblemKind.BUCKLING, count=count).values for p in parts]
         )
     )[:count]
     if len(merged) < count:
         raise ValueError("parts supplied fewer eigenvalues than requested")
 
+    whole_values = buckling.values[:count]
     rows = [
         DecompositionRow(
             k=idx + 1,
-            whole=float(whole_spec.values[idx]),
+            whole=float(whole_values[idx]),
             merged=float(merged[idx]),
-            margin=float(merged[idx] - whole_spec.values[idx]),
-            holds=bool(whole_spec.values[idx] <= merged[idx]),
+            margin=float(merged[idx] - whole_values[idx]),
+            holds=bool(whole_values[idx] <= merged[idx]),
         )
         for idx in range(count)
     ]

@@ -372,6 +372,14 @@ def parse_config(text: str) -> list[Experiment]:
                     btype == "fd",
                     f"{cwhere}: decomposition runs on the fd backend",
                 )
+                _require(
+                    ProblemKind.BUCKLING in kinds,
+                    f"{cwhere}: decomposition needs the buckling spectrum",
+                )
+                _require(
+                    (check.get("count") or count) <= count,
+                    f"{cwhere}: decomposition 'count' exceeds the experiment's {count}",
+                )
                 parts = check.get("parts")
                 _require(
                     isinstance(parts, list) and len(parts) >= 1,
@@ -420,6 +428,12 @@ def parse_config(text: str) -> list[Experiment]:
                 _require(
                     btype == "analytic",
                     f"{cwhere}: {ctype} needs an analytic spectrum",
+                )
+            if ctype == "weyl2":
+                _require(
+                    spec.geometry(domain)[0] >= 2,
+                    f"{cwhere}: weyl2 needs a 2-D domain; the 1-D boundary term "
+                    "is half a counting step, below what the fit resolves",
                 )
 
         out.append(
@@ -513,7 +527,7 @@ def _run_check(check: dict, exp: Experiment, grid, finest, uncertainties) -> dic
     if ctype == "decomposition":
         parts = [DOMAINS[d["type"]].grid(d, grid.h) for d in check["parts"]]
         rep = analytics.decomposition_check(
-            grid, parts, int(check.get("count", exp.count))
+            grid, parts, finest[ProblemKind.BUCKLING], check.get("count") or exp.count
         )
         return {**rep.as_dict(), "asserted": True, "ok": rep.ok}
     if ctype == "sharpness":

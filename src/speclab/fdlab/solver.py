@@ -74,19 +74,17 @@ def _residuals(
     ||A|| ||u|| directly.
     """
     anorm = max(1.0, float(np.max(np.abs(a).sum(axis=1))))
-    relative = np.empty(len(values))
-    backward = np.empty(len(values))
-    for idx, theta in enumerate(values):
-        u = vectors[:, idx]
-        au = a @ u
-        mu = u if m is None else m @ u
-        num = np.linalg.norm(au - theta * mu)
-        backward[idx] = num / (anorm * np.linalg.norm(u))
-        if abs(theta) <= 1e-12 * anorm:
-            den = anorm * np.linalg.norm(u)
-        else:
-            den = np.linalg.norm(au) + abs(theta) * np.linalg.norm(mu)
-        relative[idx] = num / den if den > 0 else num
+    au = a @ vectors
+    mu = vectors if m is None else m @ vectors
+    num = np.linalg.norm(au - values * mu, axis=0)
+    scale = anorm * np.linalg.norm(vectors, axis=0)
+    backward = num / scale
+    den = np.where(
+        np.abs(values) <= 1e-12 * anorm,
+        scale,
+        np.linalg.norm(au, axis=0) + np.abs(values) * np.linalg.norm(mu, axis=0),
+    )
+    relative = num / np.where(den > 0, den, 1.0)
     return relative, backward
 
 

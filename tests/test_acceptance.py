@@ -184,7 +184,8 @@ class TestAcceptance:
             rectangle_domain(0.5, 1.0, h),
             rectangle_domain(0.5, 1.0, h, corner=(0.5, 0.0)),
         ]
-        report = decomposition_check(whole, halves, count=10)
+        buckling = fd_spectrum(whole, ProblemKind.BUCKLING, 10)
+        report = decomposition_check(whole, halves, buckling, count=10)
         ok = report.ok and len(report.rows) == 10
         verdict("square buckling below merged half-rectangle values (k<=10)", ok)
 

@@ -30,7 +30,7 @@ from speclab.analytics import (
     weyl_leading_coefficient,
     weyl_two_term_fit,
 )
-from speclab.fdlab import CapDomain, cap_spectrum, rectangle_domain
+from speclab.fdlab import CapDomain, cap_spectrum, fd_spectrum, rectangle_domain
 from speclab.interval1d import interval_spectrum
 from speclab.spectra import ProblemKind, Spectrum
 
@@ -315,6 +315,9 @@ class TestDecomposition:
     def whole(self):
         return rectangle_domain(1.0, 1.0, self.H)
 
+    def buckling(self, count):
+        return fd_spectrum(self.whole(), ProblemKind.BUCKLING, count)
+
     def halves(self):
         return [
             rectangle_domain(0.5, 1.0, self.H),
@@ -322,7 +325,7 @@ class TestDecomposition:
         ]
 
     def test_halves_bound_the_square_from_above(self):
-        report = decomposition_check(self.whole(), self.halves(), count=6)
+        report = decomposition_check(self.whole(), self.halves(), self.buckling(6), count=6)
         assert report.ok
         assert report.parts == ["rectangle(0.5,1)", "rectangle(0.5,1)"]
         for row in report.rows:
@@ -330,7 +333,7 @@ class TestDecomposition:
             assert row.holds
 
     def test_identity_partition_is_tight(self):
-        report = decomposition_check(self.whole(), [self.whole()], count=4)
+        report = decomposition_check(self.whole(), [self.whole()], self.buckling(4), count=4)
         assert report.ok
         for row in report.rows:
             assert row.margin == 0.0
@@ -341,7 +344,7 @@ class TestDecomposition:
             for x in (0.0, 0.5)
             for y in (0.0, 0.5)
         ]
-        report = decomposition_check(self.whole(), quarters, count=4)
+        report = decomposition_check(self.whole(), quarters, self.buckling(4), count=4)
         assert report.ok
 
     def test_overlapping_parts_rejected(self):
@@ -350,22 +353,36 @@ class TestDecomposition:
             rectangle_domain(0.75, 1.0, self.H),
         ]
         with pytest.raises(PartitionError, match="overlap"):
-            decomposition_check(self.whole(), parts, count=3)
+            decomposition_check(self.whole(), parts, self.buckling(3), count=3)
 
     def test_part_outside_whole_rejected(self):
         parts = [rectangle_domain(0.5, 1.0, self.H, corner=(0.75, 0.0))]
         with pytest.raises(PartitionError, match="outside"):
-            decomposition_check(self.whole(), parts, count=3)
+            decomposition_check(self.whole(), parts, self.buckling(3), count=3)
 
     def test_mesh_width_mismatch_rejected(self):
         parts = [rectangle_domain(0.5, 1.0, self.H / 2.0)]
         with pytest.raises(PartitionError, match="mesh width"):
-            decomposition_check(self.whole(), parts, count=3)
+            decomposition_check(self.whole(), parts, self.buckling(3), count=3)
 
     def test_misaligned_part_rejected(self):
         parts = [rectangle_domain(0.5, 1.0, self.H, corner=(0.3, 0.0))]
         with pytest.raises(PartitionError, match="aligned"):
-            decomposition_check(self.whole(), parts, count=3)
+            decomposition_check(self.whole(), parts, self.buckling(3), count=3)
+
+    def test_wrong_kind_spectrum_rejected(self):
+        dirichlet = fd_spectrum(self.whole(), ProblemKind.DIRICHLET, 3)
+        with pytest.raises(DomainMismatchError, match="dirichlet"):
+            decomposition_check(self.whole(), self.halves(), dirichlet, count=3)
+
+    def test_other_domains_spectrum_rejected(self):
+        other = fd_spectrum(rectangle_domain(0.5, 1.0, self.H), ProblemKind.BUCKLING, 3)
+        with pytest.raises(DomainMismatchError, match=r"rectangle\(0.5,1\)"):
+            decomposition_check(self.whole(), self.halves(), other, count=3)
+
+    def test_short_spectrum_rejected(self):
+        with pytest.raises(ValueError, match="count 4 exceeds the 3"):
+            decomposition_check(self.whole(), self.halves(), self.buckling(3), count=4)
 
 
 class TestPayneScan:

@@ -41,7 +41,7 @@ JSON = st.recursive(
 )
 KINDS = ["neumann", "dirichlet", "clamped", "buckling"]
 VALID_BLOCKS = [
-    interval_block(checks=[{"type": t} for t in ("chain", "counting-chain", "payne", "weyl2")]),
+    interval_block(checks=[{"type": t} for t in ("chain", "counting-chain", "payne", "heat")]),
     {
         "name": "plate",
         "domain": {"type": "lshape", "a": 1.0, "b": 1.0, "notch": 0.5, "corner": [0, 0]},
@@ -270,6 +270,44 @@ class TestParseConfig:
         }
         with pytest.raises(ConfigError, match=rf"parts\[0\]: no fd grid for domain type '{part['type']}'"):
             parse_config(json.dumps({"experiments": [block]}))
+
+    @pytest.mark.parametrize(
+        "kinds, check_count, message",
+        [
+            (["dirichlet"], None, "decomposition needs the buckling spectrum"),
+            (["dirichlet", "buckling"], 8, "decomposition 'count' exceeds the experiment's 6"),
+        ],
+    )
+    def test_decomposition_reads_the_experiments_buckling_spectrum(
+        self, tmp_path, capsys, kinds, check_count, message
+    ):
+        check = {
+            "type": "decomposition",
+            "parts": [
+                {"type": "rect", "a": 0.5, "b": 1.0},
+                {"type": "rect", "a": 0.5, "b": 1.0, "corner": [0.5, 0.0]},
+            ],
+        }
+        if check_count is not None:
+            check["count"] = check_count
+        block = {
+            "name": "split",
+            "domain": {"type": "rect", "a": 1.0, "b": 1.0},
+            "kinds": kinds,
+            "backend": {"type": "fd", "h": [0.125]},
+            "count": 6,
+            "checks": [check],
+        }
+        config = write_config(tmp_path, {"experiments": [block]})
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_weyl2_rejected_on_an_interval(self, tmp_path, capsys):
+        block = interval_block(checks=[{"type": "weyl2", "kind": "neumann"}], count=400)
+        config = write_config(tmp_path, {"experiments": [block]})
+        assert main(["weyl", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "weyl2 needs a 2-D domain" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cap", [{"delta": "2.0"}, {"delta": 2.0, "points": True}, 2.0])
     def test_sharpness_caps_checked(self, cap):

@@ -26,6 +26,7 @@ from speclab.fdlab import (
     solve_gevp,
     write_mask_file,
 )
+from speclab.fdlab import solver as solver_mod
 from speclab.interval1d import clamped_beam_root
 from speclab.spectra import ProblemKind
 
@@ -303,6 +304,35 @@ class TestSolver:
             solve_gevp(op, count=3)
         assert np.array_equal(info.value.partial.values, partial)
 
+    def test_residuals_match_the_per_pair_loop(self):
+        # the Neumann null mode takes the backward-scale denominator
+        d = rectangle_domain(1.0, 1.0, 1.0 / 8.0)
+        lap = assemble_laplacian(d, ProblemKind.DIRICHLET)
+        bilap = assemble_bilaplacian_clamped(d)
+        neumann = assemble_laplacian(d, ProblemKind.NEUMANN)
+        for a, m in ((neumann, None), (lap, None), (bilap, lap)):
+            values, vectors = scipy.linalg.eigh(
+                a.to_dense(), None if m is None else m.to_dense()
+            )
+            values, vectors = values[:6], vectors[:, :6]
+            a_csc = a.matrix.tocsc()
+            m_csc = None if m is None else m.matrix.tocsc()
+            relative, backward = solver_mod._residuals(a_csc, m_csc, values, vectors)
+            anorm = max(1.0, float(np.max(np.abs(a_csc).sum(axis=1))))
+            for idx, theta in enumerate(values):
+                u = vectors[:, idx]
+                au = a_csc @ u
+                mu = u if m is None else m_csc @ u
+                num = np.linalg.norm(au - theta * mu)
+                assert backward[idx] == pytest.approx(
+                    num / (anorm * np.linalg.norm(u)), rel=1e-12, abs=1e-300
+                )
+                if abs(theta) <= 1e-12 * anorm:
+                    den = anorm * np.linalg.norm(u)
+                else:
+                    den = np.linalg.norm(au) + abs(theta) * np.linalg.norm(mu)
+                assert relative[idx] == pytest.approx(num / den, rel=1e-12, abs=1e-300)
+
     def test_convergence_error_carries_partial(self):
         err = ConvergenceError("stalled")
         assert err.partial is None
@@ -362,6 +392,23 @@ class TestFdSpectrum:
             errors.append(abs(fd_spectrum(d, ProblemKind.CLAMPED, 1).values[0] - exact))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert min(orders) >= 1.8
+
+    def test_square_fourth_order_values_match_published(self):
+        # Bjorstad & Tjostheim, Computing 63 (1999): unit-square clamped plate
+        # Gamma_1^2 and buckling Lambda_1; the 13-point values rise to them
+        # as O(h^2), so one Richardson step at h = 1/40, 1/80 lands close
+        for kind, published, rtol in (
+            (ProblemKind.CLAMPED, 1294.9339796, 3e-5),
+            (ProblemKind.BUCKLING, 52.3446912, 5e-6),
+        ):
+            coarse, fine = (
+                fd_spectrum(rectangle_domain(1.0, 1.0, h), kind, 1).values[0]
+                for h in (1.0 / 40.0, 1.0 / 80.0)
+            )
+            if kind is ProblemKind.CLAMPED:
+                coarse, fine = coarse**2, fine**2
+            assert coarse < fine < published
+            assert (4.0 * fine - coarse) / 3.0 == pytest.approx(published, rel=rtol)
 
     def test_clamped_values_nonnegative_sorted(self):
         d = disk_domain(1.0, 1.0 / 10.0)

@@ -39,19 +39,9 @@ from .fdlab import (
     rectangle_domain,
 )
 from .interval1d import interval_spectrum
-from .spectra import MEMBRANE_KINDS, ProblemKind, Spectrum
+from .spectra import CHAIN_ORDER, MEMBRANE_KINDS, ProblemKind, Spectrum
 
 JOBS_ENV = "SPECLAB_JOBS"
-
-#: Which check types each verb executes.
-VERB_CHECKS = {
-    "spectrum": frozenset(),
-    "verify": frozenset(
-        {"chain", "counting-chain", "payne", "decomposition", "sharpness"}
-    ),
-    "weyl": frozenset({"weyl", "weyl2", "heat"}),
-}
-VERB_CHECKS["report"] = VERB_CHECKS["verify"] | VERB_CHECKS["weyl"]
 
 
 @dataclass(frozen=True)
@@ -121,12 +111,6 @@ DOMAINS = {
     ),
 }
 
-#: Positive integers, numbers and lists of numbers a check may carry.
-CHECK_COUNTS = ("count", "points")
-CHECK_NUMBERS = ("rtol", "volume", "boundary")
-CHECK_NUMBER_LISTS = ("taus", "times")
-
-
 class ConfigError(ValueError):
     """The experiment configuration is malformed."""
 
@@ -137,12 +121,8 @@ def _fmt(x: float) -> str:
 
 def _round12(obj):
     """Round every float in a JSON-ready structure to 12 significant digits."""
-    if isinstance(obj, bool) or obj is None:
-        return obj
     if isinstance(obj, float):
         return float(_fmt(obj))
-    if isinstance(obj, (int, str)):
-        return obj
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -173,11 +153,7 @@ class ExperimentResult:
     def ok(self) -> bool:
         if self.error is not None:
             return False
-        return all(
-            c.get("ok", True)
-            for c in self.report.get("checks", [])
-            if c.get("asserted")
-        )
+        return all(c["ok"] for c in self.report["checks"] if c["asserted"])
 
 
 def _require(cond: bool, message: str):
@@ -232,8 +208,249 @@ def _check_domain(where: str, domain) -> dict:
     return out
 
 
+def _parsed(where: str, parse: Callable, value):
+    """``parse(value)``, with a ValueError turned into a ConfigError at ``where``."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _is_positive(value) -> bool:
+    return _is_number(value) and value > 0
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _grid_part(where: str, part) -> dict:
+    part = _check_domain(where, part)
+    spec = DOMAINS[part["type"]]
+    _require(
+        spec.grid is not None and spec.meshed,
+        f"{where}: no fd grid for domain type {part['type']!r}",
+    )
+    return part
+
+
+#: Every field a check may carry, checked wherever it is set: the test its
+#: value must pass, what that asks for, and the parse of a value that passed.
+CHECK_FIELDS = {
+    "count": (_is_count, "a positive integer", int),
+    "points": (_is_count, "a positive integer", int),
+    "rtol": (_is_number, "a number", float),
+    "volume": (_is_positive, "a positive number", float),
+    "boundary": (_is_positive, "a positive number", float),
+    "taus": (_is_numbers, "a list of numbers", lambda v: list(map(float, v))),
+    "times": (
+        lambda v: _is_numbers(v) and v and min(v) > 0,
+        "a nonempty list of positive numbers",
+        lambda v: list(map(float, v)),
+    ),
+    "window": (
+        lambda v: _is_numbers(v) and len(v) == 2 and 0 <= v[0] < v[1],
+        "a pair [lo, hi] with 0 <= lo < hi",
+        lambda v: list(map(float, v)),
+    ),
+    "kind": (lambda v: isinstance(v, str), "a problem kind", ProblemKind),
+    "parts": (
+        lambda v: isinstance(v, list) and v,
+        "a nonempty list of domain objects",
+        lambda v: [_grid_part(f"parts[{i}]", part) for i, part in enumerate(v)],
+    ),
+    "caps": (
+        lambda v: isinstance(v, list)
+        and all(
+            isinstance(c, dict)
+            and _is_number(c.get("delta"))
+            and (c.get("points") is None or _is_count(c["points"]))
+            for c in v
+        ),
+        "a list of objects with a number 'delta' and an optional positive integer 'points'",
+        lambda v: [CapDomain(float(c["delta"]), c.get("points") or CapDomain.points) for c in v],
+    ),
+}
+
+
+@dataclass(frozen=True)
+class CheckType:
+    """Everything the runner knows about one check type.
+
+    ``verb`` runs it, as does ``report``.  ``fields`` maps the fields it
+    reads to defaults, which null also selects; a None ``kind``, ``count``,
+    ``volume`` or ``boundary`` is the experiment's.  The experiment needs
+    all ``kinds``, ``min_count`` values, one of ``backends`` and ``domains``
+    and ``min_dim`` dimensions; ``membrane`` limits ``kind`` to membrane
+    kinds.  ``run`` takes (check, experiment, finest grid, finest spectra,
+    uncertainties) and returns the report fields and a verdict, which is
+    asserted where ``asserted`` is set.
+    """
+
+    verb: str
+    run: Callable
+    fields: dict = field(default_factory=dict)
+    kinds: tuple[ProblemKind, ...] = ()
+    backends: tuple[str, ...] = ("analytic", "fd", "cap")
+    domains: tuple[str, ...] = tuple(DOMAINS)
+    min_dim: int = 1
+    min_count: int = 1
+    membrane: bool = False
+    asserted: bool = True
+
+
+def _judged(report) -> tuple[dict, bool]:
+    return report.as_dict(), report.ok
+
+
+def _chain(check, exp, grid, finest, unc):
+    return _judged(analytics.inequality_chain_check(finest, exp.count, uncertainties=unc))
+
+
+def _counting_chain(check, exp, grid, finest, unc):
+    taus = check["taus"]
+    if taus is None:
+        edge = min(analytics.trusted_edge(s) for s in finest.values())
+        taus = np.linspace(0.0, edge, check["points"])
+    return _judged(analytics.counting_chain_check(finest, taus))
+
+
+def _payne(check, exp, grid, finest, unc):
+    dirichlet, buckling = finest[ProblemKind.DIRICHLET], finest[ProblemKind.BUCKLING]
+    rep = analytics.payne_scan(dirichlet, buckling, exp.count - 1)
+    return rep.as_dict(), rep.holds_all
+
+
+def _decomposition(check, exp, grid, finest, unc):
+    parts = [DOMAINS[d["type"]].grid(d, grid.h) for d in check["parts"]]
+    buckling = finest[ProblemKind.BUCKLING]
+    return _judged(analytics.decomposition_check(grid, parts, buckling, check["count"]))
+
+
+def _sharpness(check, exp, grid, finest, unc):
+    neumann, dirichlet = ProblemKind.NEUMANN, ProblemKind.DIRICHLET
+    caps = [
+        (c.delta, cap_spectrum(c, neumann, 2), cap_spectrum(c, dirichlet, 1)) for c in check["caps"]
+    ]
+    return _judged(analytics.sharpness_report(finest, caps))
+
+
+def _weyl(check, exp, grid, finest, unc):
+    spectrum, rtol = finest[check["kind"]], check["rtol"]
+    edge = analytics.trusted_edge(spectrum)
+    window = check["window"] or (edge / 10.0, edge)
+    rep = analytics.weyl_fit(spectrum, check["dim"], check["volume"], window)
+    return rep.as_dict(), None if rtol is None else abs(rep.ratio - 1.0) <= rtol
+
+
+def _weyl2(check, exp, grid, finest, unc):
+    spectrum, rtol = finest[check["kind"]], check["rtol"]
+    edge = analytics.trusted_edge(spectrum)
+    window = check["window"] or (edge / 10.0, edge)
+    measures = (check["dim"], check["volume"], check["boundary"])
+    rep = analytics.weyl_two_term_fit(spectrum, *measures, window)
+    ok = bool(rep.second_sign_ok) and abs(rep.second_ratio - 1.0) <= rtol
+    return {**rep.as_dict(), "rtol": rtol}, ok
+
+
+def _heat(check, exp, grid, finest, unc):
+    args = (check["volume"], check["boundary"], check["times"], check["dim"], check["rtol"])
+    return _judged(analytics.heat_trace_check(finest[check["kind"]], *args))
+
+
+#: The check types a config may name.
+CHECKS = {
+    "chain": CheckType("verify", _chain, kinds=CHAIN_ORDER),
+    "counting-chain": CheckType(
+        "verify", _counting_chain, {"taus": None, "points": 50}, CHAIN_ORDER
+    ),
+    "payne": CheckType(
+        "verify",
+        _payne,
+        kinds=(ProblemKind.DIRICHLET, ProblemKind.BUCKLING),
+        min_count=2,
+        asserted=False,
+    ),
+    "decomposition": CheckType(
+        "verify", _decomposition, {"parts": [], "count": None}, (ProblemKind.BUCKLING,), ("fd",)
+    ),
+    "sharpness": CheckType(
+        "verify", _sharpness, {"caps": []}, CHAIN_ORDER, ("analytic",), ("disk",)
+    ),
+    "weyl": CheckType("weyl", _weyl, {"kind": None, "window": None, "rtol": None, "volume": None}),
+    "weyl2": CheckType(
+        "weyl",
+        _weyl2,
+        {"kind": None, "window": None, "rtol": 0.25, "volume": None, "boundary": None},
+        backends=("analytic",),
+        min_dim=2,
+        membrane=True,
+    ),
+    "heat": CheckType(
+        "weyl",
+        _heat,
+        {"kind": None, "times": [2e-3, 5e-3, 1e-2], "rtol": 0.1, "volume": None, "boundary": None},
+        backends=("analytic",),
+        membrane=True,
+    ),
+}
+
+#: Which check types each verb executes.
+VERB_CHECKS = {
+    verb: frozenset(t for t, c in CHECKS.items() if verb in (c.verb, "report"))
+    for verb in ("spectrum", "verify", "weyl", "report")
+}
+
+
+def _check_check(where: str, check, exp: Experiment) -> dict:
+    """Validate one check of an experiment; returns a new dict, every field resolved."""
+    _require(isinstance(check, dict), f"{where} must be an object")
+    ctype = check.get("type")
+    _require(isinstance(ctype, str) and ctype in CHECKS, f"{where}: unknown check type {ctype!r}")
+    spec = CHECKS[ctype]
+    out = {"type": ctype}
+    for key, (test, what, parse) in CHECK_FIELDS.items():
+        value = spec.fields.get(key) if check.get(key) is None else check[key]
+        if value is not None:
+            _require(test(value), f"{where}: {key!r} must be {what}")
+            value = _parsed(f"{where}: {key!r}", parse, value)
+        if key in spec.fields:
+            out[key] = value
+
+    dtype = exp.domain["type"]
+    dim, volume, boundary = DOMAINS[dtype].geometry(exp.domain)
+    pool = [k for k in exp.kinds if k in MEMBRANE_KINDS or not spec.membrane]
+    context = dict(kind=next(iter(pool), None), count=exp.count, volume=volume, boundary=boundary)
+    out.update((key, value) for key, value in context.items() if out.get(key, 0) is None)
+    names = " and ".join(k.value for k in spec.kinds)
+    for ok, message in (
+        (exp.backend["type"] in spec.backends, f"runs on the {' or '.join(spec.backends)} backend"),
+        (dtype in spec.domains, f"runs on {' or '.join(spec.domains)} domains"),
+        (
+            set(spec.kinds) <= set(exp.kinds),
+            "needs all four problem kinds"
+            if len(spec.kinds) == len(ProblemKind)
+            else f"needs the {names} spectr{'a' if len(spec.kinds) > 1 else 'um'}",
+        ),
+        (exp.count >= spec.min_count, f"needs an experiment 'count' of {spec.min_count} or more"),
+        (dim >= spec.min_dim, f"needs a {spec.min_dim}-D domain"),
+        ("kind" not in out or out["kind"] in pool, f"'kind' must be in {[k.value for k in pool]}"),
+        (out.get("count", 0) <= exp.count, f"'count' exceeds the experiment's {exp.count}"),
+        (out.get("volume", 0) is not None, f"on a {dtype} domain needs 'volume'"),
+        (out.get("boundary", 0) is not None, f"on a {dtype} domain needs 'boundary'"),
+    ):
+        _require(ok, f"{where}: {ctype} {message}")
+    if "volume" in out:
+        out["dim"] = dim
+    return out
+
+
 def parse_config(text: str) -> list[Experiment]:
-    """Parse and validate the JSON experiment list."""
+    """Parse and validate the JSON experiment list.
+
+    Every experiment comes back with its domain, backend and checks
+    resolved, so nothing is read from the config after this returns.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -266,19 +483,17 @@ def parse_config(text: str) -> list[Experiment]:
             isinstance(kinds_raw, list) and kinds_raw,
             f"{where}: 'kinds' must be a nonempty list",
         )
-        try:
-            kinds = [ProblemKind(k) for k in kinds_raw]
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        kinds = _parsed(where, lambda ks: [ProblemKind(k) for k in ks], kinds_raw)
         _require(len(set(kinds)) == len(kinds), f"{where}: 'kinds' repeats a kind")
 
-        backend = block.get("backend")
-        _require(isinstance(backend, dict), f"{where}: 'backend' must be an object")
-        btype = backend.get("type")
+        raw_backend = block.get("backend")
+        _require(isinstance(raw_backend, dict), f"{where}: 'backend' must be an object")
+        btype = raw_backend.get("type")
         _require(
             btype in ("analytic", "fd", "cap"),
             f"{where}: backend type must be analytic, fd or cap",
         )
+        backend = {"type": btype}
         if btype == "fd":
             _require(
                 spec.grid is not None,
@@ -286,17 +501,17 @@ def parse_config(text: str) -> list[Experiment]:
             )
             if not spec.meshed:
                 _require(
-                    "h" not in backend,
+                    "h" not in raw_backend,
                     f"{where}: mask files carry their own mesh width",
                 )
+                backend["h"] = [None]
             else:
-                hs = backend.get("h")
+                hs = raw_backend.get("h")
                 _require(
-                    isinstance(hs, list)
-                    and hs
-                    and all(_is_number(h) and h > 0 for h in hs),
+                    isinstance(hs, list) and hs and all(map(_is_positive, hs)),
                     f"{where}: fd backend needs a nonempty list of positive 'h'",
                 )
+                backend["h"] = sorted(map(float, hs), reverse=True)
         elif btype == "analytic":
             _require(
                 spec.spectrum is not None,
@@ -312,140 +527,18 @@ def parse_config(text: str) -> list[Experiment]:
             _require(dtype == "cap", f"{where}: cap backend needs a cap domain")
             bad = [k.value for k in kinds if k not in MEMBRANE_KINDS]
             _require(not bad, f"{where}: cap spectra cover membrane problems only")
-            if "points" in backend:
-                _require(
-                    _is_count(backend["points"]),
-                    f"{where}: cap 'points' must be a positive integer",
-                )
+            points = raw_backend.get("points", CapDomain.points)
+            _require(_is_count(points), f"{where}: cap 'points' must be a positive integer")
+            backend["cap"] = _parsed(where, lambda p: CapDomain(domain["delta"], p), points)
 
         count = block.get("count", 6)
         _require(_is_count(count), f"{where}: 'count' must be a positive integer")
 
         checks = block.get("checks", [])
         _require(isinstance(checks, list), f"{where}: 'checks' must be a list")
-        for cpos, check in enumerate(checks):
-            cwhere = f"{where}.checks[{cpos}]"
-            _require(isinstance(check, dict), f"{cwhere} must be an object")
-            ctype = check.get("type")
-            _require(
-                isinstance(ctype, str) and ctype in VERB_CHECKS["report"],
-                f"{cwhere}: unknown check type {ctype!r}",
-            )
-            for key in CHECK_COUNTS:
-                if check.get(key) is not None:
-                    _require(
-                        _is_count(check[key]), f"{cwhere}: {key!r} must be a positive integer"
-                    )
-            for key in CHECK_NUMBERS:
-                if check.get(key) is not None:
-                    _require(
-                        _is_number(check[key]), f"{cwhere}: {key!r} must be a number"
-                    )
-            for key in CHECK_NUMBER_LISTS:
-                if check.get(key) is not None:
-                    _require(
-                        isinstance(check[key], list)
-                        and all(_is_number(v) for v in check[key]),
-                        f"{cwhere}: {key!r} must be a list of numbers",
-                    )
-            window = check.get("window")
-            if window is not None:
-                _require(
-                    isinstance(window, list)
-                    and len(window) == 2
-                    and all(map(_is_number, window))
-                    and 0 <= window[0] < window[1],
-                    f"{cwhere}: 'window' must be a pair [lo, hi] with 0 <= lo < hi",
-                )
-            if ctype in {"chain", "counting-chain"}:
-                _require(
-                    set(kinds) == set(ProblemKind),
-                    f"{cwhere}: {ctype} needs all four problem kinds",
-                )
-            if ctype == "payne":
-                _require(
-                    ProblemKind.DIRICHLET in kinds and ProblemKind.BUCKLING in kinds,
-                    f"{cwhere}: payne needs dirichlet and buckling spectra",
-                )
-            if ctype == "decomposition":
-                _require(
-                    btype == "fd",
-                    f"{cwhere}: decomposition runs on the fd backend",
-                )
-                _require(
-                    ProblemKind.BUCKLING in kinds,
-                    f"{cwhere}: decomposition needs the buckling spectrum",
-                )
-                _require(
-                    (check.get("count") or count) <= count,
-                    f"{cwhere}: decomposition 'count' exceeds the experiment's {count}",
-                )
-                parts = check.get("parts")
-                _require(
-                    isinstance(parts, list) and len(parts) >= 1,
-                    f"{cwhere}: needs a nonempty 'parts' list of domain objects",
-                )
-                for ppos, part in enumerate(parts):
-                    pwhere = f"{cwhere}.parts[{ppos}]"
-                    parts[ppos] = part = _check_domain(pwhere, part)
-                    part_spec = DOMAINS[part["type"]]
-                    _require(
-                        part_spec.grid is not None and part_spec.meshed,
-                        f"{pwhere}: no fd grid for domain type {part['type']!r}",
-                    )
-            if ctype == "sharpness":
-                _require(
-                    dtype == "disk" and btype == "analytic",
-                    f"{cwhere}: sharpness starts from unit-disk analytic spectra",
-                )
-                _require(
-                    set(kinds) == set(ProblemKind),
-                    f"{cwhere}: sharpness needs all four disk spectra",
-                )
-                caps = check.get("caps", [])
-                _require(
-                    isinstance(caps, list)
-                    and all(
-                        isinstance(c, dict)
-                        and _is_number(c.get("delta"))
-                        and _is_count(c.get("points", 1))
-                        for c in caps
-                    ),
-                    f"{cwhere}: 'caps' must be a list of objects with a number 'delta'"
-                    " and an optional positive integer 'points'",
-                )
-            if ctype in {"weyl", "weyl2", "heat"}:
-                kind = check.get("kind")
-                if kind is not None:
-                    try:
-                        k = ProblemKind(kind)
-                    except ValueError as exc:
-                        raise ConfigError(f"{cwhere}: {exc}") from exc
-                    _require(
-                        k in kinds, f"{cwhere}: kind {kind!r} not computed here"
-                    )
-            if ctype in {"weyl2", "heat"}:
-                _require(
-                    btype == "analytic",
-                    f"{cwhere}: {ctype} needs an analytic spectrum",
-                )
-            if ctype == "weyl2":
-                _require(
-                    spec.geometry(domain)[0] >= 2,
-                    f"{cwhere}: weyl2 needs a 2-D domain; the 1-D boundary term "
-                    "is half a counting step, below what the fit resolves",
-                )
-
-        out.append(
-            Experiment(
-                name=name,
-                domain=domain,
-                kinds=kinds,
-                backend=backend,
-                count=count,
-                checks=checks,
-            )
-        )
+        exp = Experiment(name=name, domain=domain, kinds=kinds, backend=backend, count=count)
+        exp.checks = [_check_check(f"{where}.checks[{i}]", c, exp) for i, c in enumerate(checks)]
+        out.append(exp)
     return out
 
 
@@ -464,11 +557,10 @@ def _compute_spectra(exp: Experiment):
         spectra = {kind: spec.spectrum(exp.domain, kind, exp.count) for kind in exp.kinds}
         per_level = [(None, spectra)]
     elif btype == "cap":
-        cap = CapDomain(exp.domain["delta"], exp.backend.get("points", CapDomain.points))
+        cap = exp.backend["cap"]
         per_level = [(None, {kind: cap_spectrum(cap, kind, exp.count) for kind in exp.kinds})]
     else:
-        hs = sorted(float(h) for h in exp.backend["h"])[::-1] if spec.meshed else [None]
-        grids = [spec.grid(exp.domain, h) for h in hs]
+        grids = [spec.grid(exp.domain, h) for h in exp.backend["h"]]
         per_level = [
             (grid, {kind: fd_spectrum(grid, kind, exp.count) for kind in exp.kinds})
             for grid in grids
@@ -484,109 +576,11 @@ def _compute_spectra(exp: Experiment):
     return per_level, uncertainties
 
 
-def _auto_window(spectrum: Spectrum) -> tuple[float, float]:
-    edge = analytics.trusted_edge(spectrum)
-    return (edge / 10.0, edge)
-
-
-def _check_kind(check: dict, exp: Experiment, membrane_only: bool) -> ProblemKind:
-    kind = check.get("kind")
-    if kind is not None:
-        kind = ProblemKind(kind)
-    else:
-        pool = [k for k in exp.kinds if not membrane_only or k in MEMBRANE_KINDS]
-        if not pool:
-            raise ConfigError(f"{check['type']}: no usable kind in this experiment")
-        kind = pool[0]
-    return kind
-
-
 def _run_check(check: dict, exp: Experiment, grid, finest, uncertainties) -> dict:
-    ctype = check["type"]
-    if ctype == "chain":
-        rep = analytics.inequality_chain_check(
-            finest, exp.count, uncertainties=uncertainties
-        )
-        return {**rep.as_dict(), "asserted": True, "ok": rep.ok}
-    if ctype == "counting-chain":
-        taus = check.get("taus")
-        if taus is None:
-            points = int(check.get("points", 50))
-            edge = min(analytics.trusted_edge(s) for s in finest.values())
-            taus = np.linspace(0.0, edge, points)
-        rep = analytics.counting_chain_check(finest, taus)
-        return {**rep.as_dict(), "asserted": True, "ok": rep.ok}
-    if ctype == "payne":
-        depth = exp.count - 1
-        if depth < 1:
-            raise ConfigError("payne needs count >= 2")
-        rep = analytics.payne_scan(
-            finest[ProblemKind.DIRICHLET], finest[ProblemKind.BUCKLING], depth
-        )
-        return {**rep.as_dict(), "asserted": False, "ok": None}
-    if ctype == "decomposition":
-        parts = [DOMAINS[d["type"]].grid(d, grid.h) for d in check["parts"]]
-        rep = analytics.decomposition_check(
-            grid, parts, finest[ProblemKind.BUCKLING], check.get("count") or exp.count
-        )
-        return {**rep.as_dict(), "asserted": True, "ok": rep.ok}
-    if ctype == "sharpness":
-        caps = []
-        for cap_cfg in check.get("caps", []):
-            cap = CapDomain(
-                float(cap_cfg["delta"]), cap_cfg.get("points", CapDomain.points)
-            )
-            caps.append(
-                (
-                    cap.delta,
-                    cap_spectrum(cap, ProblemKind.NEUMANN, 2),
-                    cap_spectrum(cap, ProblemKind.DIRICHLET, 1),
-                )
-            )
-        rep = analytics.sharpness_report(finest, caps)
-        return {**rep.as_dict(), "asserted": True, "ok": rep.ok}
-
-    dim, volume, boundary = DOMAINS[exp.domain["type"]].geometry(exp.domain)
-    if "volume" in check:
-        volume = float(check["volume"])
-    if "boundary" in check:
-        boundary = float(check["boundary"])
-    if volume is None:
-        raise ConfigError(f"{ctype}: domain has no closed-form volume; set 'volume'")
-    if ctype == "weyl":
-        kind = _check_kind(check, exp, membrane_only=False)
-        spectrum = finest[kind]
-        window = check.get("window") or _auto_window(spectrum)
-        rep = analytics.weyl_fit(spectrum, dim, volume, window)
-        rtol = check.get("rtol")
-        asserted = rtol is not None
-        ok = abs(rep.ratio - 1.0) <= float(rtol) if asserted else None
-        return {**rep.as_dict(), "asserted": asserted, "ok": ok}
-    if ctype == "weyl2":
-        if boundary is None:
-            raise ConfigError("weyl2: set 'boundary' for this domain")
-        kind = _check_kind(check, exp, membrane_only=True)
-        spectrum = finest[kind]
-        window = check.get("window") or _auto_window(spectrum)
-        rep = analytics.weyl_two_term_fit(spectrum, dim, volume, boundary, window)
-        rtol = float(check.get("rtol", 0.25))
-        ok = bool(rep.second_sign_ok) and abs(rep.second_ratio - 1.0) <= rtol
-        return {**rep.as_dict(), "rtol": rtol, "asserted": True, "ok": ok}
-    if ctype == "heat":
-        if boundary is None:
-            raise ConfigError("heat: set 'boundary' for this domain")
-        kind = _check_kind(check, exp, membrane_only=True)
-        times = check.get("times", [0.002, 0.005, 0.01])
-        rep = analytics.heat_trace_check(
-            finest[kind],
-            volume,
-            boundary,
-            times,
-            dim=dim,
-            rtol=float(check.get("rtol", 0.1)),
-        )
-        return {**rep.as_dict(), "asserted": True, "ok": rep.ok}
-    raise ConfigError(f"unknown check type {ctype!r}")
+    spec = CHECKS[check["type"]]
+    fields, verdict = spec.run(check, exp, grid, finest, uncertainties)
+    ok = verdict if spec.asserted else None
+    return {**fields, "asserted": ok is not None, "ok": ok}
 
 
 def run_experiment(exp: Experiment, check_types: frozenset[str]) -> ExperimentResult:

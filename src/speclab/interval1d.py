@@ -54,16 +54,17 @@ def tan_root(k: int) -> float:
 def clamped_beam_root(k: int) -> float:
     """k-th root z_k of cos(z) cosh(z) = 1, near (2k + 1) pi / 2.
 
-    Solved as cos z - sech z = 0 to keep the function bounded.
+    Solved as cos z - sech z = 0 to keep the function bounded.  Past
+    z = 710, where cosh overflows, sech z < 1e-308 underflows to 0.
     """
     if k < 1:
         raise ValueError(f"root index must be >= 1, got {k!r}")
     center = (2 * k + 1) * math.pi / 2
     return find_root(
-        lambda z: math.cos(z) - 1.0 / math.cosh(z),
+        lambda z: math.cos(z) - (1.0 / math.cosh(z) if z < 710.0 else 0.0),
         RootBracket(center - 0.4, center + 0.4),
         tol=1e-12,
-        fprime=lambda z: -math.sin(z) + math.tanh(z) / math.cosh(z),
+        fprime=lambda z: -math.sin(z) + (math.tanh(z) / math.cosh(z) if z < 710.0 else 0.0),
     )
 
 

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speclab.cli import ConfigError, main, parse_config, run_config
-from speclab.fdlab import lshape_domain, write_mask_file
+from speclab.cli import CHECKS, ConfigError, main, parse_config, run_config
+from speclab.fdlab import CapDomain, lshape_domain, write_mask_file
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -68,7 +73,7 @@ VALID_BLOCKS = [
         "kinds": ["neumann", "dirichlet"],
         "backend": {"type": "cap", "points": 100},
         "count": 4,
-        "checks": [{"type": "weyl", "window": [1.0, 50.0], "boundary": 1.0}],
+        "checks": [{"type": "weyl", "window": [1.0, 50.0], "boundary": 1.0, "volume": 2.9}],
     },
     {
         "name": "file",
@@ -506,6 +511,255 @@ class TestMainRuns:
     def test_run_config_rejects_bad_jobs(self, tmp_path):
         with pytest.raises(ConfigError, match="jobs"):
             run_config([], tmp_path, jobs=0)
+
+
+def cap_block(checks):
+    return {
+        "name": "cap",
+        "domain": {"type": "cap", "delta": 1.0},
+        "kinds": ["neumann", "dirichlet"],
+        "backend": {"type": "cap", "points": 100},
+        "count": 4,
+        "checks": checks,
+    }
+
+
+def analytic_block(domain, kinds, checks, count=6):
+    return {
+        "name": domain["type"],
+        "domain": domain,
+        "kinds": kinds,
+        "backend": {"type": "analytic"},
+        "count": count,
+        "checks": checks,
+    }
+
+
+SQUARE = {"type": "rect", "a": 1.0, "b": 1.0}
+DISK = {"type": "disk", "radius": 1.0}
+
+
+class TestChecksResolvedBeforeRunning:
+    """Checks whose needs the config cannot meet exit 2 before any solve."""
+
+    @pytest.mark.parametrize(
+        "block, field",
+        [
+            (interval_block(checks=[{"type": "weyl", "volume": 0}], count=40), "'volume'"),
+            (analytic_block(SQUARE, KINDS[:2], [{"type": "weyl2", "boundary": 0}], 400), "'boundary'"),
+            (interval_block(checks=[{"type": "heat", "times": []}]), "'times'"),
+            (interval_block(checks=[{"type": "heat", "times": [0.01, -0.1]}]), "'times'"),
+            (analytic_block(DISK, KINDS, [{"type": "weyl2", "kind": "buckling"}]), "'kind'"),
+            (interval_block(checks=[{"type": "heat", "kind": "clamped"}]), "'kind'"),
+            (interval_block(checks=[{"type": "payne"}], count=1), "'count'"),
+            (cap_block([{"type": "weyl"}]), "'volume'"),
+            (
+                {
+                    "name": "ell",
+                    "domain": {"type": "mask"},
+                    "kinds": ["dirichlet"],
+                    "backend": {"type": "fd"},
+                    "checks": [{"type": "weyl"}],
+                },
+                "'volume'",
+            ),
+            (analytic_block(DISK, KINDS[2:], [{"type": "weyl2"}]), "'kind'"),
+            ({**interval_block(checks=[{"type": "heat"}]), "kinds": KINDS[2:]}, "'kind'"),
+            (analytic_block(DISK, KINDS, [{"type": "sharpness", "caps": [{"delta": 4.0}]}]), "'caps'"),
+            (
+                analytic_block(DISK, KINDS, [{"type": "sharpness", "caps": [{"delta": 2.0, "points": 5}]}]),
+                "'caps'",
+            ),
+        ],
+    )
+    def test_unmeetable_check_exits_2_naming_the_field(self, tmp_path, capsys, block, field):
+        if block["domain"]["type"] == "mask":
+            mask_path = tmp_path / "ell.mask"
+            write_mask_file(lshape_domain(1.0, 1.0, 1.0 / 8.0), mask_path)
+            block = {**block, "domain": {"type": "mask", "path": str(mask_path)}}
+        config = write_config(tmp_path, {"experiments": [block]})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("speclab: ") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "delta, backend, message",
+        [(4.0, {"type": "cap"}, "aperture"), (1.0, {"type": "cap", "points": 5}, "grid points")],
+    )
+    def test_cap_backend_range_checked_at_parse_time(self, delta, backend, message):
+        block = {**cap_block([]), "domain": {"type": "cap", "delta": delta}, "backend": backend}
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps({"experiments": [block]}))
+
+    def test_backend_block_resolved(self):
+        fd = {**interval_block(), "backend": {"type": "fd", "h": [0.125, 0.25, 1]}}
+        exps = parse_config(json.dumps({"experiments": [fd, cap_block([])]}))
+        assert exps[0].backend["h"] == [1.0, 0.25, 0.125]
+        assert all(isinstance(h, float) for h in exps[0].backend["h"])
+        assert exps[1].backend["cap"] == CapDomain(1.0, 100)
+
+    def test_parse_leaves_the_callers_checks_alone(self):
+        check = {"type": "decomposition", "parts": [{"type": "rect", "a": 0.5, "b": 1}]}
+        block = {**interval_block(checks=[check]), "domain": SQUARE, "backend": {"type": "fd", "h": [0.25]}}
+        (parsed,) = parse_config(json.dumps({"experiments": [block]}))
+        assert parsed.checks[0]["parts"][0] == {"type": "rect", "a": 0.5, "b": 1.0, "corner": (0.0, 0.0)}
+        assert parsed.checks[0]["count"] == 10
+        assert block["checks"][0]["parts"][0] == {"type": "rect", "a": 0.5, "b": 1}
+
+    def test_null_fields_mean_their_defaults(self, tmp_path):
+        def check(ctype, fill, **given):
+            spelled = {key: fill for key in CHECKS[ctype].fields if key not in given}
+            return {"type": ctype, **spelled, **given}
+
+        def config(fill):
+            parts = [
+                {"type": "rect", "a": 0.5, "b": 1.0},
+                {"type": "rect", "a": 0.5, "b": 1.0, "corner": [0.5, 0.0]},
+            ]
+            cap = {"delta": 2.0, "points": fill}
+            return {
+                "experiments": [
+                    interval_block(
+                        checks=[
+                            check(t, fill) for t in ("chain", "counting-chain", "payne", "weyl", "heat")
+                        ],
+                        count=200,
+                    ),
+                    analytic_block(SQUARE, KINDS[:2], [check(t, fill) for t in ("weyl2", "heat")], 1500),
+                    analytic_block(
+                        DISK,
+                        KINDS,
+                        [check("sharpness", fill), check("sharpness", fill, caps=[cap])],
+                    ),
+                    {
+                        **interval_block(checks=[check("decomposition", fill, parts=parts)], count=3),
+                        "name": "split",
+                        "domain": SQUARE,
+                        "kinds": ["buckling"],
+                        "backend": {"type": "fd", "h": [0.125]},
+                    },
+                ]
+            }
+
+        def strip(node):
+            if isinstance(node, dict):
+                return {k: strip(v) for k, v in node.items() if v is not absent}
+            return [strip(v) for v in node] if isinstance(node, list) else node
+
+        absent = object()
+        outs = []
+        for name, fill in (("null", None), ("absent", absent)):
+            payload = strip(config(fill))
+            out = tmp_path / name
+            code = main(["report", "--config", str(write_config(tmp_path, payload)), "--out", str(out)])
+            outs.append((code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert outs[0] == outs[1]
+        assert all(b'"error"' not in data for data in outs[0][1].values())
+
+
+def ints(node):
+    if isinstance(node, dict):
+        return [i for value in node.values() for i in ints(value)]
+    if isinstance(node, list):
+        return [i for value in node for i in ints(value)]
+    return [node] if isinstance(node, int) and not isinstance(node, bool) else []
+
+
+#: Fast blocks whose checks set every field the check table gives them.
+CHEAP_BLOCKS = [
+    interval_block(
+        checks=[
+            {"type": "chain"},
+            {"type": "counting-chain", "taus": [1.0, 50.0, 400.0], "points": 20},
+            {"type": "payne"},
+            {"type": "weyl", "kind": "dirichlet", "window": [10.0, 10000.0], "rtol": 0.5, "volume": 2.0},
+            {
+                "type": "heat",
+                "kind": "neumann",
+                "times": [0.01, 0.02],
+                "rtol": 0.1,
+                "volume": 2.0,
+                "boundary": 2.0,
+            },
+        ],
+        count=200,
+    ),
+    analytic_block(
+        SQUARE,
+        KINDS[:2],
+        [
+            {"type": "weyl", "kind": "dirichlet", "window": [50.0, 1500.0], "rtol": 0.5, "volume": 1.0},
+            {
+                "type": "weyl2",
+                "kind": "neumann",
+                "window": [50.0, 1500.0],
+                "rtol": 0.5,
+                "volume": 1.0,
+                "boundary": 4.0,
+            },
+            {
+                "type": "heat",
+                "kind": "dirichlet",
+                "times": [0.05, 0.1],
+                "rtol": 0.2,
+                "volume": 1.0,
+                "boundary": 4.0,
+            },
+        ],
+        count=200,
+    ),
+]
+TYPED_ERRORS = ("TrustRangeError", "InsufficientDataError", "TruncationError")
+
+
+class TestWholeRuns:
+    def test_cheap_blocks_spell_out_every_field_and_run(self, tmp_path):
+        for block in CHEAP_BLOCKS:
+            for check in block["checks"]:
+                assert set(check) == {"type", *CHECKS[check["type"]].fields}
+        config = write_config(tmp_path, {"experiments": CHEAP_BLOCKS})
+        assert main(["report", "--config", str(config), "--out", str(tmp_path / "out")]) in (0, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_check_mutation_runs_or_fails_typed(self, tmp_path_factory, data):
+        # whole runs: any field of any check may be nulled, replaced or
+        # dropped; the run either stops at parse time or fails only with the
+        # typed errors that depend on the computed values
+        blocks = copy.deepcopy(
+            data.draw(st.lists(st.sampled_from(CHEAP_BLOCKS), min_size=1, unique_by=id))
+        )
+        for _ in range(data.draw(st.integers(1, 3))):
+            check = data.draw(st.sampled_from(data.draw(st.sampled_from(blocks))["checks"]))
+            if check and data.draw(st.booleans()):
+                check[data.draw(st.sampled_from(sorted(check)))] = None
+            else:
+                mutate(check, data)
+        assume(all(i <= 1000 for i in ints(blocks)))
+        root = tmp_path_factory.mktemp("run")
+        config = write_config(root, {"experiments": blocks})
+        out = root / "out"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["report", "--config", str(config), "--out", str(out)])
+        err = err.getvalue()
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if err:
+            assert code == 2 and err.startswith("speclab: ") and not out.exists()
+            return
+        for block in blocks:
+            report = json.loads((out / f"{block['name']}.report.json").read_text())
+            assert report.get("error", TYPED_ERRORS[0]).split(":")[0] in TYPED_ERRORS
+
+
+class TestReadme:
+    def test_config_example_is_the_bench_config(self):
+        readme = (ROOT / "README.md").read_text()
+        example = readme.split("### Config example")[1].split("```json")[1].split("```")[0]
+        bench = json.loads((ROOT / "bench" / "readme_config.json").read_text())
+        assert json.loads(example) == bench
+        parse_config(example)
 
 
 class TestSubprocess:

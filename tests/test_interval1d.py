@@ -1,5 +1,6 @@
 """Closed-form interval spectra and the 1D buckling counterexample."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -104,6 +105,15 @@ class TestSpectrum:
         b = interval_spectrum(1.0, ProblemKind.BUCKLING, 4)
         want = [4 * math.pi**2, 4 * Y1**2, 16 * math.pi**2, 4 * Y2**2]
         assert np.allclose(b.values, want, rtol=1e-12)
+
+    def test_clamped_past_cosh_overflow(self):
+        # cosh(z) overflows from z_226 on; sech must underflow instead.  The
+        # digest is of the first 225 values as the overflowing code gave them.
+        values = interval_spectrum(1.0, ProblemKind.CLAMPED, 2000).values
+        digest = hashlib.sha256(values[:225].tobytes()).hexdigest()
+        assert digest == "b99210cea399984c5f8952ea01d076b9790f0f5781e25305a1030d1af04ee9db"
+        for k in range(30, 2001):
+            assert clamped_beam_root(k) == pytest.approx((2 * k + 1) * math.pi / 2, rel=1e-15)
 
     def test_metadata(self):
         s = interval_spectrum(2.0, ProblemKind.DIRICHLET, 3)

@@ -547,8 +547,8 @@ class DecompositionReport:
         }
 
 
-def _grid_index_set(domain, whole) -> set[tuple[int, int]]:
-    """Part nodes as integer offsets on the whole domain's lattice."""
+def _lattice_offsets(domain, whole) -> tuple[np.ndarray, np.ndarray]:
+    """Part nodes as integer (i, j) offsets on the whole domain's lattice."""
     if abs(domain.h - whole.h) > 1e-12 * whole.h:
         raise PartitionError(
             f"mesh width mismatch: part {domain.h:g} vs whole {whole.h:g}"
@@ -560,7 +560,7 @@ def _grid_index_set(domain, whole) -> set[tuple[int, int]]:
         raise PartitionError(
             f"part {domain.descriptor} is not aligned with the whole grid"
         )
-    return {(int(i), int(j)) for i, j in snapped}
+    return tuple(snapped.astype(np.int64).T)
 
 
 def decomposition_check(
@@ -583,20 +583,25 @@ def decomposition_check(
     """
     from .fdlab import fd_spectrum
 
-    whole_set = _grid_index_set(whole, whole)
-    seen: set[tuple[int, int]] = set()
+    # a node's key orders like its (i, j) offsets, so the smallest
+    # shared key is the first shared node
+    rows, cols = whole.mask.shape
+    seen = np.empty(0, dtype=np.int64)
     for part in parts:
-        nodes = _grid_index_set(part, whole)
-        if not nodes <= whole_set:
+        i, j = _lattice_offsets(part, whole)
+        inside = (i >= 0) & (i < cols) & (j >= 0) & (j < rows)
+        if not (inside.all() and whole.mask[j, i].all()):
             raise PartitionError(
                 f"part {part.descriptor} has nodes outside {whole.descriptor}"
             )
-        overlap = seen & nodes
-        if overlap:
+        keys = np.ravel_multi_index((i, j), (cols, rows))
+        overlap = np.intersect1d(seen, keys)
+        if overlap.size:
+            first = tuple(int(x) for x in np.unravel_index(overlap[0], (cols, rows)))
             raise PartitionError(
-                f"parts overlap at {len(overlap)} nodes (first: {sorted(overlap)[0]})"
+                f"parts overlap at {overlap.size} nodes (first: {first})"
             )
-        seen |= nodes
+        seen = np.concatenate([seen, keys])
 
     if buckling.kind is not ProblemKind.BUCKLING or buckling.domain != whole.descriptor:
         raise DomainMismatchError(

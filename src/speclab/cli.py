@@ -32,7 +32,7 @@ from .fdlab import (
     CapDomain,
     cap_spectrum,
     disk_domain,
-    fd_spectrum,
+    fd_spectra,
     interval_domain,
     lshape_domain,
     read_mask_file,
@@ -50,11 +50,13 @@ class DomainType:
 
     ``required`` numeric fields and ``strings`` must be given;
     ``optional`` ones fall back to their defaults, a list default marking
-    a point.  ``grid`` builds the fd mask at one mesh width, which it
-    ignores where ``meshed`` is False.  ``spectrum`` is the closed form
-    for the ``kinds`` it covers, and ``geometry`` gives the dimension,
-    volume and boundary measure, None where the shape defines none.
-    Every callable takes the domain as ``_check_domain`` returns it.
+    a point, and every number must lie in its ``DOMAIN_RANGES`` entry.
+    ``grid`` builds the fd mask at one mesh width, which it ignores where
+    ``meshed`` is False.  ``spectrum`` is the closed form; it, or the cap
+    backend on a cap, covers the ``kinds`` listed.  ``geometry`` gives
+    the dimension, volume and boundary measure, None where the shape
+    defines none.  Every callable takes the domain as ``_check_domain``
+    returns it.
     """
 
     required: tuple[str, ...] = ()
@@ -103,13 +105,23 @@ DOMAINS = {
             2, d["a"] * d["b"] * (1.0 - d["notch"] * d["notch"]), 2.0 * (d["a"] + d["b"])
         ),
     ),
-    "cap": DomainType(required=("delta",)),
+    "cap": DomainType(required=("delta",), kinds=MEMBRANE_KINDS),
     "mask": DomainType(
         strings=("path",),
         grid=lambda d, h: read_mask_file(Path(d["path"])),
         meshed=False,
     ),
 }
+
+#: Range of each numeric domain field that has one: the test its value
+#: must pass and what that asks for.  Spectra scale as length^-2, so far
+#: outside the length range some of them overflow or underflow.
+_LENGTH = (lambda v: 1e-3 <= v <= 1e3, "a length in [0.001, 1000]")
+DOMAIN_RANGES = {
+    **dict.fromkeys(("length", "a", "b", "radius"), _LENGTH),
+    "notch": (lambda v: 0 < v < 1, "a fraction in (0, 1)"),
+}
+
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed."""
@@ -200,6 +212,10 @@ def _check_domain(where: str, domain) -> dict:
         else:
             _require(_is_number(value), f"{where}: domain {key!r} must be a number")
             out[key] = float(value)
+    for key, (test, what) in DOMAIN_RANGES.items():
+        _require(
+            key not in out or test(out[key]), f"{where}: {dtype} domain {key!r} must be {what}"
+        )
     for key in spec.strings:
         _require(
             isinstance(domain.get(key), str), f"{where}: {dtype} domain needs a {key!r} string"
@@ -517,19 +533,22 @@ def parse_config(text: str) -> list[Experiment]:
                 spec.spectrum is not None,
                 f"{where}: analytic backend does not support domain {dtype!r}",
             )
-            bad = [k.value for k in kinds if k not in spec.kinds]
-            _require(
-                not bad,
-                f"{where}: {dtype} analytic spectra cover the membrane "
-                f"problems only, not {bad}",
-            )
         else:
             _require(dtype == "cap", f"{where}: cap backend needs a cap domain")
-            bad = [k.value for k in kinds if k not in MEMBRANE_KINDS]
-            _require(not bad, f"{where}: cap spectra cover membrane problems only")
             points = raw_backend.get("points", CapDomain.points)
             _require(_is_count(points), f"{where}: cap 'points' must be a positive integer")
             backend["cap"] = _parsed(where, lambda p: CapDomain(domain["delta"], p), points)
+        bad = [] if btype == "fd" else [k.value for k in kinds if k not in spec.kinds]
+        covered = (
+            "membrane"
+            if set(spec.kinds) == set(MEMBRANE_KINDS)
+            else " and ".join(k.value for k in spec.kinds)
+        )
+        _require(
+            not bad,
+            f"{where}: {btype} spectra on a {dtype} domain cover the {covered} "
+            f"problems only, not {bad}",
+        )
 
         count = block.get("count", 6)
         _require(_is_count(count), f"{where}: 'count' must be a positive integer")
@@ -561,10 +580,7 @@ def _compute_spectra(exp: Experiment):
         per_level = [(None, {kind: cap_spectrum(cap, kind, exp.count) for kind in exp.kinds})]
     else:
         grids = [spec.grid(exp.domain, h) for h in exp.backend["h"]]
-        per_level = [
-            (grid, {kind: fd_spectrum(grid, kind, exp.count) for kind in exp.kinds})
-            for grid in grids
-        ]
+        per_level = [(grid, fd_spectra(grid, exp.kinds, exp.count)) for grid in grids]
 
     uncertainties = None
     if len(per_level) >= 2:

@@ -17,7 +17,7 @@ from .operators import (
     assemble_laplacian,
 )
 from .solver import ConvergenceError, EvpSolution, solve_gevp
-from .spectrum import fd_spectrum
+from .spectrum import fd_spectra, fd_spectrum
 
 __all__ = [
     "CapDomain",
@@ -30,6 +30,7 @@ __all__ = [
     "assemble_laplacian",
     "cap_spectrum",
     "disk_domain",
+    "fd_spectra",
     "fd_spectrum",
     "interval_domain",
     "lshape_domain",

@@ -4,13 +4,20 @@ The membrane problems discretize the Laplacian directly.  The clamped
 plate solves the bilaplacian and reports square roots of the computed
 eigenvalues, matching the convention used by the analytic backends.
 Buckling solves the pencil (bilaplacian, Dirichlet Laplacian).
+
+All kinds asked of one grid share their operators: each of the Neumann
+Laplacian, the Dirichlet Laplacian and the bilaplacian is assembled at
+most once and factored at most once.  The Dirichlet Laplacian is both
+the Dirichlet operator and the buckling mass matrix, and the clamped
+and buckling solves both shift-invert at zero on the bilaplacian, so
+they run on one LU of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..spectra import MEMBRANE_KINDS, ProblemKind, Spectrum
+from ..spectra import ProblemKind, Spectrum
 from .grid import GridDomain
 from .operators import assemble_bilaplacian_clamped, assemble_laplacian
 from .solver import DEFAULT_TOL, solve_gevp
@@ -29,6 +36,73 @@ def _neumann_snap(values: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
+def fd_spectra(
+    domain: GridDomain,
+    kinds,
+    count: int = 6,
+    tol: float = DEFAULT_TOL,
+) -> dict[ProblemKind, Spectrum]:
+    """Lowest ``count`` eigenvalues of every one of ``kinds`` on a grid domain."""
+    kinds = [ProblemKind(kind) for kind in kinds]
+    n = domain.n_unknowns
+    if count > n:
+        raise ValueError(
+            f"requested {count} eigenvalues but the grid has {n} unknowns"
+        )
+
+    scale = 4.0 / domain.h**2
+    # kind -> (stiffness, mass or None, shift, reported values), operators
+    # named by the kind whose walls they carry; the singular Neumann
+    # operator is shifted below zero so that its LU exists
+    problems = {
+        ProblemKind.NEUMANN: (
+            ProblemKind.NEUMANN,
+            None,
+            -0.01 * 4.0 / domain.h**2,
+            lambda v: _neumann_snap(v, scale),
+        ),
+        ProblemKind.DIRICHLET: (ProblemKind.DIRICHLET, None, 0.0, lambda v: v),
+        ProblemKind.CLAMPED: (
+            ProblemKind.CLAMPED, None, 0.0, lambda v: np.sqrt(np.maximum(v, 0.0))
+        ),
+        ProblemKind.BUCKLING: (ProblemKind.CLAMPED, ProblemKind.DIRICHLET, 0.0, lambda v: v),
+    }
+    operators, factors = {}, {}
+
+    def operator(kind: ProblemKind):
+        if kind not in operators:
+            operators[kind] = (
+                assemble_bilaplacian_clamped(domain)
+                if kind is ProblemKind.CLAMPED
+                else assemble_laplacian(domain, kind)
+            )
+        return operators[kind]
+
+    out = {}
+    for pos, kind in enumerate(kinds):
+        stiffness, mass, sigma, report = problems[kind]
+        solution = solve_gevp(
+            operator(stiffness),
+            None if mass is None else operator(mass),
+            count=count,
+            tol=tol,
+            sigma=sigma,
+            lu=factors.pop(stiffness, None),
+        )
+        if any(problems[later][0] is stiffness for later in kinds[pos + 1 :]):
+            factors[stiffness] = solution.lu
+        out[kind] = Spectrum(
+            kind=kind,
+            domain=domain.descriptor,
+            values=report(solution.values),
+            source=f"fd(h={domain.h:g})",
+            trusted_count=min(count, max(1, n // TRUST_FRACTION)),
+        )
+        # an LU that no later kind solves with goes before the next is made
+        del solution
+    return out
+
+
 def fd_spectrum(
     domain: GridDomain,
     kind: ProblemKind,
@@ -36,41 +110,4 @@ def fd_spectrum(
     tol: float = DEFAULT_TOL,
 ) -> Spectrum:
     """Lowest ``count`` eigenvalues of ``kind`` on a grid domain."""
-    kind = ProblemKind(kind)
-    n = domain.n_unknowns
-    if count > n:
-        raise ValueError(
-            f"requested {count} eigenvalues but the grid has {n} unknowns"
-        )
-
-    if kind in MEMBRANE_KINDS:
-        op = assemble_laplacian(domain, kind)
-        if kind is ProblemKind.NEUMANN:
-            # The operator is singular; shift below zero so the
-            # factorization in the iterative path stays definite.
-            sigma = -0.01 * 4.0 / domain.h**2
-        else:
-            sigma = 0.0
-        solution = solve_gevp(op, count=count, tol=tol, sigma=sigma)
-        values = solution.values
-        if kind is ProblemKind.NEUMANN:
-            values = _neumann_snap(values, scale=4.0 / domain.h**2)
-    elif kind is ProblemKind.CLAMPED:
-        op = assemble_bilaplacian_clamped(domain)
-        solution = solve_gevp(op, count=count, tol=tol)
-        values = np.sqrt(np.maximum(solution.values, 0.0))
-    elif kind is ProblemKind.BUCKLING:
-        bilap = assemble_bilaplacian_clamped(domain)
-        lap = assemble_laplacian(domain, ProblemKind.DIRICHLET)
-        solution = solve_gevp(bilap, m=lap, count=count, tol=tol)
-        values = solution.values
-    else:  # pragma: no cover - ProblemKind is exhaustive
-        raise ValueError(f"unsupported problem kind {kind!r}")
-
-    return Spectrum(
-        kind=kind,
-        domain=domain.descriptor,
-        values=values,
-        source=f"fd(h={domain.h:g})",
-        trusted_count=min(count, max(1, n // TRUST_FRACTION)),
-    )
+    return fd_spectra(domain, [kind], count, tol)[ProblemKind(kind)]

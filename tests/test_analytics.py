@@ -30,7 +30,14 @@ from speclab.analytics import (
     weyl_leading_coefficient,
     weyl_two_term_fit,
 )
-from speclab.fdlab import CapDomain, cap_spectrum, fd_spectrum, rectangle_domain
+from speclab.fdlab import (
+    CapDomain,
+    cap_spectrum,
+    disk_domain,
+    fd_spectrum,
+    lshape_domain,
+    rectangle_domain,
+)
 from speclab.interval1d import interval_spectrum
 from speclab.spectra import ProblemKind, Spectrum
 
@@ -354,6 +361,44 @@ class TestDecomposition:
         ]
         with pytest.raises(PartitionError, match="overlap"):
             decomposition_check(self.whole(), parts, self.buckling(3), count=3)
+
+    def test_overlap_names_its_count_and_first_node(self):
+        # the first shared node is the smallest (i, j) offset: the disk's
+        # leftmost column, not its lowest row
+        parts = [
+            rectangle_domain(0.5, 1.0, self.H),
+            disk_domain(0.4, self.H, center=(0.5, 0.5)),
+        ]
+        with pytest.raises(PartitionError) as info:
+            decomposition_check(self.whole(), parts, self.buckling(3), count=3)
+        assert str(info.value) == "parts overlap at 58 nodes (first: (1, 5))"
+
+    @pytest.mark.parametrize(
+        "whole, part, message",
+        [
+            (
+                rectangle_domain(1.0, 1.0, H),
+                rectangle_domain(0.5, 1.0, H, corner=(-0.25, 0.0)),
+                "part rectangle(0.5,1) has nodes outside rectangle(1,1)",
+            ),
+            (
+                rectangle_domain(1.0, 1.0, H),
+                rectangle_domain(0.5, 1.0, H, corner=(0.75, 0.0)),
+                "part rectangle(0.5,1) has nodes outside rectangle(1,1)",
+            ),
+            (
+                lshape_domain(1.0, 1.0, H),
+                rectangle_domain(0.5, 0.5, H, corner=(0.5, 0.5)),
+                "part rectangle(0.5,0.5) has nodes outside lshape(1,1,notch=0.5)",
+            ),
+        ],
+        ids=["below-the-lattice", "past-the-lattice", "in-the-notch"],
+    )
+    def test_outside_names_the_part_and_the_whole(self, whole, part, message):
+        buckling = fd_spectrum(whole, ProblemKind.BUCKLING, 3)
+        with pytest.raises(PartitionError) as info:
+            decomposition_check(whole, [part], buckling, count=3)
+        assert str(info.value) == message
 
     def test_part_outside_whole_rejected(self):
         parts = [rectangle_domain(0.5, 1.0, self.H, corner=(0.75, 0.0))]

@@ -156,6 +156,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="membrane"):
             parse_config(json.dumps({"experiments": [block]}))
 
+    def test_cap_backend_kinds_come_from_the_domain_table(self):
+        block = {
+            "name": "cap",
+            "domain": {"type": "cap", "delta": 1.0},
+            "kinds": ["dirichlet", "clamped"],
+            "backend": {"type": "cap"},
+        }
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps({"experiments": [block]}))
+        assert str(info.value) == (
+            "experiments[0]: cap spectra on a cap domain cover the membrane "
+            "problems only, not ['clamped']"
+        )
+
     def test_fd_needs_h_list_except_for_masks(self):
         block = {
             "name": "sq",
@@ -583,6 +597,45 @@ class TestChecksResolvedBeforeRunning:
         err = capsys.readouterr().err
         assert err.startswith("speclab: ") and field in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "domain, backend, field",
+        [
+            # each of these used to parse, then fail in the solve with exit 2
+            ({"type": "lshape", "a": 1.0, "b": 1.0, "notch": 1.0}, {"type": "fd", "h": [0.1]}, "'notch'"),
+            ({"type": "lshape", "a": 1.0, "b": 1.0, "notch": 0}, {"type": "fd", "h": [0.1]}, "'notch'"),
+            ({"type": "disk", "radius": -1}, {"type": "analytic"}, "'radius'"),
+            ({"type": "interval", "length": 1e-300}, {"type": "analytic"}, "'length'"),
+            ({"type": "rect", "a": 0, "b": 1.0}, {"type": "analytic"}, "'a'"),
+            # these used to run and report wrong values: the Neumann
+            # eigenvalues underflow to 0 at length 1e300, and the fd Neumann
+            # values fall under the null-mode snap at side 1e6
+            ({"type": "interval", "length": 1e300}, {"type": "analytic"}, "'length'"),
+            ({"type": "rect", "a": 1e6, "b": 1e6}, {"type": "fd", "h": [6.25e4]}, "'a'"),
+        ],
+    )
+    def test_domain_out_of_range_exits_2_naming_the_field(
+        self, tmp_path, capsys, domain, backend, field
+    ):
+        block = {"name": "d", "domain": domain, "kinds": ["neumann"], "backend": backend}
+        config = write_config(tmp_path, {"experiments": [block]})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("speclab: ") and f"domain {field} must be" in err
+        assert not out.exists()
+
+    def test_decomposition_parts_range_checked(self):
+        part = {"type": "rect", "a": 2000.0, "b": 1.0}
+        block = {
+            "name": "plate",
+            "domain": {"type": "rect", "a": 1.0, "b": 1.0},
+            "kinds": ["buckling"],
+            "backend": {"type": "fd", "h": [0.125]},
+            "checks": [{"type": "decomposition", "parts": [part]}],
+        }
+        with pytest.raises(ConfigError, match=r"parts\[0\]: rect domain 'a' must be a length"):
+            parse_config(json.dumps({"experiments": [block]}))
 
     @pytest.mark.parametrize(
         "delta, backend, message",

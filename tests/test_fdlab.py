@@ -18,6 +18,7 @@ from speclab.fdlab import (
     assemble_bilaplacian_clamped,
     assemble_laplacian,
     disk_domain,
+    fd_spectra,
     fd_spectrum,
     interval_domain,
     lshape_domain,
@@ -27,6 +28,7 @@ from speclab.fdlab import (
     write_mask_file,
 )
 from speclab.fdlab import solver as solver_mod
+from speclab.fdlab import spectrum as spectrum_mod
 from speclab.interval1d import clamped_beam_root
 from speclab.spectra import ProblemKind
 
@@ -333,6 +335,33 @@ class TestSolver:
                     den = np.linalg.norm(au) + abs(theta) * np.linalg.norm(mu)
                 assert relative[idx] == pytest.approx(num / den, rel=1e-12, abs=1e-300)
 
+    def test_minimum_degree_ordering_cuts_the_bilaplacian_fill(self):
+        d = lshape_domain(1.0, 1.0, 1.0 / 80.0)
+        bilap = assemble_bilaplacian_clamped(d)
+        sol = solve_gevp(bilap, count=6)
+        colamd = spla.splu(bilap.matrix.tocsc(), permc_spec="COLAMD")
+        assert sol.fill == sol.lu.L.nnz + sol.lu.U.nnz
+        assert sol.fill <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
+        # at least one solve per Lanczos vector of the 6 + spare pairs
+        assert sol.solves >= 6 + solver_mod._GUARD
+
+    def test_given_factorization_is_reused_as_is(self, monkeypatch):
+        d = rectangle_domain(1.0, 1.0, 1.0 / 12.0)
+        bilap = assemble_bilaplacian_clamped(d)
+        lap = assemble_laplacian(d, ProblemKind.DIRICHLET)
+        first = solve_gevp(bilap, m=lap, count=4)
+        monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: pytest.fail("refactored"))
+        again = solve_gevp(bilap, m=lap, count=4, lu=first.lu)
+        assert again.lu is first.lu
+        assert np.array_equal(again.values, first.values)
+        assert again.solves == first.solves > 0
+
+    def test_dense_path_factors_nothing(self):
+        op = SparseSymOperator(sp.diags(np.arange(1.0, 10.0)).tocsr())
+        sol = solve_gevp(op, count=9)
+        assert sol.method == "dense"
+        assert sol.lu is None and sol.fill == 0 and sol.solves == 0
+
     def test_convergence_error_carries_partial(self):
         err = ConvergenceError("stalled")
         assert err.partial is None
@@ -415,3 +444,62 @@ class TestFdSpectrum:
         s = fd_spectrum(d, ProblemKind.CLAMPED, 4)
         assert np.all(s.values >= 0)
         assert np.all(np.diff(s.values) >= 0)
+
+
+class TestFdSpectra:
+    """All kinds on one grid from one set of operators."""
+
+    @staticmethod
+    def counting(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append(result)
+            return result
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_each_operator_assembled_and_factored_once(self, monkeypatch):
+        factored = self.counting(monkeypatch, spla, "splu")
+        laplacians = self.counting(monkeypatch, spectrum_mod, "assemble_laplacian")
+        bilaplacians = self.counting(monkeypatch, spectrum_mod, "assemble_bilaplacian_clamped")
+        fd_spectra(lshape_domain(1.0, 1.0, 1.0 / 16.0), list(ProblemKind), 5)
+        # shifted L_N, L_D and B: the clamped and buckling solves share B's LU
+        assert len(factored) == 3
+        assert len(laplacians) == 2 and len(bilaplacians) == 1
+
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            rectangle_domain(1.0, 1.0, 1.0 / 16.0),
+            lshape_domain(1.0, 1.0, 1.0 / 24.0),
+            disk_domain(1.0, 0.1),
+            interval_domain(1.0, 1.0 / 100.0),
+        ],
+        ids=["square", "lshape", "disk", "rod"],
+    )
+    def test_values_bit_identical_to_per_kind_solves(self, domain):
+        for kinds in (list(ProblemKind), list(reversed(ProblemKind))):
+            together = fd_spectra(domain, kinds, 8)
+            assert list(together) == kinds
+            for kind in kinds:
+                alone = fd_spectrum(domain, kind, 8)
+                assert np.array_equal(together[kind].values, alone.values)
+                for field in ("kind", "domain", "source", "trusted_count"):
+                    assert getattr(together[kind], field) == getattr(alone, field)
+
+    def test_every_returned_pair_meets_the_residual_rule(self, monkeypatch):
+        solutions = self.counting(monkeypatch, spectrum_mod, "solve_gevp")
+        spectra = fd_spectra(lshape_domain(1.0, 1.0, 1.0 / 32.0), list(ProblemKind), 10)
+        assert len(solutions) == 4
+        for sol in solutions:
+            assert len(sol.values) == 10
+            assert np.all(sol.residuals <= sol.tol)
+        clamped, buckling = solutions[2:]
+        assert buckling.lu is clamped.lu
+        assert np.array_equal(
+            spectra[ProblemKind.CLAMPED].values, np.sqrt(clamped.values)
+        )

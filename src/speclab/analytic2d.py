@@ -51,28 +51,29 @@ def rect_spectrum(a: float, b: float, kind: ProblemKind, count: int) -> Spectrum
     start = 0 if kind is ProblemKind.NEUMANN else 1
     # Grow the enumeration window until it certainly holds `count` values.
     bound = 4.0 * math.pi**2 * (count + 4) / (a * b) + math.pi**2 * (1 / a**2 + 1 / b**2)
-    while True:
-        values = []
-        l = start
-        while math.pi**2 * l**2 / a**2 <= bound:
-            m = start
-            while True:
-                v = math.pi**2 * (l**2 / a**2 + m**2 / b**2)
-                if v > bound:
-                    break
-                values.append(v)
-                m += 1
-            l += 1
-        if len(values) >= count:
-            values.sort()
-            return Spectrum(
-                kind=kind,
-                domain=f"rect({a:g}x{b:g})",
-                values=np.array(values[:count]),
-                source="analytic",
-                trusted_count=count,
-            )
+    while len(values := _rect_values(a, b, start, bound)) < count:
         bound *= 2.0
+    values.sort()
+    return Spectrum(
+        kind=kind,
+        domain=f"rect({a:g}x{b:g})",
+        values=np.array(values[:count]),
+        source="analytic",
+        trusted_count=count,
+    )
+
+
+def _rect_values(a: float, b: float, start: int, bound: float) -> list[float]:
+    """Every pi^2 (l^2/a^2 + m^2/b^2) <= bound with l, m >= start, unsorted."""
+    values = []
+    l = start
+    while math.pi**2 * l**2 / a**2 <= bound:
+        m = start
+        while (v := math.pi**2 * (l**2 / a**2 + m**2 / b**2)) <= bound:
+            values.append(v)
+            m += 1
+        l += 1
+    return values
 
 
 @dataclass(frozen=True)
@@ -99,15 +100,7 @@ def rect_lattice_count(a: float, b: float, kind: ProblemKind, tau: float) -> Lat
     kind = ProblemKind(kind)
     if kind not in (ProblemKind.NEUMANN, ProblemKind.DIRICHLET):
         raise ValueError(f"lattice count covers membrane kinds only, got {kind.value}")
-    start = 0 if kind is ProblemKind.NEUMANN else 1
-    count = 0
-    l = start
-    while math.pi**2 * l**2 / a**2 <= tau:
-        m = start
-        while math.pi**2 * (l**2 / a**2 + m**2 / b**2) <= tau:
-            count += 1
-            m += 1
-        l += 1
+    count = len(_rect_values(a, b, 0 if kind is ProblemKind.NEUMANN else 1, tau))
     weyl = tau * a * b / (4.0 * math.pi)
     return LatticeCount(tau=tau, count=count, weyl_term=weyl, remainder=count - weyl)
 

@@ -4,7 +4,10 @@ Counting functions, the per-index inequality chain, its counting-function
 counterpart, Weyl fits with and without the boundary term, heat-trace
 diagnostics, buckling decomposition bounds, and the two sharpness
 studies.  Everything here consumes immutable Spectrum values and returns
-report objects that serialize through ``as_dict``.  The one solve made
+``Record`` reports.  Every report and row serializes through the one
+``Record.as_dict``: the class's ``check`` name first, then its fields in
+declaration order, so a report's field order is its JSON layout and its
+verdict is a field set by the function that builds it.  The one solve made
 here is the decomposition check's: it takes the whole domain's buckling
 spectrum from its caller and solves only the parts.
 
@@ -16,7 +19,8 @@ discretization artifacts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,6 +45,34 @@ class TruncationError(ValueError):
 
 class PartitionError(ValueError):
     """Decomposition parts overlap or escape the containing domain."""
+
+
+@dataclass(frozen=True)
+class Record:
+    """A report or row whose fields, in order, are its JSON layout."""
+
+    #: The JSON ``check`` name a report leads with; rows have none.
+    check: ClassVar[str | None] = None
+
+    def as_dict(self) -> dict:
+        """The ``check`` name, then every field under its ``key`` metadata or name.
+
+        Nested records become dicts, tuples and arrays become lists.
+        """
+        out = {} if self.check is None else {"check": self.check}
+        for f in fields(self):
+            out[f.metadata.get("key", f.name)] = _plain(getattr(self, f.name))
+        return out
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.as_dict()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def ball_volume(dim: int) -> float:
@@ -78,27 +110,22 @@ def _counts_leq(spectrum: Spectrum, taus: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CountingFunction:
+class CountingFunction(Record):
     """A spectrum's counting function tabulated on a tau grid."""
 
-    spectrum: Spectrum
+    kind: str
+    domain: str
     taus: np.ndarray
     counts: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.spectrum.kind.value,
-            "domain": self.spectrum.domain,
-            "taus": [float(t) for t in self.taus],
-            "counts": [int(c) for c in self.counts],
-        }
 
 
 def counting_function(spectrum: Spectrum, taus) -> CountingFunction:
     """Tabulate ``count_leq`` on an increasing tau grid."""
     taus = np.asarray(taus, dtype=float)
     counts = _counts_leq(spectrum, taus).astype(np.int64)
-    return CountingFunction(spectrum=spectrum, taus=taus, counts=counts)
+    return CountingFunction(
+        kind=spectrum.kind.value, domain=spectrum.domain, taus=taus, counts=counts
+    )
 
 
 def _shared_domain(spectra) -> str:
@@ -118,44 +145,27 @@ def two_grid_uncertainty(coarse: Spectrum, fine: Spectrum, count: int) -> np.nda
 
 
 @dataclass(frozen=True)
-class ChainRow:
+class ChainRow(Record):
     """One index of the chain mu_k < lambda_k < Gamma_k < Lambda_k."""
 
     k: int
-    values: tuple[float, float, float, float]
+    mu: float
+    lam: float = field(metadata={"key": "lambda"})
+    gamma: float
+    buck: float = field(metadata={"key": "Lambda"})
     margins: tuple[float, float, float]
     passes: tuple[bool, bool, bool]
 
-    def as_dict(self) -> dict:
-        names = ("mu", "lambda", "gamma", "Lambda")
-        return {
-            "k": self.k,
-            **{n: v for n, v in zip(names, self.values)},
-            "margins": list(self.margins),
-            "passes": list(self.passes),
-        }
-
 
 @dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Record):
     """Chain verdicts for one domain, margins judged against grid error."""
 
+    check = "chain"
     domain: str
+    ok: bool
     rows: list[ChainRow]
-    uncertainty: dict[str, list[float]] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return all(all(row.passes) for row in self.rows)
-
-    def as_dict(self) -> dict:
-        return {
-            "check": "chain",
-            "domain": self.domain,
-            "ok": self.ok,
-            "rows": [row.as_dict() for row in self.rows],
-            "uncertainty": self.uncertainty,
-        }
+    uncertainty: dict[str, list[float]] | None
 
 
 def inequality_chain_check(
@@ -193,7 +203,7 @@ def inequality_chain_check(
             margins[j] > unc(CHAIN_ORDER[j], idx) + unc(CHAIN_ORDER[j + 1], idx)
             for j in range(3)
         )
-        rows.append(ChainRow(k=idx + 1, values=vals, margins=margins, passes=passes))
+        rows.append(ChainRow(idx + 1, *vals, margins=margins, passes=passes))
 
     unc_out = None
     if uncertainties is not None:
@@ -201,31 +211,20 @@ def inequality_chain_check(
             k.value: [float(v) for v in np.asarray(u)[:count]]
             for k, u in uncertainties.items()
         }
-    return ChainReport(domain=domain, rows=rows, uncertainty=unc_out)
+    ok = all(all(row.passes) for row in rows)
+    return ChainReport(domain=domain, ok=ok, rows=rows, uncertainty=unc_out)
 
 
 @dataclass(frozen=True)
-class CountingChainReport:
+class CountingChainReport(Record):
     """N^(N) >= N^(D) >= N^(P) >= N^(B) tabulated over a tau grid."""
 
+    check = "counting-chain"
     domain: str
+    ok: bool
     taus: list[float]
     counts: dict[str, list[int]]
     violations: list[dict]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "check": "counting-chain",
-            "domain": self.domain,
-            "ok": self.ok,
-            "taus": self.taus,
-            "counts": self.counts,
-            "violations": self.violations,
-        }
 
 
 def counting_chain_check(
@@ -253,6 +252,7 @@ def counting_chain_check(
     ]
     return CountingChainReport(
         domain=domain,
+        ok=not violations,
         taus=taus.tolist(),
         counts={k.value: row.tolist() for k, row in zip(CHAIN_ORDER, table)},
         violations=violations,
@@ -260,9 +260,10 @@ def counting_chain_check(
 
 
 @dataclass(frozen=True)
-class WeylFit:
+class WeylFit(Record):
     """Fitted counting-function coefficients against the theoretical ones."""
 
+    check = "weyl"
     kind: str
     domain: str
     dim: int
@@ -272,36 +273,17 @@ class WeylFit:
     leading: float
     leading_theory: float
     ratio: float
-    boundary: float | None = None
-    second: float | None = None
-    second_theory: float | None = None
-    second_sign_ok: bool | None = None
-    second_ratio: float | None = None
 
-    def as_dict(self) -> dict:
-        out = {
-            "check": "weyl",
-            "kind": self.kind,
-            "domain": self.domain,
-            "dim": self.dim,
-            "volume": self.volume,
-            "window": list(self.window),
-            "points": self.points,
-            "leading": self.leading,
-            "leading_theory": self.leading_theory,
-            "ratio": self.ratio,
-        }
-        if self.second is not None:
-            out.update(
-                {
-                    "boundary": self.boundary,
-                    "second": self.second,
-                    "second_theory": self.second_theory,
-                    "second_sign_ok": self.second_sign_ok,
-                    "second_ratio": self.second_ratio,
-                }
-            )
-        return out
+
+@dataclass(frozen=True)
+class WeylTwoTermFit(WeylFit):
+    """A Weyl fit that also fits the boundary term."""
+
+    boundary: float
+    second: float
+    second_theory: float
+    second_sign_ok: bool
+    second_ratio: float
 
 
 def _weyl_samples(spectrum: Spectrum, window) -> tuple[np.ndarray, np.ndarray]:
@@ -356,7 +338,7 @@ def weyl_fit(spectrum: Spectrum, dim: int, volume: float, window) -> WeylFit:
 
 def weyl_two_term_fit(
     spectrum: Spectrum, dim: int, volume: float, boundary: float, window
-) -> WeylFit:
+) -> WeylTwoTermFit:
     """Two-term fit N(tau) = c0 tau^(dim/2) + c1 tau^((dim-1)/2).
 
     The boundary term is tiny relative to the bulk and drowns in
@@ -376,7 +358,7 @@ def weyl_two_term_fit(
     theory0 = weyl_leading_coefficient(dim, volume)
     theory1 = weyl_boundary_coefficient(dim, boundary)
     want_positive = spectrum.kind is ProblemKind.NEUMANN
-    return WeylFit(
+    return WeylTwoTermFit(
         kind=spectrum.kind.value,
         domain=spectrum.domain,
         dim=dim,
@@ -395,7 +377,7 @@ def weyl_two_term_fit(
 
 
 @dataclass(frozen=True)
-class HeatTraceRow:
+class HeatTraceRow(Record):
     """Scaled heat trace against the two-term prediction at one time."""
 
     t: float
@@ -404,43 +386,19 @@ class HeatTraceRow:
     rel_deviation: float
     asymptotic: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "scaled_trace": self.scaled_trace,
-            "predicted": self.predicted,
-            "rel_deviation": self.rel_deviation,
-            "asymptotic": self.asymptotic,
-        }
-
 
 @dataclass(frozen=True)
-class HeatTraceReport:
+class HeatTraceReport(Record):
     """Short-time heat trace comparison for a membrane spectrum."""
 
+    check = "heat"
     kind: str
     domain: str
     volume: float
     boundary: float
     rtol: float
-    rows: list[HeatTraceRow] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        checked = [r for r in self.rows if r.asymptotic]
-        return bool(checked) and all(r.rel_deviation <= self.rtol for r in checked)
-
-    def as_dict(self) -> dict:
-        return {
-            "check": "heat",
-            "kind": self.kind,
-            "domain": self.domain,
-            "volume": self.volume,
-            "boundary": self.boundary,
-            "rtol": self.rtol,
-            "ok": self.ok,
-            "rows": [row.as_dict() for row in self.rows],
-        }
+    ok: bool
+    rows: list[HeatTraceRow]
 
 
 def heat_trace_check(
@@ -495,18 +453,20 @@ def heat_trace_check(
                 asymptotic=correction < volume,
             )
         )
+    checked = [r for r in rows if r.asymptotic]
     return HeatTraceReport(
         kind=spectrum.kind.value,
         domain=spectrum.domain,
         volume=volume,
         boundary=boundary,
         rtol=rtol,
+        ok=bool(checked) and all(r.rel_deviation <= rtol for r in checked),
         rows=rows,
     )
 
 
 @dataclass(frozen=True)
-class DecompositionRow:
+class DecompositionRow(Record):
     """Whole-domain buckling value against the merged-parts value."""
 
     k: int
@@ -515,36 +475,16 @@ class DecompositionRow:
     margin: float
     holds: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "whole": self.whole,
-            "merged": self.merged,
-            "margin": self.margin,
-            "holds": self.holds,
-        }
-
 
 @dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Record):
     """Domain-decomposition upper bound Lambda_k <= Lambda*_k."""
 
+    check = "decomposition"
     domain: str
     parts: list[str]
+    ok: bool
     rows: list[DecompositionRow]
-
-    @property
-    def ok(self) -> bool:
-        return all(row.holds for row in self.rows)
-
-    def as_dict(self) -> dict:
-        return {
-            "check": "decomposition",
-            "domain": self.domain,
-            "parts": self.parts,
-            "ok": self.ok,
-            "rows": [row.as_dict() for row in self.rows],
-        }
 
 
 def _lattice_offsets(domain, whole) -> tuple[np.ndarray, np.ndarray]:
@@ -634,48 +574,30 @@ def decomposition_check(
     return DecompositionReport(
         domain=whole.descriptor,
         parts=[p.descriptor for p in parts],
+        ok=all(row.holds for row in rows),
         rows=rows,
     )
 
 
 @dataclass(frozen=True)
-class PayneRow:
+class PayneRow(Record):
     """lambda_(k+1) against Lambda_k for one index."""
 
     k: int
-    lam_next: float
-    buck: float
+    lam_next: float = field(metadata={"key": "lambda_next"})
+    buck: float = field(metadata={"key": "Lambda"})
     gap: float
     holds: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "lambda_next": self.lam_next,
-            "Lambda": self.buck,
-            "gap": self.gap,
-            "holds": self.holds,
-        }
-
 
 @dataclass(frozen=True)
-class PayneReport:
+class PayneReport(Record):
     """Observations on the conjectured bound lambda_(k+1) <= Lambda_k."""
 
+    check = "payne"
     domain: str
+    holds_all: bool
     rows: list[PayneRow]
-
-    @property
-    def holds_all(self) -> bool:
-        return all(row.holds for row in self.rows)
-
-    def as_dict(self) -> dict:
-        return {
-            "check": "payne",
-            "domain": self.domain,
-            "holds_all": self.holds_all,
-            "rows": [row.as_dict() for row in self.rows],
-        }
 
 
 def payne_scan(dirichlet: Spectrum, buckling: Spectrum, count: int) -> PayneReport:
@@ -707,11 +629,11 @@ def payne_scan(dirichlet: Spectrum, buckling: Spectrum, count: int) -> PayneRepo
                 holds=bool(lam_next <= buck),
             )
         )
-    return PayneReport(domain=domain, rows=rows)
+    return PayneReport(domain=domain, holds_all=all(row.holds for row in rows), rows=rows)
 
 
 @dataclass(frozen=True)
-class SharpnessRow:
+class SharpnessRow(Record):
     """One ordering observation with its expectation."""
 
     label: str
@@ -720,32 +642,14 @@ class SharpnessRow:
     holds: bool
     asserted: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "left": self.left,
-            "right": self.right,
-            "holds": self.holds,
-            "asserted": self.asserted,
-        }
-
 
 @dataclass(frozen=True)
-class SharpnessReport:
+class SharpnessReport(Record):
     """Orderings showing the chain inequalities cannot be improved."""
 
+    check = "sharpness"
+    ok: bool
     rows: list[SharpnessRow]
-
-    @property
-    def ok(self) -> bool:
-        return all(row.holds for row in self.rows if row.asserted)
-
-    def as_dict(self) -> dict:
-        return {
-            "check": "sharpness",
-            "ok": self.ok,
-            "rows": [row.as_dict() for row in self.rows],
-        }
 
 
 def sharpness_report(
@@ -797,4 +701,4 @@ def sharpness_report(
                 asserted=bool(delta > math.pi / 2),
             )
         )
-    return SharpnessReport(rows=rows)
+    return SharpnessReport(ok=all(row.holds for row in rows if row.asserted), rows=rows)

@@ -29,10 +29,10 @@ TRUST_FRACTION = 4
 
 def _neumann_snap(values: np.ndarray, scale: float) -> np.ndarray:
     # The flux-form operator annihilates constants exactly; the solver
-    # reports that null value as roundoff of either sign.
+    # reports that null value as roundoff of either sign, small against
+    # the operator's scale 4/h^2 whatever the domain's size.
     out = values.copy()
-    tiny = 1e-9 * max(scale, 1.0)
-    out[np.abs(out) <= tiny] = 0.0
+    out[np.abs(out) <= 1e-9 * scale] = 0.0
     return out
 
 

@@ -806,6 +806,90 @@ class TestWholeRuns:
             assert report.get("error", TYPED_ERRORS[0]).split(":")[0] in TYPED_ERRORS
 
 
+#: Blocks that between them run all eight check types, a one-term weyl included.
+LAYOUT_BLOCKS = [
+    {
+        "name": "plate",
+        "domain": SQUARE,
+        "kinds": KINDS,
+        "backend": {"type": "fd", "h": [0.0625, 0.03125]},
+        "count": 4,
+        "checks": [
+            {"type": "chain"},
+            {"type": "counting-chain", "points": 5},
+            {
+                "type": "decomposition",
+                "parts": [
+                    {"type": "rect", "a": 0.5, "b": 1.0},
+                    {"type": "rect", "a": 0.5, "b": 1.0, "corner": [0.5, 0.0]},
+                ],
+            },
+        ],
+    },
+    analytic_block(DISK, KINDS, [{"type": "sharpness", "caps": [{"delta": 2.0, "points": 100}]}]),
+    interval_block(
+        checks=[
+            {"type": "payne"},
+            {"type": "weyl", "kind": "dirichlet", "window": [10.0, 10000.0], "rtol": 0.5},
+            {"type": "heat", "kind": "neumann", "times": [0.01, 0.02]},
+        ],
+        count=200,
+    ),
+    analytic_block(
+        SQUARE,
+        KINDS[:2],
+        [{"type": "weyl2", "kind": "neumann", "window": [50.0, 1500.0], "rtol": 0.5}],
+        count=200,
+    ),
+]
+
+#: Per check type, the keys of its report entry and of its rows, in order.
+LAYOUT = {
+    "chain": (
+        "check domain ok rows uncertainty asserted",
+        "k mu lambda gamma Lambda margins passes",
+    ),
+    "counting-chain": ("check domain ok taus counts violations asserted", None),
+    "decomposition": ("check domain parts ok rows asserted", "k whole merged margin holds"),
+    "sharpness": ("check ok rows asserted", "label left right holds asserted"),
+    "payne": ("check domain holds_all rows asserted ok", "k lambda_next Lambda gap holds"),
+    "weyl": (
+        "check kind domain dim volume window points leading leading_theory ratio asserted ok",
+        None,
+    ),
+    "weyl2": (
+        "check kind domain dim volume window points leading leading_theory ratio boundary "
+        "second second_theory second_sign_ok second_ratio rtol asserted ok",
+        None,
+    ),
+    "heat": (
+        "check kind domain volume boundary rtol ok rows asserted",
+        "t scaled_trace predicted rel_deviation asymptotic",
+    ),
+}
+
+
+class TestReportLayout:
+    def test_every_check_type_keeps_its_key_order(self, tmp_path):
+        assert {c["type"] for b in LAYOUT_BLOCKS for c in b["checks"]} == set(CHECKS)
+        config = write_config(tmp_path, {"experiments": LAYOUT_BLOCKS})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+        for block in LAYOUT_BLOCKS:
+            report = json.loads((out / f"{block['name']}.report.json").read_text())
+            assert list(report) == ["name", "domain", "count", "checks", "ok"]
+            assert len(report["checks"]) == len(block["checks"])
+            for check, entry in zip(block["checks"], report["checks"]):
+                keys, row_keys = LAYOUT[check["type"]]
+                assert list(entry) == keys.split()
+                assert entry["check"] == {"weyl2": "weyl"}.get(check["type"], check["type"])
+                if row_keys is None:
+                    assert "rows" not in entry
+                else:
+                    assert entry["rows"]
+                    assert all(list(row) == row_keys.split() for row in entry["rows"])
+
+
 class TestReadme:
     def test_config_example_is_the_bench_config(self):
         readme = (ROOT / "README.md").read_text()

@@ -384,6 +384,15 @@ class TestFdSpectrum:
         assert neumann.values[1] == pytest.approx(mu2, rel=1e-10)
         assert neumann.values[1] == pytest.approx(math.pi**2, rel=7e-2)
 
+    def test_neumann_null_mode_snap_scales_with_the_domain(self):
+        # a 1e6 square at h = L/16 is the unit square's grid scaled by 1e6,
+        # so its values are the unit ones times 1e-12, not snapped to zero
+        unit = fd_spectrum(rectangle_domain(1.0, 1.0, 1.0 / 16.0), ProblemKind.NEUMANN, 6)
+        big = fd_spectrum(rectangle_domain(1e6, 1e6, 6.25e4), ProblemKind.NEUMANN, 6)
+        assert unit.values[0] == big.values[0] == 0.0
+        assert np.all(big.values[1:] > 0.0)
+        assert np.allclose(big.values * 1e12, unit.values, rtol=1e-9, atol=0.0)
+
     def test_trusted_count_caps_at_quarter_of_unknowns(self):
         d = rectangle_domain(1.0, 1.0, 1.0 / 6.0)  # 25 unknowns
         s = fd_spectrum(d, ProblemKind.DIRICHLET, 10)

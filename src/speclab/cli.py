@@ -29,12 +29,16 @@ import numpy as np
 from . import analytics
 from .analytic2d import disk_spectrum, rect_spectrum
 from .fdlab import (
+    MIN_UNKNOWNS,
     CapDomain,
+    axis_nodes,
     cap_spectrum,
     disk_domain,
+    disk_unknowns,
     fd_spectra,
     interval_domain,
     lshape_domain,
+    lshape_unknowns,
     read_mask_file,
     rectangle_domain,
 )
@@ -52,17 +56,19 @@ class DomainType:
     ``optional`` ones fall back to their defaults, a list default marking
     a point, and every number must lie in its ``DOMAIN_RANGES`` entry.
     ``grid`` builds the fd mask at one mesh width, which it ignores where
-    ``meshed`` is False.  ``spectrum`` is the closed form; it, or the cap
-    backend on a cap, covers the ``kinds`` listed.  ``geometry`` gives
-    the dimension, volume and boundary measure, None where the shape
-    defines none.  Every callable takes the domain as ``_check_domain``
-    returns it.
+    ``meshed`` is False; ``unknowns`` counts that mask's nodes without
+    building it, exactly below MIN_UNKNOWNS.  ``spectrum`` is the closed
+    form; it, or the cap backend on a cap, covers the ``kinds`` listed.
+    ``geometry`` gives the dimension, volume and boundary measure, None
+    where the shape defines none.  Every callable takes the domain as
+    ``_check_domain`` returns it.
     """
 
     required: tuple[str, ...] = ()
     strings: tuple[str, ...] = ()
     optional: dict = field(default_factory=dict)
     grid: Callable | None = None
+    unknowns: Callable | None = None
     meshed: bool = True
     spectrum: Callable | None = None
     kinds: tuple[ProblemKind, ...] = ()
@@ -74,6 +80,7 @@ DOMAINS = {
     "interval": DomainType(
         required=("length",),
         grid=lambda d, h: interval_domain(d["length"], h),
+        unknowns=lambda d, h: axis_nodes(d["length"], h),
         spectrum=lambda d, kind, count: interval_spectrum(d["length"], kind, count),
         kinds=tuple(ProblemKind),
         geometry=lambda d: (1, d["length"], 2.0),
@@ -82,6 +89,7 @@ DOMAINS = {
         required=("a", "b"),
         optional={"corner": [0.0, 0.0]},
         grid=lambda d, h: rectangle_domain(d["a"], d["b"], h, corner=d["corner"]),
+        unknowns=lambda d, h: axis_nodes(d["a"], h) * axis_nodes(d["b"], h),
         spectrum=lambda d, kind, count: rect_spectrum(d["a"], d["b"], kind, count),
         kinds=MEMBRANE_KINDS,
         geometry=lambda d: (2, d["a"] * d["b"], 2.0 * (d["a"] + d["b"])),
@@ -89,6 +97,7 @@ DOMAINS = {
     "disk": DomainType(
         optional={"radius": 1.0, "center": [0.0, 0.0]},
         grid=lambda d, h: disk_domain(d["radius"], h, center=d["center"]),
+        unknowns=lambda d, h: disk_unknowns(d["radius"], h),
         spectrum=lambda d, kind, count: disk_spectrum(d["radius"], kind, count),
         kinds=tuple(ProblemKind),
         geometry=lambda d: (
@@ -101,6 +110,7 @@ DOMAINS = {
         grid=lambda d, h: lshape_domain(
             d["a"], d["b"], h, notch=d["notch"], corner=d["corner"]
         ),
+        unknowns=lambda d, h: lshape_unknowns(d["a"], d["b"], h, d["notch"]),
         geometry=lambda d: (
             2, d["a"] * d["b"] * (1.0 - d["notch"] * d["notch"]), 2.0 * (d["a"] + d["b"])
         ),
@@ -238,6 +248,17 @@ def _is_positive(value) -> bool:
 
 def _is_numbers(value) -> bool:
     return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _require_resolved(where: str, domain: dict, h: float) -> None:
+    """Require the fd grid of ``domain`` at mesh width ``h`` to be nondegenerate."""
+    n = DOMAINS[domain["type"]].unknowns(domain, h)
+    size = ", ".join(f"{key}={domain[key]:g}" for key in DOMAIN_RANGES if key in domain)
+    _require(
+        n >= MIN_UNKNOWNS,
+        f"{where}: h={h:g} is too coarse for the {domain['type']} domain ({size}): "
+        f"it resolves to {n} unknowns, at least {MIN_UNKNOWNS} are required",
+    )
 
 
 def _grid_part(where: str, part) -> dict:
@@ -528,6 +549,8 @@ def parse_config(text: str) -> list[Experiment]:
                     f"{where}: fd backend needs a nonempty list of positive 'h'",
                 )
                 backend["h"] = sorted(map(float, hs), reverse=True)
+                for h in backend["h"]:
+                    _require_resolved(f"{where} ({name!r})", domain, h)
         elif btype == "analytic":
             _require(
                 spec.spectrum is not None,

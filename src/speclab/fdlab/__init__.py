@@ -2,11 +2,15 @@
 
 from .cap import CapDomain, cap_spectrum
 from .grid import (
+    MIN_UNKNOWNS,
     DegenerateDomainError,
     GridDomain,
+    axis_nodes,
     disk_domain,
+    disk_unknowns,
     interval_domain,
     lshape_domain,
+    lshape_unknowns,
     read_mask_file,
     rectangle_domain,
     write_mask_file,
@@ -20,6 +24,7 @@ from .solver import ConvergenceError, EvpSolution, solve_gevp
 from .spectrum import fd_spectra, fd_spectrum
 
 __all__ = [
+    "MIN_UNKNOWNS",
     "CapDomain",
     "ConvergenceError",
     "DegenerateDomainError",
@@ -28,12 +33,15 @@ __all__ = [
     "SparseSymOperator",
     "assemble_bilaplacian_clamped",
     "assemble_laplacian",
+    "axis_nodes",
     "cap_spectrum",
     "disk_domain",
+    "disk_unknowns",
     "fd_spectra",
     "fd_spectrum",
     "interval_domain",
     "lshape_domain",
+    "lshape_unknowns",
     "read_mask_file",
     "rectangle_domain",
     "solve_gevp",

@@ -12,6 +12,7 @@ from a small text format, one line ``h <value>`` followed by rows of
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,9 +22,12 @@ from ..spectra import check_positive
 
 _REL_TOL = 1e-9
 
+#: Fewest unknowns a grid may resolve to.
+MIN_UNKNOWNS = 9
+
 
 class DegenerateDomainError(ValueError):
-    """Raised when a mask resolves to fewer than nine unknowns."""
+    """Raised when a mask resolves to fewer than MIN_UNKNOWNS unknowns."""
 
 
 @dataclass
@@ -60,9 +64,10 @@ class GridDomain:
 
 def _validate_mask(mask: np.ndarray) -> None:
     n = int(mask.sum())
-    if n < 9:
+    if n < MIN_UNKNOWNS:
         raise DegenerateDomainError(
-            f"domain resolves to {n} unknowns at this spacing; at least 9 are required"
+            f"domain resolves to {n} unknowns at this spacing; "
+            f"at least {MIN_UNKNOWNS} are required"
         )
     # single 4-connected component of the graph joining horizontal and
     # vertical neighbour pairs
@@ -80,6 +85,45 @@ def _validate_mask(mask: np.ndarray) -> None:
         raise ValueError("mask must form a single 4-connected component")
 
 
+def axis_nodes(length: float, h: float) -> int:
+    """Lattice nodes h, 2h, ... strictly inside (0, length), at most sys.maxsize."""
+    return int(min((length - _REL_TOL * length) / h, sys.maxsize))
+
+
+def _inside_disk(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
+    return x**2 + y**2 < radius**2 * (1.0 - _REL_TOL)
+
+
+def _past_notch(n: int, h: float, length: float, notch: float) -> np.ndarray:
+    """Which of the nodes h, ..., n h along a side of ``length`` lie in the notch's span."""
+    return np.arange(1, n + 1) * h >= length * (1.0 - notch) - _REL_TOL * length
+
+
+def disk_unknowns(radius: float, h: float) -> int:
+    """Unknowns of ``disk_domain(radius, h)``, exact below MIN_UNKNOWNS.
+
+    Nodes enter by distance from the centre: the centre, its four axis
+    neighbours, then the four diagonal ones, so once the node (h, h) is
+    inside there are at least MIN_UNKNOWNS, which is what this returns.
+    """
+    x, y = np.array([0.0, h, h]), np.array([0.0, 0.0, h])
+    centre, axis, diagonal = _inside_disk(x, y, radius)
+    return int(centre) + 4 * int(axis) + 4 * int(diagonal)
+
+
+def lshape_unknowns(a: float, b: float, h: float, notch: float = 0.5) -> int:
+    """Unknowns of ``lshape_domain(a, b, h, notch)``, exact below MIN_UNKNOWNS.
+
+    The kept nodes are closed under stepping toward the corner, so if any
+    lies outside the first MIN_UNKNOWNS columns and rows, that box alone
+    holds MIN_UNKNOWNS of them; counting in the box is enough.
+    """
+    nx, ny = (min(axis_nodes(side, h), MIN_UNKNOWNS) for side in (a, b))
+    past_x = np.count_nonzero(_past_notch(nx, h, a, notch))
+    past_y = np.count_nonzero(_past_notch(ny, h, b, notch))
+    return nx * ny - int(past_x * past_y)
+
+
 def rectangle_domain(
     a: float, b: float, h: float, corner: tuple[float, float] = (0.0, 0.0)
 ) -> GridDomain:
@@ -88,8 +132,7 @@ def rectangle_domain(
     b = check_positive("side b", b)
     h = check_positive("spacing h", h)
     cx, cy = float(corner[0]), float(corner[1])
-    nx = int(math.floor((a - _REL_TOL * a) / h))
-    ny = int(math.floor((b - _REL_TOL * b) / h))
+    nx, ny = axis_nodes(a, h), axis_nodes(b, h)
     if nx < 1 or ny < 1:
         raise DegenerateDomainError(f"rectangle {a:g}x{b:g} has no interior nodes at h={h:g}")
     mask = np.ones((ny, nx), dtype=bool)
@@ -110,8 +153,8 @@ def interval_domain(length: float, h: float) -> GridDomain:
     """
     length = check_positive("length", length)
     h = check_positive("spacing h", h)
-    n = int(math.floor((length - _REL_TOL * length) / h))
-    if n < 9:
+    n = axis_nodes(length, h)
+    if n < MIN_UNKNOWNS:
         raise DegenerateDomainError(f"interval needs at least 9 nodes, got {n} at h={h:g}")
     return GridDomain(
         h=h,
@@ -129,7 +172,7 @@ def disk_domain(radius: float, h: float, center: tuple[float, float] = (0.0, 0.0
     idx = np.arange(-n, n + 1)
     xx = idx[None, :] * h
     yy = idx[:, None] * h
-    mask = xx**2 + yy**2 < radius**2 * (1.0 - _REL_TOL)
+    mask = _inside_disk(xx, yy, radius)
     cols = np.any(mask, axis=0)
     rows = np.any(mask, axis=1)
     if not cols.any():
@@ -161,11 +204,7 @@ def lshape_domain(
         raise ValueError(f"notch fraction must lie in (0, 1), got {notch!r}")
     base = rectangle_domain(a, b, h, corner=corner)
     ny, nx = base.mask.shape
-    x = np.arange(1, nx + 1) * h
-    y = np.arange(1, ny + 1) * h
-    x_cut = a * (1.0 - notch)
-    y_cut = b * (1.0 - notch)
-    notched = (y[:, None] >= y_cut - _REL_TOL * b) & (x[None, :] >= x_cut - _REL_TOL * a)
+    notched = _past_notch(ny, h, b, notch)[:, None] & _past_notch(nx, h, a, notch)[None, :]
     return GridDomain(
         h=h,
         mask=base.mask & ~notched,

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import lpmv
 
 from speclab.fdlab import CapDomain, cap_spectrum
+from speclab.fdlab.cap import _radial_values
 from speclab.specfun import bessel_j_prime_zero, bessel_j_zero
 from speclab.spectra import ProblemKind
 
@@ -93,3 +96,95 @@ class TestStructure:
             cap_spectrum(CapDomain(1.0), ProblemKind.CLAMPED, 3)
         with pytest.raises(ValueError, match="count"):
             cap_spectrum(CapDomain(1.0), ProblemKind.DIRICHLET, 0)
+
+
+def _legendre_dirichlet(order: int, delta: float, count: int) -> np.ndarray:
+    """Lowest ``count`` Dirichlet values nu (nu + 1) of one order, from P_nu^m.
+
+    The order-m eigenfunctions regular at the pole are P_nu^m(cos t)
+    (DLMF 14), so the rim condition puts nu at the roots of
+    P_nu^m(cos delta) in nu > -1/2.  For integer m, P_nu^m vanishes for
+    every argument at the integers nu < m; those roots are no eigenvalues.
+    """
+    x = math.cos(delta)
+    grid = np.arange(-0.5, 40.0, 0.01) + 0.005
+    f = lpmv(order, grid, x)
+    nus = []
+    for i in np.nonzero(np.sign(f[:-1]) != np.sign(f[1:]))[0]:
+        nu = brentq(lambda v: lpmv(order, v, x), grid[i], grid[i + 1], xtol=1e-15, rtol=1e-15)
+        if nu < order - 0.5 and abs(nu - round(nu)) < 1e-6:
+            continue
+        nus.append(nu)
+        if len(nus) == count:
+            break
+    nus = np.array(nus)
+    return nus * (nus + 1.0)
+
+
+class TestLegendreOracle:
+    # the oracle shares nothing with the discretization, so the
+    # staggered grid must converge to it at O(h^2), and one Richardson
+    # step must remove nearly all of the error
+    @pytest.mark.parametrize("delta", [0.75 * math.pi, 0.4 * math.pi])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_dirichlet_orders_converge_at_second_order(self, delta, order):
+        exact = _legendre_dirichlet(order, delta, 3)
+        assert len(exact) == 3
+        coarse = _radial_values(CapDomain(delta, 2000), order, ProblemKind.DIRICHLET, 3)
+        fine = _radial_values(CapDomain(delta, 4000), order, ProblemKind.DIRICHLET, 3)
+        ratio = (coarse - exact) / (fine - exact)
+        assert np.all((3.9 <= ratio) & (ratio <= 4.1)), ratio
+        richardson = (4.0 * fine - coarse) / 3.0
+        assert np.allclose(richardson, exact, rtol=1e-9, atol=0.0)
+
+    def test_hemisphere_roots_are_integers(self):
+        # P_nu^m(0) = 0 exactly when nu - m is odd
+        assert np.allclose(_legendre_dirichlet(0, math.pi / 2, 3), [2, 12, 30], rtol=1e-12)
+        assert np.allclose(_legendre_dirichlet(2, math.pi / 2, 2), [12, 30], rtol=1e-12)
+
+
+def _brute_force(domain: CapDomain, kind: ProblemKind, count: int, orders: int) -> np.ndarray:
+    """The lowest ``count`` cap values from every order below ``orders``, by index."""
+    per_order = [_radial_values(domain, m, kind, count) for m in range(orders)]
+    copies = [np.repeat(v, 1 if m == 0 else 2) for m, v in enumerate(per_order)]
+    merged = np.sort(np.concatenate(copies))[:count]
+    # the first order left out starts above the result, so no later one
+    # can reach it: the potential m^2 / sin t grows with m
+    assert _radial_values(domain, orders, kind, 1)[0] > merged[-1]
+    return merged
+
+
+class TestOrderSweep:
+    @pytest.mark.parametrize(
+        "delta, points, count, orders",
+        [
+            (delta, 1000, count, 16)
+            for delta in (0.75 * math.pi, 0.4 * math.pi, math.pi / 2)
+            for count in (1, 2, 60)
+        ]
+        + [(1.0, 8, 200, 30)],
+    )
+    @pytest.mark.parametrize("kind", [ProblemKind.DIRICHLET, ProblemKind.NEUMANN])
+    def test_sweep_matches_every_order_by_index(self, delta, points, count, orders, kind):
+        domain = CapDomain(delta, points)
+        values = cap_spectrum(domain, kind, count).values
+        expected = _brute_force(domain, kind, count, orders)
+        assert len(values) == count
+        assert np.all(np.diff(values) >= 0)
+        if kind is ProblemKind.NEUMANN:
+            # the null value is snapped to 0 in the spectrum only
+            assert values[0] == 0.0
+            values, expected = values[1:], expected[1:]
+        assert np.allclose(values, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("delta", [0.75 * math.pi, 0.4 * math.pi])
+    @pytest.mark.parametrize("kind", [ProblemKind.DIRICHLET, ProblemKind.NEUMANN])
+    def test_value_and_index_bisection_agree(self, delta, kind):
+        domain = CapDomain(delta)
+        for order in range(13):
+            by_index = _radial_values(domain, order, kind, 11)
+            # a cutoff between the 10th and 11th value leaves no tie at it
+            cutoff = 0.5 * (by_index[9] + by_index[10])
+            by_value = _radial_values(domain, order, kind, 11, cutoff)
+            assert len(by_value) == 10
+            assert np.allclose(by_value, by_index[:10], rtol=1e-12, atol=0.0)

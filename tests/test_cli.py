@@ -14,8 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speclab.cli import CHECKS, ConfigError, main, parse_config, run_config
-from speclab.fdlab import CapDomain, lshape_domain, write_mask_file
+from speclab.cli import CHECKS, DOMAINS, ConfigError, main, parse_config, run_config
+from speclab.fdlab import CapDomain, DegenerateDomainError, lshape_domain, write_mask_file
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,7 +51,7 @@ VALID_BLOCKS = [
         "name": "plate",
         "domain": {"type": "lshape", "a": 1.0, "b": 1.0, "notch": 0.5, "corner": [0, 0]},
         "kinds": KINDS,
-        "backend": {"type": "fd", "h": [0.25, 0.125]},
+        "backend": {"type": "fd", "h": [0.2, 0.125]},
         "checks": [
             {"type": "decomposition", "parts": [{"type": "rect", "a": 0.5, "b": 1.0}], "count": 3},
             {"type": "counting-chain", "taus": [1.0, 2.0], "points": 5},
@@ -257,6 +257,34 @@ class TestParseConfig:
         }
         with pytest.raises(ConfigError, match=r"parts\[0\].*'b'"):
             parse_config(json.dumps({"experiments": [block]}))
+
+    @pytest.mark.parametrize(
+        "domain, coarse, unknowns, fine",
+        [
+            ({"type": "interval", "length": 1.0}, 0.2, 4, 0.1),
+            ({"type": "rect", "a": 1.0, "b": 1.0}, 1.0, 0, 0.25),
+            ({"type": "disk", "radius": 1.0}, 0.75, 5, 0.7),
+            ({"type": "lshape", "a": 1.0, "b": 1.0}, 0.25, 5, 0.2),
+        ],
+    )
+    def test_fd_h_too_coarse_for_the_domain_rejected(self, domain, coarse, unknowns, fine):
+        # the parse-time rule is the grid builder's: the coarse h fails to
+        # build and the fine one builds, at the fewest unknowns allowed
+        block = {"name": "coarse", "domain": domain, "kinds": ["dirichlet"]}
+        block["backend"] = {"type": "fd", "h": [fine, coarse]}
+        size = ", ".join(f"{k}=1" for k in ("length", "a", "b", "radius") if k in domain)
+        message = (
+            rf"experiments\[0\] \('coarse'\): h={coarse:g} is too coarse for the "
+            rf"{domain['type']} domain \({size}.*\): it resolves to {unknowns} unknowns"
+        )
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps({"experiments": [block]}))
+        block["backend"]["h"] = [fine]
+        (exp,) = parse_config(json.dumps({"experiments": [block]}))
+        spec = DOMAINS[domain["type"]]
+        assert spec.grid(exp.domain, fine).n_unknowns >= 9
+        with pytest.raises(DegenerateDomainError):
+            spec.grid(exp.domain, coarse)
 
     def test_check_numbers_rejected_when_not_numbers(self):
         for field, value in [("rtol", True), ("window", [1.0, "9"]), ("points", "50")]:
@@ -648,6 +676,7 @@ class TestChecksResolvedBeforeRunning:
 
     def test_backend_block_resolved(self):
         fd = {**interval_block(), "backend": {"type": "fd", "h": [0.125, 0.25, 1]}}
+        fd["domain"] = {"type": "interval", "length": 20.0}
         exps = parse_config(json.dumps({"experiments": [fd, cap_block([])]}))
         assert exps[0].backend["h"] == [1.0, 0.25, 0.125]
         assert all(isinstance(h, float) for h in exps[0].backend["h"])

@@ -477,6 +477,11 @@ def _check_check(where: str, check, exp: Experiment) -> dict:
         (out.get("boundary", 0) is not None, f"on a {dtype} domain needs 'boundary'"),
     ):
         _require(ok, f"{where}: {ctype} {message}")
+    # parts are meshed at the finest h, which a mask domain reads from its file
+    finest = exp.backend.get("h", [None])[-1]
+    if finest is not None:
+        for i, part in enumerate(out.get("parts", ())):
+            _require_resolved(f"{where}: parts[{i}]", part, finest)
     if "volume" in out:
         out["dim"] = dim
     return out

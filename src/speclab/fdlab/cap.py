@@ -18,6 +18,17 @@ agree to about 1e-15.  What remains is the O(h^2) discretization error,
 about 1e-7 relative at the default 4000 points; against roots in nu of
 the Legendre functions P_nu^m(cos delta) (DLMF 14), one Richardson step
 between 2000 and 4000 points lands within 1e-9.
+
+The orders are swept from m = 0 up, each asked only for its values at or
+below a cutoff, so bisection runs only for values the spectrum may keep.
+The first cutoff comes from the same cap on a grid ``COARSENING`` times
+coarser, itself seeded the same way: coarse values lie within O(h^2) of
+the fine ones, so the coarse ``count``-th value raised by ``SEED_MARGIN``
+nearly always bounds the answer (nested iteration; Brandt, Math. Comp.
+31, 1977).  A guess too low leaves the sweep short of ``count`` values,
+and the cap is then swept again without a cutoff, so the values never
+depend on the guess.  At count 60 on 4000 points this bisects about 33
+values on the fine grid instead of about 170.
 """
 
 from __future__ import annotations
@@ -36,6 +47,15 @@ from ..spectra import MEMBRANE_KINDS, ProblemKind, Spectrum
 #: smallest positive double leaves ``stebz``'s own relative floor, two
 #: ulps of each eigenvalue, in charge instead.
 BISECTION_TOL = np.finfo(float).tiny
+
+#: Ratio of grid points between a cap and the coarser cap that seeds its
+#: order sweep with a first cutoff.
+COARSENING = 8
+
+#: Relative raise of the coarse-grid cutoff.  Coarse values mostly sit
+#: below the fine ones, so the raise points up; from a 500-point coarse
+#: grid it covers the O(h^2) gap about twenty times at count 200.
+SEED_MARGIN = 0.01
 
 
 @dataclass(frozen=True)
@@ -101,18 +121,71 @@ def _radial_values(
     return values[:count]
 
 
+def _sweep(
+    domain: CapDomain, kind: ProblemKind, count: int, cutoff: float = math.inf
+) -> np.ndarray:
+    """Lowest ``count`` cap values at or below ``cutoff``, all orders merged.
+
+    Orders m >= 1 carry multiplicity 2 (the two azimuthal phases).  Once
+    ``count`` values are held the cutoff drops to the largest of them.
+    The first order with none at or below the cutoff ends the sweep: the
+    potential m^2/sin t grows with m, so every later order starts higher
+    still.  Only a finite cutoff set too low leaves fewer than ``count``.
+    """
+    out = np.empty(0)
+    order = 0
+    while True:
+        if len(out) == count:
+            cutoff = out[-1]
+        radial = _radial_values(domain, order, kind, count, cutoff)
+        if not len(radial):
+            return out
+        copies = np.repeat(radial, 2) if order else radial
+        out = np.sort(np.concatenate((out, copies)))[:count]
+        order += 1
+
+
+def _null_tolerance(domain: CapDomain) -> float:
+    """Bound on the roundoff that the symmetrized solve leaves on a null value."""
+    h = domain.delta / domain.points
+    return 100.0 * np.finfo(float).eps * 4.0 / h**2
+
+
+def _seed_cutoff(domain: CapDomain, kind: ProblemKind, count: int) -> float:
+    """A cutoff just above the cap's ``count``-th value, from a coarser grid.
+
+    The coarse ``count``-th value lies below the fine one by O(h^2), at
+    most 5.3e-4 relative between 500 and 4000 points at count 200, or
+    above it by far less.  The null tolerance lifts the cutoff above the
+    Neumann null value.  Without a coarse grid of at least 8 points the
+    cutoff is infinite, which leaves the sweep unseeded.
+    """
+    points = domain.points // COARSENING
+    if points < 8:
+        return math.inf
+    coarse = _cap_values(CapDomain(domain.delta, points), kind, count)[-1]
+    return coarse + SEED_MARGIN * abs(coarse) + _null_tolerance(domain)
+
+
+def _cap_values(domain: CapDomain, kind: ProblemKind, count: int) -> np.ndarray:
+    """The sweep from a coarse-grid cutoff, unseeded again if that falls short."""
+    out = _sweep(domain, kind, count, _seed_cutoff(domain, kind, count))
+    if len(out) < count:
+        out = _sweep(domain, kind, count)
+    return out
+
+
 def cap_spectrum(
     domain: CapDomain, kind: ProblemKind, count: int = 6
 ) -> Spectrum:
     """Lowest ``count`` membrane eigenvalues of the cap, all orders merged.
 
-    Orders m >= 1 carry multiplicity 2 (the two azimuthal phases).  After
-    each order only the lowest ``count`` values are kept.  Once ``count``
-    are held, the next order is asked only for values at or below the
-    largest of them, and the first order with none ends the sweep: the
-    potential m^2/sin t grows with m, so every later order starts higher
-    still.  Orders past the first few thus cost a bisection per value
-    they contribute, not ``count`` of them.
+    Orders m >= 1 carry multiplicity 2 (the two azimuthal phases).  Each
+    order is asked only for its values at or below a cutoff, the first
+    one the same cap's ``count``-th value on a grid ``COARSENING`` times
+    coarser, raised by ``SEED_MARGIN``.  A sweep left short of ``count``
+    values by a guess too low is run again without a cutoff, so the
+    values never depend on the guess, only their cost does.
     """
     kind = ProblemKind(kind)
     if kind not in MEMBRANE_KINDS:
@@ -122,21 +195,11 @@ def cap_spectrum(
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
 
-    out = _radial_values(domain, 0, kind, count)
-    order = 1
-    while True:
-        cutoff = out[-1] if len(out) == count else math.inf
-        radial = _radial_values(domain, order, kind, count, cutoff)
-        if not len(radial):
-            break
-        out = np.sort(np.concatenate((out, np.repeat(radial, 2))))[:count]
-        order += 1
-
+    out = _cap_values(domain, kind, count)
     if kind is ProblemKind.NEUMANN:
         # the flux form annihilates constants, but the symmetrized solve
         # reports the null value with roundoff of order eps * ||A||
-        h = domain.delta / domain.points
-        tiny = 100.0 * np.finfo(float).eps * 4.0 / h**2
+        tiny = _null_tolerance(domain)
         if abs(out[0]) <= tiny and (len(out) == 1 or abs(out[0]) <= 1e-6 * abs(out[1])):
             out[0] = 0.0
     return Spectrum(

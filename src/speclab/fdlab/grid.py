@@ -91,7 +91,9 @@ def axis_nodes(length: float, h: float) -> int:
 
 
 def _inside_disk(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
-    return x**2 + y**2 < radius**2 * (1.0 - _REL_TOL)
+    # a square that overflows to inf compares false and leaves the node out
+    with np.errstate(over="ignore"):
+        return x**2 + y**2 < radius**2 * (1.0 - _REL_TOL)
 
 
 def _past_notch(n: int, h: float, length: float, notch: float) -> np.ndarray:

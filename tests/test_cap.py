@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import lpmv
 
 from speclab.fdlab import CapDomain, cap_spectrum
-from speclab.fdlab.cap import _radial_values
+from speclab.fdlab import cap
+from speclab.fdlab.cap import _radial_values, _seed_cutoff, _sweep
 from speclab.specfun import bessel_j_prime_zero, bessel_j_zero
 from speclab.spectra import ProblemKind
 
@@ -188,3 +190,44 @@ class TestOrderSweep:
             by_value = _radial_values(domain, order, kind, 11, cutoff)
             assert len(by_value) == 10
             assert np.allclose(by_value, by_index[:10], rtol=1e-12, atol=0.0)
+
+
+class TestSeededSweep:
+    # the coarse-grid cutoff sets only the cost: a guess too low falls back
+    # to the unseeded sweep, and a grid too small for a coarse level is
+    # swept unseeded from the start
+    @pytest.mark.parametrize("kind", [ProblemKind.DIRICHLET, ProblemKind.NEUMANN])
+    def test_cutoff_below_the_answer_falls_back(self, monkeypatch, kind):
+        domain = CapDomain(0.75 * math.pi, 1000)
+        expected = _brute_force(domain, kind, 60, 16)
+        low = 0.5 * expected[-1]
+        assert 0 < len(_sweep(domain, kind, 60, low)) < 60
+        monkeypatch.setattr(cap, "_seed_cutoff", lambda domain, kind, count: low)
+        values = cap_spectrum(domain, kind, 60).values
+        if kind is ProblemKind.NEUMANN:
+            assert values[0] == 0.0
+            values, expected = values[1:], expected[1:]
+        assert np.allclose(values, expected, rtol=1e-12, atol=0.0)
+
+    def test_grid_without_a_coarse_level(self):
+        domain = CapDomain(1.0, 40)
+        assert _seed_cutoff(domain, ProblemKind.DIRICHLET, 100) == math.inf
+        values = cap_spectrum(domain, ProblemKind.DIRICHLET, 100).values
+        expected = _brute_force(domain, ProblemKind.DIRICHLET, 100, 40)
+        assert len(values) == 100
+        assert np.allclose(values, expected, rtol=1e-12, atol=0.0)
+
+    def test_fine_grid_bisects_little_more_than_it_keeps(self, monkeypatch):
+        # unseeded, orders 0 and 1 alone bisect 119 values on the fine grid
+        domain, count = CapDomain(0.75 * math.pi, 4000), 60
+        returned = []
+
+        def counted(d, e, **kwargs):
+            values = eigh_tridiagonal(d, e, **kwargs)
+            if len(d) == domain.points:
+                returned.append(len(values))
+            return values
+
+        monkeypatch.setattr(cap, "eigh_tridiagonal", counted)
+        cap_spectrum(domain, ProblemKind.DIRICHLET, count)
+        assert sum(returned) <= count + 10

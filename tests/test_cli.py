@@ -6,8 +6,10 @@ import contextlib
 import copy
 import io
 import json
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from speclab.cli import CHECKS, DOMAINS, ConfigError, main, parse_config, run_config
-from speclab.fdlab import CapDomain, DegenerateDomainError, lshape_domain, write_mask_file
+from speclab.fdlab import (
+    CapDomain,
+    DegenerateDomainError,
+    disk_domain,
+    lshape_domain,
+    write_mask_file,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -285,6 +293,44 @@ class TestParseConfig:
         assert spec.grid(exp.domain, fine).n_unknowns >= 9
         with pytest.raises(DegenerateDomainError):
             spec.grid(exp.domain, coarse)
+
+    def test_overflowing_disk_h_rejected_without_a_warning(self):
+        # the squared coordinates of every node but the centre overflow to inf
+        block = {"name": "coarse", "domain": {"type": "disk", "radius": 1.0}, "kinds": ["dirichlet"]}
+        block["backend"] = {"type": "fd", "h": [1e300]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="it resolves to 1 unknowns"):
+                parse_config(json.dumps({"experiments": [block]}))
+            with pytest.raises(DegenerateDomainError):
+                disk_domain(1.0, 1e300)
+
+    def test_decomposition_part_too_coarse_at_the_finest_h(self, tmp_path, capsys):
+        # the parts are meshed at the finest h only, so the coarser level is fine
+        parts = [
+            {"type": "rect", "a": 0.5, "b": 1.0},
+            {"type": "rect", "a": 0.5, "b": 1.0, "corner": [0.5, 0.0]},
+        ]
+        block = {
+            "name": "split",
+            "domain": {"type": "rect", "a": 1.0, "b": 1.0},
+            "kinds": ["buckling"],
+            "backend": {"type": "fd", "h": [0.125, 0.25]},
+            "count": 3,
+            "checks": [{"type": "decomposition", "parts": parts}],
+        }
+        parse_config(json.dumps({"experiments": [block]}))
+        block["backend"]["h"] = [0.25]
+        message = (
+            "experiments[0].checks[0]: parts[0]: h=0.25 is too coarse for the rect domain "
+            "(a=0.5, b=1): it resolves to 3 unknowns, at least 9 are required"
+        )
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(json.dumps({"experiments": [block]}))
+        config = write_config(tmp_path, {"experiments": [block]})
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_check_numbers_rejected_when_not_numbers(self):
         for field, value in [("rtol", True), ("window", [1.0, "9"]), ("points", "50")]:
@@ -684,7 +730,7 @@ class TestChecksResolvedBeforeRunning:
 
     def test_parse_leaves_the_callers_checks_alone(self):
         check = {"type": "decomposition", "parts": [{"type": "rect", "a": 0.5, "b": 1}]}
-        block = {**interval_block(checks=[check]), "domain": SQUARE, "backend": {"type": "fd", "h": [0.25]}}
+        block = {**interval_block(checks=[check]), "domain": SQUARE, "backend": {"type": "fd", "h": [0.125]}}
         (parsed,) = parse_config(json.dumps({"experiments": [block]}))
         assert parsed.checks[0]["parts"][0] == {"type": "rect", "a": 0.5, "b": 1.0, "corner": (0.0, 0.0)}
         assert parsed.checks[0]["count"] == 10

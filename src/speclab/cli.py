@@ -17,10 +17,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,9 +42,6 @@ from .fdlab import (
 )
 from .interval1d import interval_spectrum
 from .spectra import CHAIN_ORDER, MEMBRANE_KINDS, ProblemKind, Spectrum
-
-JOBS_ENV = "SPECLAB_JOBS"
-
 
 @dataclass(frozen=True)
 class DomainType:
@@ -689,37 +684,18 @@ def write_outputs(results: list[ExperimentResult], out_dir: Path) -> list[Path]:
 def run_config(
     experiments: list[Experiment],
     out_dir: Path,
-    jobs: int = 1,
     check_types: frozenset[str] = VERB_CHECKS["report"],
 ) -> int:
     """Run all experiments and write their outputs; returns the exit code."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if not experiments:
         return 0
-    if jobs == 1 or len(experiments) == 1:
-        results = [run_experiment(exp, check_types) for exp in experiments]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(run_experiment, exp, check_types)
-                for exp in experiments
-            ]
-            results = [f.result() for f in futures]
+    results = [run_experiment(exp, check_types) for exp in experiments]
     write_outputs(results, out_dir)
     if any(r.error is not None for r in results):
         return 2
     if any(not r.ok for r in results):
         return 1
     return 0
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -738,12 +714,6 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("--config", required=True, help="JSON experiment file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=_default_jobs(),
-            help=f"parallel experiments (default from ${JOBS_ENV} or 1)",
-        )
     args = parser.parse_args(argv)
 
     try:
@@ -753,12 +723,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         experiments = parse_config(text)
-        code = run_config(
-            experiments,
-            Path(args.out),
-            jobs=args.jobs,
-            check_types=VERB_CHECKS[args.verb],
-        )
+        code = run_config(experiments, Path(args.out), check_types=VERB_CHECKS[args.verb])
     except ConfigError as exc:
         print(f"speclab: {exc}", file=sys.stderr)
         return 2

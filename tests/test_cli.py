@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speclab.cli import CHECKS, DOMAINS, ConfigError, main, parse_config, run_config
+from speclab.cli import CHECKS, DOMAINS, ConfigError, main, parse_config
 from speclab.fdlab import (
     CapDomain,
     DegenerateDomainError,
@@ -584,21 +584,11 @@ class TestMainRuns:
         assert len(lines) == 5
         assert lines[1].split(",")[3] == "fd(h=0.125)"
 
-    def test_parallel_jobs(self, tmp_path):
-        payload = {
-            "experiments": [interval_block(name="a"), interval_block(name="b")]
-        }
-        config = write_config(tmp_path, payload)
-        out = tmp_path / "out"
-        code = main(
-            ["spectrum", "--config", str(config), "--out", str(out), "--jobs", "2"]
-        )
-        assert code == 0
-        assert (out / "a.spectra.csv").exists() and (out / "b.spectra.csv").exists()
-
-    def test_run_config_rejects_bad_jobs(self, tmp_path):
-        with pytest.raises(ConfigError, match="jobs"):
-            run_config([], tmp_path, jobs=0)
+    def test_jobs_flag_is_gone(self, tmp_path):
+        config = write_config(tmp_path, {"experiments": [interval_block()]})
+        with pytest.raises(SystemExit) as info:
+            main(["spectrum", "--config", str(config), "--jobs", "2"])
+        assert info.value.code == 2
 
 
 def cap_block(checks):

@@ -235,7 +235,11 @@ class TestSolver:
             lap = assemble_laplacian(domain, ProblemKind.DIRICHLET)
             bilap = assemble_bilaplacian_clamped(domain)
             problems = [
-                (assemble_laplacian(domain, ProblemKind.NEUMANN), None, -0.04 / domain.h**2),
+                (
+                    assemble_laplacian(domain, ProblemKind.NEUMANN),
+                    None,
+                    spectrum_mod._neumann_shift(domain),
+                ),
                 (lap, None, 0.0),
                 (bilap, None, 0.0),
                 (bilap, lap, 0.0),
@@ -301,10 +305,47 @@ class TestSolver:
             raise spla.ArpackNoConvergence("stalled", values, np.zeros((9, len(values))))
 
         monkeypatch.setattr(spla, "eigsh", stalled)
-        op = SparseSymOperator(sp.diags(np.arange(1.0, 10.0)).tocsr())
+        # a norm in [1/2, 1) needs no scaling, so ARPACK's units are the caller's
+        op = SparseSymOperator(sp.diags(np.arange(1.0, 10.0) / 16.0).tocsr())
         with pytest.raises(ConvergenceError, match=rf"\({message} pairs\)") as info:
             solve_gevp(op, count=3)
         assert np.array_equal(info.value.partial.values, partial)
+
+    @pytest.mark.parametrize("k, j", [(10, 0), (-7, 3), (40, -40), (0, 5)])
+    def test_power_of_two_scaling_is_exact(self, k, j):
+        # ARPACK is handed the same scaled pencil whatever the caller's
+        # units, so the values move by exactly 2^(k - j)
+        d = lshape_domain(1.0, 1.0, 1.0 / 24.0)
+        bilap = assemble_bilaplacian_clamped(d)
+        lap = assemble_laplacian(d, ProblemKind.DIRICHLET)
+        neumann = assemble_laplacian(d, ProblemKind.NEUMANN)
+        scaled = lambda op, p: SparseSymOperator(op.matrix * 2.0**p)  # noqa: E731
+        for (a, m, sigma), (a2, m2, sigma2) in (
+            ((bilap, lap, 0.0), (scaled(bilap, k), scaled(lap, j), 0.0)),
+            ((neumann, None, -3.0), (scaled(neumann, k - j), None, -3.0 * 2.0 ** (k - j))),
+        ):
+            base = solve_gevp(a, m, count=8, sigma=sigma)
+            moved = solve_gevp(a2, m2, count=8, sigma=sigma2)
+            assert np.array_equal(moved.values, base.values * 2.0 ** (k - j))
+            assert moved.solves == base.solves > 0
+
+    def test_stalled_lanczos_reports_values_in_the_callers_units(self, monkeypatch):
+        original = spla.eigsh
+
+        def stalled(*args, **kwargs):
+            values, vectors = original(*args, **kwargs)
+            raise spla.ArpackNoConvergence("stalled", values, vectors)
+
+        d = rectangle_domain(1e-3, 1e-3, 1e-3 / 16.0)
+        bilap = assemble_bilaplacian_clamped(d)
+        lap = assemble_laplacian(d, ProblemKind.DIRICHLET)
+        for m in (None, lap):
+            expected = solve_gevp(bilap, m, count=4).values
+            monkeypatch.setattr(spla, "eigsh", stalled)
+            with pytest.raises(ConvergenceError, match=r"\(4 of 4 pairs\)") as info:
+                solve_gevp(bilap, m, count=4)
+            monkeypatch.setattr(spla, "eigsh", original)
+            assert np.array_equal(info.value.partial.values, expected)
 
     def test_residuals_match_the_per_pair_loop(self):
         # the Neumann null mode takes the backward-scale denominator
@@ -392,6 +433,27 @@ class TestFdSpectrum:
         assert unit.values[0] == big.values[0] == 0.0
         assert np.all(big.values[1:] > 0.0)
         assert np.allclose(big.values * 1e12, unit.values, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("side", [1e-6, 1e-3, 1e3, 1e6])
+    def test_tiny_and_huge_domains_match_the_unit_square(self, side):
+        # the grid at h = L/16 is the unit one scaled by L, so every kind's
+        # values are the unit ones times L^-2; ARPACK's absolute stopping
+        # floor once failed the clamped solve at side 1e-6
+        for kind in ProblemKind:
+            unit = fd_spectrum(rectangle_domain(1.0, 1.0, 1.0 / 16.0), kind, 6).values
+            moved = fd_spectrum(rectangle_domain(side, side, side / 16.0), kind, 6).values
+            assert np.allclose(moved * side**2, unit, rtol=1e-12, atol=0.0)
+
+    def test_neumann_needs_no_more_solves_than_dirichlet(self, monkeypatch):
+        # with the shift -(pi/D)^2 the Neumann spectrum takes 58 solves
+        # against Dirichlet's 79 on this grid; a grid-scaled shift of
+        # -0.04/h^2 took 158 against 91
+        solutions = TestFdSpectra.counting(monkeypatch, spectrum_mod, "solve_gevp")
+        fd_spectra(
+            lshape_domain(1.0, 1.0, 1.0 / 160.0), [ProblemKind.NEUMANN, ProblemKind.DIRICHLET], 15
+        )
+        neumann, dirichlet = (sol.solves for sol in solutions)
+        assert neumann <= dirichlet, f"Neumann {neumann} solves, Dirichlet {dirichlet}"
 
     def test_trusted_count_caps_at_quarter_of_unknowns(self):
         d = rectangle_domain(1.0, 1.0, 1.0 / 6.0)  # 25 unknowns

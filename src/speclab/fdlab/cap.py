@@ -29,6 +29,12 @@ nearly always bounds the answer (nested iteration; Brandt, Math. Comp.
 and the cap is then swept again without a cutoff, so the values never
 depend on the guess.  At count 60 on 4000 points this bisects about 33
 values on the fine grid instead of about 170.
+
+The lowest Neumann value is reported as exactly 0.0, with no threshold.
+That zero is structural: each order's flux form annihilates constants,
+but only order 0 admits them, since the potential m^2 / sin t makes
+every order m >= 1 positive definite.  So the cap has exactly one null
+value, and it is the lowest.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from ..spectra import MEMBRANE_KINDS, ProblemKind, Spectrum
+from ..spectra import MEMBRANE_KINDS, ProblemKind, Spectrum, check_count
 
 #: Absolute bisection tolerance for LAPACK ``stebz``.  Its default (any
 #: value <= 0) is eps * ||T||, and ||T|| ~ 4 / h^2 + m^2 / sin t dwarfs
@@ -145,26 +151,22 @@ def _sweep(
         order += 1
 
 
-def _null_tolerance(domain: CapDomain) -> float:
-    """Bound on the roundoff that the symmetrized solve leaves on a null value."""
-    h = domain.delta / domain.points
-    return 100.0 * np.finfo(float).eps * 4.0 / h**2
-
-
 def _seed_cutoff(domain: CapDomain, kind: ProblemKind, count: int) -> float:
     """A cutoff just above the cap's ``count``-th value, from a coarser grid.
 
     The coarse ``count``-th value lies below the fine one by O(h^2), at
     most 5.3e-4 relative between 500 and 4000 points at count 200, or
-    above it by far less.  The null tolerance lifts the cutoff above the
-    Neumann null value.  Without a coarse grid of at least 8 points the
-    cutoff is infinite, which leaves the sweep unseeded.
+    above it by far less.  A hundred ulps of the fine operator's scale
+    4/h^2 lift the cutoff above the roundoff that the symmetrized solve
+    leaves on the Neumann null value.  Without a coarse grid of at least
+    8 points the cutoff is infinite, which leaves the sweep unseeded.
     """
     points = domain.points // COARSENING
     if points < 8:
         return math.inf
     coarse = _cap_values(CapDomain(domain.delta, points), kind, count)[-1]
-    return coarse + SEED_MARGIN * abs(coarse) + _null_tolerance(domain)
+    h = domain.delta / domain.points
+    return coarse + SEED_MARGIN * abs(coarse) + 100.0 * np.finfo(float).eps * 4.0 / h**2
 
 
 def _cap_values(domain: CapDomain, kind: ProblemKind, count: int) -> np.ndarray:
@@ -192,16 +194,12 @@ def cap_spectrum(
         raise ValueError(
             f"cap spectra cover the membrane problems only, got {kind.value}"
         )
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    count = check_count(count)
 
     out = _cap_values(domain, kind, count)
     if kind is ProblemKind.NEUMANN:
-        # the flux form annihilates constants, but the symmetrized solve
-        # reports the null value with roundoff of order eps * ||A||
-        tiny = _null_tolerance(domain)
-        if abs(out[0]) <= tiny and (len(out) == 1 or abs(out[0]) <= 1e-6 * abs(out[1])):
-            out[0] = 0.0
+        # the symmetrized solve leaves roundoff on the one null value
+        out[0] = 0.0
     return Spectrum(
         kind=kind,
         domain=domain.descriptor,

@@ -134,10 +134,7 @@ def rectangle_domain(
     b = check_positive("side b", b)
     h = check_positive("spacing h", h)
     cx, cy = float(corner[0]), float(corner[1])
-    nx, ny = axis_nodes(a, h), axis_nodes(b, h)
-    if nx < 1 or ny < 1:
-        raise DegenerateDomainError(f"rectangle {a:g}x{b:g} has no interior nodes at h={h:g}")
-    mask = np.ones((ny, nx), dtype=bool)
+    mask = np.ones((axis_nodes(b, h), axis_nodes(a, h)), dtype=bool)
     return GridDomain(
         h=h,
         mask=mask,
@@ -155,12 +152,9 @@ def interval_domain(length: float, h: float) -> GridDomain:
     """
     length = check_positive("length", length)
     h = check_positive("spacing h", h)
-    n = axis_nodes(length, h)
-    if n < MIN_UNKNOWNS:
-        raise DegenerateDomainError(f"interval needs at least 9 nodes, got {n} at h={h:g}")
     return GridDomain(
         h=h,
-        mask=np.ones((1, n), dtype=bool),
+        mask=np.ones((1, axis_nodes(length, h)), dtype=bool),
         origin=(h, 0.0),
         descriptor=f"interval({length:g})",
     )

@@ -22,6 +22,12 @@ shift-inverted values 1/(lambda - sigma) together, and Lanczos
 converges at the pace of their relative gaps (Ericsson & Ruhe, Math.
 Comp. 35, 1980): on the L-shape at h = 1/160 the Neumann spectrum
 takes 158 solves with that shift and 58 with -(pi/D)^2.
+
+The lowest Neumann value is reported as exactly 0.0, with no threshold,
+since the solver returns it as roundoff of either sign.  That zero is
+structural: the flux form annihilates constants exactly, and a grid
+domain is one 4-connected component, so the constants span the whole
+null space.  There is exactly one null value, and it is the lowest.
 """
 
 from __future__ import annotations
@@ -30,23 +36,14 @@ import math
 
 import numpy as np
 
-from ..spectra import ProblemKind, Spectrum
+from ..spectra import ProblemKind, Spectrum, check_count
 from .grid import GridDomain
 from .operators import assemble_bilaplacian_clamped, assemble_laplacian
-from .solver import DEFAULT_TOL, solve_gevp
+from .solver import solve_gevp
 
 #: Fraction of the grid's degrees of freedom a discrete eigenvalue may
 #: use up before it stops tracking the continuum problem at all.
 TRUST_FRACTION = 4
-
-
-def _neumann_snap(values: np.ndarray, scale: float) -> np.ndarray:
-    # The flux-form operator annihilates constants exactly; the solver
-    # reports that null value as roundoff of either sign, small against
-    # the operator's scale 4/h^2 whatever the domain's size.
-    out = values.copy()
-    out[np.abs(out) <= 1e-9 * scale] = 0.0
-    return out
 
 
 def _neumann_shift(domain: GridDomain) -> float:
@@ -55,29 +52,23 @@ def _neumann_shift(domain: GridDomain) -> float:
 
 
 def fd_spectra(
-    domain: GridDomain,
-    kinds,
-    count: int = 6,
-    tol: float = DEFAULT_TOL,
+    domain: GridDomain, kinds, count: int = 6
 ) -> dict[ProblemKind, Spectrum]:
     """Lowest ``count`` eigenvalues of every one of ``kinds`` on a grid domain."""
     kinds = [ProblemKind(kind) for kind in kinds]
+    count = check_count(count)
     n = domain.n_unknowns
     if count > n:
         raise ValueError(
             f"requested {count} eigenvalues but the grid has {n} unknowns"
         )
 
-    scale = 4.0 / domain.h**2
     # kind -> (stiffness, mass or None, shift, reported values), operators
     # named by the kind whose walls they carry; the singular Neumann
     # operator is shifted below zero so that its LU exists
     problems = {
         ProblemKind.NEUMANN: (
-            ProblemKind.NEUMANN,
-            None,
-            _neumann_shift(domain),
-            lambda v: _neumann_snap(v, scale),
+            ProblemKind.NEUMANN, None, _neumann_shift(domain), lambda v: np.r_[0.0, v[1:]]
         ),
         ProblemKind.DIRICHLET: (ProblemKind.DIRICHLET, None, 0.0, lambda v: v),
         ProblemKind.CLAMPED: (
@@ -103,7 +94,6 @@ def fd_spectra(
             operator(stiffness),
             None if mass is None else operator(mass),
             count=count,
-            tol=tol,
             sigma=sigma,
             lu=factors.pop(stiffness, None),
         )
@@ -121,11 +111,6 @@ def fd_spectra(
     return out
 
 
-def fd_spectrum(
-    domain: GridDomain,
-    kind: ProblemKind,
-    count: int = 6,
-    tol: float = DEFAULT_TOL,
-) -> Spectrum:
+def fd_spectrum(domain: GridDomain, kind: ProblemKind, count: int = 6) -> Spectrum:
     """Lowest ``count`` eigenvalues of ``kind`` on a grid domain."""
-    return fd_spectra(domain, [kind], count, tol)[ProblemKind(kind)]
+    return fd_spectra(domain, [kind], count)[ProblemKind(kind)]

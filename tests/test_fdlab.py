@@ -11,12 +11,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from speclab.fdlab import (
+    CapDomain,
     ConvergenceError,
     DegenerateDomainError,
     GridDomain,
     SparseSymOperator,
     assemble_bilaplacian_clamped,
     assemble_laplacian,
+    cap_spectrum,
     disk_domain,
     fd_spectra,
     fd_spectrum,
@@ -120,12 +122,12 @@ class TestOperators:
         # flux form: row sums cancel in exact arithmetic, h a power of two
         d = lshape_domain(1.0, 1.0, 1.0 / 8.0)
         op = assemble_laplacian(d, ProblemKind.NEUMANN)
-        out = op.matvec(np.ones(d.n_unknowns))
+        out = op.matrix @ np.ones(d.n_unknowns)
         assert np.all(out == 0.0)
 
     def test_dirichlet_positive_definite(self):
         d = disk_domain(1.0, 0.25)
-        dense = assemble_laplacian(d, ProblemKind.DIRICHLET).to_dense()
+        dense = assemble_laplacian(d, ProblemKind.DIRICHLET).matrix.toarray()
         assert np.linalg.eigvalsh(dense).min() > 0.0
 
     def test_square_eigenvalues_match_discrete_sine_formula(self):
@@ -173,8 +175,10 @@ class TestOperators:
         d = GridDomain(h=h, mask=mask, origin=(0.0, 0.0))
         index = -np.ones(mask.shape, dtype=int)
         index[mask] = np.arange(d.n_unknowns)
-        bilap = assemble_bilaplacian_clamped(d).to_dense() * h**4
-        lap2 = np.linalg.matrix_power(assemble_laplacian(d, ProblemKind.DIRICHLET).to_dense(), 2)
+        bilap = assemble_bilaplacian_clamped(d).matrix.toarray() * h**4
+        lap2 = np.linalg.matrix_power(
+            assemble_laplacian(d, ProblemKind.DIRICHLET).matrix.toarray(), 2
+        )
         lap2 *= h**4
 
         # two steps across the single wall node: +1, where L_D^2 has 0
@@ -199,6 +203,12 @@ class TestOperators:
 
     def test_asymmetric_matrix_rejected(self):
         bad = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            SparseSymOperator(bad)
+
+    def test_asymmetry_is_judged_against_the_largest_entry(self):
+        # every entry is far below 1, so a floor of 1 under the scale hid the gap
+        bad = sp.csc_matrix(np.array([[1e-18, 2e-18], [5e-18, 1e-18]]))
         with pytest.raises(ValueError, match="symmetric"):
             SparseSymOperator(bad)
 
@@ -246,7 +256,7 @@ class TestSolver:
             ]
             for a, m, sigma in problems:
                 dense = scipy.linalg.eigh(
-                    a.to_dense(), None if m is None else m.to_dense(), eigvals_only=True
+                    a.matrix.toarray(), None if m is None else m.matrix.toarray(), eigvals_only=True
                 )
                 # the square's double eigenvalues: count 5 ends on one copy of a pair
                 for count in (1, 5, n - 1, n):
@@ -264,7 +274,7 @@ class TestSolver:
         # space only through roundoff; the spare pairs keep it from being skipped
         d = lshape_domain(1.0, 1.0, 1.0 / 32.0, notch=0.75)
         op = assemble_laplacian(d, ProblemKind.DIRICHLET)
-        dense = scipy.linalg.eigh(op.to_dense(), eigvals_only=True, subset_by_index=(0, 1))
+        dense = scipy.linalg.eigh(op.matrix.toarray(), eigvals_only=True, subset_by_index=(0, 1))
         assert np.allclose(solve_gevp(op, count=2).values, dense, rtol=1e-10)
 
     def test_stiff_rod_pencil_meets_the_residual_rule(self):
@@ -274,7 +284,7 @@ class TestSolver:
         bilap = assemble_bilaplacian_clamped(d)
         lap = assemble_laplacian(d, ProblemKind.DIRICHLET)
         sol = solve_gevp(bilap, m=lap, count=15)
-        dense = scipy.linalg.eigh(bilap.to_dense(), lap.to_dense(), eigvals_only=True)
+        dense = scipy.linalg.eigh(bilap.matrix.toarray(), lap.matrix.toarray(), eigvals_only=True)
         assert np.allclose(sol.values, dense[:15], rtol=1e-8)
 
     def test_iterative_path_is_deterministic(self):
@@ -355,7 +365,7 @@ class TestSolver:
         neumann = assemble_laplacian(d, ProblemKind.NEUMANN)
         for a, m in ((neumann, None), (lap, None), (bilap, lap)):
             values, vectors = scipy.linalg.eigh(
-                a.to_dense(), None if m is None else m.to_dense()
+                a.matrix.toarray(), None if m is None else m.matrix.toarray()
             )
             values, vectors = values[:6], vectors[:, :6]
             a_csc = a.matrix.tocsc()
@@ -375,6 +385,15 @@ class TestSolver:
                 else:
                     den = np.linalg.norm(au) + abs(theta) * np.linalg.norm(mu)
                 assert relative[idx] == pytest.approx(num / den, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("theta", [2e-18, 1e-21])
+    def test_residual_rule_rejects_a_random_pair_on_a_small_norm_operator(self, theta):
+        # the clamped operator of a 1e6 square has norm 4.2e-18; judged
+        # against a norm floored at 1, any vector passed as converged
+        a = assemble_bilaplacian_clamped(rectangle_domain(1e6, 1e6, 6.25e4)).matrix
+        u = np.random.default_rng(0).standard_normal((a.shape[0], 1))
+        relative, backward = solver_mod._residuals(a, None, np.array([theta]), u)
+        assert not solver_mod._accepted(relative, backward, 1e-8).any()
 
     def test_minimum_degree_ordering_cuts_the_bilaplacian_fill(self):
         d = lshape_domain(1.0, 1.0, 1.0 / 80.0)
@@ -409,14 +428,32 @@ class TestSolver:
 
 
 class TestFdSpectrum:
-    def test_square_membrane_values(self):
+    def test_square_membrane_values(self, tmp_path):
         d = rectangle_domain(1.0, 1.0, 1.0 / 32.0)
         dirichlet = fd_spectrum(d, ProblemKind.DIRICHLET, 3)
         assert dirichlet.values[0] == pytest.approx(2.0 * math.pi**2, rel=2e-3)
         assert dirichlet.values[1] == pytest.approx(5.0 * math.pi**2, rel=5e-3)
         assert dirichlet.source == "fd(h=0.03125)"
         neumann = fd_spectrum(d, ProblemKind.NEUMANN, 3)
-        assert neumann.values[0] == 0.0
+        # the null value is exactly zero on every domain type, and the
+        # other values are the shifted solve's own, bit for bit
+        ring = tmp_path / "ring.mask"
+        ring.write_text("h 0.125\n.######.\n########\n###..###\n###..###\n########\n.######.\n")
+        for domain in (
+            d,
+            lshape_domain(1.0, 1.0, 1.0 / 16.0),
+            disk_domain(1.0, 1.0 / 8.0),
+            interval_domain(1.0, 1.0 / 32.0),
+            read_mask_file(ring),
+        ):
+            values = fd_spectrum(domain, ProblemKind.NEUMANN, 3).values
+            solved = solve_gevp(
+                assemble_laplacian(domain, ProblemKind.NEUMANN),
+                count=3,
+                sigma=spectrum_mod._neumann_shift(domain),
+            ).values
+            assert values[0] == 0.0
+            assert np.array_equal(values[1:], solved[1:])
         # flux-form rod modes cos(k pi (i + 1/2) / n) give the exact
         # discrete value; the 1/h - 1 node mask puts the rim half a cell
         # in, hence the first-order gap to pi^2
@@ -466,6 +503,19 @@ class TestFdSpectrum:
         d = rectangle_domain(1.0, 1.0, 0.25)
         with pytest.raises(ValueError, match="unknowns"):
             fd_spectrum(d, ProblemKind.DIRICHLET, 10)
+
+    @pytest.mark.parametrize("count", [2.5, 0])
+    def test_count_must_be_a_positive_integer(self, count):
+        # a fractional count once reached ARPACK, which died with a SystemError
+        d = rectangle_domain(1.0, 1.0, 0.25)
+        calls = (
+            lambda: solve_gevp(assemble_laplacian(d, ProblemKind.DIRICHLET), count=count),
+            lambda: fd_spectra(d, [ProblemKind.DIRICHLET], count),
+            lambda: cap_spectrum(CapDomain(1.0), ProblemKind.DIRICHLET, count),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="count"):
+                call()
 
     def test_chain_ordering_on_square_grid(self):
         d = rectangle_domain(1.0, 1.0, 1.0 / 24.0)

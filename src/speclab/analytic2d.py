@@ -28,7 +28,7 @@ from .specfun import (
     bessel_j_zeros,
     find_root,
 )
-from .spectra import ProblemKind, Spectrum, check_count, check_positive
+from .spectra import ProblemKind, Spectrum, check_count, check_positive, lowest_over_orders
 
 _EPS = float(np.finfo(float).eps)
 
@@ -264,10 +264,10 @@ def disk_spectrum(radius: float, kind: ProblemKind, count: int) -> Spectrum:
     them coincides with the second Dirichlet value.  Angular orders
     m >= 1 carry multiplicity two.
 
-    Every root up to a limit x is taken, order by order, until an order
-    has none; the first root grows with the order for m >= 1.  By Weyl's
-    law about x^2 / 4 values lie below (x / R)^2, and the limit grows
-    until at least ``count`` of them do.
+    ``spectra.lowest_over_orders`` merges the orders, asking each for
+    its roots up to R sqrt(cutoff).  By Weyl's law about x^2 / 4 values
+    lie below (x / R)^2, so the sweep starts at x = 2 sqrt(count) + 4,
+    whose 4 covers the boundary terms up to buckling, the highest kind.
     """
     radius = check_positive("radius", radius)
     count = check_count(count)
@@ -277,30 +277,21 @@ def disk_spectrum(radius: float, kind: ProblemKind, count: int) -> Spectrum:
         if kind is ProblemKind.DIRICHLET:
             return bessel_j_zeros(m, limit)
         if kind is ProblemKind.NEUMANN:
-            return bessel_j_prime_zeros(m, limit)
+            roots = bessel_j_prime_zeros(m, limit)
+            return np.concatenate(([0.0], roots)) if m == 0 else roots
         if kind is ProblemKind.CLAMPED:
             return _disk_clamped_roots(m, limit)
         return bessel_j_zeros(m + 1, limit)
 
-    # the 4 covers the boundary terms of the two-term Weyl law
-    limit = 2.0 * math.sqrt(count) + 4.0
-    while True:
-        parts = [np.zeros(1)] if kind is ProblemKind.NEUMANN else []
-        m = 0
-        while True:
-            roots = order_roots(m, limit)
-            if m > 0 and roots.size == 0:
-                break
-            parts.append(np.repeat(roots, 1 if m == 0 else 2))
-            m += 1
-        roots = np.sort(np.concatenate(parts))
-        if len(roots) >= count:
-            break
-        limit *= math.sqrt(2.0)
+    values = lowest_over_orders(
+        lambda m, cutoff: (order_roots(m, radius * math.sqrt(cutoff)) / radius) ** 2,
+        count,
+        ((2.0 * math.sqrt(count) + 4.0) / radius) ** 2,
+    )
     return Spectrum(
         kind=kind,
         domain=f"disk(R={radius:g})",
-        values=(roots[:count] / radius) ** 2,
+        values=values,
         source="analytic",
         trusted_count=count,
     )

@@ -19,16 +19,14 @@ about 1e-7 relative at the default 4000 points; against roots in nu of
 the Legendre functions P_nu^m(cos delta) (DLMF 14), one Richardson step
 between 2000 and 4000 points lands within 1e-9.
 
-The orders are swept from m = 0 up, each asked only for its values at or
-below a cutoff, so bisection runs only for values the spectrum may keep.
-The first cutoff comes from the same cap on a grid ``COARSENING`` times
-coarser, itself seeded the same way: coarse values lie within O(h^2) of
-the fine ones, so the coarse ``count``-th value raised by ``SEED_MARGIN``
-nearly always bounds the answer (nested iteration; Brandt, Math. Comp.
-31, 1977).  A guess too low leaves the sweep short of ``count`` values,
-and the cap is then swept again without a cutoff, so the values never
-depend on the guess.  At count 60 on 4000 points this bisects about 33
-values on the fine grid instead of about 170.
+The orders are swept from m = 0 up by ``spectra.lowest_over_orders``,
+each asked only for its values at or below a cutoff, so bisection runs
+only for values the spectrum may keep.  The first cutoff is the
+``count``-th Dirichlet value of the flat disk with the cap's area, from
+the two-term Weyl law (Weyl, Math. Ann. 71, 1912).  A cutoff too low
+leaves the sweep short, and it runs again at twice the cutoff, so the
+values never depend on the start.  At count 60 on 4000 points this
+bisects 33 to 38 values instead of about 170.
 
 The lowest Neumann value is reported as exactly 0.0, with no threshold.
 That zero is structural: each order's flux form annihilates constants,
@@ -45,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from ..spectra import MEMBRANE_KINDS, ProblemKind, Spectrum, check_count
+from ..spectra import MEMBRANE_KINDS, ProblemKind, Spectrum, check_count, lowest_over_orders
 
 #: Absolute bisection tolerance for LAPACK ``stebz``.  Its default (any
 #: value <= 0) is eps * ||T||, and ||T|| ~ 4 / h^2 + m^2 / sin t dwarfs
@@ -53,15 +51,6 @@ from ..spectra import MEMBRANE_KINDS, ProblemKind, Spectrum, check_count
 #: smallest positive double leaves ``stebz``'s own relative floor, two
 #: ulps of each eigenvalue, in charge instead.
 BISECTION_TOL = np.finfo(float).tiny
-
-#: Ratio of grid points between a cap and the coarser cap that seeds its
-#: order sweep with a first cutoff.
-COARSENING = 8
-
-#: Relative raise of the coarse-grid cutoff.  Coarse values mostly sit
-#: below the fine ones, so the raise points up; from a 500-point coarse
-#: grid it covers the O(h^2) gap about twenty times at count 200.
-SEED_MARGIN = 0.01
 
 
 @dataclass(frozen=True)
@@ -76,8 +65,10 @@ class CapDomain:
             raise ValueError(
                 f"aperture must lie in (0, pi), got {self.delta!r}"
             )
-        if self.points < 8:
-            raise ValueError(f"need at least 8 grid points, got {self.points}")
+        points = check_count(self.points, "grid points")
+        if points < 8:
+            raise ValueError(f"need at least 8 grid points, got {points}")
+        object.__setattr__(self, "points", points)
 
     @property
     def descriptor(self) -> str:
@@ -127,67 +118,17 @@ def _radial_values(
     return values[:count]
 
 
-def _sweep(
-    domain: CapDomain, kind: ProblemKind, count: int, cutoff: float = math.inf
-) -> np.ndarray:
-    """Lowest ``count`` cap values at or below ``cutoff``, all orders merged.
-
-    Orders m >= 1 carry multiplicity 2 (the two azimuthal phases).  Once
-    ``count`` values are held the cutoff drops to the largest of them.
-    The first order with none at or below the cutoff ends the sweep: the
-    potential m^2/sin t grows with m, so every later order starts higher
-    still.  Only a finite cutoff set too low leaves fewer than ``count``.
-    """
-    out = np.empty(0)
-    order = 0
-    while True:
-        if len(out) == count:
-            cutoff = out[-1]
-        radial = _radial_values(domain, order, kind, count, cutoff)
-        if not len(radial):
-            return out
-        copies = np.repeat(radial, 2) if order else radial
-        out = np.sort(np.concatenate((out, copies)))[:count]
-        order += 1
-
-
-def _seed_cutoff(domain: CapDomain, kind: ProblemKind, count: int) -> float:
-    """A cutoff just above the cap's ``count``-th value, from a coarser grid.
-
-    The coarse ``count``-th value lies below the fine one by O(h^2), at
-    most 5.3e-4 relative between 500 and 4000 points at count 200, or
-    above it by far less.  A hundred ulps of the fine operator's scale
-    4/h^2 lift the cutoff above the roundoff that the symmetrized solve
-    leaves on the Neumann null value.  Without a coarse grid of at least
-    8 points the cutoff is infinite, which leaves the sweep unseeded.
-    """
-    points = domain.points // COARSENING
-    if points < 8:
-        return math.inf
-    coarse = _cap_values(CapDomain(domain.delta, points), kind, count)[-1]
-    h = domain.delta / domain.points
-    return coarse + SEED_MARGIN * abs(coarse) + 100.0 * np.finfo(float).eps * 4.0 / h**2
-
-
-def _cap_values(domain: CapDomain, kind: ProblemKind, count: int) -> np.ndarray:
-    """The sweep from a coarse-grid cutoff, unseeded again if that falls short."""
-    out = _sweep(domain, kind, count, _seed_cutoff(domain, kind, count))
-    if len(out) < count:
-        out = _sweep(domain, kind, count)
-    return out
-
-
 def cap_spectrum(
     domain: CapDomain, kind: ProblemKind, count: int = 6
 ) -> Spectrum:
     """Lowest ``count`` membrane eigenvalues of the cap, all orders merged.
 
-    Orders m >= 1 carry multiplicity 2 (the two azimuthal phases).  Each
-    order is asked only for its values at or below a cutoff, the first
-    one the same cap's ``count``-th value on a grid ``COARSENING`` times
-    coarser, raised by ``SEED_MARGIN``.  A sweep left short of ``count``
-    values by a guess too low is run again without a cutoff, so the
-    values never depend on the guess, only their cost does.
+    Orders m >= 1 carry multiplicity 2 (the two azimuthal phases).  The
+    sweep starts from the ``count``-th Dirichlet value of the flat disk
+    of the cap's area pi r^2, r = 2 sin(delta / 2): inverting the
+    two-term Weyl law N = r^2 lam / 4 - r sqrt(lam) / 2 gives
+    ((1 + sqrt(1 + 4 count)) / r)^2.  A start too low only doubles the
+    cutoff and sweeps again; the values never depend on it.
     """
     kind = ProblemKind(kind)
     if kind not in MEMBRANE_KINDS:
@@ -196,7 +137,12 @@ def cap_spectrum(
         )
     count = check_count(count)
 
-    out = _cap_values(domain, kind, count)
+    r = 2.0 * math.sin(0.5 * domain.delta)
+    out = lowest_over_orders(
+        lambda m, cutoff: _radial_values(domain, m, kind, count, cutoff),
+        count,
+        ((1.0 + math.sqrt(1.0 + 4.0 * count)) / r) ** 2,
+    )
     if kind is ProblemKind.NEUMANN:
         # the symmetrized solve leaves roundoff on the one null value
         out[0] = 0.0

@@ -11,6 +11,7 @@ the membrane-to-plate comparisons are phrased in.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -46,11 +47,52 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
-def check_count(count: int) -> int:
-    """``count`` as an int; ValueError unless it is a positive integer."""
-    if count != int(count) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    return int(count)
+def check_count(count: int, name: str = "count") -> int:
+    """``count`` as an int; ValueError unless it is a positive integer.
+
+    Fractions, nan, infinities, None and strings all raise the same
+    ValueError, never int()'s own TypeError or OverflowError.
+    """
+    try:
+        whole = int(count)
+    except (TypeError, ValueError, OverflowError):
+        whole = 0
+    if whole < 1 or count != whole:
+        raise ValueError(f"{name} must be a positive integer, got {count!r}")
+    return whole
+
+
+def lowest_over_orders(
+    values_below: Callable[[int, float], np.ndarray], count: int, cutoff: float
+) -> np.ndarray:
+    """Lowest ``count`` values of a separable problem, all orders merged.
+
+    ``values_below(m, cutoff)`` returns the ascending values of azimuthal
+    order m at or below ``cutoff``.  Orders are swept from m = 0 up, and
+    orders m >= 1 count twice (the two azimuthal phases).  Once ``count``
+    values are held the cutoff drops to the largest of them.  The first
+    order m >= 1 with no values ends the sweep: on disks and caps the
+    lowest value grows with m from m = 1 on.  A sweep that ends short of
+    ``count`` values runs again at twice the cutoff, so the values never
+    depend on the first cutoff, only their cost does.  A first cutoff
+    that is not finite and positive, as an underflowed one, is a
+    ValueError rather than an endless doubling of zero.
+    """
+    cutoff = check_positive("first cutoff", cutoff)
+    while True:
+        out, limit, order = np.empty(0), cutoff, 0
+        while True:
+            if len(out) == count:
+                limit = out[-1]
+            values = values_below(order, limit)
+            if order and not len(values):
+                break
+            copies = np.repeat(values, 2) if order else values
+            out = np.sort(np.concatenate((out, copies)))[:count]
+            order += 1
+        if len(out) == count:
+            return out
+        cutoff *= 2.0
 
 
 @dataclass

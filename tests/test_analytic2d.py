@@ -349,3 +349,8 @@ class TestDiskSpectrum:
             disk_spectrum(0.0, ProblemKind.DIRICHLET, 4)
         with pytest.raises(ValueError):
             disk_spectrum(1.0, ProblemKind.DIRICHLET, 0)
+
+    def test_underflowing_start_is_refused_not_doubled_forever(self):
+        # ((2 sqrt(count) + 4) / R)^2 is 0.0 here, and so would be every doubling
+        with pytest.raises(ValueError, match="first cutoff"):
+            disk_spectrum(1e200, ProblemKind.DIRICHLET, 3)

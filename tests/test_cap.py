@@ -12,9 +12,9 @@ from scipy.special import lpmv
 
 from speclab.fdlab import CapDomain, cap_spectrum
 from speclab.fdlab import cap
-from speclab.fdlab.cap import _radial_values, _seed_cutoff, _sweep
+from speclab.fdlab.cap import _radial_values
 from speclab.specfun import bessel_j_prime_zero, bessel_j_zero
-from speclab.spectra import ProblemKind
+from speclab.spectra import ProblemKind, lowest_over_orders
 
 
 class TestHemisphere:
@@ -92,12 +92,17 @@ class TestStructure:
             CapDomain(math.pi)
         with pytest.raises(ValueError, match="grid points"):
             CapDomain(1.0, points=4)
+        for points in (1000.5, math.nan, math.inf, None):
+            with pytest.raises(ValueError, match="grid points"):
+                CapDomain(math.pi / 2, points=points)
+        assert CapDomain(1.0, points=1000.0).points == 1000
 
     def test_kind_and_count_validation(self):
         with pytest.raises(ValueError, match="membrane"):
             cap_spectrum(CapDomain(1.0), ProblemKind.CLAMPED, 3)
-        with pytest.raises(ValueError, match="count"):
-            cap_spectrum(CapDomain(1.0), ProblemKind.DIRICHLET, 0)
+        for count in (0, 2.5, math.nan, math.inf, None):
+            with pytest.raises(ValueError, match="count"):
+                cap_spectrum(CapDomain(1.0), ProblemKind.DIRICHLET, count)
 
 
 def _legendre_dirichlet(order: int, delta: float, count: int) -> np.ndarray:
@@ -193,25 +198,27 @@ class TestOrderSweep:
 
 
 class TestSeededSweep:
-    # the coarse-grid cutoff sets only the cost: a guess too low falls back
-    # to the unseeded sweep, and a grid too small for a coarse level is
-    # swept unseeded from the start
+    # the Weyl-law start sets only the cost: a cutoff too low doubles and
+    # sweeps again, and a grid with only 40 values per order still fills
     @pytest.mark.parametrize("kind", [ProblemKind.DIRICHLET, ProblemKind.NEUMANN])
-    def test_cutoff_below_the_answer_falls_back(self, monkeypatch, kind):
+    def test_cutoff_below_the_answer_doubles(self, kind):
         domain = CapDomain(0.75 * math.pi, 1000)
         expected = _brute_force(domain, kind, 60, 16)
-        low = 0.5 * expected[-1]
-        assert 0 < len(_sweep(domain, kind, 60, low)) < 60
-        monkeypatch.setattr(cap, "_seed_cutoff", lambda domain, kind, count: low)
-        values = cap_spectrum(domain, kind, 60).values
+        swept = []
+
+        def values_below(order, cutoff):
+            swept.append(order)
+            return _radial_values(domain, order, kind, 60, cutoff)
+
+        values = lowest_over_orders(values_below, 60, 0.25 * expected[-1])
+        assert swept.count(0) >= 2
+        assert len(values) == 60
         if kind is ProblemKind.NEUMANN:
-            assert values[0] == 0.0
             values, expected = values[1:], expected[1:]
         assert np.allclose(values, expected, rtol=1e-12, atol=0.0)
 
     def test_grid_without_a_coarse_level(self):
         domain = CapDomain(1.0, 40)
-        assert _seed_cutoff(domain, ProblemKind.DIRICHLET, 100) == math.inf
         values = cap_spectrum(domain, ProblemKind.DIRICHLET, 100).values
         expected = _brute_force(domain, ProblemKind.DIRICHLET, 100, 40)
         assert len(values) == 100

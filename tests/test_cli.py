@@ -984,3 +984,14 @@ class TestSubprocess:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "rod.spectra.csv").exists()
+
+    def test_import_loads_no_bessel_or_optimizer_modules(self):
+        # scipy.special loads on the first Bessel call; scipy.optimize
+        # alone would add about 0.2 s to every start-up
+        code = (
+            "import sys, speclab.cli; "
+            "print([m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules])"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

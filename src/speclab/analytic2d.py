@@ -28,7 +28,14 @@ from .specfun import (
     bessel_j_zeros,
     find_root,
 )
-from .spectra import ProblemKind, Spectrum, check_count, check_positive, lowest_over_orders
+from .spectra import (
+    ProblemKind,
+    Spectrum,
+    check_count,
+    check_length,
+    check_positive,
+    lowest_over_orders,
+)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -268,8 +275,12 @@ def disk_spectrum(radius: float, kind: ProblemKind, count: int) -> Spectrum:
     its roots up to R sqrt(cutoff).  By Weyl's law about x^2 / 4 values
     lie below (x / R)^2, so the sweep starts at x = 2 sqrt(count) + 4,
     whose 4 covers the boundary terms up to buckling, the highest kind.
+
+    The radius must lie in ``spectra.LENGTH_RANGE``, the CLI's length
+    range: past about 1e154 either way the values leave the float range,
+    as subnormals or as an overflow of the first cutoff.
     """
-    radius = check_positive("radius", radius)
+    radius = check_length("radius", radius)
     count = check_count(count)
     kind = ProblemKind(kind)
 

@@ -41,7 +41,7 @@ from .fdlab import (
     rectangle_domain,
 )
 from .interval1d import interval_spectrum
-from .spectra import CHAIN_ORDER, MEMBRANE_KINDS, ProblemKind, Spectrum
+from .spectra import CHAIN_ORDER, LENGTH_RANGE, MEMBRANE_KINDS, ProblemKind, Spectrum
 
 @dataclass(frozen=True)
 class DomainType:
@@ -121,7 +121,10 @@ DOMAINS = {
 #: Range of each numeric domain field that has one: the test its value
 #: must pass and what that asks for.  Spectra scale as length^-2, so far
 #: outside the length range some of them overflow or underflow.
-_LENGTH = (lambda v: 1e-3 <= v <= 1e3, "a length in [0.001, 1000]")
+_LENGTH = (
+    lambda v: LENGTH_RANGE[0] <= v <= LENGTH_RANGE[1],
+    "a length in [{:g}, {:g}]".format(*LENGTH_RANGE),
+)
 DOMAIN_RANGES = {
     **dict.fromkeys(("length", "a", "b", "radius"), _LENGTH),
     "notch": (lambda v: 0 < v < 1, "a fraction in (0, 1)"),

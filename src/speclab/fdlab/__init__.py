@@ -22,6 +22,7 @@ from .operators import (
 )
 from .solver import ConvergenceError, EvpSolution, solve_gevp
 from .spectrum import fd_spectra, fd_spectrum
+from .symmetry import symmetry_classes
 
 __all__ = [
     "MIN_UNKNOWNS",
@@ -45,5 +46,6 @@ __all__ = [
     "read_mask_file",
     "rectangle_domain",
     "solve_gevp",
+    "symmetry_classes",
     "write_mask_file",
 ]

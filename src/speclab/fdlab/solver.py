@@ -64,6 +64,7 @@ class EvpSolution:
     ``lu`` is the factorization of A - sigma M, for reuse by the next
     solve on the same matrix, and ``solves`` counts the right-hand sides
     solved with it; the dense path factors nothing and solves none.
+    ``vectors`` holds the eigenvectors as columns, in the values' order.
     """
 
     values: np.ndarray
@@ -72,6 +73,7 @@ class EvpSolution:
     tol: float
     lu: spla.SuperLU | None = field(default=None, repr=False, compare=False)
     solves: int = 0
+    vectors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def fill(self) -> int:
@@ -97,10 +99,12 @@ _EPS = float(np.finfo(float).eps)
 _BACKWARD_SLACK = 50.0
 
 #: Pairs computed past the wanted ones.  From one start vector, Lanczos
-#: sees the second copy of a multiple eigenvalue, and any symmetry class
-#: orthogonal to the constant start vector, only through roundoff, and
-#: can stop before they show up.  Spare pairs keep it running until they
-#: do: squares, disks and L-shapes at counts 1 to 40 lost no value with 3.
+#: sees the second copy of a multiple eigenvalue only through roundoff,
+#: and can stop before it shows up.  Spare pairs keep it running until it
+#: does.  A symmetry class that the start vector misses altogether is no
+#: longer left to roundoff: ``fd_spectra`` solves each class of a grid on
+#: its own (``fdlab.symmetry``), so the guard is there for multiplicities
+#: within one class, such as the transposed mode pairs of a square.
 _GUARD = 3
 
 
@@ -264,7 +268,13 @@ def solve_gevp(
         relative, backward = _residuals(a_csc, m_csc, values, vectors)
         accepted = _accepted(relative, backward, tol)
     solution = EvpSolution(
-        values=values, residuals=relative, method=method, tol=tol, lu=lu, solves=solves
+        values=values,
+        residuals=relative,
+        method=method,
+        tol=tol,
+        lu=lu,
+        solves=solves,
+        vectors=vectors,
     )
     if not np.all(accepted):
         worst = float(relative.max())

@@ -1,0 +1,109 @@
+"""Reflection-symmetry classes of a grid mask.
+
+A mask that maps onto itself under a row flip, a column flip or the
+transpose has operators that commute with that node permutation, since
+every stencil here is invariant under the lattice's reflections.  The
+row and column flips commute with each other but not with the
+transpose, which swaps them; and a mask with the transpose and one flip
+has the other flip too.  So the largest commuting set of these
+reflections is both flips when the mask has either, else the transpose
+when it has that, else nothing.  A flip that moves no node, such as the
+row flip of a one-row rod, is left out.
+
+The k commuting reflections generate a group of 2^k elements, and each
+of its 2^k characters (a sign per reflection) has at most one class:
+the grid functions f with f(g x) = chi(g) f(x), when there are any.  The classes are orthogonal and
+together span every grid function, and each operator maps every class
+into itself, so its spectrum is the union of its class spectra
+(Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).
+
+A class's basis has one column per orbit of nodes on which the
+character is trivial over the orbit's stabilizer: the signed indicator
+chi(g) on each image g(r) of the orbit's smallest node r, divided by the
+root of the orbit size.  Its columns have disjoint supports, so the
+basis is orthonormal.  A mask with no symmetry has one class, and its
+basis is the identity.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import scipy.sparse as sp
+
+
+def _reflections(mask: np.ndarray) -> list[np.ndarray]:
+    """Node permutations of the largest commuting set of the mask's reflections.
+
+    A permutation maps each node's index to its image's; nodes are
+    indexed in row-major order, as the operators index them.
+    """
+    index = np.full(mask.shape, -1, dtype=np.int64)
+    index[mask] = np.arange(np.count_nonzero(mask))
+
+    def permutation(image: np.ndarray) -> np.ndarray | None:
+        # each reflection is its own inverse, so the node at p maps to
+        # the node at r(p), whose index is the reflected array's at p
+        if image.shape != mask.shape or not np.array_equal(image >= 0, mask):
+            return None
+        perm = image[mask]
+        return None if np.array_equal(perm, index[mask]) else perm
+
+    flips = [permutation(index[::-1, :]), permutation(index[:, ::-1])]
+    flips = [perm for perm in flips if perm is not None]
+    transpose = permutation(index.T)
+    return flips or ([] if transpose is None else [transpose])
+
+
+def symmetry_classes(mask: np.ndarray) -> list[sp.csc_matrix]:
+    """Orthonormal bases Q_c, n x n_c, of the mask's symmetry classes.
+
+    The classes come in the order of their characters, the trivial
+    (fully symmetric) one first; the n_c sum to the mask's node count.
+    A character trivial on no orbit's stabilizer has no class: on a plus
+    sign every node lies on an axis, and no grid function is odd about
+    both.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    gens = _reflections(mask)
+    n = int(np.count_nonzero(mask))
+    # every group element as a product of generators, with its exponents
+    exponents = np.array(list(itertools.product((0, 1), repeat=len(gens))), dtype=np.int64)
+    images = np.empty((len(exponents), n), dtype=np.int64)
+    for row, powers in enumerate(exponents):
+        images[row] = np.arange(n)
+        for gen, power in zip(gens, powers):
+            if power:
+                images[row] = gen[images[row]]
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(n))
+    fixed = images[:, reps] == reps
+    weight = 1.0 / np.sqrt(len(images) / fixed.sum(axis=0))
+    # an element whose image of r an earlier element already gave is a
+    # repeat; the kept (element, orbit) pairs list every orbit node once
+    first = np.array([np.all(images[:row, reps] != images[row, reps], axis=0)
+                      for row in range(len(images))])
+    bases = []
+    for signs in exponents:
+        chi = 1 - 2 * ((exponents @ signs) % 2)
+        cols = np.all(fixed <= (chi[:, None] > 0), axis=0)
+        if not cols.any():
+            continue
+        column = np.cumsum(cols) - 1
+        keep = first & cols
+        elements, orbits = np.nonzero(keep)
+        bases.append(
+            sp.csc_matrix(
+                (chi[elements] * weight[orbits], (images[elements, reps[orbits]], column[orbits])),
+                shape=(n, int(cols.sum())),
+            )
+        )
+    return bases
+
+
+def project(matrix: sp.csc_matrix, basis: sp.csc_matrix) -> sp.csc_matrix:
+    """Q^T A Q in canonical CSC; on the identity basis, A bit for bit."""
+    projected = (basis.T @ matrix @ basis).tocsc()
+    projected.sum_duplicates()
+    projected.eliminate_zeros()
+    return projected

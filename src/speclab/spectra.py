@@ -47,6 +47,21 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
+#: Lengths (sides, radii) accepted where a length sets a spectrum's
+#: scale.  Values scale as length^-2, so far outside this range some of
+#: them overflow or underflow.
+LENGTH_RANGE = (1e-3, 1e3)
+
+
+def check_length(name: str, value: float) -> float:
+    """``value`` as a float; ValueError unless it lies in ``LENGTH_RANGE``."""
+    lo, hi = LENGTH_RANGE
+    value = float(value)
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be a length in [{lo:g}, {hi:g}], got {value!r}")
+    return value
+
+
 def check_count(count: int, name: str = "count") -> int:
     """``count`` as an int; ValueError unless it is a positive integer.
 

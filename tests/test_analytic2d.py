@@ -17,7 +17,7 @@ from speclab.analytic2d import (
     rect_spectrum,
 )
 from speclab.interval1d import tan_root
-from speclab.spectra import ProblemKind
+from speclab.spectra import LENGTH_RANGE, ProblemKind, lowest_over_orders
 
 
 def brute_rect_values(a: float, b: float, start: int, count: int) -> np.ndarray:
@@ -351,6 +351,23 @@ class TestDiskSpectrum:
             disk_spectrum(1.0, ProblemKind.DIRICHLET, 0)
 
     def test_underflowing_start_is_refused_not_doubled_forever(self):
-        # ((2 sqrt(count) + 4) / R)^2 is 0.0 here, and so would be every doubling
+        # the disk's start ((2 sqrt(count) + 4) / R)^2 is 0.0 at R = 1e200,
+        # and so would be every doubling; the sweep refuses it before any order
+        cutoff = ((2.0 * math.sqrt(3) + 4.0) / 1e200) ** 2
+        assert cutoff == 0.0
         with pytest.raises(ValueError, match="first cutoff"):
-            disk_spectrum(1e200, ProblemKind.DIRICHLET, 3)
+            lowest_over_orders(lambda m, limit: pytest.fail("swept an order"), 3, cutoff)
+
+    @pytest.mark.parametrize("radius", [1e160, 1e-200, 2e3, 5e-4, math.nan, math.inf])
+    def test_radius_outside_the_length_range_is_refused(self, radius):
+        # at 1e160 the values came back subnormal, [5.8e-320, 1.5e-319, ...],
+        # and at 1e-200 the first cutoff raised OverflowError
+        for kind in ProblemKind:
+            with pytest.raises(ValueError, match=r"radius must be a length in \[0.001, 1000\]"):
+                disk_spectrum(radius, kind, 3)
+
+    @pytest.mark.parametrize("radius", LENGTH_RANGE)
+    def test_radius_at_the_ends_of_the_length_range(self, radius):
+        base = disk_spectrum(1.0, ProblemKind.DIRICHLET, 6).values
+        scaled = disk_spectrum(radius, ProblemKind.DIRICHLET, 6).values
+        assert np.allclose(scaled, base / radius**2, rtol=1e-12)

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import csv
 import io
 import json
+import math
 import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -542,6 +545,29 @@ class TestMainRuns:
         # both grid levels are tabulated
         assert len(lines) == 1 + 2 * 4 * 4
         assert {line.split(",")[4] for line in lines[1:]} == {"0.0625", "0.03125"}
+
+    def test_square_report_keeps_every_copy_of_a_multiple_value(self, tmp_path):
+        # the unit square at h = 1/16 has 15 x 15 nodes and the Neumann
+        # values 4/h^2 (sin^2(i pi / 30) + sin^2(j pi / 30)); 267.188428424
+        # is fourfold, (i, j) = (1, 5), (5, 1), (3, 4), (4, 3), and from one
+        # whole-grid start vector the report held three copies of it and
+        # read 300.26 at index 28
+        block = {
+            "name": "sq",
+            "domain": {"type": "rect", "a": 1.0, "b": 1.0},
+            "kinds": ["neumann"],
+            "backend": {"type": "fd", "h": [0.0625]},
+            "count": 30,
+        }
+        config = write_config(tmp_path, {"experiments": [block]})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+        with open(out / "sq.spectra.csv", newline="") as handle:
+            values = [float(row["value"]) for row in csv.DictReader(handle)]
+        line = 1024.0 * np.sin(np.arange(15) * math.pi / 30.0) ** 2
+        expected = np.sort((line[:, None] + line[None, :]).ravel())[:30]
+        assert np.allclose(values, expected, rtol=1e-11, atol=1e-9)
+        assert values.count(267.188428424) == 4
 
     def test_decomposition_with_offset_parts(self, tmp_path):
         block = {

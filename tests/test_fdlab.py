@@ -27,10 +27,12 @@ from speclab.fdlab import (
     read_mask_file,
     rectangle_domain,
     solve_gevp,
+    symmetry_classes,
     write_mask_file,
 )
 from speclab.fdlab import solver as solver_mod
 from speclab.fdlab import spectrum as spectrum_mod
+from speclab.fdlab.symmetry import project
 from speclab.interval1d import clamped_beam_root
 from speclab.spectra import ProblemKind
 
@@ -438,7 +440,7 @@ class TestFdSpectrum:
         assert dirichlet.source == "fd(h=0.03125)"
         neumann = fd_spectrum(d, ProblemKind.NEUMANN, 3)
         # the null value is exactly zero on every domain type, and the
-        # other values are the shifted solve's own, bit for bit
+        # other values are the shifted class solves' own, merged, bit for bit
         ring = tmp_path / "ring.mask"
         ring.write_text("h 0.125\n.######.\n########\n###..###\n###..###\n########\n.######.\n")
         for domain in (
@@ -449,11 +451,20 @@ class TestFdSpectrum:
             read_mask_file(ring),
         ):
             values = fd_spectrum(domain, ProblemKind.NEUMANN, 3).values
-            solved = solve_gevp(
-                assemble_laplacian(domain, ProblemKind.NEUMANN),
-                count=3,
-                sigma=spectrum_mod._neumann_shift(domain),
-            ).values
+            whole = assemble_laplacian(domain, ProblemKind.NEUMANN)
+            bases = symmetry_classes(domain.mask)
+            asked = min(3, math.ceil(3 / len(bases)) + 2)
+            classes = [
+                solve_gevp(
+                    SparseSymOperator(project(whole.matrix, basis)),
+                    count=min(basis.shape[1], asked),
+                    sigma=spectrum_mod._neumann_shift(domain),
+                ).values
+                for basis in bases
+            ]
+            solved = np.sort(np.concatenate(classes))[:3]
+            # no class is asked again: each holds 3 or tops the merged third
+            assert all(len(v) == 3 or v[-1] > solved[-1] for v in classes)
             assert values[0] == 0.0
             assert np.array_equal(values[1:], solved[1:])
         # flux-form rod modes cos(k pi (i + 1/2) / n) give the exact
@@ -484,14 +495,24 @@ class TestFdSpectrum:
             assert np.allclose(moved * side**2, unit, rtol=1e-12, atol=0.0)
 
     def test_neumann_needs_no_more_solves_than_dirichlet(self, monkeypatch):
-        # with the shift -(pi/D)^2 the Neumann spectrum takes 58 solves
-        # against Dirichlet's 79 on this grid; a grid-scaled shift of
-        # -0.04/h^2 took 158 against 91
-        solutions = TestFdSpectra.counting(monkeypatch, spectrum_mod, "solve_gevp")
+        # summed over the L-shape's two classes, with the shift -(pi/D)^2
+        # the Neumann spectrum takes 99 solves against Dirichlet's 101 on
+        # this grid; a grid-scaled shift of -0.04/h^2 took 172
+        calls = []
+        original = spectrum_mod.solve_gevp
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((kwargs["sigma"], result.solves))
+            return result
+
+        monkeypatch.setattr(spectrum_mod, "solve_gevp", counted)
         fd_spectra(
             lshape_domain(1.0, 1.0, 1.0 / 160.0), [ProblemKind.NEUMANN, ProblemKind.DIRICHLET], 15
         )
-        neumann, dirichlet = (sol.solves for sol in solutions)
+        neumann = sum(solves for sigma, solves in calls if sigma < 0.0)
+        dirichlet = sum(solves for sigma, solves in calls if sigma == 0.0)
+        assert len(calls) == 4
         assert neumann <= dirichlet, f"Neumann {neumann} solves, Dirichlet {dirichlet}"
 
     def test_trusted_count_caps_at_quarter_of_unknowns(self):
@@ -585,14 +606,23 @@ class TestFdSpectra:
         monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_each_operator_assembled_and_factored_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "domain, classes",
+        [(lshape_domain(1.0, 1.0, 1.0 / 16.0), 2), (lshape_domain(1.0, 0.8, 1.0 / 16.0), 1)],
+        ids=["symmetric", "asymmetric"],
+    )
+    def test_each_operator_assembled_and_factored_once(self, monkeypatch, domain, classes):
         factored = self.counting(monkeypatch, spla, "splu")
         laplacians = self.counting(monkeypatch, spectrum_mod, "assemble_laplacian")
         bilaplacians = self.counting(monkeypatch, spectrum_mod, "assemble_bilaplacian_clamped")
-        fd_spectra(lshape_domain(1.0, 1.0, 1.0 / 16.0), list(ProblemKind), 5)
-        # shifted L_N, L_D and B: the clamped and buckling solves share B's LU
-        assert len(factored) == 3
+        projected = self.counting(monkeypatch, spectrum_mod, "project")
+        fd_spectra(domain, list(ProblemKind), 5)
+        # shifted L_N, L_D and B per class: the clamped and buckling
+        # solves of a class share its LU of B
+        assert len(symmetry_classes(domain.mask)) == classes
+        assert len(factored) == 3 * classes
         assert len(laplacians) == 2 and len(bilaplacians) == 1
+        assert len(projected) == 3 * classes
 
     @pytest.mark.parametrize(
         "domain",
@@ -615,14 +645,171 @@ class TestFdSpectra:
                     assert getattr(together[kind], field) == getattr(alone, field)
 
     def test_every_returned_pair_meets_the_residual_rule(self, monkeypatch):
+        # each class pair, lifted by its basis, is judged on the whole operator
+        domain = lshape_domain(1.0, 1.0, 1.0 / 32.0)
+        bases = symmetry_classes(domain.mask)
         solutions = self.counting(monkeypatch, spectrum_mod, "solve_gevp")
-        spectra = fd_spectra(lshape_domain(1.0, 1.0, 1.0 / 32.0), list(ProblemKind), 10)
-        assert len(solutions) == 4
-        for sol in solutions:
-            assert len(sol.values) == 10
+        spectra = fd_spectra(domain, list(ProblemKind), 10)
+        assert len(bases) == 2 and len(solutions) == 4 * len(bases)
+        lap = assemble_laplacian(domain, ProblemKind.DIRICHLET).matrix
+        bilap = assemble_bilaplacian_clamped(domain).matrix
+        wholes = [
+            (assemble_laplacian(domain, ProblemKind.NEUMANN).matrix, None),
+            (lap, None),
+            (bilap, None),
+            (bilap, lap),
+        ]
+        for pos, sol in enumerate(solutions):
+            a, m = wholes[pos // len(bases)]
+            basis = bases[pos % len(bases)]
+            # each class is asked for ceil(10 / 2) + 2 values
+            assert len(sol.values) == 7 and sol.vectors.shape == (basis.shape[1], 7)
             assert np.all(sol.residuals <= sol.tol)
-        clamped, buckling = solutions[2:]
-        assert buckling.lu is clamped.lu
+            relative, _ = solver_mod._residuals(a, m, sol.values, basis @ sol.vectors)
+            assert np.all(relative <= sol.tol)
+        clamped, buckling = solutions[4:6], solutions[6:]
+        for c in range(len(bases)):
+            assert buckling[c].lu is clamped[c].lu
+        merged = np.sort(np.concatenate([sol.values for sol in clamped]))[:10]
+        assert np.array_equal(spectra[ProblemKind.CLAMPED].values, np.sqrt(merged))
+
+
+def five_point_values(a: float, b: float, h: float, kind: str, count: int) -> np.ndarray:
+    """Lowest ``count`` eigenvalues of the 5-point Laplacian on an a x b rectangle.
+
+    Each axis of m nodes contributes 4/h^2 sin^2(k pi / (2 (m + 1))),
+    k = 1..m, with zero walls, and 4/h^2 sin^2(k pi / (2 m)), k = 0..m-1,
+    with dropped fluxes; the rectangle's values are their pairwise sums.
+    """
+    lines = []
+    for side in (a, b):
+        # nodes h, 2h, ..., m h strictly inside (0, side)
+        m = math.floor(side / h * (1.0 - 1e-9))
+        if kind == "dirichlet":
+            angles = np.arange(1, m + 1) * math.pi / (2 * (m + 1))
+        else:
+            angles = np.arange(m) * math.pi / (2 * m)
+        lines.append(4.0 / h**2 * np.sin(angles) ** 2)
+    return np.sort((lines[0][:, None] + lines[1][None, :]).ravel())[:count]
+
+
+class TestRectangleClosedForm:
+    """Multiple eigenvalues of rectangles, against the 5-point closed form."""
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("h", [1.0 / 16.0, 1.0 / 24.0, 1.0 / 40.0], ids=["16", "24", "40"])
+    @pytest.mark.parametrize("sides", [(1.0, 1.0), (1.0, 0.6)], ids=["square", "rect"])
+    def test_every_copy_of_every_value_is_found(self, sides, h, kind):
+        # from the constant start vector on the whole grid, the unit square
+        # at h = 1/16 lost a copy of its Neumann value 267.188 at counts
+        # 29-31 and 37-38 (index 28 read 300.26) and one at count 46
+        domain = rectangle_domain(*sides, h)
+        for count in (29, 30, 38, 46, 60):
+            values = fd_spectrum(domain, ProblemKind(kind), count).values
+            expected = five_point_values(*sides, h, kind, count)
+            assert np.allclose(values, expected, rtol=1e-10, atol=1e-10 * expected[-1])
+
+
+class TestSymmetryClasses:
+    DOMAINS = {
+        "square": (rectangle_domain(1.0, 1.0, 1.0 / 16.0), 4),
+        "rect": (rectangle_domain(1.0, 0.6, 1.0 / 16.0), 4),
+        "disk": (disk_domain(1.0, 0.1), 4),
+        "lshape": (lshape_domain(1.0, 1.0, 1.0 / 16.0), 2),
+        "lshape-uneven": (lshape_domain(1.0, 0.8, 1.0 / 16.0), 1),
+        "rod": (interval_domain(1.0, 1.0 / 50.0), 2),
+        "column": (GridDomain(h=0.1, mask=np.ones((12, 1), dtype=bool), origin=(0.0, 0.0)), 2),
+    }
+
+    @pytest.mark.parametrize("name", list(DOMAINS))
+    def test_classes_split_the_grid_and_commute_with_every_operator(self, name):
+        domain, classes = self.DOMAINS[name]
+        bases = symmetry_classes(domain.mask)
+        assert len(bases) == classes
+        assert sum(basis.shape[1] for basis in bases) == domain.n_unknowns
+        operators = [
+            assemble_laplacian(domain, ProblemKind.NEUMANN).matrix,
+            assemble_laplacian(domain, ProblemKind.DIRICHLET).matrix,
+            assemble_bilaplacian_clamped(domain).matrix,
+        ]
+        for basis in bases:
+            gram = (basis.T @ basis).toarray()
+            assert np.abs(gram - np.eye(basis.shape[1])).max() <= 1e-15
+            projector = basis @ basis.T
+            for a in operators:
+                gap = abs(projector @ a - a @ projector)
+                assert gap.max() <= 1e-15 * abs(a).max()
+        # the classes are mutually orthogonal
+        whole = sp.hstack(bases)
+        assert np.abs((whole.T @ whole).toarray() - np.eye(domain.n_unknowns)).max() <= 1e-15
+
+    def test_transpose_is_used_only_without_a_flip(self):
+        # a plus sign has every reflection; its two commuting flips give 4 classes
+        plus = np.zeros((7, 7), dtype=bool)
+        plus[2:5, :] = plus[:, 2:5] = True
+        assert len(symmetry_classes(plus)) == 4
+        # an L whose only reflection is the transpose
+        ell = np.ones((6, 6), dtype=bool)
+        ell[3:, 3:] = False
+        assert len(symmetry_classes(ell)) == 2
+
+    def test_a_character_with_no_grid_function_has_no_class(self):
+        # every node of a one-node-wide plus lies on an axis, so no grid
+        # function is odd about both, and that character has no class
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[2, :] = mask[:, 2] = True
+        bases = symmetry_classes(mask)
+        assert [basis.shape[1] for basis in bases] == [5, 2, 2]
+        domain = GridDomain(h=0.2, mask=mask, origin=(0.0, 0.0))
+        lap = assemble_laplacian(domain, ProblemKind.DIRICHLET).matrix.toarray()
+        values = fd_spectrum(domain, ProblemKind.DIRICHLET, 6).values
+        assert np.allclose(values, scipy.linalg.eigvalsh(lap)[:6], rtol=1e-12)
+
+    def test_asymmetric_mask_is_the_whole_grid_solve_bit_for_bit(self):
+        domain = lshape_domain(1.0, 0.8, 1.0 / 20.0)
+        (basis,) = symmetry_classes(domain.mask)
+        assert (basis != sp.identity(domain.n_unknowns)).nnz == 0
+        spectra = fd_spectra(domain, list(ProblemKind), 12)
+        lap = assemble_laplacian(domain, ProblemKind.DIRICHLET)
+        bilap = assemble_bilaplacian_clamped(domain)
+        neumann = solve_gevp(
+            assemble_laplacian(domain, ProblemKind.NEUMANN),
+            count=12,
+            sigma=spectrum_mod._neumann_shift(domain),
+        ).values
+        assert spectra[ProblemKind.NEUMANN].values[0] == 0.0
+        assert np.array_equal(spectra[ProblemKind.NEUMANN].values[1:], neumann[1:])
+        dirichlet = solve_gevp(lap, count=12).values
+        assert np.array_equal(spectra[ProblemKind.DIRICHLET].values, dirichlet)
         assert np.array_equal(
-            spectra[ProblemKind.CLAMPED].values, np.sqrt(clamped.values)
+            spectra[ProblemKind.CLAMPED].values,
+            np.sqrt(np.maximum(solve_gevp(bilap, count=12).values, 0.0)),
         )
+        assert np.array_equal(
+            spectra[ProblemKind.BUCKLING].values, solve_gevp(bilap, lap, count=12).values
+        )
+
+    @pytest.mark.parametrize(
+        "domain",
+        [rectangle_domain(1.0, 1.0, 1.0 / 16.0), lshape_domain(1.0, 1.0, 1.0 / 24.0)],
+        ids=["square", "lshape"],
+    )
+    def test_first_ask_sets_only_the_cost(self, monkeypatch, domain):
+        count = 30
+        usual = fd_spectra(domain, list(ProblemKind), count)
+        asked = []
+        original = spectrum_mod.solve_gevp
+
+        def recorded(*args, **kwargs):
+            asked.append(kwargs["count"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum_mod, "solve_gevp", recorded)
+        monkeypatch.setattr(spectrum_mod, "_first_ask", lambda count, classes: 1)
+        every = fd_spectra(domain, list(ProblemKind), count)
+        classes = len(symmetry_classes(domain.mask))
+        # every class starts at 1 and is asked again at 2, 4, ...
+        assert asked[:classes] == [1] * classes
+        assert len(asked) > 4 * classes and 2 in asked
+        for kind in ProblemKind:
+            assert np.allclose(every[kind].values, usual[kind].values, rtol=1e-10, atol=1e-12)

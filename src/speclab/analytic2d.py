@@ -48,9 +48,11 @@ def rect_spectrum(a: float, b: float, kind: ProblemKind, count: int) -> Spectrum
     """Smallest ``count`` membrane eigenvalues pi^2 (l^2/a^2 + m^2/b^2).
 
     Dirichlet indices run from 1, Neumann from 0 (the constant mode).
+    Both sides must lie in ``spectra.LENGTH_RANGE``: past about 1e154
+    either way the values leave the float range.
     """
-    a = check_positive("side a", a)
-    b = check_positive("side b", b)
+    a = check_length("side a", a)
+    b = check_length("side b", b)
     count = check_count(count)
     kind = ProblemKind(kind)
     if kind not in (ProblemKind.NEUMANN, ProblemKind.DIRICHLET):

@@ -512,14 +512,16 @@ def decomposition_check(
     quotients, so the merged, sorted part values Lambda*_k bound the
     whole-domain values from above, index by index.  ``buckling`` is the
     whole domain's buckling spectrum, which the caller has already
-    solved; only the parts are solved here, at ``count``.
+    solved; only the parts are solved here, each at ``count`` or at its
+    number of unknowns if that is smaller.
 
     Raises:
         PartitionError: parts overlap, stick out of the whole, or sit
             on a different lattice.
         DomainMismatchError: ``buckling`` is not a buckling spectrum of
             ``whole``.
-        ValueError: ``buckling`` holds fewer than ``count`` values.
+        ValueError: ``buckling`` holds fewer than ``count`` values, or
+            the parts hold fewer than ``count`` values together.
     """
     from .fdlab import fd_spectrum
 
@@ -554,7 +556,10 @@ def decomposition_check(
         )
     merged = np.sort(
         np.concatenate(
-            [fd_spectrum(p, ProblemKind.BUCKLING, count=count).values for p in parts]
+            [
+                fd_spectrum(p, ProblemKind.BUCKLING, count=min(count, p.n_unknowns)).values
+                for p in parts
+            ]
         )
     )[:count]
     if len(merged) < count:

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import RootBracket, find_root
-from .spectra import ProblemKind, Spectrum, check_count, check_positive
+from .spectra import ProblemKind, Spectrum, check_count, check_length
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def buckling_branches(length: float, count: int) -> list[BucklingBranch]:
     (2 y_k / L)^2 with tan(y_k) = y_k; since k pi < y_k < k pi + pi / 2
     the branches alternate strictly.
     """
-    length = check_positive("interval length", length)
+    length = check_length("interval length", length)
     count = check_count(count)
     per_branch = count // 2 + 1
     labeled = [
@@ -94,8 +94,10 @@ def interval_spectrum(length: float, kind: ProblemKind, count: int) -> Spectrum:
 
     Clamped values are reported as kappa^2 where kappa^4 solves the rod
     equation, so they are directly comparable with the membrane values.
+    The length must lie in ``spectra.LENGTH_RANGE``: past about 1e154
+    either way the values leave the float range.
     """
-    length = check_positive("interval length", length)
+    length = check_length("interval length", length)
     count = check_count(count)
     kind = ProblemKind(kind)
     k = np.arange(1, count + 1, dtype=float)

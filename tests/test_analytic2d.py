@@ -75,6 +75,22 @@ class TestRectSpectrum:
         with pytest.raises(ValueError):
             rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 0)
 
+    @pytest.mark.parametrize("side", [1e160, 1e-200, 2e3, 5e-4, math.nan, math.inf])
+    def test_side_outside_the_length_range_is_refused(self, side):
+        # at 1e160 the enumeration bound raised OverflowError, and at
+        # 1e-200 its 1 / a^2 raised ZeroDivisionError
+        for kind in (ProblemKind.NEUMANN, ProblemKind.DIRICHLET):
+            with pytest.raises(ValueError, match=r"side a must be a length in \[0.001, 1000\]"):
+                rect_spectrum(side, side, kind, 3)
+            with pytest.raises(ValueError, match=r"side b must be a length in \[0.001, 1000\]"):
+                rect_spectrum(1.0, side, kind, 3)
+
+    @pytest.mark.parametrize("side", LENGTH_RANGE)
+    def test_side_at_the_ends_of_the_length_range(self, side):
+        base = rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 6).values
+        scaled = rect_spectrum(side, side, ProblemKind.DIRICHLET, 6).values
+        assert np.allclose(scaled, base / side**2, rtol=1e-12)
+
 
 class TestLatticeCount:
     @staticmethod

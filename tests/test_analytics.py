@@ -429,6 +429,33 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="count 4 exceeds the 3"):
             decomposition_check(self.whole(), self.halves(), self.buckling(3), count=4)
 
+    def test_part_with_fewer_unknowns_than_count_gives_all_it_has(self):
+        # at h = 1/8 the 0.375 x 1 strip has 14 unknowns; asking it for 15
+        # values used to fail the whole check
+        h = 0.125
+        whole = rectangle_domain(1.0, 1.0, h)
+        strip = rectangle_domain(0.375, 1.0, h)
+        rest = rectangle_domain(0.625, 1.0, h, corner=(0.375, 0.0))
+        assert strip.n_unknowns == 14
+        buckling = fd_spectrum(whole, ProblemKind.BUCKLING, 15)
+        report = decomposition_check(whole, [strip, rest], buckling, count=15)
+        assert report.ok
+        expected = np.sort(
+            np.concatenate(
+                [
+                    fd_spectrum(strip, ProblemKind.BUCKLING, 14).values,
+                    fd_spectrum(rest, ProblemKind.BUCKLING, 15).values,
+                ]
+            )
+        )[:15]
+        assert [row.merged for row in report.rows] == expected.tolist()
+
+    def test_parts_holding_fewer_than_count_values_rejected(self):
+        corner = [rectangle_domain(0.25, 0.25, self.H)]
+        assert corner[0].n_unknowns == 9
+        with pytest.raises(ValueError, match="parts supplied fewer eigenvalues than requested"):
+            decomposition_check(self.whole(), corner, self.buckling(10), count=10)
+
 
 class TestPayneScan:
     def test_disk_sits_exactly_on_the_bound(self):

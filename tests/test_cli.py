@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -593,6 +594,31 @@ class TestMainRuns:
         assert check["ok"] is True
         assert all(row["margin"] > 0 for row in check["rows"])
 
+    def test_decomposition_part_with_fewer_unknowns_than_count(self, tmp_path):
+        # the 0.375 x 1 part has 14 unknowns at h = 1/8, one short of count
+        block = {
+            "name": "split",
+            "domain": {"type": "rect", "a": 1.0, "b": 1.0},
+            "kinds": ["buckling"],
+            "backend": {"type": "fd", "h": [0.125]},
+            "count": 15,
+            "checks": [
+                {
+                    "type": "decomposition",
+                    "parts": [
+                        {"type": "rect", "a": 0.375, "b": 1.0},
+                        {"type": "rect", "a": 0.625, "b": 1.0, "corner": [0.375, 0.0]},
+                    ],
+                }
+            ],
+        }
+        config = write_config(tmp_path, {"experiments": [block]})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "split.report.json").read_text())
+        assert report["ok"] is True
+        assert [row["k"] for row in report["checks"][0]["rows"]] == list(range(1, 16))
+
     def test_mask_domain_through_cli(self, tmp_path):
         mask_path = tmp_path / "ell.mask"
         write_mask_file(lshape_domain(1.0, 1.0, 1.0 / 8.0), mask_path)
@@ -990,7 +1016,53 @@ class TestReadme:
         parse_config(example)
 
 
+def blas_env(threads):
+    """The test environment with OPENBLAS_NUM_THREADS set to ``threads``, or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
 class TestSubprocess:
+    @pytest.mark.parametrize("threads, expected", [(None, "1"), ("2", "2")])
+    def test_import_sets_one_blas_thread_unless_the_user_chose(self, threads, expected):
+        code = "import os, speclab; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=blas_env(threads)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+    def test_blas_starts_no_worker_threads(self):
+        # with two BLAS threads, numpy's and scipy's bundled OpenBLAS each
+        # start one worker, so the process holds 3 threads
+        code = (
+            "import os, speclab.cli\n"
+            "from speclab.fdlab import fd_spectra, lshape_domain\n"
+            "fd_spectra(lshape_domain(1.0, 1.0, 1 / 40), ['neumann', 'buckling'], 6)\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=blas_env(None)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
+
+    def test_readme_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            cmd = [sys.executable, "-m", "speclab.cli", "report"]
+            cmd += ["--config", str(ROOT / "bench" / "readme_config.json"), "--out", str(out)]
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=blas_env(threads))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert any(name.endswith(".spectra.csv") for name in outputs[0])
+        assert any(name.endswith(".report.json") for name in outputs[0])
+        assert outputs[0] == outputs[1]
+
     def test_module_entry_point(self, tmp_path):
         config = write_config(tmp_path, {"experiments": [interval_block(count=6)]})
         out = tmp_path / "out"

@@ -16,6 +16,7 @@ from speclab.interval1d import (
     payne_check_1d,
     tan_root,
 )
+from speclab.spectra import LENGTH_RANGE
 
 # mpmath findroot at 30 digits, frozen
 Y1 = 4.493409457909064
@@ -126,6 +127,24 @@ class TestSpectrum:
             interval_spectrum(-1.0, ProblemKind.DIRICHLET, 3)
         with pytest.raises(ValueError):
             interval_spectrum(1.0, ProblemKind.DIRICHLET, 0)
+
+    @pytest.mark.parametrize("length", [1e160, 1e-200, 2e3, 5e-4, math.nan, math.inf])
+    def test_length_outside_the_length_range_is_refused(self, length):
+        # at 1e160 the Dirichlet values came back subnormal, [9.9e-320, ...],
+        # and at 1e-200 they overflowed with a RuntimeWarning
+        message = r"interval length must be a length in \[0.001, 1000\]"
+        for kind in ProblemKind:
+            with pytest.raises(ValueError, match=message):
+                interval_spectrum(length, kind, 3)
+        with pytest.raises(ValueError, match=message):
+            buckling_branches(length, 3)
+
+    @pytest.mark.parametrize("length", LENGTH_RANGE)
+    def test_length_at_the_ends_of_the_length_range(self, length):
+        for kind in ProblemKind:
+            base = interval_spectrum(1.0, kind, 6).values
+            scaled = interval_spectrum(length, kind, 6).values
+            assert np.allclose(scaled, base / length**2, rtol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -503,6 +503,17 @@ def _lattice_offsets(domain, whole) -> tuple[np.ndarray, np.ndarray]:
     return tuple(snapped.astype(np.int64).T)
 
 
+def _congruence_key(domain) -> tuple:
+    """Equal for grid domains with the same FD spectra by congruence.
+
+    The 5- and 13-point stencils are invariant under the lattice's eight
+    reflections and rotations, so a mask and its images under them have
+    the same spectra at one h; the key is h and the least of the eight.
+    """
+    images = [np.rot90(m, turns) for m in (domain.mask, domain.mask.T) for turns in range(4)]
+    return domain.h, min((image.shape, image.tobytes()) for image in images)
+
+
 def decomposition_check(
     whole, parts, buckling: Spectrum, count: int
 ) -> DecompositionReport:
@@ -513,7 +524,8 @@ def decomposition_check(
     whole-domain values from above, index by index.  ``buckling`` is the
     whole domain's buckling spectrum, which the caller has already
     solved; only the parts are solved here, each at ``count`` or at its
-    number of unknowns if that is smaller.
+    number of unknowns if that is smaller.  Congruent parts, such as
+    two translated halves, are solved once and counted once each.
 
     Raises:
         PartitionError: parts overlap, stick out of the whole, or sit
@@ -554,14 +566,14 @@ def decomposition_check(
         raise ValueError(
             f"count {count} exceeds the {len(buckling)} whole-domain buckling values"
         )
-    merged = np.sort(
-        np.concatenate(
-            [
-                fd_spectrum(p, ProblemKind.BUCKLING, count=min(count, p.n_unknowns)).values
-                for p in parts
-            ]
-        )
-    )[:count]
+    keys = [_congruence_key(part) for part in parts]
+    solved = {}
+    for key, part in zip(keys, parts):
+        if key not in solved:
+            solved[key] = fd_spectrum(
+                part, ProblemKind.BUCKLING, count=min(count, part.n_unknowns)
+            ).values
+    merged = np.sort(np.concatenate([solved[key] for key in keys]))[:count]
     if len(merged) < count:
         raise ValueError("parts supplied fewer eigenvalues than requested")
 

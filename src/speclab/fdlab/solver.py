@@ -1,10 +1,11 @@
 """Generalized symmetric eigenvalue solves with residual reporting.
 
 Every solve is shift-invert Lanczos (ARPACK) on a sparse LU of
-A - sigma M, started from a fixed vector so repeated runs return
-identical results, and asked for a few spare pairs so that none of the
-wanted ones is skipped.  The one exception is a request for all n
-pairs, which ARPACK cannot deliver; dense LAPACK ``eigh`` answers that.
+A - sigma M, started from a seeded Gaussian vector so repeated runs
+return identical results, and asked for a few spare pairs so that none
+of the wanted ones is skipped.  The one exception is a request for all
+n pairs, which ARPACK cannot deliver; dense LAPACK ``eigh`` answers
+that.
 Every returned pair is re-checked against the relative residual
 ||A u - theta M u|| / (||A u|| + theta ||M u||); a pair whose relative
 residual cannot reach the tolerance but whose backward error
@@ -103,8 +104,10 @@ _BACKWARD_SLACK = 50.0
 #: and can stop before it shows up.  Spare pairs keep it running until it
 #: does.  A symmetry class that the start vector misses altogether is no
 #: longer left to roundoff: ``fd_spectra`` solves each class of a grid on
-#: its own (``fdlab.symmetry``), so the guard is there for multiplicities
-#: within one class, such as the transposed mode pairs of a square.
+#: its own (``fdlab.symmetry``), and the twin classes of a square are one
+#: solve counted twice.  So the guard is there for multiplicities within
+#: one class: on a square, the only transposed pairs that still share a
+#: class are the (p, q), (q, p) modes with p and q of the same parity.
 _GUARD = 3
 
 
@@ -198,7 +201,10 @@ def solve_gevp(
         )
     else:
         method = "shift-invert"
-        v0 = np.full(n, 1.0 / np.sqrt(n))
+        # an unstructured start vector, seeded so that runs repeat: a
+        # constant one is orthogonal to every mode odd across a local
+        # mirror, such as e_a - e_b on two leaves of one node
+        v0 = np.random.default_rng(0).standard_normal(n)
         # ARPACK sees alpha A and beta M, both powers of two, with
         # ||alpha (A - sigma M)|| < 1 and ||beta M|| < 1; its pencil's
         # values are theta alpha / beta and its shift sigma alpha / beta

@@ -8,25 +8,29 @@ Buckling solves the pencil (bilaplacian, Dirichlet Laplacian).
 Every grid is solved one symmetry class at a time.  A mask that maps
 onto itself under a row flip, a column flip or the transpose splits
 the grid functions into orthogonal classes that every operator maps
-into themselves (``fdlab.symmetry``): four on squares, rectangles and
-disks, two on a rod and on an L-shape with equal sides, and one, the
-whole grid, on a mask with no symmetry.  Each operator is projected
-onto each class, Q_c^T A Q_c, and the class spectra are merged.  Two
-things come of it.  A class orthogonal to the start vector is solved
-from a start vector of its own, where on the whole grid it entered the
-Krylov space only through roundoff and Lanczos could stop before it
-showed up: the unit square at h = 1/16, count 30, lost one copy of
-its fourfold Neumann value 267.19 that way.  And the class problems are
-smaller: their LUs hold less fill and each solve costs less than a
-whole-grid one.  A mask with one class runs the whole-grid solve, bit
-for bit.
+into themselves (``fdlab.symmetry``): four on rectangles, two on a rod
+and on an L-shape with equal sides, and one, the whole grid, on a mask
+with no symmetry.  Squares and disks have four too, but the transpose
+maps one of them onto another with the same spectrum, so they are
+solved as three, one of which counts twice: its values are merged as
+two bit-equal copies.  Each operator is projected onto each class,
+Q_c^T A Q_c, and the class spectra are merged.  Two things come of it.
+Each class is solved from a start vector of its own, so none of them
+enters the Krylov space only through roundoff: from one constant start
+vector on the whole grid, Lanczos stopped before a class showed up,
+and the unit square at h = 1/16, count 30, lost one copy of its
+fourfold Neumann value 267.19.  And the class problems are smaller:
+their LUs hold less fill and each solve costs less than a whole-grid
+one.  A mask with one class runs the whole-grid solve, bit for bit.
 
 Class c of n_c unknowns is first asked for
-k_c = min(n_c, count, ceil(count / classes) + 2) values.  A class whose
-k_c-th value is at or below the merged count-th value may hold more of
-the lowest ``count``, so it is asked again at twice k_c on the same LU,
-until none is; a class with min(n_c, count) values is complete.  So
-the first k_c sets only the cost, never the values.
+k_c = min(n_c, count, ceil(count / C) + 2) values, with C the copies
+summed over the classes, which is the number of characters; a twin
+class is asked what it would be asked if its partner were solved too.
+A class whose k_c-th value is at or below the merged count-th value may
+hold more of the lowest ``count``, so it is asked again at twice k_c on
+the same LU, until none is; a class with min(n_c, count) values is
+complete.  So the first k_c sets only the cost, never the values.
 
 All kinds asked of one grid share their operators: each of the Neumann
 Laplacian, the Dirichlet Laplacian and the bilaplacian is assembled at
@@ -83,19 +87,23 @@ def _first_ask(count: int, classes: int) -> int:
     return -(-count // classes) + 2
 
 
-def _lowest_over_classes(solve, sizes: list[int], count: int) -> np.ndarray:
+def _lowest_over_classes(
+    solve, sizes: list[int], copies: list[int], count: int
+) -> np.ndarray:
     """Lowest ``count`` values over the classes, ascending.
 
     ``solve(c, k)`` returns the ascending lowest k values of class c,
-    which has ``sizes[c]`` unknowns.  A class is asked again at twice
-    its k while its k-th value is at or below the merged count-th one
-    and it has fewer than min(n_c, count) values.
+    which has ``sizes[c]`` unknowns and stands for ``copies[c]`` classes
+    of the same spectrum; its values are merged that many times.  A
+    class is asked again at twice its k while its k-th value is at or
+    below the merged count-th one and it has fewer than min(n_c, count)
+    values.
     """
     wanted = [min(size, count) for size in sizes]
-    asked = [min(whole, _first_ask(count, len(sizes))) for whole in wanted]
+    asked = [min(whole, _first_ask(count, sum(copies))) for whole in wanted]
     values = [solve(c, k) for c, k in enumerate(asked)]
     while True:
-        merged = np.sort(np.concatenate(values))
+        merged = np.sort(np.concatenate([np.repeat(v, n) for v, n in zip(values, copies)]))
         top = merged[count - 1] if len(merged) >= count else math.inf
         short = [c for c, k in enumerate(asked) if k < wanted[c] and values[c][-1] <= top]
         if not short:
@@ -116,8 +124,10 @@ def fd_spectra(
         raise ValueError(
             f"requested {count} eigenvalues but the grid has {n} unknowns"
         )
-    bases = symmetry_classes(domain.mask)
+    classes = symmetry_classes(domain.mask)
+    bases = [cls.basis for cls in classes]
     sizes = [basis.shape[1] for basis in bases]
+    copies = [cls.copies for cls in classes]
 
     # kind -> (stiffness, mass or None, shift, reported values), operators
     # named by the kind whose walls they carry; the singular Neumann
@@ -159,7 +169,7 @@ def fd_spectra(
             lus[c] = solution.lu
             return solution.values
 
-        values = _lowest_over_classes(solve, sizes, count)
+        values = _lowest_over_classes(solve, sizes, copies, count)
         if any(problems[later][0] is stiffness for later in kinds[pos + 1 :]):
             factors[stiffness] = lus
         out[kind] = Spectrum(

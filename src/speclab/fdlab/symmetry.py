@@ -12,10 +12,20 @@ row flip of a one-row rod, is left out.
 
 The k commuting reflections generate a group of 2^k elements, and each
 of its 2^k characters (a sign per reflection) has at most one class:
-the grid functions f with f(g x) = chi(g) f(x), when there are any.  The classes are orthogonal and
-together span every grid function, and each operator maps every class
-into itself, so its spectrum is the union of its class spectra
-(Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).
+the grid functions f with f(g x) = chi(g) f(x), when there are any.
+The classes are orthogonal and together span every grid function, and
+each operator maps every class into itself, so its spectrum is the
+union of its class spectra (Bossavit, Comput. Methods Appl. Mech.
+Engrg. 56, 1986).
+
+A mask with both flips that the transpose also maps onto itself (a
+square, an FD disk) has the dihedral group of the square.  The
+transpose does not commute with the flips, but it maps the class odd
+about the column flip alone onto the class odd about the row flip
+alone, and it commutes with every operator, so the two classes have the
+same spectrum: together they are the two-dimensional representation E
+of that group.  The first of them is kept and counted twice, and the
+second is left out, so a square is solved as three classes, not four.
 
 A class's basis has one column per orbit of nodes on which the
 character is trivial over the orbit's stabilizer: the signed indicator
@@ -28,16 +38,19 @@ basis is the identity.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 
-def _reflections(mask: np.ndarray) -> list[np.ndarray]:
-    """Node permutations of the largest commuting set of the mask's reflections.
+def _reflections(mask: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Node permutations of the mask's row and column flips, and of its transpose.
 
     A permutation maps each node's index to its image's; nodes are
-    indexed in row-major order, as the operators index them.
+    indexed in row-major order, as the operators index them.  A flip
+    that moves no node is left out, and the transpose is None when it
+    does not map the mask onto itself.
     """
     index = np.full(mask.shape, -1, dtype=np.int64)
     index[mask] = np.arange(np.count_nonzero(mask))
@@ -51,22 +64,17 @@ def _reflections(mask: np.ndarray) -> list[np.ndarray]:
         return None if np.array_equal(perm, index[mask]) else perm
 
     flips = [permutation(index[::-1, :]), permutation(index[:, ::-1])]
-    flips = [perm for perm in flips if perm is not None]
-    transpose = permutation(index.T)
-    return flips or ([] if transpose is None else [transpose])
+    return [perm for perm in flips if perm is not None], permutation(index.T)
 
 
-def symmetry_classes(mask: np.ndarray) -> list[sp.csc_matrix]:
-    """Orthonormal bases Q_c, n x n_c, of the mask's symmetry classes.
+def _character_bases(
+    mask: np.ndarray, gens: list[np.ndarray]
+) -> list[tuple[tuple[int, ...], sp.csc_matrix]]:
+    """Each character's signs (0 for +1, 1 for -1, per generator) and class basis.
 
-    The classes come in the order of their characters, the trivial
-    (fully symmetric) one first; the n_c sum to the mask's node count.
-    A character trivial on no orbit's stabilizer has no class: on a plus
-    sign every node lies on an axis, and no grid function is odd about
-    both.
+    The characters come in the order of their signs, the trivial one
+    first; one with no grid function is left out.
     """
-    mask = np.asarray(mask, dtype=bool)
-    gens = _reflections(mask)
     n = int(np.count_nonzero(mask))
     # every group element as a product of generators, with its exponents
     exponents = np.array(list(itertools.product((0, 1), repeat=len(gens))), dtype=np.int64)
@@ -92,13 +100,41 @@ def symmetry_classes(mask: np.ndarray) -> list[sp.csc_matrix]:
         column = np.cumsum(cols) - 1
         keep = first & cols
         elements, orbits = np.nonzero(keep)
-        bases.append(
-            sp.csc_matrix(
-                (chi[elements] * weight[orbits], (images[elements, reps[orbits]], column[orbits])),
-                shape=(n, int(cols.sum())),
-            )
+        basis = sp.csc_matrix(
+            (chi[elements] * weight[orbits], (images[elements, reps[orbits]], column[orbits])),
+            shape=(n, int(cols.sum())),
         )
+        bases.append((tuple(int(sign) for sign in signs), basis))
     return bases
+
+
+class SymmetryClass(NamedTuple):
+    """Orthonormal basis Q_c, n x n_c, of a class, and the classes it stands for."""
+
+    basis: sp.csc_matrix
+    copies: int
+
+
+def symmetry_classes(mask: np.ndarray) -> list[SymmetryClass]:
+    """The mask's symmetry classes, each with the number of classes it stands for.
+
+    The classes come in the order of their characters, the trivial
+    (fully symmetric) one first, and the copies times the n_c sum to the
+    mask's node count.  A character trivial on no orbit's stabilizer has
+    no class: on a plus sign every node lies on an axis, and no grid
+    function is odd about both.  On a mask with both flips and the
+    transpose, the transpose maps the class odd about the column flip
+    alone onto the one odd about the row flip alone, so the first stands
+    for both, with 2 copies, and the second is left out.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    flips, transpose = _reflections(mask)
+    twins = len(flips) == 2 and transpose is not None
+    classes = []
+    for signs, basis in _character_bases(mask, flips or ([] if transpose is None else [transpose])):
+        if not (twins and signs == (1, 0)):
+            classes.append(SymmetryClass(basis, 2 if twins and signs == (0, 1) else 1))
+    return classes
 
 
 def project(matrix: sp.csc_matrix, basis: sp.csc_matrix) -> sp.csc_matrix:

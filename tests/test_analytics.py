@@ -30,6 +30,7 @@ from speclab.analytics import (
     weyl_leading_coefficient,
     weyl_two_term_fit,
 )
+from speclab import fdlab
 from speclab.fdlab import (
     CapDomain,
     cap_spectrum,
@@ -449,6 +450,43 @@ class TestDecomposition:
             )
         )[:15]
         assert [row.merged for row in report.rows] == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            # the README's halves: one mask, translated
+            [
+                rectangle_domain(0.5, 1.0, H),
+                rectangle_domain(0.5, 1.0, H, corner=(0.5, 0.0)),
+            ],
+            # a left strip and a bottom strip, each the other reflected
+            # in the diagonal: their masks are transposes
+            [
+                rectangle_domain(0.25, 0.75, H, corner=(0.0, 0.25)),
+                rectangle_domain(0.75, 0.25, H, corner=(0.25, 0.0)),
+            ],
+        ],
+        ids=["translated-halves", "reflected-strips"],
+    )
+    def test_congruent_parts_are_solved_once(self, monkeypatch, parts):
+        count = 6
+        apart = [fd_spectrum(part, ProblemKind.BUCKLING, count).values for part in parts]
+        solved = []
+        original = fdlab.fd_spectrum
+
+        def counted(domain, kind, count):
+            solved.append(domain)
+            return original(domain, kind, count)
+
+        monkeypatch.setattr(fdlab, "fd_spectrum", counted)
+        report = decomposition_check(self.whole(), parts, self.buckling(count), count=count)
+        assert len(solved) == 1 and solved[0] is parts[0]
+        merged = [row.merged for row in report.rows]
+        # the first part's values, counted once for each part
+        assert merged == np.sort(np.concatenate([apart[0], apart[0]]))[:count].tolist()
+        # the same values, in exact arithmetic, as the parts solved apart
+        assert np.allclose(merged, np.sort(np.concatenate(apart))[:count], rtol=1e-12, atol=0.0)
+        assert report.ok
 
     def test_parts_holding_fewer_than_count_values_rejected(self):
         corner = [rectangle_domain(0.25, 0.25, self.H)]

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,10 +25,13 @@ from speclab.cli import CHECKS, DOMAINS, ConfigError, main, parse_config
 from speclab.fdlab import (
     CapDomain,
     DegenerateDomainError,
+    assemble_laplacian,
     disk_domain,
     lshape_domain,
+    read_mask_file,
     write_mask_file,
 )
+from speclab.spectra import ProblemKind
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -635,6 +639,34 @@ class TestMainRuns:
         lines = (out / "ell.spectra.csv").read_text().splitlines()
         assert len(lines) == 5
         assert lines[1].split(",")[3] == "fd(h=0.125)"
+
+    def test_twin_leaves_keep_their_neumann_value(self, tmp_path):
+        # nodes (5, 3) and (5, 5), counted from 0, are leaves of the one
+        # node (5, 4); e_a - e_b on them is a Neumann mode at 1/h^2 = 49
+        # that no reflection of the whole mask sees, and from a constant
+        # start vector the CSV skipped it and read the true mu_8 as mu_7
+        mask_path = tmp_path / "twin.mask"
+        mask_path.write_text(
+            "h 0.14285714285714285\n"
+            "######\n#####.\n######\n######\n###.#.\n#..###\n"
+        )
+        block = {
+            "name": "twin",
+            "domain": {"type": "mask", "path": str(mask_path)},
+            "kinds": KINDS,
+            "backend": {"type": "fd"},
+            "count": 10,
+        }
+        config = write_config(tmp_path, {"experiments": [block]})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+        with open(out / "twin.spectra.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        neumann = [float(row["value"]) for row in rows if row["kind"] == "neumann"]
+        assert neumann[6] == 49.0
+        domain = read_mask_file(mask_path)
+        lap = assemble_laplacian(domain, ProblemKind.NEUMANN).matrix.toarray()
+        assert np.allclose(neumann, scipy.linalg.eigvalsh(lap)[:10], rtol=1e-11, atol=1e-10)
 
     def test_jobs_flag_is_gone(self, tmp_path):
         config = write_config(tmp_path, {"experiments": [interval_block()]})

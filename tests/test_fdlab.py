@@ -32,6 +32,7 @@ from speclab.fdlab import (
 )
 from speclab.fdlab import solver as solver_mod
 from speclab.fdlab import spectrum as spectrum_mod
+from speclab.fdlab import symmetry as symmetry_mod
 from speclab.fdlab.symmetry import project
 from speclab.interval1d import clamped_beam_root
 from speclab.spectra import ProblemKind
@@ -443,28 +444,34 @@ class TestFdSpectrum:
         # other values are the shifted class solves' own, merged, bit for bit
         ring = tmp_path / "ring.mask"
         ring.write_text("h 0.125\n.######.\n########\n###..###\n###..###\n########\n.######.\n")
-        for domain in (
-            d,
-            lshape_domain(1.0, 1.0, 1.0 / 16.0),
-            disk_domain(1.0, 1.0 / 8.0),
-            interval_domain(1.0, 1.0 / 32.0),
-            read_mask_file(ring),
+        # each domain with its count of twin classes, solved once and
+        # counted twice: the square's and the disk's
+        for domain, twins in (
+            (d, 1),
+            (lshape_domain(1.0, 1.0, 1.0 / 16.0), 0),
+            (disk_domain(1.0, 1.0 / 8.0), 1),
+            (interval_domain(1.0, 1.0 / 32.0), 0),
+            (read_mask_file(ring), 0),
         ):
             values = fd_spectrum(domain, ProblemKind.NEUMANN, 3).values
             whole = assemble_laplacian(domain, ProblemKind.NEUMANN)
-            bases = symmetry_classes(domain.mask)
-            asked = min(3, math.ceil(3 / len(bases)) + 2)
-            classes = [
+            classes = symmetry_classes(domain.mask)
+            copies = [cls.copies for cls in classes]
+            assert copies.count(2) == twins and set(copies) <= {1, 2}
+            asked = min(3, math.ceil(3 / sum(copies)) + 2)
+            solves = [
                 solve_gevp(
                     SparseSymOperator(project(whole.matrix, basis)),
                     count=min(basis.shape[1], asked),
                     sigma=spectrum_mod._neumann_shift(domain),
                 ).values
-                for basis in bases
+                for basis, _ in classes
             ]
-            solved = np.sort(np.concatenate(classes))[:3]
+            solved = np.sort(np.concatenate(
+                [np.repeat(v, times) for v, times in zip(solves, copies)]
+            ))[:3]
             # no class is asked again: each holds 3 or tops the merged third
-            assert all(len(v) == 3 or v[-1] > solved[-1] for v in classes)
+            assert all(len(v) == 3 or v[-1] > solved[-1] for v in solves)
             assert values[0] == 0.0
             assert np.array_equal(values[1:], solved[1:])
         # flux-form rod modes cos(k pi (i + 1/2) / n) give the exact
@@ -608,8 +615,13 @@ class TestFdSpectra:
 
     @pytest.mark.parametrize(
         "domain, classes",
-        [(lshape_domain(1.0, 1.0, 1.0 / 16.0), 2), (lshape_domain(1.0, 0.8, 1.0 / 16.0), 1)],
-        ids=["symmetric", "asymmetric"],
+        [
+            (lshape_domain(1.0, 1.0, 1.0 / 16.0), 2),
+            (lshape_domain(1.0, 0.8, 1.0 / 16.0), 1),
+            # four characters, of which the twin is left out: 9 LUs, not 12
+            (rectangle_domain(1.0, 1.0, 1.0 / 16.0), 3),
+        ],
+        ids=["symmetric", "asymmetric", "square"],
     )
     def test_each_operator_assembled_and_factored_once(self, monkeypatch, domain, classes):
         factored = self.counting(monkeypatch, spla, "splu")
@@ -644,10 +656,30 @@ class TestFdSpectra:
                 for field in ("kind", "domain", "source", "trusted_count"):
                     assert getattr(together[kind], field) == getattr(alone, field)
 
+    def test_a_twin_class_is_solved_once_and_counted_twice(self, monkeypatch):
+        # the left-out twin of the unit square, solved on its own, has its
+        # partner's values; the merged spectrum holds those twice, bit for bit
+        domain = rectangle_domain(1.0, 1.0, 1.0 / 16.0)
+        solutions = self.counting(monkeypatch, spectrum_mod, "solve_gevp")
+        values = fd_spectra(domain, [ProblemKind.DIRICHLET], 12)[ProblemKind.DIRICHLET].values
+        classes = symmetry_classes(domain.mask)
+        assert len(solutions) == len(classes) == 3
+        copies = [cls.copies for cls in classes]
+        merged = np.concatenate(
+            [np.repeat(sol.values, times) for sol, times in zip(solutions, copies)]
+        )
+        assert np.array_equal(values, np.sort(merged)[:12])
+        kept = classes[copies.index(2)].basis
+        twin, _ = TestSymmetryClasses.left_out_twin(domain.mask, kept)
+        lap = assemble_laplacian(domain, ProblemKind.DIRICHLET).matrix
+        partner = solutions[copies.index(2)].values
+        own = solve_gevp(SparseSymOperator(project(lap, twin)), count=len(partner)).values
+        assert np.allclose(own, partner, rtol=1e-12, atol=0.0)
+
     def test_every_returned_pair_meets_the_residual_rule(self, monkeypatch):
         # each class pair, lifted by its basis, is judged on the whole operator
         domain = lshape_domain(1.0, 1.0, 1.0 / 32.0)
-        bases = symmetry_classes(domain.mask)
+        bases = [cls.basis for cls in symmetry_classes(domain.mask)]
         solutions = self.counting(monkeypatch, spectrum_mod, "solve_gevp")
         spectra = fd_spectra(domain, list(ProblemKind), 10)
         assert len(bases) == 2 and len(solutions) == 4 * len(bases)
@@ -710,28 +742,71 @@ class TestRectangleClosedForm:
             assert np.allclose(values, expected, rtol=1e-10, atol=1e-10 * expected[-1])
 
 
+def plus_mask(side: int, arm: int) -> np.ndarray:
+    """A plus sign ``side`` nodes across, with arms ``arm`` nodes wide."""
+    mask = np.zeros((side, side), dtype=bool)
+    low = (side - arm) // 2
+    mask[low : low + arm, :] = mask[:, low : low + arm] = True
+    return mask
+
+
 class TestSymmetryClasses:
     DOMAINS = {
-        "square": (rectangle_domain(1.0, 1.0, 1.0 / 16.0), 4),
+        "square": (rectangle_domain(1.0, 1.0, 1.0 / 16.0), 3),
         "rect": (rectangle_domain(1.0, 0.6, 1.0 / 16.0), 4),
-        "disk": (disk_domain(1.0, 0.1), 4),
+        "disk": (disk_domain(1.0, 0.1), 3),
+        "plus": (GridDomain(h=0.1, mask=plus_mask(9, 3), origin=(0.0, 0.0)), 3),
         "lshape": (lshape_domain(1.0, 1.0, 1.0 / 16.0), 2),
         "lshape-uneven": (lshape_domain(1.0, 0.8, 1.0 / 16.0), 1),
         "rod": (interval_domain(1.0, 1.0 / 50.0), 2),
         "column": (GridDomain(h=0.1, mask=np.ones((12, 1), dtype=bool), origin=(0.0, 0.0)), 2),
     }
 
+    @staticmethod
+    def left_out_twin(mask: np.ndarray, kept: sp.csc_matrix):
+        """The class left out for ``kept``, and the signed permutation P with T twin = kept P.
+
+        The twin is the character odd about the row flip alone, built as
+        every other class is; T is the transpose's node permutation.
+        """
+        flips, transpose = symmetry_mod._reflections(mask)
+        bases = dict(symmetry_mod._character_bases(mask, flips))
+        assert (bases[(0, 1)] != kept).nnz == 0
+        twin = bases[(1, 0)]
+        n = len(transpose)
+        swap = sp.csc_matrix((np.ones(n), (transpose, np.arange(n))), shape=(n, n))
+        signed = (kept.T @ swap @ twin).toarray()
+        exact = np.rint(signed)
+        assert np.abs(signed - exact).max() <= 1e-15
+        ones = np.ones(twin.shape[1])
+        assert np.array_equal(np.abs(exact).sum(axis=0), ones)
+        assert np.array_equal(np.abs(exact).sum(axis=1), ones)
+        return twin, sp.csc_matrix(exact)
+
     @pytest.mark.parametrize("name", list(DOMAINS))
     def test_classes_split_the_grid_and_commute_with_every_operator(self, name):
-        domain, classes = self.DOMAINS[name]
-        bases = symmetry_classes(domain.mask)
-        assert len(bases) == classes
-        assert sum(basis.shape[1] for basis in bases) == domain.n_unknowns
+        domain, count = self.DOMAINS[name]
+        classes = symmetry_classes(domain.mask)
+        assert len(classes) == count
+        assert sum(cls.copies * cls.basis.shape[1] for cls in classes) == domain.n_unknowns
         operators = [
             assemble_laplacian(domain, ProblemKind.NEUMANN).matrix,
             assemble_laplacian(domain, ProblemKind.DIRICHLET).matrix,
             assemble_bilaplacian_clamped(domain).matrix,
         ]
+        bases = [cls.basis for cls in classes]
+        twinned = [cls.basis for cls in classes if cls.copies == 2]
+        # a mask with both flips and the transpose keeps one of its two
+        # transposed classes, counted twice; the left-out one's operators
+        # are the kept one's, up to the transpose's signed permutation
+        assert len(twinned) == (name in ("square", "disk", "plus"))
+        assert all(cls.copies in (1, 2) for cls in classes)
+        for kept in twinned:
+            twin, signed = self.left_out_twin(domain.mask, kept)
+            bases.append(twin)
+            for a in operators:
+                gap = abs(project(a, twin) - signed.T @ project(a, kept) @ signed)
+                assert gap.max() <= 1e-15 * abs(a).max()
         for basis in bases:
             gram = (basis.T @ basis).toarray()
             assert np.abs(gram - np.eye(basis.shape[1])).max() <= 1e-15
@@ -739,27 +814,27 @@ class TestSymmetryClasses:
             for a in operators:
                 gap = abs(projector @ a - a @ projector)
                 assert gap.max() <= 1e-15 * abs(a).max()
-        # the classes are mutually orthogonal
+        # the classes, the left-out twin with them, are mutually orthogonal
         whole = sp.hstack(bases)
         assert np.abs((whole.T @ whole).toarray() - np.eye(domain.n_unknowns)).max() <= 1e-15
 
     def test_transpose_is_used_only_without_a_flip(self):
-        # a plus sign has every reflection; its two commuting flips give 4 classes
-        plus = np.zeros((7, 7), dtype=bool)
-        plus[2:5, :] = plus[:, 2:5] = True
-        assert len(symmetry_classes(plus)) == 4
+        # a plus sign has every reflection: its two commuting flips give 4
+        # characters, of which the transpose pairs the two odd about one flip
+        classes = symmetry_classes(plus_mask(7, 3))
+        assert [cls.copies for cls in classes] == [1, 2, 1]
         # an L whose only reflection is the transpose
         ell = np.ones((6, 6), dtype=bool)
         ell[3:, 3:] = False
-        assert len(symmetry_classes(ell)) == 2
+        assert [cls.copies for cls in symmetry_classes(ell)] == [1, 1]
 
     def test_a_character_with_no_grid_function_has_no_class(self):
         # every node of a one-node-wide plus lies on an axis, so no grid
-        # function is odd about both, and that character has no class
-        mask = np.zeros((5, 5), dtype=bool)
-        mask[2, :] = mask[:, 2] = True
-        bases = symmetry_classes(mask)
-        assert [basis.shape[1] for basis in bases] == [5, 2, 2]
+        # function is odd about both, and that character has no class;
+        # the two odd about one axis are transposed twins
+        mask = plus_mask(5, 1)
+        classes = symmetry_classes(mask)
+        assert [(basis.shape[1], copies) for basis, copies in classes] == [(5, 1), (2, 2)]
         domain = GridDomain(h=0.2, mask=mask, origin=(0.0, 0.0))
         lap = assemble_laplacian(domain, ProblemKind.DIRICHLET).matrix.toarray()
         values = fd_spectrum(domain, ProblemKind.DIRICHLET, 6).values
@@ -767,7 +842,8 @@ class TestSymmetryClasses:
 
     def test_asymmetric_mask_is_the_whole_grid_solve_bit_for_bit(self):
         domain = lshape_domain(1.0, 0.8, 1.0 / 20.0)
-        (basis,) = symmetry_classes(domain.mask)
+        ((basis, copies),) = symmetry_classes(domain.mask)
+        assert copies == 1
         assert (basis != sp.identity(domain.n_unknowns)).nnz == 0
         spectra = fd_spectra(domain, list(ProblemKind), 12)
         lap = assemble_laplacian(domain, ProblemKind.DIRICHLET)
@@ -790,26 +866,36 @@ class TestSymmetryClasses:
         )
 
     @pytest.mark.parametrize(
-        "domain",
-        [rectangle_domain(1.0, 1.0, 1.0 / 16.0), lshape_domain(1.0, 1.0, 1.0 / 24.0)],
+        "domain, kept, copies",
+        [
+            (rectangle_domain(1.0, 1.0, 1.0 / 16.0), 3, 4),
+            (lshape_domain(1.0, 1.0, 1.0 / 24.0), 2, 2),
+        ],
         ids=["square", "lshape"],
     )
-    def test_first_ask_sets_only_the_cost(self, monkeypatch, domain):
+    def test_first_ask_sets_only_the_cost(self, monkeypatch, domain, kept, copies):
         count = 30
         usual = fd_spectra(domain, list(ProblemKind), count)
-        asked = []
+        asked, shared = [], []
         original = spectrum_mod.solve_gevp
 
         def recorded(*args, **kwargs):
             asked.append(kwargs["count"])
             return original(*args, **kwargs)
 
+        def first_ask(count, classes):
+            shared.append(classes)
+            return 1
+
         monkeypatch.setattr(spectrum_mod, "solve_gevp", recorded)
-        monkeypatch.setattr(spectrum_mod, "_first_ask", lambda count, classes: 1)
+        monkeypatch.setattr(spectrum_mod, "_first_ask", first_ask)
         every = fd_spectra(domain, list(ProblemKind), count)
-        classes = len(symmetry_classes(domain.mask))
-        # every class starts at 1 and is asked again at 2, 4, ...
-        assert asked[:classes] == [1] * classes
-        assert len(asked) > 4 * classes and 2 in asked
+        # the count is shared over the copies, a twin counted twice, as
+        # when every class was solved; only the kept classes are asked
+        assert len(symmetry_classes(domain.mask)) == kept
+        assert set(shared) == {copies}
+        # every kept class starts at 1 and is asked again at 2, 4, ...
+        assert asked[:kept] == [1] * kept
+        assert len(asked) > 4 * kept and 2 in asked
         for kind in ProblemKind:
             assert np.allclose(every[kind].values, usual[kind].values, rtol=1e-10, atol=1e-12)

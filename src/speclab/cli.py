@@ -552,6 +552,11 @@ def parse_config(text: str) -> list[Experiment]:
                     f"{where}: fd backend needs a nonempty list of positive 'h'",
                 )
                 backend["h"] = sorted(map(float, hs), reverse=True)
+                # one grid solved twice would fake a two-grid uncertainty of 0
+                _require(
+                    len(set(backend["h"])) == len(hs),
+                    f"{where}: fd 'h' repeats a mesh width",
+                )
                 for h in backend["h"]:
                     _require_resolved(f"{where} ({name!r})", domain, h)
         elif btype == "analytic":

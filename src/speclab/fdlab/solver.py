@@ -22,7 +22,9 @@ all have symmetric structure, which that ordering exploits and
 SuperLU's default COLAMD (an ordering for A^T A) does not: it leaves a
 third less fill and solves faster (George & Liu, SIAM Review 31, 1989).
 A caller that solves several problems on one matrix passes the
-factorization along, so each matrix is factored once.
+factorization along, so each matrix is factored once for them; it may
+also drop it and factor again later, which costs time but no accuracy,
+since SuperLU repeats its factorization bit for bit.
 
 ARPACK is handed the pencil scaled to unit size: A and M times powers of
 two, alpha with ||alpha (A - sigma M)|| < 1 and beta with ||beta M|| < 1

@@ -230,6 +230,25 @@ class TestParseConfig:
         assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 2
         assert "speclab:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hs", [[0.25, 0.25], [0.25, 0.125, 0.25]])
+    def test_repeated_mesh_width_rejected(self, tmp_path, capsys, hs):
+        # one grid solved twice would write every row twice and give the
+        # chain check a two-grid uncertainty of exactly 0
+        block = {
+            "name": "sq",
+            "domain": {"type": "rect", "a": 1.0, "b": 1.0},
+            "kinds": KINDS,
+            "backend": {"type": "fd", "h": hs},
+            "checks": [{"type": "chain"}],
+        }
+        with pytest.raises(ConfigError, match="fd 'h' repeats a mesh width"):
+            parse_config(json.dumps({"experiments": [block]}))
+        config = write_config(tmp_path, {"experiments": [block]})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 2
+        assert "repeats a mesh width" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", [True, False, 2.0, "6", 0])
     def test_count_must_be_a_positive_integer(self, tmp_path, count):
         block = interval_block()

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.ndimage
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from speclab.fdlab import (
     CapDomain,
@@ -33,6 +37,7 @@ from speclab.fdlab import (
 from speclab.fdlab import solver as solver_mod
 from speclab.fdlab import spectrum as spectrum_mod
 from speclab.fdlab import symmetry as symmetry_mod
+from speclab.fdlab.grid import MIN_UNKNOWNS
 from speclab.fdlab.symmetry import project
 from speclab.interval1d import clamped_beam_root
 from speclab.spectra import ProblemKind
@@ -680,30 +685,85 @@ class TestFdSpectra:
         # each class pair, lifted by its basis, is judged on the whole operator
         domain = lshape_domain(1.0, 1.0, 1.0 / 32.0)
         bases = [cls.basis for cls in symmetry_classes(domain.mask)]
-        solutions = self.counting(monkeypatch, spectrum_mod, "solve_gevp")
+        calls = []
+        original = spectrum_mod.solve_gevp
+
+        def recorded(a, m=None, **kwargs):
+            solution = original(a, m, **kwargs)
+            calls.append((a, m, solution))
+            return solution
+
+        monkeypatch.setattr(spectrum_mod, "solve_gevp", recorded)
         spectra = fd_spectra(domain, list(ProblemKind), 10)
-        assert len(bases) == 2 and len(solutions) == 4 * len(bases)
         lap = assemble_laplacian(domain, ProblemKind.DIRICHLET).matrix
         bilap = assemble_bilaplacian_clamped(domain).matrix
-        wholes = [
-            (assemble_laplacian(domain, ProblemKind.NEUMANN).matrix, None),
-            (lap, None),
-            (bilap, None),
-            (bilap, lap),
-        ]
-        for pos, sol in enumerate(solutions):
-            a, m = wholes[pos // len(bases)]
-            basis = bases[pos % len(bases)]
+        wholes = {
+            ProblemKind.NEUMANN: (assemble_laplacian(domain, ProblemKind.NEUMANN).matrix, None),
+            ProblemKind.DIRICHLET: (lap, None),
+            ProblemKind.CLAMPED: (bilap, None),
+            ProblemKind.BUCKLING: (bilap, lap),
+        }
+
+        def same(op, whole, basis):
+            if op is None or whole is None:
+                return op is None and whole is None
+            projected = project(whole, basis)
+            return op.shape == projected.shape and (op.matrix != projected).nnz == 0
+
+        # each call is named by the (kind, class) whose operators it solved
+        solutions = {}
+        for a, m, sol in calls:
+            (label,) = [
+                (kind, c)
+                for kind, (whole_a, whole_m) in wholes.items()
+                for c, basis in enumerate(bases)
+                if same(a, whole_a, basis) and same(m, whole_m, basis)
+            ]
+            assert label not in solutions
+            solutions[label] = sol
+        assert len(bases) == 2 and len(solutions) == 4 * len(bases)
+        for (kind, c), sol in solutions.items():
+            a, m = wholes[kind]
             # each class is asked for ceil(10 / 2) + 2 values
-            assert len(sol.values) == 7 and sol.vectors.shape == (basis.shape[1], 7)
+            assert len(sol.values) == 7 and sol.vectors.shape == (bases[c].shape[1], 7)
             assert np.all(sol.residuals <= sol.tol)
-            relative, _ = solver_mod._residuals(a, m, sol.values, basis @ sol.vectors)
+            relative, _ = solver_mod._residuals(a, m, sol.values, bases[c] @ sol.vectors)
             assert np.all(relative <= sol.tol)
-        clamped, buckling = solutions[4:6], solutions[6:]
+        clamped = [solutions[ProblemKind.CLAMPED, c] for c in range(len(bases))]
+        buckling = [solutions[ProblemKind.BUCKLING, c] for c in range(len(bases))]
         for c in range(len(bases)):
             assert buckling[c].lu is clamped[c].lu
         merged = np.sort(np.concatenate([sol.values for sol in clamped]))[:10]
         assert np.array_equal(spectra[ProblemKind.CLAMPED].values, np.sqrt(merged))
+
+    @pytest.mark.parametrize(
+        "domain",
+        [lshape_domain(1.0, 1.0, 1.0 / 16.0), rectangle_domain(1.0, 1.0, 1.0 / 16.0)],
+        ids=["lshape", "square"],
+    )
+    def test_at_most_one_factorization_is_alive(self, monkeypatch, domain):
+        # SuperLU objects cannot be weakly referenced, so each one rides in
+        # a delegating wrapper that counts the live ones as they come and go
+        live, made = [], []
+        original = spla.splu
+
+        class Counted:
+            def __init__(self, lu):
+                self._lu = lu
+                live.append(1)
+                made.append(len(live))
+
+            def __getattr__(self, name):
+                return getattr(self._lu, name)
+
+            def __del__(self):
+                live.pop()
+
+        monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: Counted(original(*args, **kwargs)))
+        fd_spectra(domain, list(ProblemKind), 6)
+        # L_N, L_D and B of every class, each factored while no other is held
+        assert len(made) == 3 * len(symmetry_classes(domain.mask))
+        assert max(made) == 1 and not live
 
 
 def five_point_values(a: float, b: float, h: float, kind: str, count: int) -> np.ndarray:
@@ -899,3 +959,89 @@ class TestSymmetryClasses:
         assert len(asked) > 4 * kept and 2 in asked
         for kind in ProblemKind:
             assert np.allclose(every[kind].values, usual[kind].values, rtol=1e-10, atol=1e-12)
+
+
+@st.composite
+def random_masks(draw) -> np.ndarray:
+    """A connected mask up to 12 x 12, often with a reflection OR-ed in.
+
+    The reflections make masks of one to four symmetry classes, twins
+    among them.  The random cells make leaves, two of them on one node
+    now and then; a drawn star puts three leaves on one node, whose
+    local modes no reflection of the whole mask sees.
+    """
+    rows, cols = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    reflection = draw(st.sampled_from(["none", "rows", "cols", "both", "transpose", "all"]))
+    if reflection in ("transpose", "all"):
+        rows = cols = min(rows, cols)
+    density = draw(st.sampled_from([0.55, 0.7, 0.85]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((rows, cols)) < density
+    star, walls = np.zeros_like(mask), np.zeros_like(mask)
+    if draw(st.booleans()):
+        # a node and its four arms; every cell next to an arm but the node
+        # is walled off, except the one that joins the stem to the rest
+        r, c = rng.integers(1, rows - 1), rng.integers(1, cols - 1)
+        star[r, c] = True
+        stem = rng.integers(4)
+        for side, (dr, dc) in enumerate([(-1, 0), (1, 0), (0, -1), (0, 1)]):
+            star[r + dr, c + dc] = True
+            walls[r + dr + dc, c + dc + dr] = walls[r + dr - dc, c + dc - dr] = True
+            beyond = (r + 2 * dr, c + 2 * dc)
+            if 0 <= beyond[0] < rows and 0 <= beyond[1] < cols:
+                walls[beyond] = side != stem
+                star[beyond] = side == stem
+
+    def symmetric(cells: np.ndarray) -> np.ndarray:
+        if reflection in ("rows", "both", "all"):
+            cells = cells | cells[::-1, :]
+        if reflection in ("cols", "both", "all"):
+            cells = cells | cells[:, ::-1]
+        if reflection in ("transpose", "all"):
+            cells = cells | cells.T
+        return cells
+
+    mask = (symmetric(mask) | symmetric(star)) & ~symmetric(walls)
+    # the largest 4-connected piece, which keeps the reflections OR-ed in
+    # unless two mirror-image pieces tie
+    labels, pieces = scipy.ndimage.label(mask)
+    assume(pieces > 0)
+    sizes = np.bincount(labels.ravel())[1:]
+    mask = labels == 1 + int(np.argmax(sizes))
+    assume(mask.sum() >= MIN_UNKNOWNS)
+    return mask
+
+
+class TestAgainstDenseSpectra:
+    """``fd_spectra`` on random masks against dense ``eigh`` of the whole grid."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        mask=random_masks(),
+        h=st.sampled_from([0.1, 0.125]),
+        first_ask_of_one=st.booleans(),
+        data=st.data(),
+    )
+    def test_every_kind_matches_the_dense_spectrum(self, mask, h, first_ask_of_one, data):
+        domain = GridDomain(h=h, mask=mask, origin=(0.0, 0.0))
+        n = domain.n_unknowns
+        count = data.draw(st.integers(1, n - 1), label="count")
+        # a first ask of one value leaves every class to its re-asks
+        first_ask = (lambda count, classes: 1) if first_ask_of_one else spectrum_mod._first_ask
+        with mock.patch.object(spectrum_mod, "_first_ask", first_ask):
+            spectra = fd_spectra(domain, list(ProblemKind), count)
+        neumann = assemble_laplacian(domain, ProblemKind.NEUMANN).matrix.toarray()
+        lap = assemble_laplacian(domain, ProblemKind.DIRICHLET).matrix.toarray()
+        bilap = assemble_bilaplacian_clamped(domain).matrix.toarray()
+        dense = {
+            ProblemKind.NEUMANN: scipy.linalg.eigvalsh(neumann),
+            ProblemKind.DIRICHLET: scipy.linalg.eigvalsh(lap),
+            ProblemKind.CLAMPED: np.sqrt(np.maximum(scipy.linalg.eigvalsh(bilap), 0.0)),
+            ProblemKind.BUCKLING: scipy.linalg.eigvalsh(bilap, lap),
+        }
+        for kind, values in dense.items():
+            expected = values[:count]
+            got = spectra[kind].values
+            # a missed value shifts every later one down to its successor;
+            # roundoff, the Neumann zero's too, is judged against the top value
+            assert np.allclose(got, expected, rtol=1e-8, atol=1e-12 * values[-1]), kind

@@ -5,16 +5,17 @@ plate solves the bilaplacian and reports square roots of the computed
 eigenvalues, matching the convention used by the analytic backends.
 Buckling solves the pencil (bilaplacian, Dirichlet Laplacian).
 
-Every grid is solved one symmetry class at a time.  A mask that maps
-onto itself under a row flip, a column flip or the transpose splits
-the grid functions into orthogonal classes that every operator maps
-into themselves (``fdlab.symmetry``): four on rectangles, two on a rod
-and on an L-shape with equal sides, and one, the whole grid, on a mask
-with no symmetry.  Squares and disks have four too, but the transpose
-maps one of them onto another with the same spectrum, so they are
-solved as three, one of which counts twice: its values are merged as
-two bit-equal copies.  Each operator is projected onto each class,
-Q_c^T A Q_c, and the class spectra are merged.  Two things come of it.
+Every grid is split into its symmetry classes, each solved on its
+own.  A mask that maps onto itself under a row flip, a column flip or
+the transpose splits the grid functions into orthogonal classes that
+every operator maps into themselves (``fdlab.symmetry``): four on
+rectangles, two on a rod and on an L-shape with equal sides, and one,
+the whole grid, on a mask with no symmetry.  Squares and disks have
+four too, but the transpose maps one of them onto another with the
+same spectrum, so they are solved as three, one of which counts twice:
+its values are merged as two bit-equal copies.  Each operator is
+projected onto each class, Q_c^T A Q_c, and the class spectra are
+merged.  Two things come of it.
 Each class is solved from a start vector of its own, so none of them
 enters the Krylov space only through roundoff: from one constant start
 vector on the whole grid, Lanczos stopped before a class showed up,
@@ -34,20 +35,37 @@ first k_c sets only the cost, never the values.
 
 All kinds asked of one grid share their operators: each of the Neumann
 Laplacian, the Dirichlet Laplacian and the bilaplacian is assembled at
-most once and projected once per class.  The Dirichlet Laplacian is
-both the Dirichlet operator and the buckling mass matrix.  One sparse
-LU is alive at a time.  The kinds are grouped by the operator they
+most once and projected once per class, all before any class is
+solved.  The Dirichlet Laplacian is both the Dirichlet operator and the
+buckling mass matrix.  The kinds are grouped by the operator they
 factor: the bilaplacian (clamped and buckling, which both shift-invert
 at zero on it), then the Dirichlet and the Neumann Laplacian.  For each
 class, the group's operator is factored once, every kind of the group
 makes its first ask on that LU, and the LU is dropped before the next
-class is factored; then each kind's class values are merged.  A re-ask
-factors its class again; SuperLU is deterministic, so the values are
-those of the first LU bit for bit.  The largest LUs, the bilaplacian's,
-come first, so the smaller ones later reuse the memory they leave: on
-the L-shape at h = 1/320 with all four kinds, the peak resident memory
-fell from 251-259 MB, with every class's LU of a kind kept until its
-last re-ask, to 183 MB.
+class is factored, so a process holds one sparse LU at a time.  The
+largest LUs, the bilaplacian's, come first, so the smaller ones later
+reuse the memory they leave.
+
+The classes' first asks do not depend on each other, so they run on
+every CPU the process may use.  The classes are split into
+min(CPUs, classes) bins by size, the largest class first, each into the
+lightest bin.  This process makes the first asks of bin 0.  Each other
+bin runs in a child made by ``os.fork``, which shares the operators
+without copying them, makes its first asks group by group, sends back
+only the values through a pipe, and leaves by ``os._exit``.  Threads
+would gain nothing: SuperLU's factor and solve and ARPACK hold the GIL.
+A child that fails has its bin run again here, so an error such as
+``ConvergenceError`` reaches the caller with its type and its partial
+results.  One class, one CPU, or a platform without ``os.fork`` make
+one bin, run here with no child.  The merge and the re-asks run here,
+one after another.  A re-ask factors its class again; SuperLU is
+deterministic, so every value is the one a single process finds, bit
+for bit.  The cost is memory, since each child holds an LU while this
+process holds another.  On the L-shape at h = 1/320 with all four
+kinds, the summed proportional set size of the processes peaks at
+274-276 MB against 179 MB in one process, and the largest process at
+186-187 MB against 183 MB; about 3 MB of that are the Neumann
+operators, now made before the bilaplacian LUs.
 
 The Neumann Laplacian is singular, so it is shift-inverted at
 sigma = -(pi/D)^2 below zero, with D the side of the grid's bounding
@@ -73,6 +91,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import signal
 
 import numpy as np
 
@@ -121,6 +141,85 @@ def _lowest_over_classes(
             values[c] = solve(c, min(wanted[c], 2 * len(values[c])))
 
 
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _bins(sizes: list[int], bins: int) -> list[list[int]]:
+    """The classes, of ``sizes[c]`` unknowns, split into ``bins`` bins.
+
+    The largest class goes first, each into the lightest bin so far.
+    """
+    split, loads = [[] for _ in range(bins)], [0] * bins
+    for c in sorted(range(len(sizes)), key=lambda c: -sizes[c]):
+        lightest = loads.index(min(loads))
+        split[lightest].append(c)
+        loads[lightest] += sizes[c]
+    return split
+
+
+def _fork(run, job):
+    """A child that writes ``run(job)``'s values down a pipe: its pid and pipe.
+
+    The child leaves by ``os._exit``, so it never returns into the caller
+    and runs no exit hooks; an error there is exit status 1.  None if the
+    fork is refused.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(np.concatenate(run(job)).tobytes())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _spread(run, jobs: list, lengths: list[list[int]]) -> list[list[np.ndarray]]:
+    """``run(job)`` of every job: the first here, each other in a forked child.
+
+    ``run(jobs[j])`` returns float64 arrays of ``lengths[j]`` values.  A
+    child that fails, by a nonzero exit or a short read, has its job run
+    again here, so that its error is raised here with its type and
+    partial results.  Every child is reaped before this returns or raises.
+    """
+    children = [_fork(run, job) for job in jobs[1:]]
+    reaped = set()
+    try:
+        done = [run(jobs[0])]
+        for job, child, length in zip(jobs[1:], children, lengths[1:]):
+            data, status = b"", 1
+            if child is not None:
+                pid, pipe = child
+                data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                reaped.add(pid)
+            if status == 0 and len(data) == 8 * sum(length):
+                done.append(np.split(np.frombuffer(data), np.cumsum(length)[:-1]))
+            else:
+                done.append(run(job))
+        return done
+    finally:
+        for pid, pipe in filter(None, children):
+            pipe.close()
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def fd_spectra(
     domain: GridDomain, kinds, count: int = 6
 ) -> dict[ProblemKind, Spectrum]:
@@ -152,25 +251,27 @@ def fd_spectra(
             ProblemKind.NEUMANN, None, _neumann_shift(domain), lambda v: np.r_[0.0, v[1:]]
         ),
     }
-    operators = {}
+    asked = [kind for kind in problems if kind in kinds]
+    groups = [list(g) for _, g in itertools.groupby(asked, key=lambda k: problems[k][0])]
 
-    def operator(kind: ProblemKind) -> list[SparseSymOperator]:
-        """The class operators Q_c^T A Q_c of the operator named by ``kind``."""
-        if kind not in operators:
-            whole = (
-                assemble_bilaplacian_clamped(domain)
-                if kind is ProblemKind.CLAMPED
-                else assemble_laplacian(domain, kind)
-            )
-            operators[kind] = [
-                SparseSymOperator(project(whole.matrix, basis)) for basis in bases
-            ]
-        return operators[kind]
+    def assembled(name: ProblemKind) -> list[SparseSymOperator]:
+        """The class operators Q_c^T A Q_c of the operator named by ``name``."""
+        whole = (
+            assemble_bilaplacian_clamped(domain)
+            if name is ProblemKind.CLAMPED
+            else assemble_laplacian(domain, name)
+        )
+        return [SparseSymOperator(project(whole.matrix, basis)) for basis in bases]
+
+    # every operator the kinds need, named by the kind whose walls it
+    # carries, made before any worker is forked
+    needed = [name for kind in asked for name in problems[kind][:2] if name is not None]
+    operators = {name: assembled(name) for name in dict.fromkeys(needed)}
 
     def solve(kind: ProblemKind, c: int, k: int, lu=None):
         stiffness, mass, sigma, _ = problems[kind]
-        m = None if mass is None else operator(mass)[c]
-        return solve_gevp(operator(stiffness)[c], m, count=k, sigma=sigma, lu=lu)
+        m = None if mass is None else operators[mass][c]
+        return solve_gevp(operators[stiffness][c], m, count=k, sigma=sigma, lu=lu)
 
     def first_values(group: list[ProblemKind], c: int) -> list[np.ndarray]:
         """Every kind's first values of class c, from one LU that dies here."""
@@ -181,23 +282,34 @@ def fd_spectra(
             values.append(solution.values)
         return values
 
+    def first_asks(cs: list[int]) -> list[np.ndarray]:
+        return [v for group in groups for c in cs for v in first_values(group, c)]
+
+    # each bin's first asks, (kind, class) in the order first_asks makes them
+    bins = _bins(sizes, min(_cpus(), len(bases)))
+    asks = [[(kind, c) for group in groups for c in cs for kind in group] for cs in bins]
+    found = {}
+    lengths = [[first[c] for _, c in ask] for ask in asks]
+    for ask, values in zip(asks, _spread(first_asks, bins, lengths)):
+        found.update(zip(ask, values))
+
     out = {}
-    asked = [kind for kind in problems if kind in kinds]
-    for _, group in itertools.groupby(asked, key=lambda kind: problems[kind][0]):
-        group = list(group)
-        found = zip(*(first_values(group, c) for c in range(len(bases))))
-        for kind, values in zip(group, found):
-            # a re-ask factors its class again, to the same LU bit for bit
-            values = _lowest_over_classes(
-                values, lambda c, k: solve(kind, c, k).values, sizes, copies, count
-            )
-            out[kind] = Spectrum(
-                kind=kind,
-                domain=domain.descriptor,
-                values=problems[kind][3](values),
-                source=f"fd(h={domain.h:g})",
-                trusted_count=min(count, max(1, n // TRUST_FRACTION)),
-            )
+    for kind in asked:
+        # a re-ask factors its class again, to the same LU bit for bit
+        values = _lowest_over_classes(
+            [found[kind, c] for c in range(len(bases))],
+            lambda c, k: solve(kind, c, k).values,
+            sizes,
+            copies,
+            count,
+        )
+        out[kind] = Spectrum(
+            kind=kind,
+            domain=domain.descriptor,
+            values=problems[kind][3](values),
+            source=f"fd(h={domain.h:g})",
+            trusted_count=min(count, max(1, n // TRUST_FRACTION)),
+        )
     return {kind: out[kind] for kind in kinds}
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import math
+import os
+import signal
 from unittest import mock
 
 import numpy as np
@@ -41,6 +44,19 @@ from speclab.fdlab.grid import MIN_UNKNOWNS
 from speclab.fdlab.symmetry import project
 from speclab.interval1d import clamped_beam_root
 from speclab.spectra import ProblemKind
+
+
+@pytest.fixture
+def workers(request, monkeypatch):
+    """``fd_spectra`` on ``request.param`` workers, one unless parametrized.
+
+    A patch here does not see the calls made in a forked worker, so a
+    test that observes the solver's calls runs the classes it observes
+    in this process.
+    """
+    count = getattr(request, "param", 1)
+    monkeypatch.setattr(spectrum_mod, "_cpus", lambda: count)
+    return count
 
 
 class TestGridDomains:
@@ -506,6 +522,7 @@ class TestFdSpectrum:
             moved = fd_spectrum(rectangle_domain(side, side, side / 16.0), kind, 6).values
             assert np.allclose(moved * side**2, unit, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.usefixtures("workers")
     def test_neumann_needs_no_more_solves_than_dirichlet(self, monkeypatch):
         # summed over the L-shape's two classes, with the shift -(pi/D)^2
         # the Neumann spectrum takes 99 solves against Dirichlet's 101 on
@@ -628,6 +645,7 @@ class TestFdSpectra:
         ],
         ids=["symmetric", "asymmetric", "square"],
     )
+    @pytest.mark.usefixtures("workers")
     def test_each_operator_assembled_and_factored_once(self, monkeypatch, domain, classes):
         factored = self.counting(monkeypatch, spla, "splu")
         laplacians = self.counting(monkeypatch, spectrum_mod, "assemble_laplacian")
@@ -661,6 +679,7 @@ class TestFdSpectra:
                 for field in ("kind", "domain", "source", "trusted_count"):
                     assert getattr(together[kind], field) == getattr(alone, field)
 
+    @pytest.mark.usefixtures("workers")
     def test_a_twin_class_is_solved_once_and_counted_twice(self, monkeypatch):
         # the left-out twin of the unit square, solved on its own, has its
         # partner's values; the merged spectrum holds those twice, bit for bit
@@ -681,6 +700,7 @@ class TestFdSpectra:
         own = solve_gevp(SparseSymOperator(project(lap, twin)), count=len(partner)).values
         assert np.allclose(own, partner, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.usefixtures("workers")
     def test_every_returned_pair_meets_the_residual_rule(self, monkeypatch):
         # each class pair, lifted by its basis, is judged on the whole operator
         domain = lshape_domain(1.0, 1.0, 1.0 / 32.0)
@@ -737,11 +757,17 @@ class TestFdSpectra:
         assert np.array_equal(spectra[ProblemKind.CLAMPED].values, np.sqrt(merged))
 
     @pytest.mark.parametrize(
-        "domain",
-        [lshape_domain(1.0, 1.0, 1.0 / 16.0), rectangle_domain(1.0, 1.0, 1.0 / 16.0)],
-        ids=["lshape", "square"],
+        "domain, workers",
+        [
+            (lshape_domain(1.0, 1.0, 1.0 / 16.0), 1),
+            (rectangle_domain(1.0, 1.0, 1.0 / 16.0), 1),
+            (lshape_domain(1.0, 1.0, 1.0 / 16.0), 2),
+            (rectangle_domain(1.0, 1.0, 1.0 / 16.0), 2),
+        ],
+        ids=["lshape", "square", "lshape-two-workers", "square-two-workers"],
+        indirect=["workers"],
     )
-    def test_at_most_one_factorization_is_alive(self, monkeypatch, domain):
+    def test_at_most_one_factorization_is_alive(self, monkeypatch, domain, workers):
         # SuperLU objects cannot be weakly referenced, so each one rides in
         # a delegating wrapper that counts the live ones as they come and go
         live, made = [], []
@@ -761,9 +787,140 @@ class TestFdSpectra:
 
         monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: Counted(original(*args, **kwargs)))
         fd_spectra(domain, list(ProblemKind), 6)
-        # L_N, L_D and B of every class, each factored while no other is held
-        assert len(made) == 3 * len(symmetry_classes(domain.mask))
+        # L_N, L_D and B of every class this process solves, each factored
+        # while no other is held here; a forked worker holds its own
+        sizes = [cls.basis.shape[1] for cls in symmetry_classes(domain.mask)]
+        here = spectrum_mod._bins(sizes, workers)[0]
+        assert (len(here) == len(sizes)) == (workers == 1)
+        assert len(made) == 3 * len(here)
         assert max(made) == 1 and not live
+
+
+class TestWorkers:
+    """``fd_spectra`` with its symmetry classes spread over forked workers."""
+
+    @staticmethod
+    def forks(monkeypatch) -> list[int]:
+        """The pids of the children ``fd_spectra`` forks from here on."""
+        made = []
+        original = os.fork
+
+        def counted():
+            pid = original()
+            if pid:
+                made.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return made
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def assert_bit_identical(one, two):
+        assert list(one) == list(two)
+        for kind in one:
+            assert one[kind].values.tobytes() == two[kind].values.tobytes(), kind
+
+    @pytest.mark.parametrize("workers", [2], indirect=True)
+    @pytest.mark.parametrize(
+        "domain, classes",
+        [
+            (lshape_domain(1.0, 1.0, 1.0 / 24.0), 2),
+            (rectangle_domain(1.0, 1.0, 1.0 / 16.0), 3),
+            (rectangle_domain(1.0, 0.75, 1.0 / 16.0), 4),
+            (lshape_domain(1.0, 0.8, 1.0 / 20.0), 1),
+        ],
+        ids=["lshape", "square", "rectangle", "asymmetric"],
+    )
+    def test_values_bit_identical_on_one_and_two_workers(
+        self, monkeypatch, workers, domain, classes
+    ):
+        assert len(symmetry_classes(domain.mask)) == classes
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum_mod, "_cpus", lambda: 1)
+            one = fd_spectra(domain, list(ProblemKind), 20)
+        forks = self.forks(monkeypatch)
+        two = fd_spectra(domain, list(ProblemKind), 20)
+        # one worker per bin, and a mask of one class has one bin
+        assert len(forks) == min(workers, classes) - 1
+        self.assert_bit_identical(one, two)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [2], indirect=True)
+    def test_one_class_is_never_forked(self, monkeypatch, workers):
+        domain = lshape_domain(1.0, 0.8, 1.0 / 20.0)
+        assert len(symmetry_classes(domain.mask)) == 1
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one class"))
+        spectra = fd_spectra(domain, list(ProblemKind), 12)
+        assert all(len(spectrum.values) == 12 for spectrum in spectra.values())
+
+    @pytest.mark.parametrize("workers", [2], indirect=True)
+    @pytest.mark.parametrize("where", [0, 1], ids=["here", "forked"])
+    def test_convergence_error_reaches_the_caller_whole(self, monkeypatch, workers, where):
+        # the buckling solve of one class stalls, in this process or in
+        # the forked worker; its partial holds an LU, which cannot cross
+        # a pipe, so the caller must get the error raised in this process
+        domain = lshape_domain(1.0, 1.0, 1.0 / 16.0)
+        sizes = [cls.basis.shape[1] for cls in symmetry_classes(domain.mask)]
+        assert len(set(sizes)) == len(sizes) == 2
+        (failing,) = spectrum_mod._bins(sizes, workers)[where]
+        original = spectrum_mod.solve_gevp
+
+        def stalled(a, m=None, **kwargs):
+            solution = original(a, m, **kwargs)
+            if m is not None and a.shape[0] == sizes[failing]:
+                raise ConvergenceError(f"stalled on {a.shape[0]} unknowns", partial=solution)
+            return solution
+
+        monkeypatch.setattr(spectrum_mod, "solve_gevp", stalled)
+        forks = self.forks(monkeypatch)
+        message = rf"^stalled on {sizes[failing]} unknowns$"
+        with pytest.raises(ConvergenceError, match=message) as info:
+            fd_spectra(domain, list(ProblemKind), 6)
+        assert len(forks) == 1
+        partial = info.value.partial
+        assert partial.lu is not None
+        # the failing class's first ask, ceil(6 / 2) + 2 values
+        basis = symmetry_classes(domain.mask)[failing].basis
+        bilap = assemble_bilaplacian_clamped(domain).matrix
+        lap = assemble_laplacian(domain, ProblemKind.DIRICHLET).matrix
+        buckling = solve_gevp(
+            SparseSymOperator(project(bilap, basis)),
+            SparseSymOperator(project(lap, basis)),
+            count=5,
+        )
+        assert partial.values.tobytes() == buckling.values.tobytes()
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [2], indirect=True)
+    @pytest.mark.parametrize("failure", ["raises", "killed", "refused"])
+    def test_a_failed_worker_has_its_classes_solved_here(self, monkeypatch, workers, failure):
+        domain = rectangle_domain(1.0, 0.75, 1.0 / 16.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum_mod, "_cpus", lambda: 1)
+            one = fd_spectra(domain, list(ProblemKind), 20)
+        here = os.getpid()
+        original = spectrum_mod.solve_gevp
+
+        def failing(*args, **kwargs):
+            if os.getpid() != here:
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ConvergenceError("stalled in the worker")
+            return original(*args, **kwargs)
+
+        def refused():
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        monkeypatch.setattr(spectrum_mod, "solve_gevp", failing)
+        if failure == "refused":
+            monkeypatch.setattr(os, "fork", refused)
+        self.assert_bit_identical(one, fd_spectra(domain, list(ProblemKind), 20))
+        self.assert_no_child_left()
 
 
 def five_point_values(a: float, b: float, h: float, kind: str, count: int) -> np.ndarray:
@@ -933,6 +1090,7 @@ class TestSymmetryClasses:
         ],
         ids=["square", "lshape"],
     )
+    @pytest.mark.usefixtures("workers")
     def test_first_ask_sets_only_the_cost(self, monkeypatch, domain, kept, copies):
         count = 30
         usual = fd_spectra(domain, list(ProblemKind), count)

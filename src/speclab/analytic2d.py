@@ -33,6 +33,7 @@ from .spectra import (
     Spectrum,
     check_count,
     check_length,
+    check_nonnegative,
     check_positive,
     lowest_over_orders,
 )
@@ -103,9 +104,7 @@ def rect_lattice_count(a: float, b: float, kind: ProblemKind, tau: float) -> Lat
     """
     a = check_positive("side a", a)
     b = check_positive("side b", b)
-    tau = float(tau)
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
+    tau = check_nonnegative("tau", tau)
     kind = ProblemKind(kind)
     if kind not in (ProblemKind.NEUMANN, ProblemKind.DIRICHLET):
         raise ValueError(f"lattice count covers membrane kinds only, got {kind.value}")
@@ -152,9 +151,7 @@ def buckling_family_counts(a: float, b: float, tau: float) -> FamilyCounts:
     """
     a = check_positive("side a", a)
     b = check_positive("side b", b)
-    tau = float(tau)
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
+    tau = check_nonnegative("tau", tau)
 
     def values(length: float, branch: int) -> list[float]:
         out = []
@@ -208,8 +205,8 @@ def buckling_product_residual(
     """
     a = check_positive("side a", a)
     b = check_positive("side b", b)
-    if l < 1 or m < 1 or l != int(l) or m != int(m):
-        raise ValueError(f"mode indices must be positive integers, got ({l!r}, {m!r})")
+    l, m = check_count(l, "mode index l"), check_count(m, "mode index m")
+    grid = check_count(grid, "grid")
     if grid < 8:
         raise ValueError(f"grid must have at least 8 points per side, got {grid!r}")
     alpha = 2.0 * l * math.pi / a

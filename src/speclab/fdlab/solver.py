@@ -38,7 +38,7 @@ shift-invert to about 1e-27, the absolute floor took over, and the
 solve failed.  Scaling by a power of two is exact, the caller's LU is
 used as it is (its solves are divided by alpha), and M is scaled as an
 operator, so no matrix is copied; the values, partial ones included,
-are scaled back exactly.  ARPACK stops at tol / 100 rather than at
+are scaled back exactly.  ARPACK stops at DEFAULT_TOL / 100 rather than at
 machine precision, since the residual check above, not ARPACK, decides
 which pairs are accepted; that saves 12-15% of the solves.
 """
@@ -73,7 +73,6 @@ class EvpSolution:
     values: np.ndarray
     residuals: np.ndarray
     method: str
-    tol: float
     lu: spla.SuperLU | None = field(default=None, repr=False, compare=False)
     solves: int = 0
     vectors: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -85,7 +84,7 @@ class EvpSolution:
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver failed to reach the requested residual tolerance.
+    """Eigensolver failed to reach the residual tolerance ``DEFAULT_TOL``.
 
     Carries whatever converged pairs were available in ``partial``.
     """
@@ -156,18 +155,17 @@ def _residuals(
     return relative, backward
 
 
-def _accepted(relative: np.ndarray, backward: np.ndarray, tol: float) -> np.ndarray:
+def _accepted(relative: np.ndarray, backward: np.ndarray) -> np.ndarray:
     # For kappa(A) beyond 1/tol the theta-relative residual is
     # unreachable in double precision no matter the algorithm; machine
     # level backward error is then the right notion of converged.
-    return (relative <= tol) | (backward <= _BACKWARD_SLACK * _EPS)
+    return (relative <= DEFAULT_TOL) | (backward <= _BACKWARD_SLACK * _EPS)
 
 
 def solve_gevp(
     a: SparseSymOperator,
     m: SparseSymOperator | None = None,
     count: int = 6,
-    tol: float = DEFAULT_TOL,
     sigma: float = 0.0,
     lu: spla.SuperLU | None = None,
 ) -> EvpSolution:
@@ -181,14 +179,12 @@ def solve_gevp(
 
     Raises:
         ConvergenceError: when the iteration stalls or a residual ends
-            up above ``tol``; partial results ride along.
+            up above ``DEFAULT_TOL``; partial results ride along.
     """
     n = a.shape[0]
     count = check_count(count)
     if count > n:
         raise ValueError(f"count must lie in [1, {n}], got {count}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
 
     a_csc = a.matrix.tocsc()
     m_csc = None if m is None else m.matrix.tocsc()
@@ -239,7 +235,7 @@ def solve_gevp(
                 which="LM",
                 v0=v0,
                 OPinv=opinv,
-                tol=tol / 100,
+                tol=DEFAULT_TOL / 100,
             )
         except spla.ArpackNoConvergence as exc:
             got = exc.eigenvalues if exc.eigenvalues is not None else []
@@ -250,7 +246,6 @@ def solve_gevp(
                     values=got,
                     residuals=np.full(len(got), np.nan),
                     method=method,
-                    tol=tol,
                     lu=lu,
                     solves=solves,
                 )
@@ -262,7 +257,7 @@ def solve_gevp(
 
     values, vectors = _lowest(values, vectors, count)
     relative, backward = _residuals(a_csc, m_csc, values, vectors)
-    accepted = _accepted(relative, backward, tol)
+    accepted = _accepted(relative, backward)
     if method == "shift-invert" and m_csc is not None and not np.all(accepted):
         # ARPACK judges a pencil's pairs in the M-norm, which on stiff
         # pencils (the fine-grid buckling rod) can leave the residual
@@ -274,12 +269,11 @@ def solve_gevp(
         ).sum(axis=0)
         values, vectors = _lowest(values, vectors, count)
         relative, backward = _residuals(a_csc, m_csc, values, vectors)
-        accepted = _accepted(relative, backward, tol)
+        accepted = _accepted(relative, backward)
     solution = EvpSolution(
         values=values,
         residuals=relative,
         method=method,
-        tol=tol,
         lu=lu,
         solves=solves,
         vectors=vectors,
@@ -287,7 +281,7 @@ def solve_gevp(
     if not np.all(accepted):
         worst = float(relative.max())
         raise ConvergenceError(
-            f"eigenpair residual {worst:.3e} exceeds tolerance {tol:.3e}",
+            f"eigenpair residual {worst:.3e} exceeds tolerance {DEFAULT_TOL:.3e}",
             partial=solution,
         )
     return solution

@@ -24,48 +24,46 @@ fourfold Neumann value 267.19.  And the class problems are smaller:
 their LUs hold less fill and each solve costs less than a whole-grid
 one.  A mask with one class runs the whole-grid solve, bit for bit.
 
-Class c of n_c unknowns is first asked for
-k_c = min(n_c, count, ceil(count / C) + 2) values, with C the copies
-summed over the classes, which is the number of characters; a twin
-class is asked what it would be asked if its partner were solved too.
-A class whose k_c-th value is at or below the merged count-th value may
-hold more of the lowest ``count``, so it is asked again at twice k_c,
-until none is; a class with min(n_c, count) values is complete.  So the
-first k_c sets only the cost, never the values.
+Every solve is an ask (kind, c, k), for the lowest k values of one
+kind in class c, and the asks run in rounds.  Class c of n_c unknowns
+is first asked for k_c = min(n_c, count, ceil(count / C) + 2) values,
+with C the copies summed over the classes, which is the number of
+characters; a twin class is asked what it would be asked if its
+partner were solved too.  After each round every kind's class values
+are merged.  A class with fewer than min(n_c, count) values whose last
+is at or below the merged count-th one is short: the next round asks
+it for twice as many.  The rounds end when no class of any kind is
+short, so the first k_c sets only the cost, never the values.
 
-All kinds asked of one grid share their operators: each of the Neumann
-Laplacian, the Dirichlet Laplacian and the bilaplacian is assembled at
-most once and projected once per class, all before any class is
-solved.  The Dirichlet Laplacian is both the Dirichlet operator and the
-buckling mass matrix.  The kinds are grouped by the operator they
-factor: the bilaplacian (clamped and buckling, which both shift-invert
-at zero on it), then the Dirichlet and the Neumann Laplacian.  For each
-class, the group's operator is factored once, every kind of the group
-makes its first ask on that LU, and the LU is dropped before the next
-class is factored, so a process holds one sparse LU at a time.  The
-largest LUs, the bilaplacian's, come first, so the smaller ones later
-reuse the memory they leave.
+All kinds share their operators: each of the Neumann Laplacian, the
+Dirichlet Laplacian (also the buckling mass matrix) and the
+bilaplacian is assembled at most once and projected once per class,
+before any class is solved.  Within a round the asks are grouped by the
+operator they factor: the bilaplacian (clamped and buckling, which both
+shift-invert at zero on it) first, so that the smaller LUs of the
+Dirichlet and then the Neumann Laplacian reuse the memory it leaves.
+Each (operator, class) of a round is factored once, serves every ask on
+it, and is dropped before the next LU is made: a process holds one
+sparse LU at a time.  A class asked in a later round is factored again;
+SuperLU is deterministic, so that LU is the first one bit for bit.
 
-The classes' first asks do not depend on each other, so they run on
-every CPU the process may use.  The classes are split into
-min(CPUs, classes) bins by size, the largest class first, each into the
-lightest bin.  This process makes the first asks of bin 0.  Each other
-bin runs in a child made by ``os.fork``, which shares the operators
-without copying them, makes its first asks group by group, sends back
-only the values through a pipe, and leaves by ``os._exit``.  Threads
-would gain nothing: SuperLU's factor and solve and ARPACK hold the GIL.
-A child that fails has its bin run again here, so an error such as
-``ConvergenceError`` reaches the caller with its type and its partial
+Each round runs on every CPU the process may use, since its classes do
+not depend on each other, and gives the values of one CPU bit for bit.
+Its classes are split into min(CPUs, classes) bins by size, the
+largest first, each into the lightest bin.  This process makes the
+asks of bin 0.  Each other bin runs in a child made by ``os.fork``,
+which shares the operators without copying them, sends back only the
+values through a pipe, and leaves by ``os._exit``.  Threads would gain
+nothing: SuperLU's factor and solve and ARPACK hold the GIL.  A child
+that fails has its bin run again here, so an error such as
+``ConvergenceError`` reaches the caller with its type and partial
 results.  One class, one CPU, or a platform without ``os.fork`` make
-one bin, run here with no child.  The merge and the re-asks run here,
-one after another.  A re-ask factors its class again; SuperLU is
-deterministic, so every value is the one a single process finds, bit
-for bit.  The cost is memory, since each child holds an LU while this
-process holds another.  On the L-shape at h = 1/320 with all four
-kinds, the summed proportional set size of the processes peaks at
-274-276 MB against 179 MB in one process, and the largest process at
-186-187 MB against 183 MB; about 3 MB of that are the Neumann
-operators, now made before the bilaplacian LUs.
+one bin, run here with no child.  The cost is memory, since each child
+holds an LU while this process holds another: on the L-shape at
+h = 1/320 with all four kinds, the summed proportional set size of the
+processes peaks at 274-276 MB against 179 MB in one process, and the
+largest process at 186-187 MB against 183 MB; about 3 MB of that are
+the Neumann operators, made before the bilaplacian LUs.
 
 The Neumann Laplacian is singular, so it is shift-inverted at
 sigma = -(pi/D)^2 below zero, with D the side of the grid's bounding
@@ -89,7 +87,6 @@ lies in the fully symmetric class.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import signal
@@ -118,27 +115,21 @@ def _first_ask(count: int, classes: int) -> int:
 
 
 def _lowest_over_classes(
-    values: list[np.ndarray], solve, sizes: list[int], copies: list[int], count: int
-) -> np.ndarray:
-    """Lowest ``count`` values over the classes, ascending.
+    values: list[np.ndarray], sizes: list[int], copies: list[int], count: int
+) -> tuple[np.ndarray, list[int]]:
+    """Lowest ``count`` values over the classes, ascending, and the short classes.
 
-    ``values[c]`` holds the ascending lowest values first found in class
+    ``values[c]`` holds the ascending lowest values found so far in class
     c, which has ``sizes[c]`` unknowns and stands for ``copies[c]``
     classes of the same spectrum; its values are merged that many times.
-    A class is asked again at twice as many values, ``solve(c, k)``
-    returning its ascending lowest k, while its last value is at or below
-    the merged count-th one and it has fewer than min(n_c, count) values.
+    Class c is short, and must be asked for more values, while its last
+    value is at or below the merged count-th one and it has fewer than
+    min(n_c, count) values.
     """
-    wanted = [min(size, count) for size in sizes]
-    values = list(values)
-    while True:
-        merged = np.sort(np.concatenate([np.repeat(v, n) for v, n in zip(values, copies)]))
-        top = merged[count - 1] if len(merged) >= count else math.inf
-        short = [c for c, v in enumerate(values) if len(v) < wanted[c] and v[-1] <= top]
-        if not short:
-            return merged[:count]
-        for c in short:
-            values[c] = solve(c, min(wanted[c], 2 * len(values[c])))
+    merged = np.sort(np.concatenate([np.repeat(v, n) for v, n in zip(values, copies)]))
+    top = merged[count - 1] if len(merged) >= count else math.inf
+    short = [c for c, v in enumerate(values) if len(v) < min(sizes[c], count) and v[-1] <= top]
+    return merged[:count], short
 
 
 def _cpus() -> int:
@@ -148,13 +139,13 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _bins(sizes: list[int], bins: int) -> list[list[int]]:
-    """The classes, of ``sizes[c]`` unknowns, split into ``bins`` bins.
+def _bins(sizes: dict[int, int], bins: int) -> list[list[int]]:
+    """The classes c of ``sizes[c]`` unknowns split into ``bins`` bins.
 
     The largest class goes first, each into the lightest bin so far.
     """
     split, loads = [[] for _ in range(bins)], [0] * bins
-    for c in sorted(range(len(sizes)), key=lambda c: -sizes[c]):
+    for c in sorted(sizes, key=sizes.get, reverse=True):
         lightest = loads.index(min(loads))
         split[lightest].append(c)
         loads[lightest] += sizes[c]
@@ -188,27 +179,29 @@ def _fork(run, job):
     return pid, open(read, "rb")
 
 
-def _spread(run, jobs: list, lengths: list[list[int]]) -> list[list[np.ndarray]]:
+def _spread(run, jobs: list[list[tuple]]) -> list[list[np.ndarray]]:
     """``run(job)`` of every job: the first here, each other in a forked child.
 
-    ``run(jobs[j])`` returns float64 arrays of ``lengths[j]`` values.  A
-    child that fails, by a nonzero exit or a short read, has its job run
-    again here, so that its error is raised here with its type and
-    partial results.  Every child is reaped before this returns or raises.
+    A job is a list of asks ``(kind, class, k)``, and ``run(job)``
+    returns one float64 array of k values per ask.  A child that fails,
+    by a nonzero exit or a short read, has its job run again here, so
+    that its error is raised here with its type and partial results.
+    Every child is reaped before this returns or raises.
     """
     children = [_fork(run, job) for job in jobs[1:]]
     reaped = set()
     try:
         done = [run(jobs[0])]
-        for job, child, length in zip(jobs[1:], children, lengths[1:]):
+        for job, child in zip(jobs[1:], children):
+            ks = [k for *_, k in job]
             data, status = b"", 1
             if child is not None:
                 pid, pipe = child
                 data = pipe.read()
                 status = os.waitpid(pid, 0)[1]
                 reaped.add(pid)
-            if status == 0 and len(data) == 8 * sum(length):
-                done.append(np.split(np.frombuffer(data), np.cumsum(length)[:-1]))
+            if status == 0 and len(data) == 8 * sum(ks):
+                done.append(np.split(np.frombuffer(data), np.cumsum(ks)[:-1]))
             else:
                 done.append(run(job))
         return done
@@ -235,7 +228,6 @@ def fd_spectra(
     bases = [cls.basis for cls in classes]
     sizes = [basis.shape[1] for basis in bases]
     copies = [cls.copies for cls in classes]
-    first = [min(size, count, _first_ask(count, sum(copies))) for size in sizes]
 
     # kind -> (stiffness, mass or None, shift, reported values), operators
     # named by the kind whose walls they carry; the singular Neumann
@@ -251,8 +243,8 @@ def fd_spectra(
             ProblemKind.NEUMANN, None, _neumann_shift(domain), lambda v: np.r_[0.0, v[1:]]
         ),
     }
-    asked = [kind for kind in problems if kind in kinds]
-    groups = [list(g) for _, g in itertools.groupby(asked, key=lambda k: problems[k][0])]
+    order = list(problems)
+    asked = [kind for kind in order if kind in kinds]
 
     def assembled(name: ProblemKind) -> list[SparseSymOperator]:
         """The class operators Q_c^T A Q_c of the operator named by ``name``."""
@@ -268,49 +260,57 @@ def fd_spectra(
     needed = [name for kind in asked for name in problems[kind][:2] if name is not None]
     operators = {name: assembled(name) for name in dict.fromkeys(needed)}
 
-    def solve(kind: ProblemKind, c: int, k: int, lu=None):
-        stiffness, mass, sigma, _ = problems[kind]
-        m = None if mass is None else operators[mass][c]
-        return solve_gevp(operators[stiffness][c], m, count=k, sigma=sigma, lu=lu)
+    def answers(job: list[tuple]) -> list[np.ndarray]:
+        """The values of every ask ``(kind, c, k)`` of ``job``, in its order.
 
-    def first_values(group: list[ProblemKind], c: int) -> list[np.ndarray]:
-        """Every kind's first values of class c, from one LU that dies here."""
-        lu, values = None, []
-        for kind in group:
-            solution = solve(kind, c, first[c], lu)
-            lu = solution.lu
-            values.append(solution.values)
-        return values
+        The job lists the asks of each class together.  They are made
+        grouped by the operator they factor, in the order of ``problems``,
+        so each (operator, class) is factored once and its LU dies before
+        the next one is made.
+        """
+        found, held, lu = {}, None, None
+        for kind, c, k in sorted(job, key=lambda ask: order.index(problems[ask[0]][0])):
+            stiffness, mass, sigma, _ = problems[kind]
+            if held != (stiffness, c):
+                # the last LU dies, with the solution holding it, before the next
+                held, lu, solution = (stiffness, c), None, None
+            m = None if mass is None else operators[mass][c]
+            solution = solve_gevp(operators[stiffness][c], m, count=k, sigma=sigma, lu=lu)
+            lu, found[kind, c] = solution.lu, solution.values
+        return [found[kind, c] for kind, c, _ in job]
 
-    def first_asks(cs: list[int]) -> list[np.ndarray]:
-        return [v for group in groups for c in cs for v in first_values(group, c)]
+    # rounds of asks, each spread over the CPUs by the size of the classes
+    # it asks, until no class of any kind is short
+    first, found = _first_ask(count, sum(copies)), {}
+    asks = [(kind, c, min(size, count, first)) for kind in asked for c, size in enumerate(sizes)]
+    while asks:
+        cs = {c: sizes[c] for _, c, _ in asks}
+        bins = _bins(cs, min(_cpus(), len(cs)))
+        jobs = [[ask for c in part for ask in asks if ask[1] == c] for part in bins]
+        for job, values in zip(jobs, _spread(answers, jobs)):
+            found.update(((kind, c), v) for (kind, c, _), v in zip(job, values))
+        merged = {
+            kind: _lowest_over_classes(
+                [found[kind, c] for c in range(len(bases))], sizes, copies, count
+            )
+            for kind in asked
+        }
+        asks = [
+            (kind, c, min(sizes[c], count, 2 * len(found[kind, c])))
+            for kind in asked
+            for c in merged[kind][1]
+        ]
 
-    # each bin's first asks, (kind, class) in the order first_asks makes them
-    bins = _bins(sizes, min(_cpus(), len(bases)))
-    asks = [[(kind, c) for group in groups for c in cs for kind in group] for cs in bins]
-    found = {}
-    lengths = [[first[c] for _, c in ask] for ask in asks]
-    for ask, values in zip(asks, _spread(first_asks, bins, lengths)):
-        found.update(zip(ask, values))
-
-    out = {}
-    for kind in asked:
-        # a re-ask factors its class again, to the same LU bit for bit
-        values = _lowest_over_classes(
-            [found[kind, c] for c in range(len(bases))],
-            lambda c, k: solve(kind, c, k).values,
-            sizes,
-            copies,
-            count,
-        )
-        out[kind] = Spectrum(
+    return {
+        kind: Spectrum(
             kind=kind,
             domain=domain.descriptor,
-            values=problems[kind][3](values),
+            values=problems[kind][3](merged[kind][0]),
             source=f"fd(h={domain.h:g})",
             trusted_count=min(count, max(1, n // TRUST_FRACTION)),
         )
-    return {kind: out[kind] for kind in kinds}
+        for kind in kinds
+    }
 
 
 def fd_spectrum(domain: GridDomain, kind: ProblemKind, count: int = 6) -> Spectrum:

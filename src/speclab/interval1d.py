@@ -38,8 +38,7 @@ def tan_root(k: int) -> float:
 
     Solved as sin y - y cos y = 0, which is bounded on the bracket.
     """
-    if k < 1:
-        raise ValueError(f"root index must be >= 1, got {k!r}")
+    k = check_count(k, "root index")
     lo = k * math.pi + 1e-12
     hi = k * math.pi + math.pi / 2 - 1e-12
     return find_root(
@@ -57,8 +56,7 @@ def clamped_beam_root(k: int) -> float:
     Solved as cos z - sech z = 0 to keep the function bounded.  Past
     z = 710, where cosh overflows, sech z < 1e-308 underflows to 0.
     """
-    if k < 1:
-        raise ValueError(f"root index must be >= 1, got {k!r}")
+    k = check_count(k, "root index")
     center = (2 * k + 1) * math.pi / 2
     return find_root(
         lambda z: math.cos(z) - (1.0 / math.cosh(z) if z < 710.0 else 0.0),

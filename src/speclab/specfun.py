@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from .spectra import check_count, check_nonnegative, check_order
+
 #: Default bracket width at which root bisection stops.
 ROOT_TOL = 1e-10
 
@@ -52,33 +54,16 @@ def _special():
     return scipy.special
 
 
-def _check_order(m: int) -> int:
-    if m != int(m) or m < 0:
-        raise ValueError(f"Bessel order must be a nonnegative integer, got {m!r}")
-    return int(m)
-
-
-def _check_argument(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x < 0:
-        raise ValueError(f"argument must be finite and >= 0, got {x!r}")
-    return x
-
-
-def _check_index(l: int) -> int:
-    if l != int(l) or l < 1:
-        raise ValueError(f"zero index must be a positive integer, got {l!r}")
-    return int(l)
-
-
 def bessel_j(m: int, x: float) -> float:
     """Bessel function of the first kind J_m(x) for integer m >= 0, x >= 0."""
-    return float(_special().jv(_check_order(m), _check_argument(x)))
+    m, x = check_order(m, "Bessel order"), check_nonnegative("argument", x)
+    return float(_special().jv(m, x))
 
 
 def bessel_j_prime(m: int, x: float) -> float:
     """Derivative J_m'(x) for integer m >= 0, x >= 0."""
-    return float(_special().jvp(_check_order(m), _check_argument(x)))
+    m, x = check_order(m, "Bessel order"), check_nonnegative("argument", x)
+    return float(_special().jvp(m, x))
 
 
 def bessel_i(m: int, x: float) -> float:
@@ -87,8 +72,7 @@ def bessel_i(m: int, x: float) -> float:
     Raises:
         OverflowError: if x is large enough that I_m(x) exceeds float64.
     """
-    m = _check_order(m)
-    x = _check_argument(x)
+    m, x = check_order(m, "Bessel order"), check_nonnegative("argument", x)
     if x > _BESSEL_I_MAX_X:
         raise OverflowError(
             f"I_{m}({x:g}) exceeds float64 range (supported up to x = {_BESSEL_I_MAX_X:g})"
@@ -102,8 +86,7 @@ def bessel_i_ratio(m: int, x: float) -> float:
     The exponentially scaled functions have the same ratio and never
     overflow.
     """
-    m = _check_order(m)
-    x = _check_argument(x)
+    m, x = check_order(m, "Bessel order"), check_nonnegative("argument", x)
     if x == 0.0:
         return 0.0
     ive = _special().ive
@@ -178,7 +161,8 @@ def _zeros_up_to(table, m: int, limit: float) -> np.ndarray:
 
 def bessel_j_zeros(m: int, limit: float) -> np.ndarray:
     """Every positive zero of J_m up to ``limit``, ascending."""
-    return _zeros_up_to(_special().jn_zeros, _check_order(m), _check_argument(limit))
+    m, limit = check_order(m, "Bessel order"), check_nonnegative("limit", limit)
+    return _zeros_up_to(_special().jn_zeros, m, limit)
 
 
 def bessel_j_prime_zeros(m: int, limit: float) -> np.ndarray:
@@ -186,17 +170,16 @@ def bessel_j_prime_zeros(m: int, limit: float) -> np.ndarray:
 
     For m = 0 these are the zeros of J_1, since J_0' = -J_1.
     """
-    m = _check_order(m)
+    m = check_order(m, "Bessel order")
     if m == 0:
         return bessel_j_zeros(1, limit)
-    return _zeros_up_to(_special().jnp_zeros, m, _check_argument(limit))
+    return _zeros_up_to(_special().jnp_zeros, m, check_nonnegative("limit", limit))
 
 
 @lru_cache(maxsize=None)
 def bessel_j_zero(m: int, l: int) -> float:
     """l-th positive zero of J_m (l >= 1)."""
-    m = _check_order(m)
-    l = _check_index(l)
+    m, l = check_order(m, "Bessel order"), check_count(l, "zero index")
     return float(_special().jn_zeros(m, l)[l - 1])
 
 
@@ -206,8 +189,7 @@ def bessel_j_prime_zero(m: int, l: int) -> float:
 
     For m = 0 these are the zeros of J_1.
     """
-    m = _check_order(m)
-    l = _check_index(l)
+    m, l = check_order(m, "Bessel order"), check_count(l, "zero index")
     if m == 0:
         return bessel_j_zero(1, l)
     return float(_special().jnp_zeros(m, l)[l - 1])

@@ -39,11 +39,27 @@ CHAIN_ORDER = (
 MEMBRANE_KINDS = (ProblemKind.NEUMANN, ProblemKind.DIRICHLET)
 
 
+def _real(value):
+    """``value`` as a float where it converts, else as it is."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return value
+
+
 def check_positive(name: str, value: float) -> float:
     """``value`` as a float; ValueError unless it is finite and positive."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
+    value = _real(value)
+    if not (isinstance(value, float) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def check_nonnegative(name: str, value: float) -> float:
+    """``value`` as a float; ValueError unless it is finite and >= 0."""
+    value = _real(value)
+    if not (isinstance(value, float) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return value
 
 
@@ -56,25 +72,36 @@ LENGTH_RANGE = (1e-3, 1e3)
 def check_length(name: str, value: float) -> float:
     """``value`` as a float; ValueError unless it lies in ``LENGTH_RANGE``."""
     lo, hi = LENGTH_RANGE
-    value = float(value)
-    if not lo <= value <= hi:
+    value = _real(value)
+    if not (isinstance(value, float) and lo <= value <= hi):
         raise ValueError(f"{name} must be a length in [{lo:g}, {hi:g}], got {value!r}")
     return value
 
 
-def check_count(count: int, name: str = "count") -> int:
-    """``count`` as an int; ValueError unless it is a positive integer.
+def _whole(value, name: str, least: int) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= ``least`` (0 or 1).
 
     Fractions, nan, infinities, None and strings all raise the same
     ValueError, never int()'s own TypeError or OverflowError.
     """
     try:
-        whole = int(count)
+        whole = int(value)
     except (TypeError, ValueError, OverflowError):
-        whole = 0
-    if whole < 1 or count != whole:
-        raise ValueError(f"{name} must be a positive integer, got {count!r}")
+        whole = least - 1
+    if whole < least or value != whole:
+        sign = "positive" if least else "nonnegative"
+        raise ValueError(f"{name} must be a {sign} integer, got {value!r}")
     return whole
+
+
+def check_count(count: int, name: str = "count") -> int:
+    """``count`` as an int; ValueError unless it is a positive integer."""
+    return _whole(count, name, 1)
+
+
+def check_order(order: int, name: str = "order") -> int:
+    """``order`` as an int; ValueError unless it is a nonnegative integer."""
+    return _whole(order, name, 0)
 
 
 def lowest_over_orders(

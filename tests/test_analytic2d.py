@@ -137,9 +137,15 @@ class TestLatticeCount:
         lc = rect_lattice_count(1.0, 2.0, ProblemKind.DIRICHLET, tau)
         assert lc.count == int(np.searchsorted(s.values, tau, side="right"))
 
+    @pytest.mark.parametrize("tau", [-1.0, math.inf, math.nan, None])
+    def test_tau_validation(self, tau):
+        message = "tau must be finite and >= 0"
+        with pytest.raises(ValueError, match=message):
+            rect_lattice_count(1.0, 1.0, ProblemKind.DIRICHLET, tau)
+        with pytest.raises(ValueError, match=message):
+            buckling_family_counts(1.0, 1.0, tau)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            rect_lattice_count(1.0, 1.0, ProblemKind.DIRICHLET, -1.0)
         with pytest.raises(ValueError, match="membrane"):
             rect_lattice_count(1.0, 1.0, ProblemKind.CLAMPED, 10.0)
 
@@ -181,8 +187,6 @@ class TestFamilyCounts:
     def test_validation(self):
         with pytest.raises(ValueError):
             buckling_family_counts(-1.0, 1.0, 100.0)
-        with pytest.raises(ValueError):
-            buckling_family_counts(1.0, 1.0, math.inf)
 
 
 class TestProductResidual:
@@ -208,11 +212,16 @@ class TestProductResidual:
     def test_higher_modes_also_fail(self):
         assert buckling_product_residual(1.0, 2.0, 2, 3).normalized > 1.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            buckling_product_residual(1.0, 1.0, 0, 1)
-        with pytest.raises(ValueError):
-            buckling_product_residual(1.0, 1.0, 1, 1, grid=4)
+    @pytest.mark.parametrize("l, m", [(0, 1), (1, 1.5), (None, 1)])
+    def test_mode_index_validation(self, l, m):
+        with pytest.raises(ValueError, match="mode index . must be a positive integer"):
+            buckling_product_residual(1.0, 1.0, l, m)
+
+    # None and 8.5 raised TypeError before
+    @pytest.mark.parametrize("grid", [4, None, 8.5])
+    def test_validation(self, grid):
+        with pytest.raises(ValueError, match="grid must"):
+            buckling_product_residual(1.0, 1.0, 1, 1, grid=grid)
 
 
 def merged_disk_roots(order_roots, count: int, initial=()) -> np.ndarray:

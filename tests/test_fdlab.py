@@ -46,6 +46,34 @@ from speclab.interval1d import clamped_beam_root
 from speclab.spectra import ProblemKind
 
 
+def live_factorizations(monkeypatch) -> tuple[list, list[int]]:
+    """The LUs alive now, and the number alive as each one was made.
+
+    SuperLU objects cannot be weakly referenced, so each one rides in a
+    delegating wrapper that counts the live ones as they come and go.
+    Making an LU while another is alive fails, in a forked worker too,
+    whose bin is then run again in this process and fails here.
+    """
+    live, made = [], []
+    original = spla.splu
+
+    class Counted:
+        def __init__(self, lu):
+            assert not live, f"a second LU alive in process {os.getpid()}"
+            self._lu = lu
+            live.append(1)
+            made.append(len(live))
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+        def __del__(self):
+            live.pop()
+
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: Counted(original(*args, **kwargs)))
+    return live, made
+
+
 @pytest.fixture
 def workers(request, monkeypatch):
     """``fd_spectra`` on ``request.param`` workers, one unless parametrized.
@@ -248,7 +276,7 @@ class TestSolver:
         sol = solve_gevp(op, count=3)
         assert np.allclose(sol.values, [1.0, 2.0, 3.0], atol=1e-12)
         assert sol.method == "shift-invert"
-        assert np.all(sol.residuals <= sol.tol)
+        assert np.all(sol.residuals <= solver_mod.DEFAULT_TOL)
 
     def test_argument_validation(self):
         op = SparseSymOperator(sp.identity(9, format="csr"))
@@ -256,8 +284,6 @@ class TestSolver:
             solve_gevp(op, count=0)
         with pytest.raises(ValueError):
             solve_gevp(op, count=10)
-        with pytest.raises(ValueError):
-            solve_gevp(op, count=2, tol=0.0)
         other = SparseSymOperator(sp.identity(4, format="csr"))
         with pytest.raises(ValueError, match="shapes"):
             solve_gevp(op, m=other, count=2)
@@ -290,7 +316,7 @@ class TestSolver:
                         assert sol.method == "dense"
                     else:
                         assert sol.method == "shift-invert"
-                        assert np.all(sol.residuals <= sol.tol)
+                        assert np.all(sol.residuals <= solver_mod.DEFAULT_TOL)
 
     def test_symmetric_domain_keeps_the_mode_its_start_vector_misses(self):
         # the L-shape and the constant start vector are both symmetric about
@@ -419,7 +445,7 @@ class TestSolver:
         a = assemble_bilaplacian_clamped(rectangle_domain(1e6, 1e6, 6.25e4)).matrix
         u = np.random.default_rng(0).standard_normal((a.shape[0], 1))
         relative, backward = solver_mod._residuals(a, None, np.array([theta]), u)
-        assert not solver_mod._accepted(relative, backward, 1e-8).any()
+        assert not solver_mod._accepted(relative, backward).any()
 
     def test_minimum_degree_ordering_cuts_the_bilaplacian_fill(self):
         d = lshape_domain(1.0, 1.0, 1.0 / 80.0)
@@ -746,9 +772,9 @@ class TestFdSpectra:
             a, m = wholes[kind]
             # each class is asked for ceil(10 / 2) + 2 values
             assert len(sol.values) == 7 and sol.vectors.shape == (bases[c].shape[1], 7)
-            assert np.all(sol.residuals <= sol.tol)
+            assert np.all(sol.residuals <= solver_mod.DEFAULT_TOL)
             relative, _ = solver_mod._residuals(a, m, sol.values, bases[c] @ sol.vectors)
-            assert np.all(relative <= sol.tol)
+            assert np.all(relative <= solver_mod.DEFAULT_TOL)
         clamped = [solutions[ProblemKind.CLAMPED, c] for c in range(len(bases))]
         buckling = [solutions[ProblemKind.BUCKLING, c] for c in range(len(bases))]
         for c in range(len(bases)):
@@ -768,32 +794,38 @@ class TestFdSpectra:
         indirect=["workers"],
     )
     def test_at_most_one_factorization_is_alive(self, monkeypatch, domain, workers):
-        # SuperLU objects cannot be weakly referenced, so each one rides in
-        # a delegating wrapper that counts the live ones as they come and go
-        live, made = [], []
-        original = spla.splu
-
-        class Counted:
-            def __init__(self, lu):
-                self._lu = lu
-                live.append(1)
-                made.append(len(live))
-
-            def __getattr__(self, name):
-                return getattr(self._lu, name)
-
-            def __del__(self):
-                live.pop()
-
-        monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: Counted(original(*args, **kwargs)))
+        live, made = live_factorizations(monkeypatch)
         fd_spectra(domain, list(ProblemKind), 6)
         # L_N, L_D and B of every class this process solves, each factored
         # while no other is held here; a forked worker holds its own
         sizes = [cls.basis.shape[1] for cls in symmetry_classes(domain.mask)]
-        here = spectrum_mod._bins(sizes, workers)[0]
+        here = spectrum_mod._bins(dict(enumerate(sizes)), workers)[0]
         assert (len(here) == len(sizes)) == (workers == 1)
         assert len(made) == 3 * len(here)
-        assert max(made) == 1 and not live
+        assert not live
+
+    @pytest.mark.usefixtures("workers")
+    def test_clamped_and_buckling_re_asks_of_a_class_share_one_lu(self, monkeypatch):
+        # a first ask of one value leaves every class to its re-asks
+        domain = lshape_domain(1.0, 1.0, 1.0 / 16.0)
+        monkeypatch.setattr(spectrum_mod, "_first_ask", lambda count, classes: 1)
+        calls = []
+        original = spectrum_mod.solve_gevp
+
+        def recorded(a, m=None, **kwargs):
+            calls.append((a, m is None, kwargs["count"], kwargs["lu"] is not None))
+            return original(a, m, **kwargs)
+
+        monkeypatch.setattr(spectrum_mod, "solve_gevp", recorded)
+        fd_spectra(domain, [ProblemKind.CLAMPED, ProblemKind.BUCKLING], 20)
+        # two solves in a row on one class operator share its LU, and a
+        # buckling re-ask is made on the LU of its class's clamped re-ask
+        pairs = list(zip(calls, calls[1:]))
+        assert all(given for (a, *_), (b, _, _, given) in pairs if a is b)
+        assert any(
+            a is b and first and not second and k > 1
+            for (a, first, _, _), (b, second, k, _) in pairs
+        )
 
 
 class TestWorkers:
@@ -851,6 +883,34 @@ class TestWorkers:
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [2], indirect=True)
+    @pytest.mark.parametrize(
+        "domain, count",
+        [(rectangle_domain(1.0, 0.6, 1.0 / 40.0), 30), (disk_domain(1.0, 0.05), 40)],
+        ids=["rectangle", "disk"],
+    )
+    def test_re_asks_bit_identical_on_one_and_two_workers(
+        self, monkeypatch, workers, domain, count
+    ):
+        shorts = []
+        merge = spectrum_mod._lowest_over_classes
+
+        def recorded(*args):
+            values, short = merge(*args)
+            shorts.append(short)
+            return values, short
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum_mod, "_cpus", lambda: 1)
+            patch.setattr(spectrum_mod, "_lowest_over_classes", recorded)
+            one = fd_spectra(domain, list(ProblemKind), count)
+        # one class of one kind is asked again, in a second round
+        assert sum(map(len, shorts)) == 1 and len(shorts) == 2 * len(ProblemKind)
+        live, _ = live_factorizations(monkeypatch)
+        self.assert_bit_identical(one, fd_spectra(domain, list(ProblemKind), count))
+        assert not live
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [2], indirect=True)
     def test_one_class_is_never_forked(self, monkeypatch, workers):
         domain = lshape_domain(1.0, 0.8, 1.0 / 20.0)
         assert len(symmetry_classes(domain.mask)) == 1
@@ -867,7 +927,7 @@ class TestWorkers:
         domain = lshape_domain(1.0, 1.0, 1.0 / 16.0)
         sizes = [cls.basis.shape[1] for cls in symmetry_classes(domain.mask)]
         assert len(set(sizes)) == len(sizes) == 2
-        (failing,) = spectrum_mod._bins(sizes, workers)[where]
+        (failing,) = spectrum_mod._bins(dict(enumerate(sizes)), workers)[where]
         original = spectrum_mod.solve_gevp
 
         def stalled(a, m=None, **kwargs):

@@ -65,11 +65,12 @@ class TestRoots:
                 0.0, abs=1e-8 * math.cosh(z)
             )
 
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            tan_root(0)
-        with pytest.raises(ValueError):
-            clamped_beam_root(0)
+    # 1.5 raised an unexplained BracketError before
+    @pytest.mark.parametrize("k", [0, 1.5, math.nan, None])
+    @pytest.mark.parametrize("root", [tan_root, clamped_beam_root])
+    def test_index_validation(self, root, k):
+        with pytest.raises(ValueError, match="root index must be a positive integer"):
+            root(k)
 
 
 class TestBranches:

@@ -61,15 +61,23 @@ class TestBesselJ:
         assert bessel_j(0, 0.0) == 1.0
         assert bessel_j(3, 0.0) == 0.0
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            bessel_j(-1, 1.0)
-        with pytest.raises(ValueError):
-            bessel_j(2.5, 1.0)
-        with pytest.raises(ValueError):
-            bessel_j(0, -1.0)
-        with pytest.raises(ValueError):
-            bessel_j(0, math.inf)
+    @pytest.mark.parametrize(
+        "m, x, message",
+        [
+            (-1, 1.0, "Bessel order must be a nonnegative integer"),
+            (2.5, 1.0, "Bessel order must be a nonnegative integer"),
+            # TypeError, OverflowError and int()'s own nan message before
+            (None, 1.0, "Bessel order must be a nonnegative integer, got None"),
+            (math.inf, 1.0, "Bessel order must be a nonnegative integer, got inf"),
+            (math.nan, 1.0, "Bessel order must be a nonnegative integer, got nan"),
+            (0, -1.0, "argument must be finite and >= 0"),
+            (0, math.inf, "argument must be finite and >= 0"),
+            (0, None, "argument must be finite and >= 0, got None"),
+        ],
+    )
+    def test_input_validation(self, m, x, message):
+        with pytest.raises(ValueError, match=message):
+            bessel_j(m, x)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -187,11 +195,18 @@ class TestBesselZeros:
                 up = bessel_j_zero(m, l + 1)
                 assert here < right < up
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bessel_j_zero(0, 0)
-        with pytest.raises(ValueError):
-            bessel_j_zero(-1, 1)
+    @pytest.mark.parametrize(
+        "m, l, message",
+        [
+            (0, 0, "zero index must be a positive integer"),
+            (-1, 1, "Bessel order must be a nonnegative integer"),
+            # OverflowError before
+            (1, math.inf, "zero index must be a positive integer, got inf"),
+        ],
+    )
+    def test_validation(self, m, l, message):
+        with pytest.raises(ValueError, match=message):
+            bessel_j_zero(m, l)
 
     @pytest.mark.parametrize("m", [0, 1, 7, 40, 150])
     def test_zeros_up_to_a_limit(self, m):

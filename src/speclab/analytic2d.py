@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interval1d import tan_root
+from .interval1d import buckling_branches
 from .specfun import (
     RootBracket,
     bessel_i_ratio,
@@ -37,9 +37,6 @@ from .spectra import (
     check_positive,
     lowest_over_orders,
 )
-
-_EPS = float(np.finfo(float).eps)
-
 
 # ---------------------------------------------------------------------------
 # rectangle membrane
@@ -63,27 +60,21 @@ def rect_spectrum(a: float, b: float, kind: ProblemKind, count: int) -> Spectrum
     bound = 4.0 * math.pi**2 * (count + 4) / (a * b) + math.pi**2 * (1 / a**2 + 1 / b**2)
     while len(values := _rect_values(a, b, start, bound)) < count:
         bound *= 2.0
-    values.sort()
     return Spectrum(
         kind=kind,
         domain=f"rect({a:g}x{b:g})",
-        values=np.array(values[:count]),
+        values=np.sort(values)[:count],
         source="analytic",
         trusted_count=count,
     )
 
 
-def _rect_values(a: float, b: float, start: int, bound: float) -> list[float]:
+def _rect_values(a: float, b: float, start: int, bound: float) -> np.ndarray:
     """Every pi^2 (l^2/a^2 + m^2/b^2) <= bound with l, m >= start, unsorted."""
-    values = []
-    l = start
-    while math.pi**2 * l**2 / a**2 <= bound:
-        m = start
-        while (v := math.pi**2 * (l**2 / a**2 + m**2 / b**2)) <= bound:
-            values.append(v)
-            m += 1
-        l += 1
-    return values
+    l = np.arange(start, int(math.sqrt(bound) * a / math.pi) + 2)[:, None]
+    m = np.arange(start, int(math.sqrt(bound) * b / math.pi) + 2)
+    values = math.pi**2 * (l**2 / a**2 + m**2 / b**2)
+    return values[values <= bound]
 
 
 @dataclass(frozen=True)
@@ -132,14 +123,6 @@ class FamilyCounts:
         return self.n1 + self.n2 + self.n3 + self.n4
 
 
-def _branch1_value(length: float, k: int) -> float:
-    return (2.0 * k * math.pi / length) ** 2
-
-
-def _branch2_value(length: float, k: int) -> float:
-    return (2.0 * tan_root(k) / length) ** 2
-
-
 def buckling_family_counts(a: float, b: float, tau: float) -> FamilyCounts:
     """Exact counts of the four product families with combined value <= tau.
 
@@ -149,26 +132,22 @@ def buckling_family_counts(a: float, b: float, tau: float) -> FamilyCounts:
     argument; see ``buckling_product_residual`` for why the underlying
     product functions are not actual buckling eigenfunctions.
     """
-    a = check_positive("side a", a)
-    b = check_positive("side b", b)
+    a = check_length("side a", a)
+    b = check_length("side b", b)
     tau = check_nonnegative("tau", tau)
 
-    def values(length: float, branch: int) -> list[float]:
-        out = []
-        k = 1
-        while True:
-            v = _branch1_value(length, k) if branch == 1 else _branch2_value(length, k)
-            if v > tau:
-                break
-            out.append(v)
-            k += 1
-        return out
+    def values(length: float, branch: int) -> np.ndarray:
+        # the k-th value of either branch is at least (2 k pi / L)^2, so
+        # fewer than k of each lie below tau, and the branches alternate
+        k = int(math.sqrt(tau) * length / (2.0 * math.pi)) + 1
+        labeled = buckling_branches(length, 2 * k)
+        return np.array([v.value for v in labeled if v.branch == branch and v.value <= tau])
 
     a1, a2 = values(a, 1), values(a, 2)
     b1, b2 = values(b, 1), values(b, 2)
 
-    def pair_count(xs: list[float], ys: list[float]) -> int:
-        return sum(1 for x in xs for y in ys if x + y <= tau)
+    def pair_count(xs: np.ndarray, ys: np.ndarray) -> int:
+        return int(np.count_nonzero(np.add.outer(xs, ys) <= tau))
 
     return FamilyCounts(
         tau=tau,
@@ -243,14 +222,15 @@ def _disk_clamped_roots(m: int, limit: float) -> np.ndarray:
     whose sign alternates, so one root lies between each pair of
     consecutive zeros of J_m.  Past the last zero below the limit, a
     sign change up to the limit tells whether that pair's root is in
-    range.  Bisection runs down to a few ulps.
+    range.  Bisection runs down to two adjacent doubles, so each root
+    lies within the few ulps that rounding in the ratio form leaves.
     """
 
     def f(x: float) -> float:
         return bessel_j(m, x) * bessel_i_ratio(m, x) + bessel_j(m + 1, x)
 
     def root(lo: float, hi: float) -> float:
-        return find_root(f, RootBracket(lo, hi), tol=4.0 * _EPS * hi)
+        return find_root(f, RootBracket(lo, hi))
 
     zeros = bessel_j_zeros(m, limit)
     roots = [root(lo, hi) for lo, hi in zip(zeros[:-1], zeros[1:])]

@@ -182,11 +182,15 @@ def _require(cond: bool, message: str):
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; true and false do not count as numbers."""
+    """A JSON number that is finite as a float; true and false do not count.
+
+    An integer too large for a float fails the comparison, which
+    ``math.isfinite`` would instead answer with an OverflowError.
+    """
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max
     )
 
 

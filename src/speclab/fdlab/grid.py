@@ -213,10 +213,8 @@ def read_mask_file(path: str | Path) -> GridDomain:
     """Read a domain from the ``h ...`` / ``#``-row text format."""
     path = Path(path)
     lines = path.read_text().splitlines()
-    if not lines or not lines[0].lower().startswith("h"):
-        raise ValueError(f"{path}: first line must be 'h <spacing>'")
-    parts = lines[0].split()
-    if len(parts) != 2:
+    parts = lines[0].split() if lines else []
+    if len(parts) != 2 or parts[0].lower() != "h":
         raise ValueError(f"{path}: first line must be 'h <spacing>'")
     try:
         h = float(parts[1])

@@ -27,12 +27,16 @@ same spectrum: together they are the two-dimensional representation E
 of that group.  The first of them is kept and counted twice, and the
 second is left out, so a square is solved as three classes, not four.
 
-A class's basis has one column per orbit of nodes on which the
-character is trivial over the orbit's stabilizer: the signed indicator
-chi(g) on each image g(r) of the orbit's smallest node r, divided by the
-root of the orbit size.  Its columns have disjoint supports, so the
-basis is orthonormal.  A mask with no symmetry has one class, and its
-basis is the identity.
+A class's basis comes from the sum over the group of chi(g) P_g, where
+P_g is g's permutation matrix, taken at each orbit's smallest node r.
+Its column r holds chi(g) |stab r| on each image g(r) when the character
+is trivial on r's stabilizer, and is zero otherwise.  The nonzero
+columns, each divided by its norm |stab r| sqrt(|orbit|), are the basis;
+|stab r| is a power of two, so every entry is exactly
++-1/sqrt(|orbit|).  The columns have disjoint supports, so the basis is
+orthonormal.  The sum needs only each element's image of each index, so
+it serves any index set the group permutes.  A mask with no symmetry has
+one class, and its basis is the identity.
 """
 
 from __future__ import annotations
@@ -84,27 +88,22 @@ def _character_bases(
         for gen, power in zip(gens, powers):
             if power:
                 images[row] = gen[images[row]]
-    reps = np.flatnonzero(images.min(axis=0) == np.arange(n))
-    fixed = images[:, reps] == reps
-    weight = 1.0 / np.sqrt(len(images) / fixed.sum(axis=0))
-    # an element whose image of r an earlier element already gave is a
-    # repeat; the kept (element, orbit) pairs list every orbit node once
-    first = np.array([np.all(images[:row, reps] != images[row, reps], axis=0)
-                      for row in range(len(images))])
+    # each element's image of each orbit's smallest node, and that node's column
+    reps = images[:, images.min(axis=0) == np.arange(n)]
+    columns = np.broadcast_to(np.arange(reps.shape[1]), reps.shape)
     bases = []
     for signs in exponents:
-        chi = 1 - 2 * ((exponents @ signs) % 2)
-        cols = np.all(fixed <= (chi[:, None] > 0), axis=0)
-        if not cols.any():
-            continue
-        column = np.cumsum(cols) - 1
-        keep = first & cols
-        elements, orbits = np.nonzero(keep)
-        basis = sp.csc_matrix(
-            (chi[elements] * weight[orbits], (images[elements, reps[orbits]], column[orbits])),
-            shape=(n, int(cols.sum())),
+        chi = 1.0 - 2.0 * ((exponents @ signs) % 2)
+        summed = sp.csc_matrix(
+            (np.repeat(chi, reps.shape[1]), (reps.ravel(), columns.ravel())),
+            shape=(n, reps.shape[1]),
         )
-        bases.append((tuple(int(sign) for sign in signs), basis))
+        summed.eliminate_zeros()
+        basis = summed[:, np.diff(summed.indptr) > 0]
+        if basis.shape[1]:
+            norms = np.sqrt(np.add.reduceat(basis.data**2, basis.indptr[:-1]))
+            basis.data /= np.repeat(norms, np.diff(basis.indptr))
+            bases.append((tuple(int(sign) for sign in signs), basis))
     return bases
 
 

@@ -39,14 +39,8 @@ def tan_root(k: int) -> float:
     Solved as sin y - y cos y = 0, which is bounded on the bracket.
     """
     k = check_count(k, "root index")
-    lo = k * math.pi + 1e-12
-    hi = k * math.pi + math.pi / 2 - 1e-12
-    return find_root(
-        lambda y: math.sin(y) - y * math.cos(y),
-        RootBracket(lo, hi),
-        tol=1e-12,
-        fprime=lambda y: y * math.sin(y),
-    )
+    bracket = RootBracket(k * math.pi + 1e-12, k * math.pi + math.pi / 2 - 1e-12)
+    return find_root(lambda y: math.sin(y) - y * math.cos(y), bracket)
 
 
 @lru_cache(maxsize=None)
@@ -61,8 +55,6 @@ def clamped_beam_root(k: int) -> float:
     return find_root(
         lambda z: math.cos(z) - (1.0 / math.cosh(z) if z < 710.0 else 0.0),
         RootBracket(center - 0.4, center + 0.4),
-        tol=1e-12,
-        fprime=lambda z: -math.sin(z) + (math.tanh(z) / math.cosh(z) if z < 710.0 else 0.0),
     )
 
 

@@ -9,7 +9,9 @@ imported on the first Bessel call: the command line pays its import
 cost only when a run needs a Bessel function.
 
 ``find_root`` is the package's one root finder, used for the
-transcendental characteristic equations elsewhere in the package.
+transcendental characteristic equations elsewhere in the package.  It
+bisects a sign change down to two adjacent doubles, so every root it
+returns is as close as float64 can place it to where f changes sign.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .spectra import check_count, check_nonnegative, check_order
-
-#: Default bracket width at which root bisection stops.
-ROOT_TOL = 1e-10
 
 # I_m overflows float64 shortly past this argument (e^x / sqrt(2 pi x)).
 _BESSEL_I_MAX_X = 705.0
@@ -93,24 +92,19 @@ def bessel_i_ratio(m: int, x: float) -> float:
     return float(ive(m + 1, x) / ive(m, x))
 
 
-def find_root(
-    f: Callable[[float], float],
-    bracket: RootBracket,
-    tol: float = ROOT_TOL,
-    fprime: Callable[[float], float] | None = None,
-) -> float:
+def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
     """Locate the sign change of f inside the bracket.
 
-    Deterministic bisection narrows the bracket to width tol; when a
-    derivative is supplied a few guarded Newton steps then polish the
-    midpoint without leaving the bracket.
+    Deterministic bisection halves the bracket until f is exactly 0 at
+    its midpoint, or until no double lies strictly between its ends; it
+    returns that midpoint, which is then one of the two ends.  So f
+    either vanishes at the root or changes sign between the root and
+    one of its neighbouring doubles.
 
     Raises:
         BracketError: if f has the same sign at both endpoints.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    lo, hi = bracket.lo, bracket.hi
+    lo, hi = float(bracket.lo), float(bracket.hi)
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo == 0.0:
@@ -121,31 +115,17 @@ def find_root(
         raise BracketError(
             f"no sign change on [{lo:.6g}, {hi:.6g}]: f(lo)={f_lo:.6g}, f(hi)={f_hi:.6g}"
         )
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
         if (f_mid > 0) == (f_lo > 0):
             lo, f_lo = mid, f_mid
         else:
-            hi, f_hi = mid, f_mid
-    root = 0.5 * (lo + hi)
-    if fprime is not None:
-        for _ in range(3):
-            slope = fprime(root)
-            if slope == 0.0:
-                break
-            step = f(root) / slope
-            candidate = root - step
-            if not bracket.lo <= candidate <= bracket.hi:
-                break
-            root = candidate
-            if abs(step) < 1e-15 * max(1.0, abs(root)):
-                break
-    return float(root)
+            hi = mid
 
 
 def _zeros_up_to(table, m: int, limit: float) -> np.ndarray:

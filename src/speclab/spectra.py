@@ -43,7 +43,7 @@ def _real(value):
     """``value`` as a float where it converts, else as it is."""
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return value
 
 

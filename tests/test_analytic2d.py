@@ -75,7 +75,7 @@ class TestRectSpectrum:
         with pytest.raises(ValueError):
             rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 0)
 
-    @pytest.mark.parametrize("side", [1e160, 1e-200, 2e3, 5e-4, math.nan, math.inf])
+    @pytest.mark.parametrize("side", [1e160, 1e-200, 2e3, 5e-4, math.nan, math.inf, 10**400])
     def test_side_outside_the_length_range_is_refused(self, side):
         # at 1e160 the enumeration bound raised OverflowError, and at
         # 1e-200 its 1 / a^2 raised ZeroDivisionError
@@ -137,7 +137,7 @@ class TestLatticeCount:
         lc = rect_lattice_count(1.0, 2.0, ProblemKind.DIRICHLET, tau)
         assert lc.count == int(np.searchsorted(s.values, tau, side="right"))
 
-    @pytest.mark.parametrize("tau", [-1.0, math.inf, math.nan, None])
+    @pytest.mark.parametrize("tau", [-1.0, math.inf, math.nan, None, 10**400])
     def test_tau_validation(self, tau):
         message = "tau must be finite and >= 0"
         with pytest.raises(ValueError, match=message):
@@ -148,6 +148,14 @@ class TestLatticeCount:
     def test_validation(self):
         with pytest.raises(ValueError, match="membrane"):
             rect_lattice_count(1.0, 1.0, ProblemKind.CLAMPED, 10.0)
+
+    # float() raised OverflowError on 10**400 before
+    @pytest.mark.parametrize("side", [0.0, -1.0, math.inf, math.nan, None, 10**400])
+    def test_side_validation(self, side):
+        with pytest.raises(ValueError, match="side a must be positive"):
+            rect_lattice_count(side, 1.0, ProblemKind.DIRICHLET, 10.0)
+        with pytest.raises(ValueError, match="side b must be positive"):
+            rect_lattice_count(1.0, side, ProblemKind.DIRICHLET, 10.0)
 
 
 class TestFamilyCounts:
@@ -187,6 +195,9 @@ class TestFamilyCounts:
     def test_validation(self):
         with pytest.raises(ValueError):
             buckling_family_counts(-1.0, 1.0, 100.0)
+        # the branch values come from the interval spectra, which take lengths
+        with pytest.raises(ValueError, match=r"side a must be a length in \[0.001, 1000\]"):
+            buckling_family_counts(2e3, 1.0, 100.0)
 
 
 class TestProductResidual:
@@ -383,7 +394,7 @@ class TestDiskSpectrum:
         with pytest.raises(ValueError, match="first cutoff"):
             lowest_over_orders(lambda m, limit: pytest.fail("swept an order"), 3, cutoff)
 
-    @pytest.mark.parametrize("radius", [1e160, 1e-200, 2e3, 5e-4, math.nan, math.inf])
+    @pytest.mark.parametrize("radius", [1e160, 1e-200, 2e3, 5e-4, math.nan, math.inf, 10**400])
     def test_radius_outside_the_length_range_is_refused(self, radius):
         # at 1e160 the values came back subnormal, [5.8e-320, 1.5e-319, ...],
         # and at 1e-200 the first cutoff raised OverflowError

@@ -282,6 +282,42 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=missing):
             parse_config(json.dumps({"experiments": [block]}))
 
+    # a JSON integer too large for a float made math.isfinite raise
+    # OverflowError, a traceback and exit 1, before
+    HUGE = 10**400
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("a", "rect domain needs a number 'a'"),
+            ("h", "fd backend needs a nonempty list of positive 'h'"),
+            ("rtol", "'rtol' must be a number"),
+        ],
+    )
+    def test_number_too_large_for_a_float(self, tmp_path, capsys, field, message):
+        block = {
+            "name": "sq",
+            "domain": {"type": "rect", "a": 1.0, "b": 1.0},
+            "kinds": ["dirichlet"],
+            "backend": {"type": "fd", "h": [0.25]},
+            "checks": [{"type": "weyl", "rtol": 0.5}],
+        }
+        if field == "a":
+            block["domain"]["a"] = self.HUGE
+        elif field == "h":
+            block["backend"]["h"] = [0.25, self.HUGE]
+        else:
+            block["checks"][0]["rtol"] = self.HUGE
+        text = json.dumps({"experiments": [block]})
+        assert "1" + "0" * 400 in text
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        config = write_config(tmp_path, {"experiments": [block]})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("speclab: experiments[0]")
+        assert not out.exists()
+
     def test_decomposition_parts_are_checked(self):
         block = {
             "name": "split",

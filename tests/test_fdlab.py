@@ -150,6 +150,19 @@ class TestGridDomains:
         with pytest.raises(ValueError, match="first line"):
             read_mask_file(path)
 
+    # a header merely starting with "h" was read as h = 0.125 before
+    @pytest.mark.parametrize("header", ["height 0.125", "hx 0.125", "0.125 h", "h"])
+    def test_mask_file_header_token_is_h(self, tmp_path, header):
+        path = tmp_path / "bad.mask"
+        path.write_text(header + "\n" + "####\n" * 4)
+        with pytest.raises(ValueError, match=r"first line must be 'h <spacing>'"):
+            read_mask_file(path)
+
+    def test_mask_file_header_any_case(self, tmp_path):
+        path = tmp_path / "upper.mask"
+        path.write_text("H 0.125\n" + "####\n" * 4)
+        assert read_mask_file(path).h == 0.125
+
     def test_interval_domain_needs_nine_nodes(self):
         with pytest.raises(DegenerateDomainError):
             interval_domain(1.0, 0.2)

@@ -8,6 +8,8 @@ import scipy.special as ss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speclab.analytic2d import _disk_clamped_roots
+from speclab.interval1d import clamped_beam_root, tan_root
 from speclab.specfun import (
     BracketError,
     RootBracket,
@@ -72,6 +74,8 @@ class TestBesselJ:
             (math.nan, 1.0, "Bessel order must be a nonnegative integer, got nan"),
             (0, -1.0, "argument must be finite and >= 0"),
             (0, math.inf, "argument must be finite and >= 0"),
+            # float() raised OverflowError before
+            (0, 10**400, "argument must be finite and >= 0"),
             (0, None, "argument must be finite and >= 0, got None"),
         ],
     )
@@ -146,11 +150,35 @@ class TestFindRoot:
         root = find_root(math.cos, RootBracket(1.0, 2.0))
         assert root == pytest.approx(math.pi / 2, abs=1e-10)
 
-    def test_polished_root(self):
-        root = find_root(
-            math.cos, RootBracket(1.0, 2.0), fprime=lambda x: -math.sin(x)
+    @staticmethod
+    def at_sign_change(f, r: float) -> bool:
+        """f vanishes at r, or takes the opposite sign at a neighbouring double."""
+        return f(r) == 0.0 or any(
+            f(r) > 0 > f(n) or f(r) < 0 < f(n)
+            for n in (math.nextafter(r, -math.inf), math.nextafter(r, math.inf))
         )
-        assert root == pytest.approx(math.pi / 2, abs=1e-14)
+
+    def test_roots_stop_at_adjacent_doubles(self):
+        def tan(y):
+            return math.sin(y) - y * math.cos(y)
+
+        def beam(z):
+            return math.cos(z) - (1.0 / math.cosh(z) if z < 710.0 else 0.0)
+
+        for k in range(1, 51):
+            assert self.at_sign_change(tan, tan_root(k)), k
+            assert self.at_sign_change(beam, clamped_beam_root(k)), k
+        for m in range(6):
+
+            def disk(x):
+                return bessel_j(m, x) * bessel_i_ratio(m, x) + bessel_j(m + 1, x)
+
+            roots = _disk_clamped_roots(m, 40.0)
+            assert len(roots) >= 8
+            assert all(self.at_sign_change(disk, r) for r in roots), m
+
+    def test_root_at_midpoint(self):
+        assert find_root(lambda x: x - 1.5, RootBracket(1.0, 2.0)) == 1.5
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):

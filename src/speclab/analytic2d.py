@@ -1,25 +1,17 @@
-"""Reference spectra on rectangles and disks, plus lattice counting.
+"""Reference spectra on rectangles and disks.
 
-Rectangles get the classical separated membrane eigenvalues and exact
-lattice-point counts against the leading Weyl term.  Disks get all four
-problems through Bessel characteristic equations.  The rectangle
-buckling "product" family is handled with care: the four labeled
-families of tensor-product trial functions are counted exactly as
-described, but ``buckling_product_residual`` demonstrates that those
-products do not satisfy the two-dimensional buckling equation (the
-cross-derivative term survives), so the family counts are a labeled
-reproduction and finite differences remain the trusted source for
-rectangle buckling values.
+Rectangles get the classical separated membrane eigenvalues.  Disks get
+all four problems through Bessel characteristic equations.  Rectangles
+have no closed form for the plate problems, so finite differences are
+the source of rectangle clamped and buckling values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .interval1d import buckling_branches
 from .specfun import (
     RootBracket,
     bessel_i_ratio,
@@ -33,8 +25,6 @@ from .spectra import (
     Spectrum,
     check_count,
     check_length,
-    check_nonnegative,
-    check_positive,
     lowest_over_orders,
 )
 
@@ -75,139 +65,6 @@ def _rect_values(a: float, b: float, start: int, bound: float) -> np.ndarray:
     m = np.arange(start, int(math.sqrt(bound) * b / math.pi) + 2)
     values = math.pi**2 * (l**2 / a**2 + m**2 / b**2)
     return values[values <= bound]
-
-
-@dataclass(frozen=True)
-class LatticeCount:
-    """Exact eigenvalue count at tau next to the leading Weyl term."""
-
-    tau: float
-    count: int
-    weyl_term: float
-    remainder: float
-
-
-def rect_lattice_count(a: float, b: float, kind: ProblemKind, tau: float) -> LatticeCount:
-    """Count rectangle membrane eigenvalues <= tau by direct enumeration.
-
-    The Weyl term is tau * a * b / (4 pi); the remainder is count minus
-    that term and carries the boundary contribution.
-    """
-    a = check_positive("side a", a)
-    b = check_positive("side b", b)
-    tau = check_nonnegative("tau", tau)
-    kind = ProblemKind(kind)
-    if kind not in (ProblemKind.NEUMANN, ProblemKind.DIRICHLET):
-        raise ValueError(f"lattice count covers membrane kinds only, got {kind.value}")
-    count = len(_rect_values(a, b, 0 if kind is ProblemKind.NEUMANN else 1, tau))
-    weyl = tau * a * b / (4.0 * math.pi)
-    return LatticeCount(tau=tau, count=count, weyl_term=weyl, remainder=count - weyl)
-
-
-# ---------------------------------------------------------------------------
-# rectangle buckling product families
-
-
-@dataclass(frozen=True)
-class FamilyCounts:
-    """Counts of the four tensor-product buckling families below tau."""
-
-    tau: float
-    n1: int
-    n2: int
-    n3: int
-    n4: int
-
-    @property
-    def total(self) -> int:
-        return self.n1 + self.n2 + self.n3 + self.n4
-
-
-def buckling_family_counts(a: float, b: float, tau: float) -> FamilyCounts:
-    """Exact counts of the four product families with combined value <= tau.
-
-    Family 1 pairs cosine branch values in both directions, families 2
-    and 3 mix one cosine branch with one tan y = y branch, family 4
-    pairs two tan y = y branches.  These reproduce a claimed counting
-    argument; see ``buckling_product_residual`` for why the underlying
-    product functions are not actual buckling eigenfunctions.
-    """
-    a = check_length("side a", a)
-    b = check_length("side b", b)
-    tau = check_nonnegative("tau", tau)
-
-    def values(length: float, branch: int) -> np.ndarray:
-        # the k-th value of either branch is at least (2 k pi / L)^2, so
-        # fewer than k of each lie below tau, and the branches alternate
-        k = int(math.sqrt(tau) * length / (2.0 * math.pi)) + 1
-        labeled = buckling_branches(length, 2 * k)
-        return np.array([v.value for v in labeled if v.branch == branch and v.value <= tau])
-
-    a1, a2 = values(a, 1), values(a, 2)
-    b1, b2 = values(b, 1), values(b, 2)
-
-    def pair_count(xs: np.ndarray, ys: np.ndarray) -> int:
-        return int(np.count_nonzero(np.add.outer(xs, ys) <= tau))
-
-    return FamilyCounts(
-        tau=tau,
-        n1=pair_count(a1, b1),
-        n2=pair_count(a1, b2),
-        n3=pair_count(a2, b1),
-        n4=pair_count(a2, b2),
-    )
-
-
-@dataclass(frozen=True)
-class ProductResidual:
-    """Max-norm residual of a product trial function in the buckling PDE."""
-
-    eigenvalue_guess: float
-    residual_max: float
-    value_max: float
-
-    @property
-    def normalized(self) -> float:
-        return self.residual_max / self.value_max
-
-
-def buckling_product_residual(
-    a: float, b: float, l: int, m: int, grid: int = 201
-) -> ProductResidual:
-    """Residual of u = (1 - cos(2 l pi x / a)) (1 - cos(2 m pi y / b)).
-
-    The candidate eigenvalue is Lambda = alpha^2 + beta^2 with
-    alpha = 2 l pi / a, beta = 2 m pi / b.  All derivatives are closed
-    form; the grid only samples the interior for the max norms.  A
-    genuine eigenfunction would give a residual at roundoff scale; this
-    one leaves alpha^2 beta^2 (cos(alpha x) + cos(beta y)) behind.
-    """
-    a = check_positive("side a", a)
-    b = check_positive("side b", b)
-    l, m = check_count(l, "mode index l"), check_count(m, "mode index m")
-    grid = check_count(grid, "grid")
-    if grid < 8:
-        raise ValueError(f"grid must have at least 8 points per side, got {grid!r}")
-    alpha = 2.0 * l * math.pi / a
-    beta = 2.0 * m * math.pi / b
-    lam = alpha**2 + beta**2
-    x = np.linspace(0.0, a, grid)[1:-1]
-    y = np.linspace(0.0, b, grid)[1:-1]
-    cx = np.cos(alpha * x)[:, None]
-    cy = np.cos(beta * y)[None, :]
-    u = (1.0 - cx) * (1.0 - cy)
-    # u_xx = alpha^2 cx (1 - cy), u_yy = beta^2 cy (1 - cx)
-    lap = alpha**2 * cx * (1.0 - cy) + beta**2 * cy * (1.0 - cx)
-    # bilaplacian assembled from u_xxxx, u_yyyy and the mixed term u_xxyy
-    u_xxxx = -(alpha**4) * cx * (1.0 - cy)
-    u_yyyy = -(beta**4) * cy * (1.0 - cx)
-    u_xxyy = (alpha**2) * (beta**2) * cx * cy
-    residual = (u_xxxx + u_yyyy + 2.0 * u_xxyy) + lam * lap
-    return ProductResidual(
-        eigenvalue_guess=lam,
-        residual_max=float(np.max(np.abs(residual))),
-        value_max=float(np.max(np.abs(u))),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Claims checking on computed spectra.
 
-Counting functions, the per-index inequality chain, its counting-function
-counterpart, Weyl fits with and without the boundary term, heat-trace
-diagnostics, buckling decomposition bounds, and the two sharpness
-studies.  Everything here consumes immutable Spectrum values and returns
+The per-index inequality chain, its counting-function counterpart, Weyl
+fits with and without the boundary term, heat-trace diagnostics,
+buckling decomposition bounds, and the two sharpness studies.
+Everything here consumes immutable Spectrum values and returns
 ``Record`` reports.  Every report and row serializes through the one
 ``Record.as_dict``: the class's ``check`` name first, then its fields in
 declaration order, so a report's field order is its JSON layout and its
@@ -87,18 +87,13 @@ def trusted_edge(spectrum: Spectrum) -> float:
     return float(spectrum.values[spectrum.trusted_count - 1])
 
 
-def count_leq(spectrum: Spectrum, tau: float) -> int:
-    """Number of eigenvalues ``<= tau``.
+def _counts_leq(spectrum: Spectrum, taus: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues ``<= tau`` at every tau.
 
     Raises:
-        TrustRangeError: when ``tau`` exceeds the last trusted value,
+        TrustRangeError: naming the first tau past the last trusted value,
             where the computed list stops being a reliable census.
     """
-    return int(_counts_leq(spectrum, np.array([tau], dtype=float))[0])
-
-
-def _counts_leq(spectrum: Spectrum, taus: np.ndarray) -> np.ndarray:
-    """``count_leq`` at every tau; the error names the first tau out of range."""
     edge = trusted_edge(spectrum)
     beyond = taus[taus > edge]
     if len(beyond):
@@ -107,25 +102,6 @@ def _counts_leq(spectrum: Spectrum, taus: np.ndarray) -> np.ndarray:
             f"{spectrum.kind.value} spectrum on {spectrum.domain}"
         )
     return np.searchsorted(spectrum.values, taus, side="right")
-
-
-@dataclass(frozen=True)
-class CountingFunction(Record):
-    """A spectrum's counting function tabulated on a tau grid."""
-
-    kind: str
-    domain: str
-    taus: np.ndarray
-    counts: np.ndarray
-
-
-def counting_function(spectrum: Spectrum, taus) -> CountingFunction:
-    """Tabulate ``count_leq`` on an increasing tau grid."""
-    taus = np.asarray(taus, dtype=float)
-    counts = _counts_leq(spectrum, taus).astype(np.int64)
-    return CountingFunction(
-        kind=spectrum.kind.value, domain=spectrum.domain, taus=taus, counts=counts
-    )
 
 
 def _shared_domain(spectra) -> str:

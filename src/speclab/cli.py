@@ -41,7 +41,7 @@ from .fdlab import (
     rectangle_domain,
 )
 from .interval1d import interval_spectrum
-from .spectra import CHAIN_ORDER, LENGTH_RANGE, MEMBRANE_KINDS, ProblemKind, Spectrum
+from .spectra import CHAIN_ORDER, LENGTH_RANGE, MEMBRANE_KINDS, ProblemKind
 
 @dataclass(frozen=True)
 class DomainType:
@@ -273,15 +273,19 @@ def _grid_part(where: str, part) -> dict:
     return part
 
 
-#: Every field a check may carry, checked wherever it is set: the test its
-#: value must pass, what that asks for, and the parse of a value that passed.
+#: Every field a check type may read: the test its value must pass, what
+#: that asks for, and the parse of a value that passed.
 CHECK_FIELDS = {
     "count": (_is_count, "a positive integer", int),
-    "points": (_is_count, "a positive integer", int),
+    "points": (lambda v: _is_count(v) and v >= 2, "an integer of 2 or more", int),
     "rtol": (_is_number, "a number", float),
     "volume": (_is_positive, "a positive number", float),
     "boundary": (_is_positive, "a positive number", float),
-    "taus": (_is_numbers, "a list of numbers", lambda v: list(map(float, v))),
+    "taus": (
+        lambda v: _is_numbers(v) and v,
+        "a nonempty list of numbers",
+        lambda v: list(map(float, v)),
+    ),
     "times": (
         lambda v: _is_numbers(v) and v and min(v) > 0,
         "a nonempty list of positive numbers",
@@ -414,7 +418,7 @@ CHECKS = {
         "verify", _decomposition, {"parts": [], "count": None}, (ProblemKind.BUCKLING,), ("fd",)
     ),
     "sharpness": CheckType(
-        "verify", _sharpness, {"caps": []}, CHAIN_ORDER, ("analytic",), ("disk",)
+        "verify", _sharpness, {"caps": []}, CHAIN_ORDER, ("analytic",), ("disk",), min_count=2
     ),
     "weyl": CheckType("weyl", _weyl, {"kind": None, "window": None, "rtol": None, "volume": None}),
     "weyl2": CheckType(
@@ -447,14 +451,19 @@ def _check_check(where: str, check, exp: Experiment) -> dict:
     ctype = check.get("type")
     _require(isinstance(ctype, str) and ctype in CHECKS, f"{where}: unknown check type {ctype!r}")
     spec = CHECKS[ctype]
+    for key in check:
+        _require(
+            key == "type" or key in spec.fields,
+            f"{where}: {ctype} has no field {key!r}, only {list(spec.fields)}",
+        )
     out = {"type": ctype}
-    for key, (test, what, parse) in CHECK_FIELDS.items():
-        value = spec.fields.get(key) if check.get(key) is None else check[key]
+    for key, default in spec.fields.items():
+        value = default if check.get(key) is None else check[key]
         if value is not None:
+            test, what, parse = CHECK_FIELDS[key]
             _require(test(value), f"{where}: {key!r} must be {what}")
             value = _parsed(f"{where}: {key!r}", parse, value)
-        if key in spec.fields:
-            out[key] = value
+        out[key] = value
 
     dtype = exp.domain["type"]
     dim, volume, boundary = DOMAINS[dtype].geometry(exp.domain)

@@ -13,7 +13,6 @@ from .grid import (
     lshape_unknowns,
     read_mask_file,
     rectangle_domain,
-    write_mask_file,
 )
 from .operators import (
     SparseSymOperator,
@@ -47,5 +46,4 @@ __all__ = [
     "rectangle_domain",
     "solve_gevp",
     "symmetry_classes",
-    "write_mask_file",
 ]

@@ -232,11 +232,3 @@ def read_mask_file(path: str | Path) -> GridDomain:
         raise ValueError(f"{path}: row {j + 2} has invalid character {rows[j][i]!r}")
     return GridDomain(h=h, mask=mask, origin=(0.0, 0.0), descriptor=f"mask({path.name})")
 
-
-def write_mask_file(domain: GridDomain, path: str | Path) -> None:
-    """Write a domain in the text format understood by read_mask_file."""
-    path = Path(path)
-    lines = [f"h {domain.h:.12g}"]
-    for row in domain.mask:
-        lines.append("".join("#" if v else "." for v in row))
-    path.write_text("\n".join(lines) + "\n")

@@ -37,10 +37,10 @@ Users' Guide*, 1998): on a 1e-6 square the clamped values near 1e27
 shift-invert to about 1e-27, the absolute floor took over, and the
 solve failed.  Scaling by a power of two is exact, the caller's LU is
 used as it is (its solves are divided by alpha), and M is scaled as an
-operator, so no matrix is copied; the values, partial ones included,
-are scaled back exactly.  ARPACK stops at DEFAULT_TOL / 100 rather than at
-machine precision, since the residual check above, not ARPACK, decides
-which pairs are accepted; that saves 12-15% of the solves.
+operator, so no matrix is copied; the values are scaled back exactly.
+ARPACK stops at DEFAULT_TOL / 100 rather than at machine precision,
+since the residual check above, not ARPACK, decides which pairs are
+accepted; that saves 12-15% of the solves.
 """
 
 from __future__ import annotations
@@ -84,14 +84,7 @@ class EvpSolution:
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver failed to reach the residual tolerance ``DEFAULT_TOL``.
-
-    Carries whatever converged pairs were available in ``partial``.
-    """
-
-    def __init__(self, message: str, partial: EvpSolution | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """Eigensolver failed to reach the residual tolerance ``DEFAULT_TOL``."""
 
 
 _EPS = float(np.finfo(float).eps)
@@ -179,7 +172,7 @@ def solve_gevp(
 
     Raises:
         ConvergenceError: when the iteration stalls or a residual ends
-            up above ``DEFAULT_TOL``; partial results ride along.
+            up above ``DEFAULT_TOL``.
     """
     n = a.shape[0]
     count = check_count(count)
@@ -238,20 +231,9 @@ def solve_gevp(
                 tol=DEFAULT_TOL / 100,
             )
         except spla.ArpackNoConvergence as exc:
-            got = exc.eigenvalues if exc.eigenvalues is not None else []
-            got = np.sort(np.asarray(got) * (beta / alpha))[:count]
-            partial = None
-            if len(got):
-                partial = EvpSolution(
-                    values=got,
-                    residuals=np.full(len(got), np.nan),
-                    method=method,
-                    lu=lu,
-                    solves=solves,
-                )
+            got = min(count, 0 if exc.eigenvalues is None else len(exc.eigenvalues))
             raise ConvergenceError(
-                f"eigensolver did not converge ({len(got)} of {count} pairs)",
-                partial=partial,
+                f"eigensolver did not converge ({got} of {count} pairs)"
             ) from exc
         values = values * (beta / alpha)
 
@@ -270,7 +252,12 @@ def solve_gevp(
         values, vectors = _lowest(values, vectors, count)
         relative, backward = _residuals(a_csc, m_csc, values, vectors)
         accepted = _accepted(relative, backward)
-    solution = EvpSolution(
+    if not np.all(accepted):
+        worst = float(relative.max())
+        raise ConvergenceError(
+            f"eigenpair residual {worst:.3e} exceeds tolerance {DEFAULT_TOL:.3e}"
+        )
+    return EvpSolution(
         values=values,
         residuals=relative,
         method=method,
@@ -278,10 +265,3 @@ def solve_gevp(
         solves=solves,
         vectors=vectors,
     )
-    if not np.all(accepted):
-        worst = float(relative.max())
-        raise ConvergenceError(
-            f"eigenpair residual {worst:.3e} exceeds tolerance {DEFAULT_TOL:.3e}",
-            partial=solution,
-        )
-    return solution

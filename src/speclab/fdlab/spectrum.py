@@ -56,10 +56,10 @@ which shares the operators without copying them, sends back only the
 values through a pipe, and leaves by ``os._exit``.  Threads would gain
 nothing: SuperLU's factor and solve and ARPACK hold the GIL.  A child
 that fails has its bin run again here, so an error such as
-``ConvergenceError`` reaches the caller with its type and partial
-results.  One class, one CPU, or a platform without ``os.fork`` make
-one bin, run here with no child.  The cost is memory, since each child
-holds an LU while this process holds another: on the L-shape at
+``ConvergenceError`` reaches the caller with its type and message.
+One class, one CPU, or a platform without ``os.fork`` make one bin,
+run here with no child.  The cost is memory, since each child holds an
+LU while this process holds another: on the L-shape at
 h = 1/320 with all four kinds, the summed proportional set size of the
 processes peaks at 274-276 MB against 179 MB in one process, and the
 largest process at 186-187 MB against 183 MB; about 3 MB of that are
@@ -185,7 +185,7 @@ def _spread(run, jobs: list[list[tuple]]) -> list[list[np.ndarray]]:
     A job is a list of asks ``(kind, class, k)``, and ``run(job)``
     returns one float64 array of k values per ask.  A child that fails,
     by a nonzero exit or a short read, has its job run again here, so
-    that its error is raised here with its type and partial results.
+    that its error is raised here with its type and message.
     Every child is reaped before this returns or raises.
     """
     children = [_fork(run, job) for job in jobs[1:]]

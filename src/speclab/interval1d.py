@@ -7,29 +7,20 @@ stored value).  The buckling problem u'''' = -Lambda u'' with clamped
 ends splits into two families: symmetric modes 1 - cos(2 k pi x / L)
 with Lambda = (2 k pi / L)^2, and antisymmetric modes whose frequencies
 y = sqrt(Lambda) L / 2 solve tan y = y.  The two families interleave,
-and the second buckling value undercuts the third Dirichlet value, which
-is the one-dimensional counterexample this module exists to expose.
+and the second buckling value undercuts the third Dirichlet value: the
+one-dimensional counterexample that a ``payne`` check on an interval
+reports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .specfun import RootBracket, find_root
 from .spectra import ProblemKind, Spectrum, check_count, check_length
-
-
-@dataclass(frozen=True)
-class BucklingBranch:
-    """One labeled buckling value: branch 1 is cosine, branch 2 is tan y = y."""
-
-    branch: int
-    index: int
-    value: float
 
 
 @lru_cache(maxsize=None)
@@ -58,27 +49,6 @@ def clamped_beam_root(k: int) -> float:
     )
 
 
-def buckling_branches(length: float, count: int) -> list[BucklingBranch]:
-    """Smallest ``count`` buckling values with their branch labels, sorted.
-
-    Branch 1 contributes (2 k pi / L)^2 and branch 2 contributes
-    (2 y_k / L)^2 with tan(y_k) = y_k; since k pi < y_k < k pi + pi / 2
-    the branches alternate strictly.
-    """
-    length = check_length("interval length", length)
-    count = check_count(count)
-    per_branch = count // 2 + 1
-    labeled = [
-        BucklingBranch(1, k, (2 * k * math.pi / length) ** 2)
-        for k in range(1, per_branch + 1)
-    ] + [
-        BucklingBranch(2, k, (2 * tan_root(k) / length) ** 2)
-        for k in range(1, per_branch + 1)
-    ]
-    labeled.sort(key=lambda b: b.value)
-    return labeled[:count]
-
-
 def interval_spectrum(length: float, kind: ProblemKind, count: int) -> Spectrum:
     """Smallest ``count`` eigenvalues of the given problem on (0, L).
 
@@ -100,7 +70,13 @@ def interval_spectrum(length: float, kind: ProblemKind, count: int) -> Spectrum:
             [(clamped_beam_root(int(j)) / length) ** 2 for j in k]
         )
     else:
-        values = np.array([b.value for b in buckling_branches(length, count)])
+        # (2 k pi / L)^2 and (2 y_k / L)^2 with k pi < y_k < k pi + pi / 2
+        # alternate, so the lowest count of both hold the count lowest
+        per_family = range(1, count // 2 + 2)
+        values = np.sort(
+            [(2 * j * math.pi / length) ** 2 for j in per_family]
+            + [(2 * tan_root(j) / length) ** 2 for j in per_family]
+        )[:count]
     return Spectrum(
         kind=kind,
         domain=f"interval(L={length:g})",
@@ -109,15 +85,3 @@ def interval_spectrum(length: float, kind: ProblemKind, count: int) -> Spectrum:
         trusted_count=count,
     )
 
-
-def payne_check_1d(length: float, count: int):
-    """Compare lambda_{k+1} against Lambda_k on (0, L) for k <= count.
-
-    Returns the generic scan report; on any interval the k = 2 row fails
-    because (2 y_1 / L)^2 < (3 pi / L)^2.
-    """
-    from .analytics import payne_scan
-
-    dirichlet = interval_spectrum(length, ProblemKind.DIRICHLET, count + 1)
-    buckling = interval_spectrum(length, ProblemKind.BUCKLING, count)
-    return payne_scan(dirichlet, buckling, count)

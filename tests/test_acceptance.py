@@ -6,17 +6,14 @@ without ``-s`` the lines still appear for any failing check.
 
 from __future__ import annotations
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
-from speclab.analytic2d import (
-    buckling_product_residual,
-    disk_spectrum,
-    rect_lattice_count,
-    rect_spectrum,
-)
+from speclab.analytic2d import disk_spectrum, rect_spectrum
 from speclab.analytics import (
     counting_chain_check,
     decomposition_check,
@@ -36,7 +33,8 @@ from speclab.fdlab import (
     lshape_domain,
     rectangle_domain,
 )
-from speclab.interval1d import clamped_beam_root, interval_spectrum, payne_check_1d, tan_root
+from speclab.cli import main
+from speclab.interval1d import clamped_beam_root, interval_spectrum, tan_root
 from speclab.specfun import bessel_j_zero
 from speclab.spectra import ProblemKind
 
@@ -49,6 +47,20 @@ def verdict(label: str, ok: bool) -> None:
 def sig4(x: float, ref: float) -> bool:
     """Agreement to four significant digits."""
     return abs(x - ref) <= 5e-4 * abs(ref)
+
+
+def sig12(x: float) -> float:
+    """``x`` at the 12 significant digits of a report."""
+    return float(f"{x:.12g}")
+
+
+def report(tmp_path: Path, experiment: dict) -> dict:
+    """The report of one experiment run through ``speclab report``."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiments": [experiment]}))
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+    return json.loads((out / f"{experiment['name']}.report.json").read_text())
 
 
 class TestAcceptance:
@@ -97,7 +109,7 @@ class TestAcceptance:
             ok = ok and domain_ok
         assert ok
 
-    def test_03_interval_second_buckling_breaks_the_bound(self):
+    def test_03_interval_second_buckling_breaks_the_bound(self, tmp_path):
         # certify the tan y = y root against plain bisection first
         def bisect_root(k: int) -> float:
             lo, hi = k * math.pi, k * math.pi + math.pi / 2.0 - 1e-12
@@ -111,36 +123,47 @@ class TestAcceptance:
 
         y1 = tan_root(1)
         certified = abs(y1 - bisect_root(1)) < 1e-8 and abs(y1 - 4.49340946) < 5e-9
-        report = payne_check_1d(1.0, 2)
-        k2 = report.rows[1]
+        # the README's rod experiment, as `speclab report` runs it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("### Config example")[1].split("```json")[1].split("```")[0]
+        (rod,) = [exp for exp in json.loads(example)["experiments"] if exp["name"] == "rod"]
+        k1, k2 = report(tmp_path, rod)["checks"][0]["rows"][:2]
         ok = (
             certified
-            and report.rows[0].holds
-            and not k2.holds
-            and sig4(k2.buck, 80.76)
-            and sig4(k2.lam_next, 88.83)
-            and k2.lam_next == 9.0 * math.pi**2
+            and k1["holds"]
+            and k1["gap"] == 0.0
+            and not k2["holds"]
+            and k2["Lambda"] == 80.7629142257 == sig12((2.0 * y1) ** 2)
+            and k2["lambda_next"] == 88.8264396098 == sig12(9.0 * math.pi**2)
         )
         verdict("interval: Lambda_2 = 80.76 undercuts lambda_3 = 9 pi^2", ok)
 
-    def test_04_lattice_count_tracks_weyl(self):
+    def test_04_lattice_count_tracks_weyl(self, tmp_path):
+        # the two-term fit's leading coefficient over [1e3, 1e4], and one-term
+        # fits whose ratio rises toward 1 decade by decade
+        windows = ([10.0, 100.0], [100.0, 1e3], [1e3, 1e4])
+        rect = {
+            "name": "rect",
+            "domain": {"type": "rect", "a": 1.0, "b": 2.0},
+            "kinds": ["dirichlet"],
+            "backend": {"type": "analytic"},
+            "count": 1600,
+            "checks": [{"type": "weyl2", "window": [1e3, 1e4]}]
+            + [{"type": "weyl", "window": window} for window in windows],
+        }
         start = time.perf_counter()
-        area = 2.0
-        ratios = [
-            rect_lattice_count(1.0, 2.0, ProblemKind.DIRICHLET, tau).count
-            * 4.0
-            * math.pi
-            / (tau * area)
-            for tau in (1e2, 1e3, 1e4)
-        ]
+        two_term, *one_term = report(tmp_path, rect)["checks"]
         elapsed = time.perf_counter() - start
+        ratios = [fit["ratio"] for fit in one_term]
         ok = (
-            0.97 <= ratios[2] <= 1.03
-            and ratios[0] < ratios[1] < ratios[2]
+            two_term["ok"]
+            and 0.97 <= two_term["ratio"] <= 1.03
+            and ratios[0] < ratios[1] < ratios[2] < 1.0
             and elapsed < 5.0
         )
         verdict(
-            f"1x2 rectangle count ratio {ratios[2]:.4f} at tau=1e4 in {elapsed:.2f}s",
+            f"1x2 rectangle Weyl ratio {two_term['ratio']:.4f} over [1e3, 1e4] "
+            f"in {elapsed:.2f}s",
             ok,
         )
 
@@ -219,8 +242,8 @@ class TestAcceptance:
     def test_10_product_ansatz_leaves_a_residual(self):
         import sympy as sp
 
-        pr = buckling_product_residual(1.0, 1.0, 1, 1)
-
+        # u = (1 - cos(alpha x)) (1 - cos(beta y)) on the unit square, with
+        # Lambda = alpha^2 + beta^2, the product of two rod buckling modes
         x, y = sp.symbols("x y")
         alpha = beta = 2 * sp.pi
         u = (1 - sp.cos(alpha * x)) * (1 - sp.cos(beta * y))
@@ -229,13 +252,21 @@ class TestAcceptance:
         bilap = (
             sp.diff(u, x, 4) + 2 * sp.diff(u, x, 2, y, 2) + sp.diff(u, y, 4)
         )
-        residual = sp.lambdify((x, y), sp.simplify(bilap + lam * lap), "numpy")
+        defect = bilap + lam * lap
+        # the cross-derivative term survives: alpha^2 beta^2 (cos ax + cos by)
+        closed = alpha**2 * beta**2 * (sp.cos(alpha * x) + sp.cos(beta * y))
+        closed_ok = sp.simplify(defect - closed) == 0
         grid = np.linspace(0.0, 1.0, 201)[1:-1]
-        sym_max = float(np.max(np.abs(residual(grid[:, None], grid[None, :]))))
-        ok = pr.normalized > 1.0 and abs(pr.residual_max - sym_max) < 1e-9 * sym_max
+
+        def peak(f) -> float:
+            values = sp.lambdify((x, y), f, "numpy")(grid[:, None], grid[None, :])
+            return float(np.max(np.abs(values)))
+
+        normalized = peak(defect) / peak(u)
+        ok = closed_ok and normalized > 1.0
         verdict(
             f"product trial function misses the buckling equation "
-            f"(normalized residual {pr.normalized:.1f})",
+            f"(normalized residual {normalized:.1f})",
             ok,
         )
 

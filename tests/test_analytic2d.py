@@ -9,14 +9,7 @@ import pytest
 import scipy.special as ss
 from scipy.optimize import brentq
 
-from speclab.analytic2d import (
-    buckling_family_counts,
-    buckling_product_residual,
-    disk_spectrum,
-    rect_lattice_count,
-    rect_spectrum,
-)
-from speclab.interval1d import tan_root
+from speclab.analytic2d import disk_spectrum, rect_spectrum
 from speclab.spectra import LENGTH_RANGE, ProblemKind, lowest_over_orders
 
 
@@ -90,149 +83,6 @@ class TestRectSpectrum:
         base = rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 6).values
         scaled = rect_spectrum(side, side, ProblemKind.DIRICHLET, 6).values
         assert np.allclose(scaled, base / side**2, rtol=1e-12)
-
-
-class TestLatticeCount:
-    @staticmethod
-    def brute_count(a, b, start, tau):
-        n = int(math.sqrt(tau) * max(a, b) / math.pi) + 2
-        l = np.arange(start, n)[:, None]
-        m = np.arange(start, n)[None, :]
-        return int(np.sum(np.pi**2 * (l**2 / a**2 + m**2 / b**2) <= tau))
-
-    @pytest.mark.parametrize(
-        "tau,count", [(100.0, 12), (1000.0, 146), (1e4, 1545)]
-    )
-    def test_one_by_two_dirichlet_counts(self, tau, count):
-        lc = rect_lattice_count(1.0, 2.0, ProblemKind.DIRICHLET, tau)
-        assert lc.count == count
-        assert lc.count == self.brute_count(1.0, 2.0, 1, tau)
-        assert lc.weyl_term == pytest.approx(tau * 2.0 / (4.0 * math.pi))
-        assert lc.remainder == pytest.approx(lc.count - lc.weyl_term)
-
-    def test_normalized_count_approaches_one_from_below(self):
-        # boundary deficit shrinks like 1/sqrt(tau) for Dirichlet
-        ratios = [
-            rect_lattice_count(1.0, 2.0, ProblemKind.DIRICHLET, tau).count
-            * 4.0
-            * math.pi
-            / (tau * 2.0)
-            for tau in (100.0, 1000.0, 1e4)
-        ]
-        assert ratios == sorted(ratios)
-        assert ratios[-1] == pytest.approx(0.9707521299592461, rel=1e-12)
-
-    def test_threshold_is_inclusive(self):
-        near = 5.0 * math.pi**2
-        assert rect_lattice_count(1.0, 1.0, ProblemKind.DIRICHLET, near + 1e-9).count == 3
-        assert rect_lattice_count(1.0, 1.0, ProblemKind.DIRICHLET, near - 1e-9).count == 1
-
-    def test_neumann_counts_constant_mode(self):
-        assert rect_lattice_count(1.0, 1.0, ProblemKind.NEUMANN, 1.0).count == 1
-        assert rect_lattice_count(1.0, 1.0, ProblemKind.NEUMANN, 0.0).count == 1
-
-    def test_agrees_with_spectrum_prefix(self):
-        s = rect_spectrum(1.0, 2.0, ProblemKind.DIRICHLET, 120)
-        tau = float(s.values[80])
-        lc = rect_lattice_count(1.0, 2.0, ProblemKind.DIRICHLET, tau)
-        assert lc.count == int(np.searchsorted(s.values, tau, side="right"))
-
-    @pytest.mark.parametrize("tau", [-1.0, math.inf, math.nan, None, 10**400])
-    def test_tau_validation(self, tau):
-        message = "tau must be finite and >= 0"
-        with pytest.raises(ValueError, match=message):
-            rect_lattice_count(1.0, 1.0, ProblemKind.DIRICHLET, tau)
-        with pytest.raises(ValueError, match=message):
-            buckling_family_counts(1.0, 1.0, tau)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="membrane"):
-            rect_lattice_count(1.0, 1.0, ProblemKind.CLAMPED, 10.0)
-
-    # float() raised OverflowError on 10**400 before
-    @pytest.mark.parametrize("side", [0.0, -1.0, math.inf, math.nan, None, 10**400])
-    def test_side_validation(self, side):
-        with pytest.raises(ValueError, match="side a must be positive"):
-            rect_lattice_count(side, 1.0, ProblemKind.DIRICHLET, 10.0)
-        with pytest.raises(ValueError, match="side b must be positive"):
-            rect_lattice_count(1.0, side, ProblemKind.DIRICHLET, 10.0)
-
-
-class TestFamilyCounts:
-    def test_unit_square_at_200(self):
-        fc = buckling_family_counts(1.0, 1.0, 200.0)
-        assert (fc.n1, fc.n2, fc.n3, fc.n4) == (3, 1, 1, 1)
-        assert fc.total == 6
-
-    def test_matches_direct_pairing(self):
-        tau = 200.0
-
-        def branch(length, use_tan):
-            out, k = [], 1
-            while True:
-                base = 2.0 * tan_root(k) / length if use_tan else 2.0 * k * math.pi / length
-                if base**2 > tau:
-                    return out
-                out.append(base**2)
-                k += 1
-
-        a1, a2 = branch(1.0, False), branch(1.0, True)
-        b1, b2 = branch(2.0, False), branch(2.0, True)
-        pairs = lambda xs, ys: sum(x + y <= tau for x in xs for y in ys)
-        fc = buckling_family_counts(1.0, 2.0, tau)
-        assert (fc.n1, fc.n2, fc.n3, fc.n4) == (
-            pairs(a1, b1),
-            pairs(a1, b2),
-            pairs(a2, b1),
-            pairs(a2, b2),
-        )
-        assert (fc.n1, fc.n2, fc.n3, fc.n4) == (6, 4, 3, 3)
-
-    def test_below_first_value_all_empty(self):
-        fc = buckling_family_counts(1.0, 1.0, 10.0)
-        assert fc.total == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            buckling_family_counts(-1.0, 1.0, 100.0)
-        # the branch values come from the interval spectra, which take lengths
-        with pytest.raises(ValueError, match=r"side a must be a length in \[0.001, 1000\]"):
-            buckling_family_counts(2e3, 1.0, 100.0)
-
-
-class TestProductResidual:
-    def test_residual_matches_simplified_form(self):
-        # by hand the defect collapses to alpha^2 beta^2 (cos ax + cos by)
-        a, b, l, m, grid = 1.0, 2.0, 2, 1, 301
-        alpha, beta = 2.0 * l * math.pi / a, 2.0 * m * math.pi / b
-        x = np.linspace(0.0, a, grid)[1:-1]
-        y = np.linspace(0.0, b, grid)[1:-1]
-        simplified = alpha**2 * beta**2 * np.abs(
-            np.cos(alpha * x)[:, None] + np.cos(beta * y)[None, :]
-        )
-        pr = buckling_product_residual(a, b, l, m, grid=grid)
-        assert pr.residual_max == pytest.approx(float(simplified.max()), rel=1e-10)
-
-    def test_unit_square_fundamental_is_far_from_solving(self):
-        pr = buckling_product_residual(1.0, 1.0, 1, 1)
-        assert pr.eigenvalue_guess == pytest.approx(8.0 * math.pi**2)
-        assert pr.value_max == pytest.approx(4.0)
-        assert pr.normalized == pytest.approx(779.2727282720198, rel=1e-12)
-        assert pr.normalized > 1.0
-
-    def test_higher_modes_also_fail(self):
-        assert buckling_product_residual(1.0, 2.0, 2, 3).normalized > 1.0
-
-    @pytest.mark.parametrize("l, m", [(0, 1), (1, 1.5), (None, 1)])
-    def test_mode_index_validation(self, l, m):
-        with pytest.raises(ValueError, match="mode index . must be a positive integer"):
-            buckling_product_residual(1.0, 1.0, l, m)
-
-    # None and 8.5 raised TypeError before
-    @pytest.mark.parametrize("grid", [4, None, 8.5])
-    def test_validation(self, grid):
-        with pytest.raises(ValueError, match="grid must"):
-            buckling_product_residual(1.0, 1.0, 1, 1, grid=grid)
 
 
 def merged_disk_roots(order_roots, count: int, initial=()) -> np.ndarray:

@@ -15,9 +15,7 @@ from speclab.analytics import (
     TruncationError,
     TrustRangeError,
     ball_volume,
-    count_leq,
     counting_chain_check,
-    counting_function,
     decomposition_check,
     heat_trace_check,
     inequality_chain_check,
@@ -54,28 +52,13 @@ def make_spectrum(kind, values, domain="fake", source="analytic", trusted=0):
 
 
 class TestCounting:
-    def test_count_leq_on_square_spectrum(self):
-        s = rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 5)
-        near = 5.0 * math.pi**2
-        assert count_leq(s, near + 1e-9) == 3
-        assert count_leq(s, near - 1e-9) == 1
-        assert count_leq(s, 0.0) == 0
-
-    def test_count_leq_stops_at_trusted_edge(self):
-        s = make_spectrum(ProblemKind.DIRICHLET, [1, 2, 3, 4, 5, 6], trusted=4)
-        assert trusted_edge(s) == 4.0
-        assert count_leq(s, 4.0) == 4
-        with pytest.raises(TrustRangeError, match="trusted"):
-            count_leq(s, 4.5)
-
-    def test_counting_function_monotone(self):
-        s = disk_spectrum(1.0, ProblemKind.DIRICHLET, 12)
-        taus = np.linspace(0.0, trusted_edge(s), 15)
-        cf = counting_function(s, taus)
-        assert np.all(np.diff(cf.counts) >= 0)
-        assert cf.counts[-1] == 12
-        d = cf.as_dict()
-        assert d["kind"] == "dirichlet" and len(d["taus"]) == 15
+    def test_counts_are_inclusive_and_stop_at_the_trusted_edge(self):
+        spectra = {k: make_spectrum(k, [1, 2, 3, 4, 5, 6], trusted=4) for k in ProblemKind}
+        assert trusted_edge(spectra[ProblemKind.DIRICHLET]) == 4.0
+        report = counting_chain_check(spectra, [0.0, 2.0 - 1e-9, 2.0, 4.0])
+        assert report.counts["dirichlet"] == [0, 1, 2, 4]
+        with pytest.raises(TrustRangeError, match=r"tau=4\.5 beyond trusted range"):
+            counting_chain_check(spectra, [1.0, 4.5])
 
     def test_ball_volume(self):
         assert ball_volume(1) == pytest.approx(2.0)

@@ -27,13 +27,14 @@ from speclab.fdlab import (
     DegenerateDomainError,
     assemble_laplacian,
     disk_domain,
-    lshape_domain,
     read_mask_file,
-    write_mask_file,
 )
 from speclab.spectra import ProblemKind
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: The unit L-shape with its notch at 1/2, at h = 1/8, as a mask file.
+ELL_MASK = "h 0.125\n" + "#######\n" * 3 + "###....\n" * 4
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -89,7 +90,7 @@ VALID_BLOCKS = [
         "kinds": ["neumann", "dirichlet"],
         "backend": {"type": "cap", "points": 100},
         "count": 4,
-        "checks": [{"type": "weyl", "window": [1.0, 50.0], "boundary": 1.0, "volume": 2.9}],
+        "checks": [{"type": "weyl", "window": [1.0, 50.0], "volume": 2.9}],
     },
     {
         "name": "file",
@@ -680,7 +681,7 @@ class TestMainRuns:
 
     def test_mask_domain_through_cli(self, tmp_path):
         mask_path = tmp_path / "ell.mask"
-        write_mask_file(lshape_domain(1.0, 1.0, 1.0 / 8.0), mask_path)
+        mask_path.write_text(ELL_MASK)
         block = {
             "name": "ell",
             "domain": {"type": "mask", "path": str(mask_path)},
@@ -792,7 +793,7 @@ class TestChecksResolvedBeforeRunning:
     def test_unmeetable_check_exits_2_naming_the_field(self, tmp_path, capsys, block, field):
         if block["domain"]["type"] == "mask":
             mask_path = tmp_path / "ell.mask"
-            write_mask_file(lshape_domain(1.0, 1.0, 1.0 / 8.0), mask_path)
+            mask_path.write_text(ELL_MASK)
             block = {**block, "domain": {"type": "mask", "path": str(mask_path)}}
         config = write_config(tmp_path, {"experiments": [block]})
         out = tmp_path / "out"
@@ -800,6 +801,46 @@ class TestChecksResolvedBeforeRunning:
         err = capsys.readouterr().err
         assert err.startswith("speclab: ") and field in err
         assert not out.exists()
+
+    def test_sharpness_needs_a_count_of_two(self):
+        # sharpness reads mu_2 of the disk; at count 1 it parsed and then
+        # the run died with "IndexError: index 1 is out of bounds"
+        caps = [{"delta": 2.0, "points": 100}]
+        block = analytic_block(DISK, KINDS, [{"type": "sharpness", "caps": caps}], count=1)
+        message = r"sharpness needs an experiment 'count' of 2 or more"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps({"experiments": [block]}))
+
+    @pytest.mark.parametrize(
+        "check, field",
+        [
+            # a misspelt field left the default window in force
+            ({"type": "weyl", "windw": [1.0, 50.0]}, "windw"),
+            ({"type": "weyl", "boundary": 1.0}, "boundary"),
+            ({"type": "chain", "rtol": None}, "rtol"),
+            ({"type": "payne", "taus": [1.0]}, "taus"),
+        ],
+    )
+    def test_a_field_the_check_does_not_read_is_refused(self, check, field):
+        block = interval_block(checks=[check], count=40)
+        with pytest.raises(ConfigError, match=rf"{check['type']} has no field '{field}'"):
+            parse_config(json.dumps({"experiments": [block]}))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # [] reported an asserted ok over no tau, and 1 judged tau = 0 alone
+            ("taus", [], "'taus' must be a nonempty list of numbers"),
+            ("points", 1, "'points' must be an integer of 2 or more"),
+        ],
+    )
+    def test_counting_chain_needs_more_than_one_tau(self, field, value, message):
+        block = interval_block(checks=[{"type": "counting-chain", field: value}])
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps({"experiments": [block]}))
+        block["checks"][0][field] = [0.0, 1.0] if field == "taus" else 2
+        (exp,) = parse_config(json.dumps({"experiments": [block]}))
+        assert exp.checks[0][field] == block["checks"][0][field]
 
     @pytest.mark.parametrize(
         "domain, backend, field",

@@ -1,4 +1,4 @@
-"""Closed-form interval spectra and the 1D buckling counterexample."""
+"""Closed-form interval spectra and the roots they are built from."""
 
 import hashlib
 import math
@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab import ProblemKind
-from speclab.interval1d import (
-    buckling_branches,
-    clamped_beam_root,
-    interval_spectrum,
-    payne_check_1d,
-    tan_root,
-)
+from speclab.interval1d import clamped_beam_root, interval_spectrum, tan_root
 from speclab.spectra import LENGTH_RANGE
 
 # mpmath findroot at 30 digits, frozen
@@ -73,23 +67,6 @@ class TestRoots:
             root(k)
 
 
-class TestBranches:
-    def test_interleaving(self):
-        branches = buckling_branches(1.0, 10)
-        values = [b.value for b in branches]
-        assert values == sorted(values)
-        assert all(b < a for a, b in zip(values, values[1:])) is False
-        # cosine and tan families alternate strictly
-        assert [b.branch for b in branches] == [1, 2] * 5
-
-    def test_branch_values(self):
-        branches = buckling_branches(2.0, 4)
-        assert branches[0].value == pytest.approx(math.pi**2, rel=1e-12)
-        assert branches[1].value == pytest.approx(Y1**2, rel=1e-12)
-        assert branches[2].value == pytest.approx(4 * math.pi**2, rel=1e-12)
-        assert branches[3].value == pytest.approx(Y2**2, rel=1e-12)
-
-
 class TestSpectrum:
     def test_dirichlet_neumann(self):
         d = interval_spectrum(1.0, ProblemKind.DIRICHLET, 4)
@@ -107,6 +84,16 @@ class TestSpectrum:
         b = interval_spectrum(1.0, ProblemKind.BUCKLING, 4)
         want = [4 * math.pi**2, 4 * Y1**2, 16 * math.pi**2, 4 * Y2**2]
         assert np.allclose(b.values, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("length", [1.0, 2.0, 0.3])
+    def test_buckling_families_alternate(self, length):
+        # (2 k pi / L)^2 and (2 y_k / L)^2 take turns, at every count
+        cosine = [(2 * k * math.pi / length) ** 2 for k in range(1, 7)]
+        tan = [(2 * tan_root(k) / length) ** 2 for k in range(1, 7)]
+        alternating = [v for pair in zip(cosine, tan) for v in pair]
+        for count in range(1, 12):
+            values = interval_spectrum(length, ProblemKind.BUCKLING, count).values
+            assert values.tolist() == alternating[:count]
 
     def test_clamped_past_cosh_overflow(self):
         # cosh(z) overflows from z_226 on; sech must underflow instead.  The
@@ -138,8 +125,6 @@ class TestSpectrum:
         for kind in ProblemKind:
             with pytest.raises(ValueError, match=message):
                 interval_spectrum(length, kind, 3)
-        with pytest.raises(ValueError, match=message):
-            buckling_branches(length, 3)
 
     @pytest.mark.parametrize("length", LENGTH_RANGE)
     def test_length_at_the_ends_of_the_length_range(self, length):
@@ -191,18 +176,3 @@ class TestBeamAgainstGrid:
         exact = interval_spectrum(1.0, ProblemKind.BUCKLING, 4)
         assert np.allclose(fd.values, exact.values, rtol=1e-3)
 
-
-class TestPayne1D:
-    def test_counterexample(self):
-        report = payne_check_1d(1.0, 3)
-        rows = {r.k: r for r in report.rows}
-        assert rows[1].holds and rows[3].holds
-        assert not rows[2].holds
-        assert not report.holds_all
-        assert rows[2].buck == pytest.approx(80.76291422570652, rel=1e-12)
-        assert rows[2].lam_next == pytest.approx(9 * math.pi**2, rel=1e-12)
-
-    def test_equality_rows_are_exact(self):
-        # lambda_(k+1) = Lambda_k on the cosine branch: both are (2k pi/L)^2
-        report = payne_check_1d(1.0, 1)
-        assert report.rows[0].gap == 0.0

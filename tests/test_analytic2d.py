@@ -78,6 +78,17 @@ class TestRectSpectrum:
             with pytest.raises(ValueError, match=r"side b must be a length in \[0.001, 1000\]"):
                 rect_spectrum(1.0, side, kind, 3)
 
+    @pytest.mark.parametrize("tau, count", [(100.0, 12), (1000.0, 146), (1e4, 1545)])
+    def test_one_by_two_dirichlet_counts(self, tau, count):
+        # the lattice count the weyl checks read off the 1 x 2 rectangle
+        values = rect_spectrum(1.0, 2.0, ProblemKind.DIRICHLET, 1600).values
+        assert values[-1] > tau
+        n = int(math.sqrt(tau) * 2.0 / math.pi) + 2
+        l = np.arange(1, n)[:, None]
+        m = np.arange(1, n)[None, :]
+        brute = int(np.sum(np.pi**2 * (l**2 / 1.0**2 + m**2 / 2.0**2) <= tau))
+        assert int(np.searchsorted(values, tau, side="right")) == brute == count
+
     @pytest.mark.parametrize("side", LENGTH_RANGE)
     def test_side_at_the_ends_of_the_length_range(self, side):
         base = rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 6).values

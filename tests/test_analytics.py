@@ -490,6 +490,17 @@ class TestPayneScan:
         assert report.rows[1].gap > 0.0
         assert report.rows[2].gap == 0.0
 
+    @pytest.mark.parametrize("length", [1.0, 0.3, 2.0])
+    def test_interval_fails_at_every_even_k(self, length):
+        # Lambda_(2j-1) and lambda_(2j) are both (2 j pi / L)^2, while
+        # Lambda_(2j) = (2 y_j / L)^2 < ((2 j + 1) pi / L)^2 = lambda_(2j+1)
+        d = interval_spectrum(length, ProblemKind.DIRICHLET, 7)
+        b = interval_spectrum(length, ProblemKind.BUCKLING, 6)
+        report = payne_scan(d, b, 6)
+        assert not report.holds_all
+        assert [row.holds for row in report.rows] == [True, False] * 3
+        assert [row.gap == 0.0 for row in report.rows] == [True, False] * 3
+
     def test_kind_order_enforced(self):
         d = disk_spectrum(1.0, ProblemKind.DIRICHLET, 4)
         b = disk_spectrum(1.0, ProblemKind.BUCKLING, 3)

@@ -137,6 +137,21 @@ class TestGridDomains:
         assert np.array_equal(back.mask, d.mask)
         assert back.descriptor == "mask(dom.mask)"
 
+    def test_mask_file_roundtrip(self, tmp_path):
+        # a mask written row by row as '#' and '.' reads back unchanged
+        domains = [
+            rectangle_domain(1.0, 0.6, 1.0 / 20.0),
+            lshape_domain(1.0, 0.8, 1.0 / 20.0),
+            disk_domain(1.0, 0.1),
+        ]
+        for d in domains:
+            path = tmp_path / "dom.mask"
+            rows = ["".join("#" if cell else "." for cell in row) for row in d.mask]
+            path.write_text(f"h {d.h!r}\n" + "\n".join(rows) + "\n")
+            back = read_mask_file(path)
+            assert back.h == d.h
+            assert np.array_equal(back.mask, d.mask)
+
     def test_mask_file_bad_characters(self, tmp_path):
         path = tmp_path / "bad.mask"
         path.write_text("h 0.1\n###\n#x#\n###\n")

@@ -1,9 +1,11 @@
 """Reference spectra on rectangles and disks.
 
 Rectangles get the classical separated membrane eigenvalues.  Disks get
-all four problems through Bessel characteristic equations.  Rectangles
-have no closed form for the plate problems, so finite differences are
-the source of rectangle clamped and buckling values.
+all four problems through Bessel characteristic equations: three from
+scipy's Bessel zeros, the clamped one from one ``specfun.find_root``
+call per azimuthal order.  Rectangles have no closed form for the plate
+problems, so finite differences are the source of rectangle clamped and
+buckling values.
 """
 
 from __future__ import annotations
@@ -12,14 +14,7 @@ import math
 
 import numpy as np
 
-from .specfun import (
-    RootBracket,
-    bessel_i_ratio,
-    bessel_j,
-    bessel_j_prime_zeros,
-    bessel_j_zeros,
-    find_root,
-)
+from .specfun import bessel_j_prime_zeros, bessel_j_zeros, find_root
 from .spectra import (
     ProblemKind,
     Spectrum,
@@ -75,25 +70,26 @@ def _disk_clamped_roots(m: int, limit: float) -> np.ndarray:
     """Roots up to ``limit`` of J_m(x) I_{m+1}(x) + I_m(x) J_{m+1}(x) = 0.
 
     Dividing by I_m > 0 gives the overflow-free ratio form
-    J_m I_{m+1}/I_m + J_{m+1}.  At each zero of J_m it equals J_{m+1},
+    J_m I_{m+1}/I_m + J_{m+1}, whose ratio the exponentially scaled
+    ``ive`` gives at any x.  At each zero of J_m it equals J_{m+1},
     whose sign alternates, so one root lies between each pair of
     consecutive zeros of J_m.  Past the last zero below the limit, a
     sign change up to the limit tells whether that pair's root is in
-    range.  Bisection runs down to two adjacent doubles, so each root
-    lies within the few ulps that rounding in the ratio form leaves.
+    range.  One ``find_root`` call bisects every bracket down to two
+    adjacent doubles, so each root lies within the few ulps that
+    rounding in the ratio form leaves.
     """
+    import scipy.special as special
 
-    def f(x: float) -> float:
-        return bessel_j(m, x) * bessel_i_ratio(m, x) + bessel_j(m + 1, x)
-
-    def root(lo: float, hi: float) -> float:
-        return find_root(f, RootBracket(lo, hi))
+    def f(x: np.ndarray) -> np.ndarray:
+        ratio = special.ive(m + 1, x) / special.ive(m, x)
+        return special.jv(m, x) * ratio + special.jv(m + 1, x)
 
     zeros = bessel_j_zeros(m, limit)
-    roots = [root(lo, hi) for lo, hi in zip(zeros[:-1], zeros[1:])]
-    if zeros.size and zeros[-1] < limit and f(zeros[-1]) * f(limit) <= 0.0:
-        roots.append(root(zeros[-1], limit))
-    return np.array(roots)
+    ends = np.append(zeros, limit)
+    if zeros.size and zeros[-1] < limit and np.prod(f(ends[-2:])) <= 0.0:
+        return find_root(f, zeros, ends[1:])
+    return find_root(f, zeros[:-1], zeros[1:])
 
 
 def disk_spectrum(radius: float, kind: ProblemKind, count: int) -> Spectrum:

@@ -131,6 +131,15 @@ DOMAIN_RANGES = {
 }
 
 
+#: Ceilings on the sizes a config may ask for, set from measured cost on
+#: a 2-core machine.  The slowest closed-form or cap run they admit, a
+#: cap at the largest ``count`` and ``points``, took 29 s for its two
+#: membrane kinds; an analytic disk, the slowest closed form, took 6 s
+#: for all four kinds at the largest count.  Fd grids have no ceiling yet.
+MAX_COUNT = 10_000
+MAX_CAP_POINTS = 8_000
+
+
 class ConfigError(ValueError):
     """The experiment configuration is malformed."""
 
@@ -307,10 +316,14 @@ CHECK_FIELDS = {
         and all(
             isinstance(c, dict)
             and _is_number(c.get("delta"))
-            and (c.get("points") is None or _is_count(c["points"]))
+            and (
+                c.get("points") is None
+                or _is_count(c["points"]) and c["points"] <= MAX_CAP_POINTS
+            )
             for c in v
         ),
-        "a list of objects with a number 'delta' and an optional positive integer 'points'",
+        "a list of objects with a number 'delta' and an optional positive integer "
+        f"'points' of at most {MAX_CAP_POINTS}",
         lambda v: [CapDomain(float(c["delta"]), c.get("points") or CapDomain.points) for c in v],
     ),
 }
@@ -581,6 +594,9 @@ def parse_config(text: str) -> list[Experiment]:
             _require(dtype == "cap", f"{where}: cap backend needs a cap domain")
             points = raw_backend.get("points", CapDomain.points)
             _require(_is_count(points), f"{where}: cap 'points' must be a positive integer")
+            _require(
+                points <= MAX_CAP_POINTS, f"{where}: cap 'points' must be at most {MAX_CAP_POINTS}"
+            )
             backend["cap"] = _parsed(where, lambda p: CapDomain(domain["delta"], p), points)
         bad = [] if btype == "fd" else [k.value for k in kinds if k not in spec.kinds]
         covered = (
@@ -596,6 +612,7 @@ def parse_config(text: str) -> list[Experiment]:
 
         count = block.get("count", 6)
         _require(_is_count(count), f"{where}: 'count' must be a positive integer")
+        _require(count <= MAX_COUNT, f"{where}: 'count' must be at most {MAX_COUNT}")
 
         checks = block.get("checks", [])
         _require(isinstance(checks, list), f"{where}: 'checks' must be a list")

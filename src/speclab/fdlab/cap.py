@@ -14,10 +14,12 @@ from the pole, which realizes f(0) = 0 without an explicit row.
 Each order's tridiagonal matrix is solved by LAPACK ``stebz`` bisection
 at the explicit tolerance ``BISECTION_TOL``, which holds every value to a
 few ulps of the discrete eigenvalue, so bisecting by index and by value
-agree to about 1e-15.  What remains is the O(h^2) discretization error,
-about 1e-7 relative at the default 4000 points; against roots in nu of
-the Legendre functions P_nu^m(cos delta) (DLMF 14), one Richardson step
-between 2000 and 4000 points lands within 1e-9.
+agree to about 1e-15.  What remains is the O(h^2) discretization error
+against roots in nu of the Legendre functions P_nu^m(cos delta)
+(DLMF 14).  At the default 4000 points it grows with the value, to
+1.8e-6 relative over the lowest 60 Dirichlet values of the delta =
+3 pi / 4 cap; one Richardson step between 2000 and 4000 points lands
+within 1e-9.
 
 The orders are swept from m = 0 up by ``spectra.lowest_over_orders``,
 each asked only for its values at or below a cutoff, so bisection runs

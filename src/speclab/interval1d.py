@@ -9,44 +9,52 @@ with Lambda = (2 k pi / L)^2, and antisymmetric modes whose frequencies
 y = sqrt(Lambda) L / 2 solve tan y = y.  The two families interleave,
 and the second buckling value undercuts the third Dirichlet value: the
 one-dimensional counterexample that a ``payne`` check on an interval
-reports.
+reports.  Each family of roots is one ``specfun.find_root`` call, all
+its brackets bisected together.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .specfun import RootBracket, find_root
+from .specfun import find_root
 from .spectra import ProblemKind, Spectrum, check_count, check_length
 
 
-@lru_cache(maxsize=None)
-def tan_root(k: int) -> float:
-    """k-th positive root of tan y = y, located in (k pi, k pi + pi / 2).
+def tan_roots(count: int) -> np.ndarray:
+    """The first ``count`` positive roots of tan y = y, ascending.
 
-    Solved as sin y - y cos y = 0, which is bounded on the bracket.
+    The k-th lies in (k pi, k pi + pi / 2).  Solved as sin y - y cos y = 0,
+    which is bounded on each bracket.
     """
-    k = check_count(k, "root index")
-    bracket = RootBracket(k * math.pi + 1e-12, k * math.pi + math.pi / 2 - 1e-12)
-    return find_root(lambda y: math.sin(y) - y * math.cos(y), bracket)
-
-
-@lru_cache(maxsize=None)
-def clamped_beam_root(k: int) -> float:
-    """k-th root z_k of cos(z) cosh(z) = 1, near (2k + 1) pi / 2.
-
-    Solved as cos z - sech z = 0 to keep the function bounded.  Past
-    z = 710, where cosh overflows, sech z < 1e-308 underflows to 0.
-    """
-    k = check_count(k, "root index")
-    center = (2 * k + 1) * math.pi / 2
+    k = np.arange(1, check_count(count, "root count") + 1, dtype=float)
     return find_root(
-        lambda z: math.cos(z) - (1.0 / math.cosh(z) if z < 710.0 else 0.0),
-        RootBracket(center - 0.4, center + 0.4),
+        lambda y: np.sin(y) - y * np.cos(y),
+        k * math.pi + 1e-12,
+        k * math.pi + math.pi / 2 - 1e-12,
     )
+
+
+def clamped_beam_roots(count: int) -> np.ndarray:
+    """The first ``count`` roots z_k of cos(z) cosh(z) = 1, ascending.
+
+    z_k lies within 0.4 of (2k + 1) pi / 2.  Solved as cos z - sech z = 0
+    to keep the function bounded.  Past z = 710, where cosh overflows,
+    sech z < 1e-308 is taken as 0.
+    """
+    k = np.arange(1, check_count(count, "root count") + 1, dtype=float)
+    center = (2 * k + 1) * math.pi / 2
+
+    def f(z):
+        # cosh only where it is finite
+        sech = np.zeros_like(z)
+        below = z < 710.0
+        sech[below] = 1.0 / np.cosh(z[below])
+        return np.cos(z) - sech
+
+    return find_root(f, center - 0.4, center + 0.4)
 
 
 def interval_spectrum(length: float, kind: ProblemKind, count: int) -> Spectrum:
@@ -66,17 +74,15 @@ def interval_spectrum(length: float, kind: ProblemKind, count: int) -> Spectrum:
     elif kind is ProblemKind.NEUMANN:
         values = ((k - 1) * math.pi / length) ** 2
     elif kind is ProblemKind.CLAMPED:
-        values = np.array(
-            [(clamped_beam_root(int(j)) / length) ** 2 for j in k]
-        )
+        values = (clamped_beam_roots(count) / length) ** 2
     else:
         # (2 k pi / L)^2 and (2 y_k / L)^2 with k pi < y_k < k pi + pi / 2
         # alternate, so the lowest count of both hold the count lowest
-        per_family = range(1, count // 2 + 2)
-        values = np.sort(
-            [(2 * j * math.pi / length) ** 2 for j in per_family]
-            + [(2 * tan_root(j) / length) ** 2 for j in per_family]
-        )[:count]
+        per_family = np.arange(1, count // 2 + 2)
+        values = np.sort(np.concatenate((
+            (2 * per_family * math.pi / length) ** 2,
+            (2 * tan_roots(per_family.size) / length) ** 2,
+        )))[:count]
     return Spectrum(
         kind=kind,
         domain=f"interval(L={length:g})",

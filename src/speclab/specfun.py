@@ -1,23 +1,23 @@
 """Bessel functions, their zeros, and the bracketed root finder.
 
-J_m, J_m' and I_m for integer m >= 0, the ratio I_{m+1}/I_m, and the
-zeros of J_m and J_m' are thin wrappers over ``scipy.special`` (the
-Amos routines and scipy's Bessel zero tables).  They hold to roughly
-machine precision at every order and argument, so the analytic disk
-spectra built on them hold at any ``count``.  ``scipy.special`` is
-imported on the first Bessel call: the command line pays its import
-cost only when a run needs a Bessel function.
+J_m, J_m' and I_m for integer m >= 0 and the zeros of J_m and J_m' are
+thin wrappers over ``scipy.special`` (the Amos routines and scipy's
+Bessel zero tables).  They hold to roughly machine precision at every
+order and argument, so the analytic disk spectra built on them hold at
+any ``count``.  ``scipy.special`` is imported on the first Bessel call:
+the command line pays its import cost only when a run needs a Bessel
+function.
 
 ``find_root`` is the package's one root finder, used for the
 transcendental characteristic equations elsewhere in the package.  It
-bisects a sign change down to two adjacent doubles, so every root it
-returns is as close as float64 can place it to where f changes sign.
+takes an array of brackets and bisects them all in lockstep, one call
+of f per halving, down to two adjacent doubles: every root it returns
+is as close as float64 can place it to where f changes sign.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -31,20 +31,6 @@ _BESSEL_I_MAX_X = 705.0
 
 class BracketError(ValueError):
     """Raised when a root bracket does not actually straddle a sign change."""
-
-
-@dataclass(frozen=True)
-class RootBracket:
-    """Closed interval [lo, hi] expected to contain exactly one sign change."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("bracket endpoints must be finite")
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
 def _special():
@@ -79,53 +65,51 @@ def bessel_i(m: int, x: float) -> float:
     return float(_special().iv(m, x))
 
 
-def bessel_i_ratio(m: int, x: float) -> float:
-    """I_{m+1}(x) / I_m(x) for integer m >= 0, x >= 0, at any x.
+def find_root(
+    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Locate the sign change of f inside each bracket [lo[i], hi[i]].
 
-    The exponentially scaled functions have the same ratio and never
-    overflow.
-    """
-    m, x = check_order(m, "Bessel order"), check_nonnegative("argument", x)
-    if x == 0.0:
-        return 0.0
-    ive = _special().ive
-    return float(ive(m + 1, x) / ive(m, x))
-
-
-def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
-    """Locate the sign change of f inside the bracket.
-
-    Deterministic bisection halves the bracket until f is exactly 0 at
-    its midpoint, or until no double lies strictly between its ends; it
-    returns that midpoint, which is then one of the two ends.  So f
-    either vanishes at the root or changes sign between the root and
-    one of its neighbouring doubles.
+    f maps an array of points to the array of its values there.  Every
+    bracket is halved until f is exactly 0 at its midpoint, or until no
+    double lies strictly between its ends; the root returned is that
+    midpoint, which is then one of the two ends.  So f either vanishes
+    at each root or changes sign between it and one of its neighbouring
+    doubles.  The brackets are bisected in lockstep: each halving calls
+    f once, on the midpoints of the brackets not yet done.
 
     Raises:
-        BracketError: if f has the same sign at both endpoints.
+        ValueError: if a bracket is not a pair of finite ends lo < hi.
+        BracketError: if f has the same sign at both ends of a bracket;
+            the message names the first such bracket.
     """
-    lo, hi = float(bracket.lo), float(bracket.hi)
-    f_lo = f(lo)
-    f_hi = f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
+    lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+    bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"bracket {i} requires finite lo < hi, got [{lo[i]}, {hi[i]}]")
+    f_lo, f_hi = f(lo), f(hi)
+    same = ((f_lo > 0) == (f_hi > 0)) & (f_lo != 0.0) & (f_hi != 0.0)
+    if same.any():
+        i = int(np.argmax(same))
         raise BracketError(
-            f"no sign change on [{lo:.6g}, {hi:.6g}]: f(lo)={f_lo:.6g}, f(hi)={f_hi:.6g}"
+            f"no sign change on bracket {i}, [{lo[i]:.6g}, {hi[i]:.6g}]: "
+            f"f(lo)={f_lo[i]:.6g}, f(hi)={f_hi[i]:.6g}"
         )
-    while True:
+    roots = np.where(f_lo == 0.0, lo, hi)
+    todo = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0))
+    lo, hi, positive = lo[todo], hi[todo], f_lo[todo] > 0
+    while todo.size:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
         f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
+        done = ~((lo < mid) & (mid < hi)) | (f_mid == 0.0)
+        roots[todo[done]] = mid[done]
+        # where f(mid) has the sign of f(lo), the sign change lies above mid
+        right = (f_mid > 0) == positive
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+        keep = ~done
+        todo, lo, hi, positive = todo[keep], lo[keep], hi[keep], positive[keep]
+    return roots
 
 
 def _zeros_up_to(table, m: int, limit: float) -> np.ndarray:

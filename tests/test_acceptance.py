@@ -34,7 +34,7 @@ from speclab.fdlab import (
     rectangle_domain,
 )
 from speclab.cli import main
-from speclab.interval1d import clamped_beam_root, interval_spectrum, tan_root
+from speclab.interval1d import clamped_beam_roots, interval_spectrum, tan_roots
 from speclab.specfun import bessel_j_zero
 from speclab.spectra import ProblemKind
 
@@ -121,7 +121,7 @@ class TestAcceptance:
                     lo = mid
             return 0.5 * (lo + hi)
 
-        y1 = tan_root(1)
+        y1 = tan_roots(1)[0]
         certified = abs(y1 - bisect_root(1)) < 1e-8 and abs(y1 - 4.49340946) < 5e-9
         # the README's rod experiment, as `speclab report` runs it
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -307,7 +307,7 @@ class TestAcceptance:
         beam_errors = [
             abs(
                 fd_spectrum(interval_domain(1.0, h), ProblemKind.CLAMPED, 1).values[0]
-                - clamped_beam_root(1) ** 2
+                - clamped_beam_roots(1)[0] ** 2
             )
             for h in (1.0 / 50.0, 1.0 / 100.0, 1.0 / 200.0)
         ]

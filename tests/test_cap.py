@@ -144,6 +144,22 @@ class TestLegendreOracle:
         richardson = (4.0 * fine - coarse) / 3.0
         assert np.allclose(richardson, exact, rtol=1e-9, atol=0.0)
 
+    def test_lowest_sixty_dirichlet_values_at_the_default_points(self):
+        # the accuracy the README and the cap module state: O(h^2) leaves
+        # about 2e-6 relative error at 4000 points, not the 1e-7 once claimed
+        delta = 0.75 * math.pi
+        values = cap_spectrum(CapDomain(delta), ProblemKind.DIRICHLET, 60).values
+        exact = []
+        for order in range(40):
+            per_order = _legendre_dirichlet(order, delta, 12)
+            # no order misses a value below the 60th
+            assert per_order[-1] > values[-1]
+            if per_order[0] > values[-1]:
+                break
+            exact.extend(np.repeat(per_order, 2 if order else 1))
+        exact = np.sort(exact)[:60]
+        assert np.max(np.abs(values - exact) / exact) < 2.5e-6
+
     def test_hemisphere_roots_are_integers(self):
         # P_nu^m(0) = 0 exactly when nu - m is odd
         assert np.allclose(_legendre_dirichlet(0, math.pi / 2, 3), [2, 12, 30], rtol=1e-12)

@@ -21,7 +21,15 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speclab.cli import CHECKS, DOMAINS, ConfigError, main, parse_config
+from speclab.cli import (
+    CHECKS,
+    DOMAINS,
+    MAX_CAP_POINTS,
+    MAX_COUNT,
+    ConfigError,
+    main,
+    parse_config,
+)
 from speclab.fdlab import (
     CapDomain,
     DegenerateDomainError,
@@ -318,6 +326,52 @@ class TestParseConfig:
         assert main(["report", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("speclab: experiments[0]")
         assert not out.exists()
+
+    @staticmethod
+    def sized_block(field: str, size: int) -> dict:
+        """A block asking for ``size`` at ``field``: a count, cap points or sharpness cap points."""
+        if field == "count":
+            return interval_block(count=size)
+        if field == "points":
+            return {**cap_block([]), "backend": {"type": "cap", "points": size}}
+        caps = [{"delta": 2.0, "points": size}]
+        return analytic_block(DISK, KINDS, [{"type": "sharpness", "caps": caps}])
+
+    # a count of 10**400 on an analytic interval failed inside the run with
+    # "Maximum allowed size exceeded", and cap points of 10**400 with an
+    # OverflowError, before; these sizes are refused, never run
+    @pytest.mark.parametrize(
+        "field, size, message",
+        [
+            ("count", MAX_COUNT + 1, f"'count' must be at most {MAX_COUNT}"),
+            ("count", HUGE, f"'count' must be at most {MAX_COUNT}"),
+            ("points", MAX_CAP_POINTS + 1, f"cap 'points' must be at most {MAX_CAP_POINTS}"),
+            ("points", HUGE, f"cap 'points' must be at most {MAX_CAP_POINTS}"),
+            ("caps", HUGE, f"'caps' must be .* 'points' of at most {MAX_CAP_POINTS}"),
+        ],
+    )
+    def test_sizes_above_their_ceilings_exit_2(self, tmp_path, capsys, field, size, message):
+        block = self.sized_block(field, size)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps({"experiments": [block]}))
+        config = write_config(tmp_path, {"experiments": [block]})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("speclab: experiments[0]") and re.search(message, err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, size", [("count", MAX_COUNT), ("points", MAX_CAP_POINTS), ("caps", MAX_CAP_POINTS)]
+    )
+    def test_sizes_at_their_ceilings_are_accepted(self, field, size):
+        (exp,) = parse_config(json.dumps({"experiments": [self.sized_block(field, size)]}))
+        if field == "count":
+            assert exp.count == size
+        elif field == "points":
+            assert exp.backend["cap"].points == size
+        else:
+            assert exp.checks[0]["caps"][0].points == size
 
     def test_decomposition_parts_are_checked(self):
         block = {

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab import ProblemKind
-from speclab.interval1d import clamped_beam_root, interval_spectrum, tan_root
+from speclab.interval1d import clamped_beam_roots, interval_spectrum, tan_roots
 from speclab.spectra import LENGTH_RANGE
 
 # mpmath findroot at 30 digits, frozen
@@ -35,36 +35,42 @@ def bisect_tan_root(k: int, tol: float = 1e-12) -> float:
 
 class TestRoots:
     def test_tan_root_frozen(self):
-        assert tan_root(1) == pytest.approx(Y1, abs=1e-12)
-        assert tan_root(2) == pytest.approx(Y2, abs=1e-12)
+        y1, y2 = tan_roots(2)
+        assert y1 == pytest.approx(Y1, abs=1e-12)
+        assert y2 == pytest.approx(Y2, abs=1e-12)
 
     def test_tan_root_certified_against_bisection(self):
-        for k in range(1, 7):
-            assert abs(tan_root(k) - bisect_tan_root(k)) < 1e-8
+        for k, y in enumerate(tan_roots(6), start=1):
+            assert abs(y - bisect_tan_root(k)) < 1e-8
 
     def test_tan_root_solves_equation(self):
-        for k in range(1, 7):
-            y = tan_root(k)
+        for y in tan_roots(6):
             assert math.sin(y) - y * math.cos(y) == pytest.approx(0.0, abs=1e-9)
 
     def test_beam_root_frozen(self):
-        assert clamped_beam_root(1) == pytest.approx(Z1, abs=1e-12)
-        assert clamped_beam_root(2) == pytest.approx(Z2, abs=1e-12)
+        z1, z2 = clamped_beam_roots(2)
+        assert z1 == pytest.approx(Z1, abs=1e-12)
+        assert z2 == pytest.approx(Z2, abs=1e-12)
 
     def test_beam_root_solves_equation(self):
-        for k in range(1, 6):
-            z = clamped_beam_root(k)
+        for z in clamped_beam_roots(5):
             # relative form: cosh grows fast
             assert math.cos(z) * math.cosh(z) - 1.0 == pytest.approx(
                 0.0, abs=1e-8 * math.cosh(z)
             )
 
+    @pytest.mark.parametrize("roots", [tan_roots, clamped_beam_roots])
+    def test_roots_ascend_one_per_bracket(self, roots):
+        values = roots(500)
+        assert values.shape == (500,) and np.all(np.diff(values) > 3.0)
+        assert np.array_equal(roots(7), values[:7])
+
     # 1.5 raised an unexplained BracketError before
-    @pytest.mark.parametrize("k", [0, 1.5, math.nan, None])
-    @pytest.mark.parametrize("root", [tan_root, clamped_beam_root])
-    def test_index_validation(self, root, k):
-        with pytest.raises(ValueError, match="root index must be a positive integer"):
-            root(k)
+    @pytest.mark.parametrize("count", [0, 1.5, math.nan, None])
+    @pytest.mark.parametrize("roots", [tan_roots, clamped_beam_roots])
+    def test_count_validation(self, roots, count):
+        with pytest.raises(ValueError, match="root count must be a positive integer"):
+            roots(count)
 
 
 class TestSpectrum:
@@ -88,9 +94,9 @@ class TestSpectrum:
     @pytest.mark.parametrize("length", [1.0, 2.0, 0.3])
     def test_buckling_families_alternate(self, length):
         # (2 k pi / L)^2 and (2 y_k / L)^2 take turns, at every count
-        cosine = [(2 * k * math.pi / length) ** 2 for k in range(1, 7)]
-        tan = [(2 * tan_root(k) / length) ** 2 for k in range(1, 7)]
-        alternating = [v for pair in zip(cosine, tan) for v in pair]
+        cosine = (2 * np.arange(1, 7) * math.pi / length) ** 2
+        tan = (2 * tan_roots(6) / length) ** 2
+        alternating = np.column_stack((cosine, tan)).ravel().tolist()
         for count in range(1, 12):
             values = interval_spectrum(length, ProblemKind.BUCKLING, count).values
             assert values.tolist() == alternating[:count]
@@ -98,12 +104,14 @@ class TestSpectrum:
     def test_clamped_past_cosh_overflow(self):
         # cosh(z) overflows from z_226 on; sech must underflow instead.  The
         # digest pins the first 225 values, whose roots lie below the overflow,
-        # as bisection to adjacent doubles gives them.
+        # as bisection to adjacent doubles gives them, squared as z * z.  (The
+        # square of z_141 was one ulp below the correctly rounded z * z when
+        # each value was squared by libm pow.)
         values = interval_spectrum(1.0, ProblemKind.CLAMPED, 2000).values
         digest = hashlib.sha256(values[:225].tobytes()).hexdigest()
-        assert digest == "636acdaae7686b9d75a393dd5e7260b423c91941a4ce717a508b7d5d4e38baf3"
-        for k in range(30, 2001):
-            assert clamped_beam_root(k) == pytest.approx((2 * k + 1) * math.pi / 2, rel=1e-15)
+        assert digest == "63744280416cf89d296855704a62786c575aebba991ce9965bc5895352431f41"
+        for k, z in enumerate(clamped_beam_roots(2000)[29:], start=30):
+            assert z == pytest.approx((2 * k + 1) * math.pi / 2, rel=1e-15)
 
     def test_metadata(self):
         s = interval_spectrum(2.0, ProblemKind.DIRICHLET, 3)

@@ -9,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab.analytic2d import _disk_clamped_roots
-from speclab.interval1d import clamped_beam_root, tan_root
+from speclab.interval1d import clamped_beam_roots, tan_roots
 from speclab.specfun import (
     BracketError,
-    RootBracket,
     bessel_i,
-    bessel_i_ratio,
     bessel_j,
     bessel_j_prime,
     bessel_j_prime_zero,
@@ -128,26 +126,58 @@ class TestBesselI:
         assert bessel_i(2, 0.0) == 0.0
 
 
-class TestBesselIRatio:
-    def test_frozen_reference_values(self):
-        # mpmath besseli(m + 1, x) / besseli(m, x) at 30 digits
-        assert bessel_i_ratio(29, 40.0) == pytest.approx(0.501999686243623062937678864226, rel=1e-13)
-        # far past the point where I_m itself overflows float64
-        assert bessel_i_ratio(0, 800.0) == pytest.approx(0.999374804442881294052532166889, rel=1e-13)
+def reference_root(f, lo: float, hi: float) -> float:
+    """The scalar bisection ``find_root`` runs in lockstep, one bracket at a time."""
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    assert (f_lo > 0) != (f_hi > 0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
 
-    def test_matches_quotient_where_both_are_finite(self):
-        for m in range(6):
-            for x in (0.5, 3.0, 17.0, 90.0):
-                assert bessel_i_ratio(m, x) == pytest.approx(bessel_i(m + 1, x) / bessel_i(m, x), rel=1e-13)
 
-    def test_at_zero(self):
-        assert bessel_i_ratio(0, 0.0) == 0.0
-        assert bessel_i_ratio(3, 0.0) == 0.0
+def tan_equation(y):
+    return np.sin(y) - y * np.cos(y)
+
+
+def beam_equation(z):
+    return np.cos(z) - np.where(z < 710.0, 1.0 / np.cosh(np.minimum(z, 710.0)), 0.0)
+
+
+def disk_equation(m: int):
+    """J_m I_(m+1) / I_m + J_(m+1), the clamped disk determinant divided by I_m."""
+    return lambda x: ss.jv(m, x) * (ss.ive(m + 1, x) / ss.ive(m, x)) + ss.jv(m + 1, x)
+
+
+def sign_changes(f, pairs) -> tuple[list[float], list[float]]:
+    """The ends of the pairs, ordered, on which f changes sign or vanishes."""
+    lo, hi = [], []
+    for a, b in pairs:
+        a, b = min(a, b), max(a, b)
+        if a < b and (f(a) == 0.0 or f(b) == 0.0 or (f(a) > 0) != (f(b) > 0)):
+            lo.append(a)
+            hi.append(b)
+    return lo, hi
+
+
+def ends(low: float, high: float):
+    return st.lists(st.tuples(*[st.floats(low, high)] * 2), min_size=1, max_size=25)
 
 
 class TestFindRoot:
     def test_simple_root(self):
-        root = find_root(math.cos, RootBracket(1.0, 2.0))
+        (root,) = find_root(np.cos, [1.0], [2.0])
         assert root == pytest.approx(math.pi / 2, abs=1e-10)
 
     @staticmethod
@@ -165,33 +195,93 @@ class TestFindRoot:
         def beam(z):
             return math.cos(z) - (1.0 / math.cosh(z) if z < 710.0 else 0.0)
 
-        for k in range(1, 51):
-            assert self.at_sign_change(tan, tan_root(k)), k
-            assert self.at_sign_change(beam, clamped_beam_root(k)), k
+        assert all(self.at_sign_change(tan, y) for y in tan_roots(50))
+        assert all(self.at_sign_change(beam, z) for z in clamped_beam_roots(50))
         for m in range(6):
-
-            def disk(x):
-                return bessel_j(m, x) * bessel_i_ratio(m, x) + bessel_j(m + 1, x)
-
             roots = _disk_clamped_roots(m, 40.0)
             assert len(roots) >= 8
-            assert all(self.at_sign_change(disk, r) for r in roots), m
+            assert all(self.at_sign_change(disk_equation(m), r) for r in roots), m
+
+    @pytest.mark.parametrize("m", [0, 29])
+    def test_disk_roots_past_the_overflow_of_i_m(self, m):
+        # I_m overflows float64 past x = 705; the ratio of the scaled ive
+        # in the determinant does not
+        roots = _disk_clamped_roots(m, 800.0)
+        zeros = bessel_j_zeros(m, 800.0)
+        between = roots[: len(zeros) - 1]
+        assert np.all((zeros[:-1] < between) & (between < zeros[1:]))
+        assert roots[-1] > 790.0 and np.all(np.isfinite(roots))
+        assert all(self.at_sign_change(disk_equation(m), r) for r in roots[roots > 700.0])
+
+    def test_interval_roots_match_the_scalar_bisection(self):
+        # the brackets and equations of tan_roots and clamped_beam_roots,
+        # evaluated by math one root at a time, give the same doubles
+        def tan(y):
+            return math.sin(y) - y * math.cos(y)
+
+        def beam(z):
+            return math.cos(z) - (1.0 / math.cosh(z) if z < 710.0 else 0.0)
+
+        pi = math.pi
+        ks = range(1, 301)
+        tans = [reference_root(tan, k * pi + 1e-12, k * pi + pi / 2 - 1e-12) for k in ks]
+        centers = [(2 * k + 1) * pi / 2 for k in ks]
+        beams = [reference_root(beam, c - 0.4, c + 0.4) for c in centers]
+        assert tan_roots(300).tolist() == tans
+        assert clamped_beam_roots(300).tolist() == beams
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=ends(0.0, 2000.0))
+    def test_tan_equation_matches_the_scalar_bisection(self, pairs):
+        lo, hi = sign_changes(tan_equation, pairs)
+        want = [reference_root(tan_equation, a, b) for a, b in zip(lo, hi)]
+        assert find_root(tan_equation, lo, hi).tolist() == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=ends(0.0, 1000.0))
+    def test_beam_equation_matches_the_scalar_bisection(self, pairs):
+        # the range crosses z = 710, past which sech is taken as 0
+        lo, hi = sign_changes(beam_equation, pairs)
+        want = [reference_root(beam_equation, a, b) for a, b in zip(lo, hi)]
+        assert find_root(beam_equation, lo, hi).tolist() == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(0, 30), pairs=ends(0.01, 120.0))
+    def test_disk_determinant_matches_the_scalar_bisection(self, m, pairs):
+        f = disk_equation(m)
+        lo, hi = sign_changes(f, pairs)
+        want = [reference_root(f, a, b) for a, b in zip(lo, hi)]
+        assert find_root(f, lo, hi).tolist() == want
 
     def test_root_at_midpoint(self):
-        assert find_root(lambda x: x - 1.5, RootBracket(1.0, 2.0)) == 1.5
+        assert find_root(lambda x: x - 1.5, [1.0], [2.0]).tolist() == [1.5]
+
+    def test_root_at_endpoint(self):
+        assert find_root(lambda x: x - 1.0, [1.0], [2.0]).tolist() == [1.0]
+
+    def test_zeros_at_ends_and_midpoints_in_one_call(self):
+        roots = find_root(lambda x: x - 1.0, [1.0, 0.0, 0.0, -3.0], [2.0, 1.0, 2.0, 4.0])
+        assert roots.tolist() == [1.0, 1.0, 1.0, reference_root(lambda x: x - 1.0, -3.0, 4.0)]
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
-            find_root(lambda x: x * x + 1.0, RootBracket(0.0, 1.0))
+            find_root(lambda x: x * x + 1.0, [0.0], [1.0])
 
-    def test_root_at_endpoint(self):
-        assert find_root(lambda x: x - 1.0, RootBracket(1.0, 2.0)) == 1.0
+    def test_no_sign_change_names_the_first_such_bracket(self):
+        # cos keeps its sign on [0, 1] and on [3.5, 3.6]
+        with pytest.raises(BracketError, match=r"no sign change on bracket 1, \[0, 1\]"):
+            find_root(np.cos, [1.0, 0.0, 4.0, 3.5], [2.0, 1.0, 5.0, 3.6])
 
-    def test_bracket_validation(self):
-        with pytest.raises(ValueError):
-            RootBracket(2.0, 1.0)
-        with pytest.raises(ValueError):
-            RootBracket(0.0, math.nan)
+    def test_no_brackets(self):
+        roots = find_root(np.cos, [], [])
+        assert roots.shape == (0,) and roots.dtype == float
+
+    @pytest.mark.parametrize(
+        "lo, hi", [([2.0], [1.0]), ([0.0, 0.0], [1.0, math.nan]), ([-math.inf], [1.0])]
+    )
+    def test_bracket_validation(self, lo, hi):
+        with pytest.raises(ValueError, match=f"bracket {len(lo) - 1} requires finite lo < hi"):
+            find_root(np.cos, lo, hi)
 
 
 class TestBesselZeros:

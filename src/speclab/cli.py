@@ -33,7 +33,6 @@ from .fdlab import (
     cap_spectrum,
     disk_domain,
     disk_unknowns,
-    fd_spectra,
     interval_domain,
     lshape_domain,
     lshape_unknowns,
@@ -52,8 +51,9 @@ class DomainType:
     a point, and every number must lie in its ``DOMAIN_RANGES`` entry.
     ``grid`` builds the fd mask at one mesh width, which it ignores where
     ``meshed`` is False; ``unknowns`` counts that mask's nodes without
-    building it, exactly below MIN_UNKNOWNS.  ``spectrum`` is the closed
-    form; it, or the cap backend on a cap, covers the ``kinds`` listed.
+    building it, exactly below a given limit and at least the limit
+    otherwise.  ``spectrum`` is the closed form; it, or the cap backend
+    on a cap, covers the ``kinds`` listed.
     ``geometry`` gives the dimension, volume and boundary measure, None
     where the shape defines none.  Every callable takes the domain as
     ``_check_domain`` returns it.
@@ -75,7 +75,7 @@ DOMAINS = {
     "interval": DomainType(
         required=("length",),
         grid=lambda d, h: interval_domain(d["length"], h),
-        unknowns=lambda d, h: axis_nodes(d["length"], h),
+        unknowns=lambda d, h, limit: axis_nodes(d["length"], h),
         spectrum=lambda d, kind, count: interval_spectrum(d["length"], kind, count),
         kinds=tuple(ProblemKind),
         geometry=lambda d: (1, d["length"], 2.0),
@@ -84,7 +84,7 @@ DOMAINS = {
         required=("a", "b"),
         optional={"corner": [0.0, 0.0]},
         grid=lambda d, h: rectangle_domain(d["a"], d["b"], h, corner=d["corner"]),
-        unknowns=lambda d, h: axis_nodes(d["a"], h) * axis_nodes(d["b"], h),
+        unknowns=lambda d, h, limit: axis_nodes(d["a"], h) * axis_nodes(d["b"], h),
         spectrum=lambda d, kind, count: rect_spectrum(d["a"], d["b"], kind, count),
         kinds=MEMBRANE_KINDS,
         geometry=lambda d: (2, d["a"] * d["b"], 2.0 * (d["a"] + d["b"])),
@@ -92,7 +92,7 @@ DOMAINS = {
     "disk": DomainType(
         optional={"radius": 1.0, "center": [0.0, 0.0]},
         grid=lambda d, h: disk_domain(d["radius"], h, center=d["center"]),
-        unknowns=lambda d, h: disk_unknowns(d["radius"], h),
+        unknowns=lambda d, h, limit: disk_unknowns(d["radius"], h, limit),
         spectrum=lambda d, kind, count: disk_spectrum(d["radius"], kind, count),
         kinds=tuple(ProblemKind),
         geometry=lambda d: (
@@ -105,7 +105,7 @@ DOMAINS = {
         grid=lambda d, h: lshape_domain(
             d["a"], d["b"], h, notch=d["notch"], corner=d["corner"]
         ),
-        unknowns=lambda d, h: lshape_unknowns(d["a"], d["b"], h, d["notch"]),
+        unknowns=lambda d, h, limit: lshape_unknowns(d["a"], d["b"], h, d["notch"], limit),
         geometry=lambda d: (
             2, d["a"] * d["b"] * (1.0 - d["notch"] * d["notch"]), 2.0 * (d["a"] + d["b"])
         ),
@@ -135,9 +135,13 @@ DOMAIN_RANGES = {
 #: a 2-core machine.  The slowest closed-form or cap run they admit, a
 #: cap at the largest ``count`` and ``points``, took 29 s for its two
 #: membrane kinds; an analytic disk, the slowest closed form, took 6 s
-#: for all four kinds at the largest count.  Fd grids have no ceiling yet.
+#: for all four kinds at the largest count.  A counting-chain sample costs
+#: about 4 us and 75 bytes of report: at the largest ``points`` the check
+#: took 0.4 s and wrote 7.5 MB, and at ten times that 4 s, 75 MB and a
+#: 176 MB peak.  Fd grids have no ceiling yet.
 MAX_COUNT = 10_000
 MAX_CAP_POINTS = 8_000
+MAX_CHAIN_POINTS = 100_000
 
 
 class ConfigError(ValueError):
@@ -261,14 +265,19 @@ def _is_numbers(value) -> bool:
     return isinstance(value, list) and all(map(_is_number, value))
 
 
-def _require_resolved(where: str, domain: dict, h: float) -> None:
-    """Require the fd grid of ``domain`` at mesh width ``h`` to be nondegenerate."""
-    n = DOMAINS[domain["type"]].unknowns(domain, h)
+def _require_resolved(where: str, domain: dict, h: float, count: int = 1) -> None:
+    """Require the fd grid of ``domain`` at ``h`` to hold MIN_UNKNOWNS and ``count`` unknowns."""
+    n = DOMAINS[domain["type"]].unknowns(domain, h, max(count, MIN_UNKNOWNS))
     size = ", ".join(f"{key}={domain[key]:g}" for key in DOMAIN_RANGES if key in domain)
+    grid = f"the {domain['type']} domain ({size})"
     _require(
         n >= MIN_UNKNOWNS,
-        f"{where}: h={h:g} is too coarse for the {domain['type']} domain ({size}): "
+        f"{where}: h={h:g} is too coarse for {grid}: "
         f"it resolves to {n} unknowns, at least {MIN_UNKNOWNS} are required",
+    )
+    _require(
+        count <= n,
+        f"{where}: 'count' {count} exceeds the {n} unknowns of {grid} at h={h:g}",
     )
 
 
@@ -286,7 +295,11 @@ def _grid_part(where: str, part) -> dict:
 #: that asks for, and the parse of a value that passed.
 CHECK_FIELDS = {
     "count": (_is_count, "a positive integer", int),
-    "points": (lambda v: _is_count(v) and v >= 2, "an integer of 2 or more", int),
+    "points": (
+        lambda v: _is_count(v) and 2 <= v <= MAX_CHAIN_POINTS,
+        f"an integer of 2 or more and at most {MAX_CHAIN_POINTS}",
+        int,
+    ),
     "rtol": (_is_number, "a number", float),
     "volume": (_is_positive, "a positive number", float),
     "boundary": (_is_positive, "a positive number", float),
@@ -583,8 +596,6 @@ def parse_config(text: str) -> list[Experiment]:
                     len(set(backend["h"])) == len(hs),
                     f"{where}: fd 'h' repeats a mesh width",
                 )
-                for h in backend["h"]:
-                    _require_resolved(f"{where} ({name!r})", domain, h)
         elif btype == "analytic":
             _require(
                 spec.spectrum is not None,
@@ -613,6 +624,9 @@ def parse_config(text: str) -> list[Experiment]:
         count = block.get("count", 6)
         _require(_is_count(count), f"{where}: 'count' must be a positive integer")
         _require(count <= MAX_COUNT, f"{where}: 'count' must be at most {MAX_COUNT}")
+        if spec.meshed:
+            for h in backend.get("h", ()):
+                _require_resolved(f"{where} ({name!r})", domain, h, count)
 
         checks = block.get("checks", [])
         _require(isinstance(checks, list), f"{where}: 'checks' must be a list")
@@ -640,6 +654,9 @@ def _compute_spectra(exp: Experiment):
         cap = exp.backend["cap"]
         per_level = [(None, {kind: cap_spectrum(cap, kind, exp.count) for kind in exp.kinds})]
     else:
+        # the sparse solvers, and scipy.sparse with them, load here
+        from .fdlab import fd_spectra
+
         grids = [spec.grid(exp.domain, h) for h in exp.backend["h"]]
         per_level = [(grid, fd_spectra(grid, exp.kinds, exp.count)) for grid in grids]
 

@@ -1,4 +1,13 @@
-"""Finite-difference laboratory: grids, operators, eigensolver, spectra."""
+"""Finite-difference laboratory: grids, operators, eigensolver, spectra.
+
+The grid builders and the cap backend need numpy alone and load with
+the package.  The sparse side (``operators``, ``solver``, ``spectrum``,
+``symmetry``) imports ``scipy.sparse`` and ``scipy.sparse.linalg``, so
+its names load on first access: ``from speclab.fdlab import fd_spectra``
+imports them then, and a run that never solves on a grid never does.
+"""
+
+import importlib
 
 from .cap import CapDomain, cap_spectrum
 from .grid import (
@@ -14,14 +23,28 @@ from .grid import (
     read_mask_file,
     rectangle_domain,
 )
-from .operators import (
-    SparseSymOperator,
-    assemble_bilaplacian_clamped,
-    assemble_laplacian,
-)
-from .solver import ConvergenceError, EvpSolution, solve_gevp
-from .spectrum import fd_spectra, fd_spectrum
-from .symmetry import symmetry_classes
+
+#: The submodule that defines each name loaded on first access.
+_SPARSE = {
+    "SparseSymOperator": "operators",
+    "assemble_bilaplacian_clamped": "operators",
+    "assemble_laplacian": "operators",
+    "ConvergenceError": "solver",
+    "EvpSolution": "solver",
+    "solve_gevp": "solver",
+    "fd_spectra": "spectrum",
+    "fd_spectrum": "spectrum",
+    "symmetry_classes": "symmetry",
+}
+
+
+def __getattr__(name: str):
+    if name not in _SPARSE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SPARSE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "MIN_UNKNOWNS",

@@ -19,7 +19,8 @@ against roots in nu of the Legendre functions P_nu^m(cos delta)
 (DLMF 14).  At the default 4000 points it grows with the value, to
 1.8e-6 relative over the lowest 60 Dirichlet values of the delta =
 3 pi / 4 cap; one Richardson step between 2000 and 4000 points lands
-within 1e-9.
+within 1e-9.  ``scipy.linalg`` is imported at the first solve, so
+building a ``CapDomain``, as parsing a config does, needs numpy alone.
 
 The orders are swept from m = 0 up by ``spectra.lowest_over_orders``,
 each asked only for its values at or below a cutoff, so bisection runs
@@ -43,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from ..spectra import MEMBRANE_KINDS, ProblemKind, Spectrum, check_count, lowest_over_orders
 
@@ -53,6 +53,13 @@ from ..spectra import MEMBRANE_KINDS, ProblemKind, Spectrum, check_count, lowest
 #: smallest positive double leaves ``stebz``'s own relative floor, two
 #: ulps of each eigenvalue, in charge instead.
 BISECTION_TOL = np.finfo(float).tiny
+
+
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, **kwargs) -> np.ndarray:
+    """``scipy.linalg.eigh_tridiagonal``, imported at the first solve."""
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(d, e, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -101,26 +101,35 @@ def _past_notch(n: int, h: float, length: float, notch: float) -> np.ndarray:
     return np.arange(1, n + 1) * h >= length * (1.0 - notch) - _REL_TOL * length
 
 
-def disk_unknowns(radius: float, h: float) -> int:
-    """Unknowns of ``disk_domain(radius, h)``, exact below MIN_UNKNOWNS.
+def disk_unknowns(radius: float, h: float, limit: int = MIN_UNKNOWNS) -> int:
+    """Unknowns of ``disk_domain(radius, h)``, exact below ``limit``.
 
-    Nodes enter by distance from the centre: the centre, its four axis
-    neighbours, then the four diagonal ones, so once the node (h, h) is
-    inside there are at least MIN_UNKNOWNS, which is what this returns.
+    Rounding keeps the squared distance growing with |i| and |j|, so once
+    the corner node (m h, m h) is inside, the whole square |i|, |j| <= m
+    is.  If that square holds ``limit`` nodes, its count is returned.
+    Otherwise the disk fits a box of about twice ``limit`` nodes, which
+    are counted one by one.
     """
-    x, y = np.array([0.0, h, h]), np.array([0.0, 0.0, h])
-    centre, axis, diagonal = _inside_disk(x, y, radius)
-    return int(centre) + 4 * int(axis) + 4 * int(diagonal)
+    m = int(min(radius / (h * math.sqrt(2.0)), limit))
+    while m > 0 and not _inside_disk(m * h, m * h, radius):
+        m -= 1
+    if (2 * m + 1) ** 2 >= limit:
+        return (2 * m + 1) ** 2
+    n = math.ceil(radius / h)
+    coords = np.arange(-n, n + 1) * h
+    return int(np.count_nonzero(_inside_disk(coords[None, :], coords[:, None], radius)))
 
 
-def lshape_unknowns(a: float, b: float, h: float, notch: float = 0.5) -> int:
-    """Unknowns of ``lshape_domain(a, b, h, notch)``, exact below MIN_UNKNOWNS.
+def lshape_unknowns(
+    a: float, b: float, h: float, notch: float = 0.5, limit: int = MIN_UNKNOWNS
+) -> int:
+    """Unknowns of ``lshape_domain(a, b, h, notch)``, exact below ``limit``.
 
     The kept nodes are closed under stepping toward the corner, so if any
-    lies outside the first MIN_UNKNOWNS columns and rows, that box alone
-    holds MIN_UNKNOWNS of them; counting in the box is enough.
+    lies outside the first ``limit`` columns and rows, that box alone
+    holds ``limit`` of them; counting in the box is enough.
     """
-    nx, ny = (min(axis_nodes(side, h), MIN_UNKNOWNS) for side in (a, b))
+    nx, ny = (min(axis_nodes(side, h), limit) for side in (a, b))
     past_x = np.count_nonzero(_past_notch(nx, h, a, notch))
     past_y = np.count_nonzero(_past_notch(ny, h, b, notch))
     return nx * ny - int(past_x * past_y)

@@ -4,9 +4,9 @@ J_m, J_m' and I_m for integer m >= 0 and the zeros of J_m and J_m' are
 thin wrappers over ``scipy.special`` (the Amos routines and scipy's
 Bessel zero tables).  They hold to roughly machine precision at every
 order and argument, so the analytic disk spectra built on them hold at
-any ``count``.  ``scipy.special`` is imported on the first Bessel call:
-the command line pays its import cost only when a run needs a Bessel
-function.
+any ``count``.  As with every scipy subpackage speclab uses, the import
+waits until a run first needs it, here the first Bessel call, so a run
+that needs none of them pays none of their import cost.
 
 ``find_root`` is the package's one root finder, used for the
 transcendental characteristic equations elsewhere in the package.  It

@@ -253,4 +253,7 @@ class TestSeededSweep:
 
         monkeypatch.setattr(cap, "eigh_tridiagonal", counted)
         cap_spectrum(domain, ProblemKind.DIRICHLET, count)
+        # every solve goes through the patched name: each value counts at
+        # most twice, so at least half of count were bisected
+        assert sum(returned) >= count / 2
         assert sum(returned) <= count + 10

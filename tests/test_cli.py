@@ -25,6 +25,7 @@ from speclab.cli import (
     CHECKS,
     DOMAINS,
     MAX_CAP_POINTS,
+    MAX_CHAIN_POINTS,
     MAX_COUNT,
     ConfigError,
     main,
@@ -329,17 +330,20 @@ class TestParseConfig:
 
     @staticmethod
     def sized_block(field: str, size: int) -> dict:
-        """A block asking for ``size`` at ``field``: a count, cap points or sharpness cap points."""
+        """A block asking for ``size`` at ``field``: count, cap, chain or sharpness points."""
         if field == "count":
             return interval_block(count=size)
         if field == "points":
             return {**cap_block([]), "backend": {"type": "cap", "points": size}}
+        if field == "chain":
+            return interval_block(checks=[{"type": "counting-chain", "points": size}])
         caps = [{"delta": 2.0, "points": size}]
         return analytic_block(DISK, KINDS, [{"type": "sharpness", "caps": caps}])
 
     # a count of 10**400 on an analytic interval failed inside the run with
     # "Maximum allowed size exceeded", and cap points of 10**400 with an
-    # OverflowError, before; these sizes are refused, never run
+    # OverflowError, before, as did counting-chain points of 10**51; these
+    # sizes are refused, never run
     @pytest.mark.parametrize(
         "field, size, message",
         [
@@ -348,6 +352,8 @@ class TestParseConfig:
             ("points", MAX_CAP_POINTS + 1, f"cap 'points' must be at most {MAX_CAP_POINTS}"),
             ("points", HUGE, f"cap 'points' must be at most {MAX_CAP_POINTS}"),
             ("caps", HUGE, f"'caps' must be .* 'points' of at most {MAX_CAP_POINTS}"),
+            ("chain", MAX_CHAIN_POINTS + 1, f"'points' must be .* at most {MAX_CHAIN_POINTS}"),
+            ("chain", 10**51, f"'points' must be .* at most {MAX_CHAIN_POINTS}"),
         ],
     )
     def test_sizes_above_their_ceilings_exit_2(self, tmp_path, capsys, field, size, message):
@@ -362,7 +368,13 @@ class TestParseConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "field, size", [("count", MAX_COUNT), ("points", MAX_CAP_POINTS), ("caps", MAX_CAP_POINTS)]
+        "field, size",
+        [
+            ("count", MAX_COUNT),
+            ("points", MAX_CAP_POINTS),
+            ("caps", MAX_CAP_POINTS),
+            ("chain", MAX_CHAIN_POINTS),
+        ],
     )
     def test_sizes_at_their_ceilings_are_accepted(self, field, size):
         (exp,) = parse_config(json.dumps({"experiments": [self.sized_block(field, size)]}))
@@ -370,8 +382,38 @@ class TestParseConfig:
             assert exp.count == size
         elif field == "points":
             assert exp.backend["cap"].points == size
+        elif field == "chain":
+            assert exp.checks[0]["points"] == size
         else:
             assert exp.checks[0]["caps"][0].points == size
+
+    # a count of 50 on the unit square at h = 0.2 failed inside the run
+    # with "requested 50 eigenvalues but the grid has 16 unknowns", before
+    @pytest.mark.parametrize(
+        "domain, h, unknowns",
+        [
+            ({"type": "interval", "length": 1.0}, 0.05, 19),
+            ({"type": "rect", "a": 1.0, "b": 1.0}, 0.2, 16),
+            ({"type": "disk", "radius": 1.0}, 0.25, 45),
+            ({"type": "lshape", "a": 1.0, "b": 1.0}, 0.125, 33),
+        ],
+    )
+    def test_count_above_the_coarsest_grid_exits_2(self, tmp_path, capsys, domain, h, unknowns):
+        block = {"name": "tiny", "domain": domain, "kinds": ["dirichlet"]}
+        block["backend"] = {"type": "fd", "h": [h / 2, h]}
+        block["count"] = unknowns
+        (exp,) = parse_config(json.dumps({"experiments": [block]}))
+        assert DOMAINS[domain["type"]].grid(exp.domain, h).n_unknowns == unknowns
+        block["count"] = unknowns + 1
+        message = f"'count' {unknowns + 1} exceeds the {unknowns} unknowns of the {domain['type']}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(json.dumps({"experiments": [block]}))
+        config = write_config(tmp_path, {"experiments": [block]})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("speclab: experiments[0] ('tiny')") and message in err
+        assert not out.exists()
 
     def test_decomposition_parts_are_checked(self):
         block = {
@@ -1275,3 +1317,93 @@ class TestSubprocess:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @staticmethod
+    def scipy_loaded_after(code: str, *args) -> tuple[list[str], str]:
+        """The lines ``code`` prints in a fresh process, then the scipy modules it loaded."""
+        code += "\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys\n" + code, *map(str, args)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        *printed, loaded = proc.stdout.splitlines()
+        return printed, loaded
+
+    def test_import_loads_no_scipy(self):
+        # the analytic interval and rectangle need numpy alone; each layer
+        # imports its scipy subpackage on first use
+        assert self.scipy_loaded_after("import speclab.cli")[1] == "[]"
+
+    def test_parse_config_loads_no_scipy(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        import workloads
+
+        paths = []
+        for index, config in enumerate(workloads.variant_configs()):
+            paths.append(write_config(tmp_path, config, f"variant{index}.json"))
+        paths.append(ROOT / "bench" / "readme_config.json")
+        assert len(paths) == 10
+        code = (
+            "import speclab.cli as cli\n"
+            "for path in sys.argv[1:]:\n"
+            "    print(len(cli.parse_config(open(path).read())))"
+        )
+        printed, loaded = self.scipy_loaded_after(code, *paths)
+        assert len(printed) == 10 and all(int(n) >= 1 for n in printed)
+        assert loaded == "[]"
+
+    def test_analytic_interval_and_rectangle_report_loads_no_scipy(self, tmp_path):
+        readme = json.loads((ROOT / "bench" / "readme_config.json").read_text())
+        names = ("rod", "square-heat")
+        experiments = [exp for exp in readme["experiments"] if exp["name"] in names]
+        config = write_config(tmp_path, {"experiments": experiments})
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        code = "import speclab.cli as cli\nprint(cli.main(sys.argv[1:]))"
+        printed, loaded = self.scipy_loaded_after(
+            code, "report", "--config", config, "--out", cold
+        )
+        assert printed == ["0"] and loaded == "[]"
+        # this process has scipy loaded throughout, as every run did before
+        assert main(["report", "--config", str(config), "--out", str(warm)]) == 0
+        written = {p.name: p.read_bytes() for p in sorted(cold.iterdir())}
+        suffixes = ("report.json", "spectra.csv")
+        assert sorted(written) == sorted(f"{n}.{s}" for n in names for s in suffixes)
+        assert written == {p.name: p.read_bytes() for p in sorted(warm.iterdir())}
+
+    @pytest.mark.parametrize(
+        "experiment, message",
+        [
+            (
+                {
+                    "name": "tiny",
+                    "domain": {"type": "rect", "a": 1.0, "b": 1.0},
+                    "kinds": ["dirichlet"],
+                    "backend": {"type": "fd", "h": [0.2]},
+                    "count": 50,
+                },
+                "'count' 50 exceeds the 16 unknowns",
+            ),
+            (
+                interval_block(checks=[{"type": "counting-chain", "points": 10**51}]),
+                f"'points' must be an integer of 2 or more and at most {MAX_CHAIN_POINTS}",
+            ),
+        ],
+        ids=["count-above-unknowns", "chain-points"],
+    )
+    def test_refusals_exit_2_and_load_no_scipy(self, tmp_path, experiment, message):
+        config = write_config(tmp_path, {"experiments": [experiment]})
+        out = tmp_path / "out"
+        code = (
+            "import contextlib, io, speclab.cli as cli\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "print(code)\n"
+            "print(err.getvalue().strip())"
+        )
+        printed, loaded = self.scipy_loaded_after(code, "report", "--config", config, "--out", out)
+        assert printed[0] == "2" and printed[1].startswith("speclab: ") and message in printed[1]
+        assert loaded == "[]"
+        assert not out.exists()

@@ -27,10 +27,12 @@ from speclab.fdlab import (
     assemble_laplacian,
     cap_spectrum,
     disk_domain,
+    disk_unknowns,
     fd_spectra,
     fd_spectrum,
     interval_domain,
     lshape_domain,
+    lshape_unknowns,
     read_mask_file,
     rectangle_domain,
     solve_gevp,
@@ -112,6 +114,28 @@ class TestGridDomains:
         )
         assert expected == 33
         assert d.n_unknowns == expected
+
+    @given(
+        spacing=st.floats(0.01, 0.6),
+        notch=st.floats(0.05, 0.95),
+        limit=st.sampled_from([MIN_UNKNOWNS, 50, 400, 3000]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unknown_counts_exact_below_their_limit(self, spacing, notch, limit):
+        # the counts parse_config compares a count with, without the grids
+        for build, count in (
+            (lambda: disk_domain(1.0, spacing), disk_unknowns(1.0, spacing, limit)),
+            (
+                lambda: lshape_domain(1.0, 0.8, spacing, notch),
+                lshape_unknowns(1.0, 0.8, spacing, notch, limit),
+            ),
+        ):
+            try:
+                n = build().n_unknowns
+            except DegenerateDomainError:
+                assert count < MIN_UNKNOWNS
+                continue
+            assert count == n if n < limit else limit <= count <= n
 
     def test_lshape_too_coarse_raises(self):
         with pytest.raises(DegenerateDomainError):

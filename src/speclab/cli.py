@@ -29,13 +29,12 @@ from .analytic2d import disk_spectrum, rect_spectrum
 from .fdlab import (
     MIN_UNKNOWNS,
     CapDomain,
+    DegenerateDomainError,
     axis_nodes,
     cap_spectrum,
     disk_domain,
-    disk_unknowns,
     interval_domain,
     lshape_domain,
-    lshape_unknowns,
     read_mask_file,
     rectangle_domain,
 )
@@ -49,11 +48,13 @@ class DomainType:
     ``required`` numeric fields and ``strings`` must be given;
     ``optional`` ones fall back to their defaults, a list default marking
     a point, and every number must lie in its ``DOMAIN_RANGES`` entry.
-    ``grid`` builds the fd mask at one mesh width, which it ignores where
-    ``meshed`` is False; ``unknowns`` counts that mask's nodes without
-    building it, exactly below a given limit and at least the limit
-    otherwise.  ``spectrum`` is the closed form; it, or the cap backend
-    on a cap, covers the ``kinds`` listed.
+    ``grid`` builds the fd mask at one mesh width.  ``box`` counts the
+    lattice box that mask is cut from, saturating as ``axis_nodes`` does,
+    so that a grid is sized before it is built.  A mask file has no
+    ``box``: its grid ignores the width, reads the file's own, and its box
+    is its rows times its width, known once it is read.  ``spectrum`` is
+    the closed form; it, or the cap backend on a cap, covers the
+    ``kinds`` listed.
     ``geometry`` gives the dimension, volume and boundary measure, None
     where the shape defines none.  Every callable takes the domain as
     ``_check_domain`` returns it.
@@ -63,8 +64,7 @@ class DomainType:
     strings: tuple[str, ...] = ()
     optional: dict = field(default_factory=dict)
     grid: Callable | None = None
-    unknowns: Callable | None = None
-    meshed: bool = True
+    box: Callable | None = None
     spectrum: Callable | None = None
     kinds: tuple[ProblemKind, ...] = ()
     geometry: Callable = lambda d: (2, None, None)
@@ -75,7 +75,7 @@ DOMAINS = {
     "interval": DomainType(
         required=("length",),
         grid=lambda d, h: interval_domain(d["length"], h),
-        unknowns=lambda d, h, limit: axis_nodes(d["length"], h),
+        box=lambda d, h: axis_nodes(d["length"], h),
         spectrum=lambda d, kind, count: interval_spectrum(d["length"], kind, count),
         kinds=tuple(ProblemKind),
         geometry=lambda d: (1, d["length"], 2.0),
@@ -84,7 +84,7 @@ DOMAINS = {
         required=("a", "b"),
         optional={"corner": [0.0, 0.0]},
         grid=lambda d, h: rectangle_domain(d["a"], d["b"], h, corner=d["corner"]),
-        unknowns=lambda d, h, limit: axis_nodes(d["a"], h) * axis_nodes(d["b"], h),
+        box=lambda d, h: axis_nodes(d["a"], h) * axis_nodes(d["b"], h),
         spectrum=lambda d, kind, count: rect_spectrum(d["a"], d["b"], kind, count),
         kinds=MEMBRANE_KINDS,
         geometry=lambda d: (2, d["a"] * d["b"], 2.0 * (d["a"] + d["b"])),
@@ -92,7 +92,7 @@ DOMAINS = {
     "disk": DomainType(
         optional={"radius": 1.0, "center": [0.0, 0.0]},
         grid=lambda d, h: disk_domain(d["radius"], h, center=d["center"]),
-        unknowns=lambda d, h, limit: disk_unknowns(d["radius"], h, limit),
+        box=lambda d, h: (2 * math.ceil(min(d["radius"] / h, sys.maxsize)) + 1) ** 2,
         spectrum=lambda d, kind, count: disk_spectrum(d["radius"], kind, count),
         kinds=tuple(ProblemKind),
         geometry=lambda d: (
@@ -105,7 +105,7 @@ DOMAINS = {
         grid=lambda d, h: lshape_domain(
             d["a"], d["b"], h, notch=d["notch"], corner=d["corner"]
         ),
-        unknowns=lambda d, h, limit: lshape_unknowns(d["a"], d["b"], h, d["notch"], limit),
+        box=lambda d, h: axis_nodes(d["a"], h) * axis_nodes(d["b"], h),
         geometry=lambda d: (
             2, d["a"] * d["b"] * (1.0 - d["notch"] * d["notch"]), 2.0 * (d["a"] + d["b"])
         ),
@@ -114,7 +114,6 @@ DOMAINS = {
     "mask": DomainType(
         strings=("path",),
         grid=lambda d, h: read_mask_file(Path(d["path"])),
-        meshed=False,
     ),
 }
 
@@ -138,10 +137,17 @@ DOMAIN_RANGES = {
 #: for all four kinds at the largest count.  A counting-chain sample costs
 #: about 4 us and 75 bytes of report: at the largest ``points`` the check
 #: took 0.4 s and wrote 7.5 MB, and at ten times that 4 s, 75 MB and a
-#: 176 MB peak.  Fd grids have no ceiling yet.
+#: 176 MB peak.
 MAX_COUNT = 10_000
 MAX_CAP_POINTS = 8_000
 MAX_CHAIN_POINTS = 100_000
+
+#: Ceiling on the lattice box an fd grid is cut from (``DomainType.box``),
+#: checked before the grid is built.  A full box, the unit square, costs
+#: the most.  All four kinds at count 15, summed proportional set size of
+#: the process tree with its forked workers: the notch-1/2 L-shape at
+#: h = 1/320 (box 101,761) took 4.2 s and 274 MB.
+MAX_GRID_NODES = 2**18
 
 
 class ConfigError(ValueError):
@@ -173,6 +179,8 @@ class Experiment:
     backend: dict
     count: int
     checks: list[dict] = field(default_factory=list)
+    #: The fd grids, coarsest first, built while parsing; none on other backends.
+    grids: list = field(default_factory=list)
 
 
 @dataclass
@@ -265,27 +273,49 @@ def _is_numbers(value) -> bool:
     return isinstance(value, list) and all(map(_is_number, value))
 
 
-def _require_resolved(where: str, domain: dict, h: float, count: int = 1) -> None:
-    """Require the fd grid of ``domain`` at ``h`` to hold MIN_UNKNOWNS and ``count`` unknowns."""
-    n = DOMAINS[domain["type"]].unknowns(domain, h, max(count, MIN_UNKNOWNS))
-    size = ", ".join(f"{key}={domain[key]:g}" for key in DOMAIN_RANGES if key in domain)
-    grid = f"the {domain['type']} domain ({size})"
+def _fd_grid(where: str, domain: dict, h: float | None, count: int = 1):
+    """The fd grid of ``domain`` at ``h``, built, or read from its mask file, once.
+
+    A ConfigError refuses a lattice box above MAX_GRID_NODES, before a
+    meshed grid is built; a mask file that cannot be read or parsed; and
+    a grid of fewer than MIN_UNKNOWNS or ``count`` unknowns.
+    """
+    spec = DOMAINS[domain["type"]]
+    fields = [f"{key}={domain[key]:g}" for key in DOMAIN_RANGES if key in domain]
+    fields += [f"{key}={domain[key]!r}" for key in spec.strings]
+    name = f"the {domain['type']} domain ({', '.join(fields)})"
+    ceiling = f"lattice nodes, above the grid ceiling of {MAX_GRID_NODES}"
+    if spec.box is None:
+        try:
+            grid = spec.grid(domain, h)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{where}: cannot read {name}: {exc}") from exc
+        box = grid.mask.size
+        _require(box <= MAX_GRID_NODES, f"{where}: {name} spans a box of {box} {ceiling}")
+    else:
+        box = spec.box(domain, h)
+        _require(
+            box <= MAX_GRID_NODES, f"{where}: h={h:g} meshes {name} in a box of {box} {ceiling}"
+        )
+        try:
+            grid = spec.grid(domain, h)
+        except DegenerateDomainError as exc:
+            raise ConfigError(
+                f"{where}: h={h:g} is too coarse for {name}: it resolves to "
+                f"{exc.unknowns} unknowns, at least {MIN_UNKNOWNS} are required"
+            ) from exc
+    n = grid.n_unknowns
     _require(
-        n >= MIN_UNKNOWNS,
-        f"{where}: h={h:g} is too coarse for {grid}: "
-        f"it resolves to {n} unknowns, at least {MIN_UNKNOWNS} are required",
+        count <= n, f"{where}: 'count' {count} exceeds the {n} unknowns of {name} at h={grid.h:g}"
     )
-    _require(
-        count <= n,
-        f"{where}: 'count' {count} exceeds the {n} unknowns of {grid} at h={h:g}",
-    )
+    return grid
 
 
 def _grid_part(where: str, part) -> dict:
     part = _check_domain(where, part)
     spec = DOMAINS[part["type"]]
     _require(
-        spec.grid is not None and spec.meshed,
+        spec.box is not None,
         f"{where}: no fd grid for domain type {part['type']!r}",
     )
     return part
@@ -391,9 +421,8 @@ def _payne(check, exp, grid, finest, unc):
 
 
 def _decomposition(check, exp, grid, finest, unc):
-    parts = [DOMAINS[d["type"]].grid(d, grid.h) for d in check["parts"]]
     buckling = finest[ProblemKind.BUCKLING]
-    return _judged(analytics.decomposition_check(grid, parts, buckling, check["count"]))
+    return _judged(analytics.decomposition_check(grid, check["parts"], buckling, check["count"]))
 
 
 def _sharpness(check, exp, grid, finest, unc):
@@ -514,11 +543,9 @@ def _check_check(where: str, check, exp: Experiment) -> dict:
         (out.get("boundary", 0) is not None, f"on a {dtype} domain needs 'boundary'"),
     ):
         _require(ok, f"{where}: {ctype} {message}")
-    # parts are meshed at the finest h, which a mask domain reads from its file
-    finest = exp.backend.get("h", [None])[-1]
-    if finest is not None:
-        for i, part in enumerate(out.get("parts", ())):
-            _require_resolved(f"{where}: parts[{i}]", part, finest)
+    if "parts" in out:  # meshed at the finest h, a mask domain's read from its file
+        h = exp.grids[-1].h
+        out["parts"] = [_fd_grid(f"{where}: parts[{i}]", p, h) for i, p in enumerate(out["parts"])]
     if "volume" in out:
         out["dim"] = dim
     return out
@@ -536,6 +563,8 @@ def parse_config(text: str) -> list[Experiment]:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError("config parse error: the JSON nests too deeply") from exc
     _require(isinstance(raw, dict), "top level must be an object")
     experiments = raw.get("experiments")
     _require(isinstance(experiments, list), 'missing "experiments" list')
@@ -547,7 +576,7 @@ def parse_config(text: str) -> list[Experiment]:
         _require(isinstance(block, dict), f"{where} must be an object")
         name = block.get("name")
         _require(
-            isinstance(name, str) and name and "/" not in name,
+            isinstance(name, str) and name and "/" not in name and "\0" not in name,
             f"{where} needs a file-name-safe 'name'",
         )
         _require(name not in names, f"duplicate experiment name {name!r}")
@@ -578,12 +607,11 @@ def parse_config(text: str) -> list[Experiment]:
                 spec.grid is not None,
                 f"{where}: fd backend does not support domain {dtype!r}",
             )
-            if not spec.meshed:
+            if spec.box is None:
                 _require(
                     "h" not in raw_backend,
                     f"{where}: mask files carry their own mesh width",
                 )
-                backend["h"] = [None]
             else:
                 hs = raw_backend.get("h")
                 _require(
@@ -624,13 +652,15 @@ def parse_config(text: str) -> list[Experiment]:
         count = block.get("count", 6)
         _require(_is_count(count), f"{where}: 'count' must be a positive integer")
         _require(count <= MAX_COUNT, f"{where}: 'count' must be at most {MAX_COUNT}")
-        if spec.meshed:
-            for h in backend.get("h", ()):
-                _require_resolved(f"{where} ({name!r})", domain, h, count)
+        # a mask file ignores the h it is given and carries its own
+        hs = backend.get("h", [None]) if btype == "fd" else []
+        grids = [_fd_grid(f"{where} ({name!r})", domain, h, count) for h in hs]
+        if grids:
+            backend["h"] = [grid.h for grid in grids]
 
         checks = block.get("checks", [])
         _require(isinstance(checks, list), f"{where}: 'checks' must be a list")
-        exp = Experiment(name=name, domain=domain, kinds=kinds, backend=backend, count=count)
+        exp = Experiment(name, domain, kinds, backend, count, grids=grids)
         exp.checks = [_check_check(f"{where}.checks[{i}]", c, exp) for i, c in enumerate(checks)]
         out.append(exp)
     return out
@@ -657,8 +687,7 @@ def _compute_spectra(exp: Experiment):
         # the sparse solvers, and scipy.sparse with them, load here
         from .fdlab import fd_spectra
 
-        grids = [spec.grid(exp.domain, h) for h in exp.backend["h"]]
-        per_level = [(grid, fd_spectra(grid, exp.kinds, exp.count)) for grid in grids]
+        per_level = [(grid, fd_spectra(grid, exp.kinds, exp.count)) for grid in exp.grids]
 
     uncertainties = None
     if len(per_level) >= 2:
@@ -772,8 +801,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"speclab: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

@@ -1,10 +1,13 @@
 """Finite-difference laboratory: grids, operators, eigensolver, spectra.
 
-The grid builders and the cap backend need numpy alone and load with
-the package.  The sparse side (``operators``, ``solver``, ``spectrum``,
-``symmetry``) imports ``scipy.sparse`` and ``scipy.sparse.linalg``, so
-its names load on first access: ``from speclab.fdlab import fd_spectra``
-imports them then, and a run that never solves on a grid never does.
+The grid builders, ``read_mask_file`` and the cap backend need numpy
+alone and load with the package.  The sparse side (``operators``,
+``solver``, ``spectrum``, ``symmetry``) imports ``scipy.sparse`` and
+``scipy.sparse.linalg``, so its names load on first access: ``from
+speclab.fdlab import fd_spectra`` imports them then, and a run that
+never solves on a grid never does.  So a grid is built and sized
+without scipy; ``fd_spectra`` checks, before it solves, that its mask
+is one 4-connected component.
 """
 
 import importlib
@@ -16,10 +19,8 @@ from .grid import (
     GridDomain,
     axis_nodes,
     disk_domain,
-    disk_unknowns,
     interval_domain,
     lshape_domain,
-    lshape_unknowns,
     read_mask_file,
     rectangle_domain,
 )
@@ -59,12 +60,10 @@ __all__ = [
     "axis_nodes",
     "cap_spectrum",
     "disk_domain",
-    "disk_unknowns",
     "fd_spectra",
     "fd_spectrum",
     "interval_domain",
     "lshape_domain",
-    "lshape_unknowns",
     "read_mask_file",
     "rectangle_domain",
     "solve_gevp",

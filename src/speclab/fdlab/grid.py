@@ -7,6 +7,11 @@ zero boundary data and the clamped fourth-order operator additionally
 mirrors across it.  Masks can be built from a few stock shapes or read
 from a small text format, one line ``h <value>`` followed by rows of
 ``#`` (inside) and ``.`` (outside).
+
+Building a grid needs numpy alone.  A ``GridDomain`` checks its spacing,
+its shape and ``MIN_UNKNOWNS``; that the mask is one 4-connected
+component, which the structural Neumann zero needs, is checked by
+``fd_spectra`` before it solves.
 """
 
 from __future__ import annotations
@@ -29,6 +34,13 @@ MIN_UNKNOWNS = 9
 class DegenerateDomainError(ValueError):
     """Raised when a mask resolves to fewer than MIN_UNKNOWNS unknowns."""
 
+    def __init__(self, unknowns: int):
+        super().__init__(
+            f"domain resolves to {unknowns} unknowns at this spacing; "
+            f"at least {MIN_UNKNOWNS} are required"
+        )
+        self.unknowns = unknowns
+
 
 @dataclass
 class GridDomain:
@@ -48,7 +60,8 @@ class GridDomain:
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.mask.ndim != 2:
             raise ValueError("mask must be a 2-d boolean array")
-        _validate_mask(self.mask)
+        if self.n_unknowns < MIN_UNKNOWNS:
+            raise DegenerateDomainError(self.n_unknowns)
 
     @property
     def n_unknowns(self) -> int:
@@ -60,29 +73,6 @@ class GridDomain:
         return np.column_stack(
             (self.origin[0] + ii * self.h, self.origin[1] + jj * self.h)
         )
-
-
-def _validate_mask(mask: np.ndarray) -> None:
-    n = int(mask.sum())
-    if n < MIN_UNKNOWNS:
-        raise DegenerateDomainError(
-            f"domain resolves to {n} unknowns at this spacing; "
-            f"at least {MIN_UNKNOWNS} are required"
-        )
-    # single 4-connected component of the graph joining horizontal and
-    # vertical neighbour pairs
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    index = np.full(mask.shape, -1, dtype=np.int64)
-    index[mask] = np.arange(n)
-    across = mask[:, :-1] & mask[:, 1:]
-    down = mask[:-1, :] & mask[1:, :]
-    rows = np.concatenate((index[:, :-1][across], index[:-1, :][down]))
-    cols = np.concatenate((index[:, 1:][across], index[1:, :][down]))
-    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    if connected_components(graph, directed=False, return_labels=False) != 1:
-        raise ValueError("mask must form a single 4-connected component")
 
 
 def axis_nodes(length: float, h: float) -> int:
@@ -99,40 +89,6 @@ def _inside_disk(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
 def _past_notch(n: int, h: float, length: float, notch: float) -> np.ndarray:
     """Which of the nodes h, ..., n h along a side of ``length`` lie in the notch's span."""
     return np.arange(1, n + 1) * h >= length * (1.0 - notch) - _REL_TOL * length
-
-
-def disk_unknowns(radius: float, h: float, limit: int = MIN_UNKNOWNS) -> int:
-    """Unknowns of ``disk_domain(radius, h)``, exact below ``limit``.
-
-    Rounding keeps the squared distance growing with |i| and |j|, so once
-    the corner node (m h, m h) is inside, the whole square |i|, |j| <= m
-    is.  If that square holds ``limit`` nodes, its count is returned.
-    Otherwise the disk fits a box of about twice ``limit`` nodes, which
-    are counted one by one.
-    """
-    m = int(min(radius / (h * math.sqrt(2.0)), limit))
-    while m > 0 and not _inside_disk(m * h, m * h, radius):
-        m -= 1
-    if (2 * m + 1) ** 2 >= limit:
-        return (2 * m + 1) ** 2
-    n = math.ceil(radius / h)
-    coords = np.arange(-n, n + 1) * h
-    return int(np.count_nonzero(_inside_disk(coords[None, :], coords[:, None], radius)))
-
-
-def lshape_unknowns(
-    a: float, b: float, h: float, notch: float = 0.5, limit: int = MIN_UNKNOWNS
-) -> int:
-    """Unknowns of ``lshape_domain(a, b, h, notch)``, exact below ``limit``.
-
-    The kept nodes are closed under stepping toward the corner, so if any
-    lies outside the first ``limit`` columns and rows, that box alone
-    holds ``limit`` of them; counting in the box is enough.
-    """
-    nx, ny = (min(axis_nodes(side, h), limit) for side in (a, b))
-    past_x = np.count_nonzero(_past_notch(nx, h, a, notch))
-    past_y = np.count_nonzero(_past_notch(ny, h, b, notch))
-    return nx * ny - int(past_x * past_y)
 
 
 def rectangle_domain(
@@ -174,21 +130,15 @@ def disk_domain(radius: float, h: float, center: tuple[float, float] = (0.0, 0.0
     radius = check_positive("radius", radius)
     h = check_positive("spacing h", h)
     n = int(math.ceil(radius / h))
-    idx = np.arange(-n, n + 1)
-    xx = idx[None, :] * h
-    yy = idx[:, None] * h
-    mask = _inside_disk(xx, yy, radius)
-    cols = np.any(mask, axis=0)
-    rows = np.any(mask, axis=1)
-    if not cols.any():
-        raise DegenerateDomainError(f"disk R={radius:g} has no interior nodes at h={h:g}")
-    i0, i1 = np.nonzero(cols)[0][[0, -1]]
-    j0, j1 = np.nonzero(rows)[0][[0, -1]]
-    mask = mask[j0 : j1 + 1, i0 : i1 + 1]
+    coords = np.arange(-n, n + 1) * h
+    mask = _inside_disk(coords[None, :], coords[:, None], radius)
+    # the nodes |i| <= m of the centre row are inside; no row is wider, and
+    # the mask is symmetric in x and y, so they span its bounding box
+    m = int(mask[n].sum()) // 2
     return GridDomain(
         h=h,
-        mask=mask,
-        origin=(center[0] + idx[i0] * h, center[1] + idx[j0] * h),
+        mask=mask[n - m : n + m + 1, n - m : n + m + 1],
+        origin=(center[0] - m * h, center[1] - m * h),
         descriptor=f"disk(R={radius:g})",
     )
 
@@ -219,25 +169,28 @@ def lshape_domain(
 
 
 def read_mask_file(path: str | Path) -> GridDomain:
-    """Read a domain from the ``h ...`` / ``#``-row text format."""
+    """Read a domain from the ``h ...`` / ``#``-row text format.
+
+    A malformed file raises ValueError; naming the path is left to the caller.
+    """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     parts = lines[0].split() if lines else []
     if len(parts) != 2 or parts[0].lower() != "h":
-        raise ValueError(f"{path}: first line must be 'h <spacing>'")
+        raise ValueError("first line must be 'h <spacing>'")
     try:
         h = float(parts[1])
     except ValueError as exc:
-        raise ValueError(f"{path}: bad spacing {parts[1]!r}") from exc
+        raise ValueError(f"bad spacing {parts[1]!r}") from exc
     rows = [line for line in lines[1:] if line.strip()]
     if not rows:
-        raise ValueError(f"{path}: no mask rows")
+        raise ValueError("no mask rows")
     width = max(len(r) for r in rows)
     cells = np.array([row.ljust(width, ".") for row in rows]).view("U1").reshape(len(rows), -1)
     mask = cells == "#"
     bad = np.argwhere(~mask & (cells != "."))
     if len(bad):
         j, i = bad[0]
-        raise ValueError(f"{path}: row {j + 2} has invalid character {rows[j][i]!r}")
+        raise ValueError(f"row {j + 2} has invalid character {rows[j][i]!r}")
     return GridDomain(h=h, mask=mask, origin=(0.0, 0.0), descriptor=f"mask({path.name})")
 

@@ -79,10 +79,10 @@ takes 172 solves over its two classes with that shift and 99 with
 
 The lowest Neumann value is reported as exactly 0.0, with no threshold,
 since the solver returns it as roundoff of either sign.  That zero is
-structural: the flux form annihilates constants exactly, and a grid
-domain is one 4-connected component, so the constants span the whole
-null space.  There is exactly one null value, and it is the lowest; it
-lies in the fully symmetric class.
+structural: the flux form annihilates constants exactly, and
+``fd_spectra`` refuses a mask that is not one 4-connected component,
+so the constants span the whole null space.  There is exactly one null
+value, and it is the lowest; it lies in the fully symmetric class.
 """
 
 from __future__ import annotations
@@ -92,6 +92,8 @@ import os
 import signal
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ..spectra import ProblemKind, Spectrum, check_count
 from .grid import GridDomain
@@ -107,6 +109,24 @@ TRUST_FRACTION = 4
 def _neumann_shift(domain: GridDomain) -> float:
     """Neumann shift-invert target -(pi/D)^2, D the grid's bounding-box side."""
     return -((math.pi / (max(domain.mask.shape) * domain.h)) ** 2)
+
+
+def _require_connected(mask: np.ndarray) -> None:
+    """Raise ValueError unless ``mask`` is one 4-connected component.
+
+    The components are those of the graph joining horizontal and
+    vertical neighbour pairs.
+    """
+    n = int(mask.sum())
+    index = np.full(mask.shape, -1, dtype=np.int64)
+    index[mask] = np.arange(n)
+    across = mask[:, :-1] & mask[:, 1:]
+    down = mask[:-1, :] & mask[1:, :]
+    rows = np.concatenate((index[:, :-1][across], index[:-1, :][down]))
+    cols = np.concatenate((index[:, 1:][across], index[1:, :][down]))
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    if connected_components(graph, directed=False, return_labels=False) != 1:
+        raise ValueError("mask must form a single 4-connected component")
 
 
 def _first_ask(count: int, classes: int) -> int:
@@ -216,7 +236,11 @@ def _spread(run, jobs: list[list[tuple]]) -> list[list[np.ndarray]]:
 def fd_spectra(
     domain: GridDomain, kinds, count: int = 6
 ) -> dict[ProblemKind, Spectrum]:
-    """Lowest ``count`` eigenvalues of every one of ``kinds`` on a grid domain."""
+    """Lowest ``count`` eigenvalues of every one of ``kinds`` on a grid domain.
+
+    Raises ValueError first if the mask is not one 4-connected component.
+    """
+    _require_connected(domain.mask)
     kinds = [ProblemKind(kind) for kind in kinds]
     count = check_count(count)
     n = domain.n_unknowns

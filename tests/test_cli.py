@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -27,9 +28,11 @@ from speclab.cli import (
     MAX_CAP_POINTS,
     MAX_CHAIN_POINTS,
     MAX_COUNT,
+    MAX_GRID_NODES,
     ConfigError,
     main,
     parse_config,
+    run_config,
 )
 from speclab.fdlab import (
     CapDomain,
@@ -103,11 +106,21 @@ VALID_BLOCKS = [
     },
     {
         "name": "file",
-        "domain": {"type": "mask", "path": "m.txt"},
+        "domain": {"type": "mask", "path": "ell.mask"},
         "kinds": KINDS,
         "backend": {"type": "fd"},
     },
 ]
+
+
+@pytest.fixture(scope="module")
+def valid_blocks(tmp_path_factory):
+    """VALID_BLOCKS, their mask file written as ELL_MASK and named by its full path."""
+    path = tmp_path_factory.mktemp("valid") / "ell.mask"
+    path.write_text(ELL_MASK)
+    blocks = copy.deepcopy(VALID_BLOCKS)
+    blocks[-1]["domain"]["path"] = str(path)
+    return blocks
 
 
 def mutate(node, data) -> None:
@@ -129,10 +142,10 @@ def mutate(node, data) -> None:
 class TestParseConfig:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_any_json_experiment_list_parses_or_raises_config_error(self, data):
+    def test_any_json_experiment_list_parses_or_raises_config_error(self, valid_blocks, data):
         # parse only: valid blocks with a few values replaced or dropped, and
         # maybe one arbitrary entry, give experiments or ConfigError, nothing else
-        blocks = data.draw(st.lists(st.sampled_from(VALID_BLOCKS), min_size=1, unique_by=id))
+        blocks = data.draw(st.lists(st.sampled_from(valid_blocks), min_size=1, unique_by=id))
         experiments = copy.deepcopy(blocks)
         for _ in range(data.draw(st.integers(1, 3))):
             mutate(data.draw(st.sampled_from(experiments)), data)
@@ -143,8 +156,8 @@ class TestParseConfig:
             return
         assert isinstance(parsed, list)
 
-    def test_property_test_starts_from_valid_blocks(self):
-        assert len(parse_config(json.dumps({"experiments": VALID_BLOCKS}))) == len(VALID_BLOCKS)
+    def test_property_test_starts_from_valid_blocks(self, valid_blocks):
+        assert len(parse_config(json.dumps({"experiments": valid_blocks}))) == len(VALID_BLOCKS)
 
     def test_minimal_config(self):
         exps = parse_config(json.dumps({"experiments": [interval_block()]}))
@@ -853,6 +866,204 @@ SQUARE = {"type": "rect", "a": 1.0, "b": 1.0}
 DISK = {"type": "disk", "radius": 1.0}
 
 
+def mask_block(path, count=6, checks=None):
+    return {
+        "name": "file",
+        "domain": {"type": "mask", "path": str(path)},
+        "kinds": ["dirichlet", "buckling"],
+        "backend": {"type": "fd"},
+        "count": count,
+        "checks": checks or [],
+    }
+
+
+def fd_block(domain, h):
+    return {"name": "big", "domain": domain, "kinds": ["dirichlet"], "backend": {"type": "fd", "h": [h]}}
+
+
+def exits_2(tmp_path, capsys, config, message):
+    """A report of ``config`` exits 2 with one speclab: line holding ``message``, writing nothing."""
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("speclab: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+class TestGridsBuiltWhileParsing:
+    """Every fd grid is built, or its mask file read, once, by parse_config."""
+
+    @staticmethod
+    def refused(tmp_path, capsys, payload, message):
+        """``payload`` fails to parse with ``message``, and its report exits 2."""
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(json.dumps(payload))
+        exits_2(tmp_path, capsys, write_config(tmp_path, payload), message)
+
+    @pytest.mark.parametrize(
+        "domain, h, box",
+        [
+            (SQUARE, 1e-5, 99999**2),
+            (DISK, 1e-4, 20001**2),
+            ({"type": "interval", "length": 1.0}, 5e-324, sys.maxsize),
+            (SQUARE, 5e-324, sys.maxsize**2),
+            (DISK, 5e-324, (2 * sys.maxsize + 1) ** 2),
+            ({"type": "lshape", "a": 1.0, "b": 1.0}, 5e-324, sys.maxsize**2),
+        ],
+        ids=["square-1e-5", "disk-1e-4", "interval-tiny", "square-tiny", "disk-tiny", "lshape-tiny"],
+    )
+    def test_box_above_the_ceiling_refused_before_building(
+        self, tmp_path, capsys, monkeypatch, domain, h, box
+    ):
+        # the box is counted, saturating, and the grid is never built
+        unbuilt = dataclasses.replace(DOMAINS[domain["type"]], grid=lambda d, h: pytest.fail("built"))
+        monkeypatch.setitem(DOMAINS, domain["type"], unbuilt)
+        message = f"h={h:g} meshes the {domain['type']} domain ("
+        self.refused(tmp_path, capsys, {"experiments": [fd_block(domain, h)]}, message)
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps({"experiments": [fd_block(domain, h)]}))
+        assert f"in a box of {box} lattice nodes, above the grid ceiling of {MAX_GRID_NODES}" in str(
+            info.value
+        )
+
+    def test_box_at_the_ceiling_accepted(self):
+        # the largest grid of any shipped config, the L-shape at h = 1/320, parses
+        lshape = fd_block({"type": "lshape", "a": 1.0, "b": 1.0, "notch": 0.5}, 1 / 320)
+        assert parse_config(json.dumps({"experiments": [lshape]}))[0].grids[0].n_unknowns == 76161
+        side = math.isqrt(MAX_GRID_NODES)
+        domain = {"type": "rect", "a": 1.0, "b": 1.0}
+        (exp,) = parse_config(json.dumps({"experiments": [fd_block(domain, 1.0 / (side + 1))]}))
+        (grid,) = exp.grids
+        assert grid.mask.shape == (side, side) and grid.mask.size == MAX_GRID_NODES
+        block = fd_block(domain, 1.0 / (side + 2))
+        with pytest.raises(ConfigError, match=f"box of {(side + 1) ** 2} lattice nodes"):
+            parse_config(json.dumps({"experiments": [block]}))
+
+    def test_count_above_a_mask_files_unknowns(self, tmp_path, capsys):
+        # it failed inside the run with "requested 20 eigenvalues but the grid
+        # has 9 unknowns", written to the report, before
+        path = tmp_path / "nine.mask"
+        path.write_text("h 0.25\n###\n###\n###\n")
+        message = f"'count' 20 exceeds the 9 unknowns of the mask domain (path={str(path)!r}) at h=0.25"
+        self.refused(tmp_path, capsys, {"experiments": [mask_block(path, count=20)]}, message)
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file or directory"),
+            (b"h 0.25\n\xff##\n###\n###\n", "'utf-8' codec can't decode byte 0xff"),
+            (b"h 0.25\n###\n#.#\n###\n", "domain resolves to 8 unknowns"),
+            (b"h 0.25\n###\n#x#\n###\n", "row 3 has invalid character 'x'"),
+            (b"###\n###\n###\n", "first line must be 'h <spacing>'"),
+        ],
+        ids=["missing", "not-utf-8", "eight-nodes", "bad-character", "no-header"],
+    )
+    def test_unreadable_mask_file_names_its_path(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "dom.mask"
+        if content is not None:
+            path.write_bytes(content)
+        message = f"experiments[0] ('file'): cannot read the mask domain (path={str(path)!r}): "
+        self.refused(tmp_path, capsys, {"experiments": [mask_block(path)]}, message)
+        with pytest.raises(ConfigError, match=re.escape(reason)):
+            parse_config(json.dumps({"experiments": [mask_block(path)]}))
+
+    def test_mask_file_above_the_ceiling(self, tmp_path, capsys):
+        side = math.isqrt(MAX_GRID_NODES) + 1
+        path = tmp_path / "wide.mask"
+        path.write_text("h 0.01\n" + ("#" * side + "\n") * side)
+        message = f"spans a box of {side * side} lattice nodes, above the grid ceiling"
+        self.refused(tmp_path, capsys, {"experiments": [mask_block(path)]}, message)
+
+    def test_part_too_coarse_at_a_mask_files_h(self, tmp_path, capsys):
+        # parts on a mask domain were not checked while parsing, before
+        path = tmp_path / "ell.mask"
+        path.write_text(ELL_MASK)
+        parts = [{"type": "rect", "a": 0.375, "b": 0.375}]
+        block = mask_block(path, count=3, checks=[{"type": "decomposition", "parts": parts}])
+        message = (
+            "experiments[0].checks[0]: parts[0]: h=0.125 is too coarse for the rect domain "
+            "(a=0.375, b=0.375): it resolves to 4 unknowns, at least 9 are required"
+        )
+        self.refused(tmp_path, capsys, {"experiments": [block]}, message)
+        parts[0].update(a=0.5, b=0.5)
+        (exp,) = parse_config(json.dumps({"experiments": [block]}))
+        (part,) = exp.checks[0]["parts"]
+        assert part.h == exp.grids[0].h == 0.125 and part.n_unknowns == 9
+
+    def test_each_grid_and_mask_file_read_once(self, tmp_path, monkeypatch):
+        # a mask's nodes start at its origin, a rectangle's one h past its corner
+        path = tmp_path / "square.mask"
+        path.write_text("h 0.125\n" + "#######\n" * 7)
+        parts = [
+            {"type": "rect", "a": 0.5, "b": 1.0, "corner": [-0.125, -0.125]},
+            {"type": "rect", "a": 0.5, "b": 1.0, "corner": [0.25, -0.125]},
+        ]
+        blocks = [
+            mask_block(path, count=3, checks=[{"type": "decomposition", "parts": parts}]),
+            {**fd_block(SQUARE, 0.125), "name": "levels", "backend": {"type": "fd", "h": [0.125, 0.25]}},
+        ]
+        built = []
+        for dtype in ("mask", "rect"):
+            spec = DOMAINS[dtype]
+
+            def counted(d, h, build=spec.grid):
+                built.append(build(d, h))
+                return built[-1]
+
+            monkeypatch.setitem(DOMAINS, dtype, dataclasses.replace(spec, grid=counted))
+        experiments = parse_config(json.dumps({"experiments": blocks}))
+        descriptors = ["mask(square.mask)"] + ["rectangle(0.5,1)"] * 2 + ["rectangle(1,1)"] * 2
+        assert [grid.descriptor for grid in built] == descriptors
+        out = tmp_path / "out"
+        assert run_config(experiments, out) == 0
+        assert len(built) == 5
+        assert experiments[0].backend["h"] == [0.125] and experiments[1].backend["h"] == [0.25, 0.125]
+        rows = list(csv.DictReader(open(out / "levels.spectra.csv", newline="")))
+        assert [row["h"] for row in rows] == ["0.25"] * 6 + ["0.125"] * 6
+
+    def test_disconnected_mask_file_reports_the_same_error(self, tmp_path):
+        # the connectivity check moved from the grid to fd_spectra; the report keeps its bytes
+        path = tmp_path / "split.mask"
+        path.write_text("h 0.1\n###.###\n###.###\n###.###\n")
+        block = {**mask_block(path, count=4), "name": "split", "kinds": KINDS}
+        config = write_config(tmp_path, {"experiments": [block]})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["split.report.json"]
+        assert (out / "split.report.json").read_bytes() == (
+            b'{\n  "name": "split",\n'
+            b'  "error": "ValueError: mask must form a single 4-connected component"\n}\n'
+        )
+
+
+class TestConfigFilesThatCrashedReading:
+    """Config files that once escaped as tracebacks exit 2 with one speclab: line."""
+
+    def test_config_not_utf_8(self, tmp_path, capsys):
+        # UnicodeDecodeError from reading the file, before
+        config = tmp_path / "latin.json"
+        config.write_bytes(json.dumps({"experiments": [interval_block()]}).encode().replace(b"rod", b"r\xf6d"))
+        exits_2(tmp_path, capsys, config, "cannot read config: 'utf-8' codec can't decode")
+
+    def test_config_nested_too_deeply(self, tmp_path, capsys):
+        # RecursionError from json.loads, before
+        text = '{"experiments": ' + "[" * 100_000
+        with pytest.raises(ConfigError, match="nests too deeply"):
+            parse_config(text)
+        config = tmp_path / "deep.json"
+        config.write_text(text)
+        exits_2(tmp_path, capsys, config, "config parse error: the JSON nests too deeply")
+
+    def test_name_with_a_null_byte(self, tmp_path, capsys):
+        # ValueError: embedded null byte from opening the outputs, after
+        # every spectrum was computed, before
+        block = interval_block(name="rod\u0000")
+        with pytest.raises(ConfigError, match="file-name-safe 'name'"):
+            parse_config(json.dumps({"experiments": [block]}))
+        config = write_config(tmp_path, {"experiments": [block]})
+        exits_2(tmp_path, capsys, config, "experiments[0] needs a file-name-safe 'name'")
+
+
 class TestChecksResolvedBeforeRunning:
     """Checks whose needs the config cannot meet exit 2 before any solve."""
 
@@ -998,7 +1209,10 @@ class TestChecksResolvedBeforeRunning:
         check = {"type": "decomposition", "parts": [{"type": "rect", "a": 0.5, "b": 1}]}
         block = {**interval_block(checks=[check]), "domain": SQUARE, "backend": {"type": "fd", "h": [0.125]}}
         (parsed,) = parse_config(json.dumps({"experiments": [block]}))
-        assert parsed.checks[0]["parts"][0] == {"type": "rect", "a": 0.5, "b": 1.0, "corner": (0.0, 0.0)}
+        # each part comes back built, at the experiment's finest h
+        (part,) = parsed.checks[0]["parts"]
+        assert part.descriptor == "rectangle(0.5,1)" and part.h == 0.125
+        assert part.origin == (0.125, 0.125) and part.mask.shape == (7, 3) and part.mask.all()
         assert parsed.checks[0]["count"] == 10
         assert block["checks"][0]["parts"][0] == {"type": "rect", "a": 0.5, "b": 1}
 
@@ -1344,14 +1558,43 @@ class TestSubprocess:
         for index, config in enumerate(workloads.variant_configs()):
             paths.append(write_config(tmp_path, config, f"variant{index}.json"))
         paths.append(ROOT / "bench" / "readme_config.json")
-        assert len(paths) == 10
+        # parsing reads the mask file and builds the grids of the parts on it
+        mask = tmp_path / "ell.mask"
+        mask.write_text(ELL_MASK)
+        parts = [{"type": "rect", "a": 0.5, "b": 0.5, "corner": [-0.125, -0.125]}]
+        block = {
+            "name": "file",
+            "domain": {"type": "mask", "path": str(mask)},
+            "kinds": ["buckling"],
+            "backend": {"type": "fd"},
+            "checks": [{"type": "decomposition", "parts": parts}],
+        }
+        paths.append(write_config(tmp_path, {"experiments": [block]}, "mask.json"))
+        assert len(paths) == 11
         code = (
             "import speclab.cli as cli\n"
             "for path in sys.argv[1:]:\n"
             "    print(len(cli.parse_config(open(path).read())))"
         )
         printed, loaded = self.scipy_loaded_after(code, *paths)
-        assert len(printed) == 10 and all(int(n) >= 1 for n in printed)
+        assert len(printed) == 11 and all(int(n) >= 1 for n in printed)
+        assert loaded == "[]"
+
+    def test_grids_and_mask_files_load_no_scipy(self, tmp_path):
+        mask = tmp_path / "ell.mask"
+        mask.write_text(ELL_MASK)
+        code = (
+            "from speclab.fdlab import (\n"
+            "    disk_domain, interval_domain, lshape_domain, read_mask_file, rectangle_domain,\n"
+            ")\n"
+            "grids = [\n"
+            "    interval_domain(1.0, 0.05), rectangle_domain(1.0, 0.5, 0.05),\n"
+            "    disk_domain(1.0, 0.05), lshape_domain(1.0, 1.0, 0.05), read_mask_file(sys.argv[1]),\n"
+            "]\n"
+            "print([grid.n_unknowns for grid in grids])"
+        )
+        printed, loaded = self.scipy_loaded_after(code, mask)
+        assert printed == ["[19, 171, 1245, 261, 33]"]
         assert loaded == "[]"
 
     def test_analytic_interval_and_rectangle_report_loads_no_scipy(self, tmp_path):

@@ -9,7 +9,9 @@ Everything here consumes immutable Spectrum values and returns
 declaration order, so a report's field order is its JSON layout and its
 verdict is a field set by the function that builds it.  The one solve made
 here is the decomposition check's: it takes the whole domain's buckling
-spectrum from its caller and solves only the parts.
+spectrum from its caller and solves only the parts.  Its partition rule,
+``check_partition``, needs no spectrum, so a config's parts are judged
+by it while the config is parsed, before anything is solved.
 
 FD spectra are only trusted for their resolved low end, so every check
 refuses tau values beyond the trusted range instead of silently reading
@@ -463,20 +465,43 @@ class DecompositionReport(Record):
     rows: list[DecompositionRow]
 
 
-def _lattice_offsets(domain, whole) -> tuple[np.ndarray, np.ndarray]:
-    """Part nodes as integer (i, j) offsets on the whole domain's lattice."""
-    if abs(domain.h - whole.h) > 1e-12 * whole.h:
-        raise PartitionError(
-            f"mesh width mismatch: part {domain.h:g} vs whole {whole.h:g}"
-        )
-    coords = domain.node_coordinates()
-    rel = (coords - np.asarray(whole.origin)) / whole.h
-    snapped = np.rint(rel)
-    if np.max(np.abs(rel - snapped)) > 1e-6:
-        raise PartitionError(
-            f"part {domain.descriptor} is not aligned with the whole grid"
-        )
-    return tuple(snapped.astype(np.int64).T)
+def check_partition(whole, parts) -> None:
+    """Refuse parts that sit on another lattice, leave the whole, or overlap.
+
+    Each part is stamped onto one boolean cover of the whole's lattice, at
+    the integer offset its origin sits from the whole's, in steps of h.
+    That offset is bounded in floating point before it becomes an integer,
+    so a far-off part is refused as outside.  An overlap is reported for the
+    first part that meets the parts before it, with its count of shared
+    nodes and the smallest (i, j) offset among them.
+
+    Raises:
+        PartitionError: naming the first part refused, or the overlap.
+    """
+    # indexed [i, j], so nonzero lists nodes in (i, j) order
+    inner, cover = whole.mask.T, np.zeros_like(whole.mask.T)
+    for part in parts:
+        if abs(part.h - whole.h) > 1e-12 * whole.h:
+            raise PartitionError(f"mesh width mismatch: part {part.h:g} vs whole {whole.h:g}")
+        # a shift that overflows is infinite: its NaN distance from the lattice
+        # passes here, and the bounds below refuse it
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift = np.subtract(part.origin, whole.origin) / whole.h
+            snapped = np.rint(shift)
+            if np.max(np.abs(shift - snapped)) > 1e-6:
+                raise PartitionError(f"part {part.descriptor} is not aligned with the whole grid")
+        i, j = np.nonzero(part.mask.T)
+        extremes = snapped + [(i[0], j.min()), (i[-1], j.max())]
+        if not ((extremes >= 0) & (extremes < inner.shape)).all():
+            raise PartitionError(f"part {part.descriptor} has nodes outside {whole.descriptor}")
+        i, j = i + int(snapped[0]), j + int(snapped[1])
+        if not inner[i, j].all():
+            raise PartitionError(f"part {part.descriptor} has nodes outside {whole.descriptor}")
+        shared = cover[i, j]
+        if shared.any():
+            first = (int(i[shared][0]), int(j[shared][0]))
+            raise PartitionError(f"parts overlap at {shared.sum()} nodes (first: {first})")
+        cover[i, j] = True
 
 
 def _congruence_key(domain) -> tuple:
@@ -504,8 +529,8 @@ def decomposition_check(
     two translated halves, are solved once and counted once each.
 
     Raises:
-        PartitionError: parts overlap, stick out of the whole, or sit
-            on a different lattice.
+        PartitionError: from ``check_partition``: parts overlap, stick
+            out of the whole, or sit on a different lattice.
         DomainMismatchError: ``buckling`` is not a buckling spectrum of
             ``whole``.
         ValueError: ``buckling`` holds fewer than ``count`` values, or
@@ -513,26 +538,7 @@ def decomposition_check(
     """
     from .fdlab import fd_spectrum
 
-    # a node's key orders like its (i, j) offsets, so the smallest
-    # shared key is the first shared node
-    rows, cols = whole.mask.shape
-    seen = np.empty(0, dtype=np.int64)
-    for part in parts:
-        i, j = _lattice_offsets(part, whole)
-        inside = (i >= 0) & (i < cols) & (j >= 0) & (j < rows)
-        if not (inside.all() and whole.mask[j, i].all()):
-            raise PartitionError(
-                f"part {part.descriptor} has nodes outside {whole.descriptor}"
-            )
-        keys = np.ravel_multi_index((i, j), (cols, rows))
-        overlap = np.intersect1d(seen, keys)
-        if overlap.size:
-            first = tuple(int(x) for x in np.unravel_index(overlap[0], (cols, rows)))
-            raise PartitionError(
-                f"parts overlap at {overlap.size} nodes (first: {first})"
-            )
-        seen = np.concatenate([seen, keys])
-
+    check_partition(whole, parts)
     if buckling.kind is not ProblemKind.BUCKLING or buckling.domain != whole.descriptor:
         raise DomainMismatchError(
             f"need the buckling spectrum on {whole.descriptor}, got the "

@@ -544,8 +544,12 @@ def _check_check(where: str, check, exp: Experiment) -> dict:
     ):
         _require(ok, f"{where}: {ctype} {message}")
     if "parts" in out:  # meshed at the finest h, a mask domain's read from its file
-        h = exp.grids[-1].h
-        out["parts"] = [_fd_grid(f"{where}: parts[{i}]", p, h) for i, p in enumerate(out["parts"])]
+        whole, parts = exp.grids[-1], out["parts"]
+        out["parts"] = [_fd_grid(f"{where}: parts[{i}]", p, whole.h) for i, p in enumerate(parts)]
+        _parsed(where, lambda grids: analytics.check_partition(whole, grids), out["parts"])
+        held = sum(part.n_unknowns for part in out["parts"])
+        message = f"{where}: 'count' {out['count']} exceeds the {held} unknowns of its parts"
+        _require(held >= out["count"], message)
     if "volume" in out:
         out["dim"] = dim
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from speclab.analytics import (
     TruncationError,
     TrustRangeError,
     ball_volume,
+    check_partition,
     counting_chain_check,
     decomposition_check,
     heat_trace_check,
@@ -383,6 +385,27 @@ class TestDecomposition:
         with pytest.raises(PartitionError) as info:
             decomposition_check(whole, [part], buckling, count=3)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("x", [1e300, 1.7976931348623157e308], ids=["1e300", "max-float"])
+    def test_corner_far_off_the_lattice_is_outside(self, x):
+        # its offset went through an invalid int64 cast, with a RuntimeWarning, before
+        parts = [rectangle_domain(0.5, 1.0, self.H, corner=(x, 0.0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PartitionError) as info:
+                decomposition_check(self.whole(), parts, self.buckling(3), count=3)
+        assert str(info.value) == "part rectangle(0.5,1) has nodes outside rectangle(1,1)"
+
+    def test_overlap_is_counted_against_every_part_before(self):
+        # the disk meets both halves: it shares all its nodes but the 13 on
+        # the line x = 1/2 between them, twice the 58 it shares with the left
+        # half alone, and the first is the smallest (i, j) offset, as there
+        disk = disk_domain(0.4, self.H, center=(0.5, 0.5))
+        assert disk.n_unknowns == 129
+        check_partition(self.whole(), self.halves())
+        with pytest.raises(PartitionError) as info:
+            check_partition(self.whole(), [*self.halves(), disk])
+        assert str(info.value) == "parts overlap at 116 nodes (first: (1, 5))"
 
     def test_part_outside_whole_rejected(self):
         parts = [rectangle_domain(0.5, 1.0, self.H, corner=(0.75, 0.0))]

@@ -22,6 +22,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from speclab import fdlab
 from speclab.cli import (
     CHECKS,
     DOMAINS,
@@ -985,7 +986,8 @@ class TestGridsBuiltWhileParsing:
             "(a=0.375, b=0.375): it resolves to 4 unknowns, at least 9 are required"
         )
         self.refused(tmp_path, capsys, {"experiments": [block]}, message)
-        parts[0].update(a=0.5, b=0.5)
+        # the ell's lower-left 3 x 3 nodes, inside it
+        parts[0].update(a=0.5, b=0.5, corner=[-0.125, -0.125])
         (exp,) = parse_config(json.dumps({"experiments": [block]}))
         (part,) = exp.checks[0]["parts"]
         assert part.h == exp.grids[0].h == 0.125 and part.n_unknowns == 9
@@ -1034,6 +1036,84 @@ class TestGridsBuiltWhileParsing:
             b'{\n  "name": "split",\n'
             b'  "error": "ValueError: mask must form a single 4-connected component"\n}\n'
         )
+
+
+def split_block(h, parts, count=3):
+    return {
+        "name": "split",
+        "domain": SQUARE,
+        "kinds": ["buckling"],
+        "backend": {"type": "fd", "h": [h]},
+        "count": count,
+        "checks": [{"type": "decomposition", "parts": parts}],
+    }
+
+
+class TestPartitionCheckedWhileParsing:
+    """Decomposition parts that do not partition the whole exit 2 before anything is solved."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_solved(self, monkeypatch):
+        monkeypatch.setattr(fdlab, "fd_spectra", lambda *args: pytest.fail("a grid was solved"))
+
+    @staticmethod
+    def refused(tmp_path, capsys, payload, message):
+        """``payload`` fails to parse with ``message``, and ``verify`` exits 2 on it, writing nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as info:
+                parse_config(json.dumps(payload))
+            assert str(info.value) == message
+            out = tmp_path / "out"
+            config = write_config(tmp_path, payload)
+            assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"speclab: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "h, corners, message",
+        [
+            # exited 2 from the report, after the whole grid was solved, before
+            (1 / 80, [[0.75, 0.0]], "part rectangle(0.5,1) has nodes outside rectangle(1,1)"),
+            # named by the nodes it shares with the part before it
+            (1 / 16, [[0.0, 0.0], [0.375, 0.0]], "parts overlap at 15 nodes (first: (6, 0))"),
+            (1 / 16, [[0.3, 0.0]], "part rectangle(0.5,1) is not aligned with the whole grid"),
+            # an invalid cast, with a RuntimeWarning, before
+            (1 / 16, [[1e300, 0.0]], "part rectangle(0.5,1) has nodes outside rectangle(1,1)"),
+            (
+                1 / 16,
+                [[0.5, 0.0], [1.7976931348623157e308, 0.0]],
+                "part rectangle(0.5,1) has nodes outside rectangle(1,1)",
+            ),
+        ],
+        ids=["past-the-edge", "overlapping-pair", "misaligned", "corner-1e300", "corner-max-float"],
+    )
+    def test_bad_partition(self, tmp_path, capsys, h, corners, message):
+        parts = [{"type": "rect", "a": 0.5, "b": 1.0, "corner": corner} for corner in corners]
+        payload = {"experiments": [split_block(h, parts)]}
+        self.refused(tmp_path, capsys, payload, f"experiments[0].checks[0]: {message}")
+
+    def test_part_in_a_mask_files_notch(self, tmp_path, capsys):
+        path = tmp_path / "ell.mask"
+        path.write_text(ELL_MASK)
+        parts = [{"type": "rect", "a": 0.5, "b": 0.5}]
+        block = mask_block(path, count=3, checks=[{"type": "decomposition", "parts": parts}])
+        message = "experiments[0].checks[0]: part rectangle(0.5,0.5) has nodes outside mask(ell.mask)"
+        self.refused(tmp_path, capsys, {"experiments": [block]}, message)
+
+    def test_parts_holding_fewer_unknowns_than_count(self, tmp_path, capsys):
+        # the whole was solved, then the report said the parts supplied
+        # fewer eigenvalues than requested, before
+        corner = {"type": "rect", "a": 0.25, "b": 0.25}
+        message = "experiments[0].checks[0]: 'count' 10 exceeds the 9 unknowns of its parts"
+        payload = {"experiments": [split_block(1 / 16, [corner], count=10)]}
+        self.refused(tmp_path, capsys, payload, message)
+        # the count is of the parts together
+        (exp,) = parse_config(json.dumps({"experiments": [split_block(1 / 16, [corner], count=9)]}))
+        assert [part.n_unknowns for part in exp.checks[0]["parts"]] == [9]
+        pair = [corner, {**corner, "corner": [0.5, 0.0]}]
+        (exp,) = parse_config(json.dumps({"experiments": [split_block(1 / 16, pair, count=10)]}))
+        assert exp.checks[0]["count"] == 10
 
 
 class TestConfigFilesThatCrashedReading:

@@ -476,27 +476,29 @@ def check_partition(whole, parts) -> None:
     nodes and the smallest (i, j) offset among them.
 
     Raises:
-        PartitionError: naming the first part refused, or the overlap.
+        PartitionError: naming the first part refused by its index in
+            ``parts``, or the overlap.
     """
     # indexed [i, j], so nonzero lists nodes in (i, j) order
     inner, cover = whole.mask.T, np.zeros_like(whole.mask.T)
-    for part in parts:
+    for index, part in enumerate(parts):
+        named = f"parts[{index}] {part.descriptor}"
         if abs(part.h - whole.h) > 1e-12 * whole.h:
-            raise PartitionError(f"mesh width mismatch: part {part.h:g} vs whole {whole.h:g}")
+            raise PartitionError(f"mesh width mismatch: {named} at {part.h:g} vs whole {whole.h:g}")
         # a shift that overflows is infinite: its NaN distance from the lattice
         # passes here, and the bounds below refuse it
         with np.errstate(over="ignore", invalid="ignore"):
             shift = np.subtract(part.origin, whole.origin) / whole.h
             snapped = np.rint(shift)
             if np.max(np.abs(shift - snapped)) > 1e-6:
-                raise PartitionError(f"part {part.descriptor} is not aligned with the whole grid")
+                raise PartitionError(f"{named} is not aligned with the whole grid")
         i, j = np.nonzero(part.mask.T)
         extremes = snapped + [(i[0], j.min()), (i[-1], j.max())]
         if not ((extremes >= 0) & (extremes < inner.shape)).all():
-            raise PartitionError(f"part {part.descriptor} has nodes outside {whole.descriptor}")
+            raise PartitionError(f"{named} has nodes outside {whole.descriptor}")
         i, j = i + int(snapped[0]), j + int(snapped[1])
         if not inner[i, j].all():
-            raise PartitionError(f"part {part.descriptor} has nodes outside {whole.descriptor}")
+            raise PartitionError(f"{named} has nodes outside {whole.descriptor}")
         shared = cover[i, j]
         if shared.any():
             first = (int(i[shared][0]), int(j[shared][0]))

@@ -288,6 +288,11 @@ def _fd_grid(where: str, domain: dict, h: float | None, count: int = 1):
     if spec.box is None:
         try:
             grid = spec.grid(domain, h)
+        except DegenerateDomainError as exc:
+            raise ConfigError(
+                f"{where}: {name} resolves to {exc.unknowns} unknowns, "
+                f"at least {MIN_UNKNOWNS} are required"
+            ) from exc
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{where}: cannot read {name}: {exc}") from exc
         box = grid.mask.size
@@ -743,7 +748,7 @@ def run_experiment(exp: Experiment, check_types: frozenset[str]) -> ExperimentRe
             }
         )
         result.report["ok"] = result.ok
-    except Exception as exc:  # pragma: no cover - exercised via CLI tests
+    except Exception as exc:
         result.error = f"{type(exc).__name__}: {exc}"
         result.report = {"name": exp.name, "error": result.error}
     return result
@@ -774,12 +779,18 @@ def run_config(
     out_dir: Path,
     check_types: frozenset[str] = VERB_CHECKS["report"],
 ) -> int:
-    """Run all experiments and write their outputs; returns the exit code."""
+    """Run all experiments and write their outputs; returns the exit code.
+
+    Each experiment that failed gets one ``speclab:`` line on stderr.
+    """
     if not experiments:
         return 0
     results = [run_experiment(exp, check_types) for exp in experiments]
     write_outputs(results, out_dir)
-    if any(r.error is not None for r in results):
+    failed = [r for r in results if r.error is not None]
+    for result in failed:
+        print(f"speclab: {result.name}: {result.error}", file=sys.stderr)
+    if failed:
         return 2
     if any(not r.ok for r in results):
         return 1

@@ -365,17 +365,17 @@ class TestDecomposition:
             (
                 rectangle_domain(1.0, 1.0, H),
                 rectangle_domain(0.5, 1.0, H, corner=(-0.25, 0.0)),
-                "part rectangle(0.5,1) has nodes outside rectangle(1,1)",
+                "parts[0] rectangle(0.5,1) has nodes outside rectangle(1,1)",
             ),
             (
                 rectangle_domain(1.0, 1.0, H),
                 rectangle_domain(0.5, 1.0, H, corner=(0.75, 0.0)),
-                "part rectangle(0.5,1) has nodes outside rectangle(1,1)",
+                "parts[0] rectangle(0.5,1) has nodes outside rectangle(1,1)",
             ),
             (
                 lshape_domain(1.0, 1.0, H),
                 rectangle_domain(0.5, 0.5, H, corner=(0.5, 0.5)),
-                "part rectangle(0.5,0.5) has nodes outside lshape(1,1,notch=0.5)",
+                "parts[0] rectangle(0.5,0.5) has nodes outside lshape(1,1,notch=0.5)",
             ),
         ],
         ids=["below-the-lattice", "past-the-lattice", "in-the-notch"],
@@ -394,7 +394,7 @@ class TestDecomposition:
             warnings.simplefilter("error")
             with pytest.raises(PartitionError) as info:
                 decomposition_check(self.whole(), parts, self.buckling(3), count=3)
-        assert str(info.value) == "part rectangle(0.5,1) has nodes outside rectangle(1,1)"
+        assert str(info.value) == "parts[0] rectangle(0.5,1) has nodes outside rectangle(1,1)"
 
     def test_overlap_is_counted_against_every_part_before(self):
         # the disk meets both halves: it shares all its nodes but the 13 on

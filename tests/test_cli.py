@@ -667,7 +667,7 @@ class TestMainRuns:
         assert report["checks"][0]["asserted"] is True
         assert report["checks"][0]["ok"] is False
 
-    def test_runtime_error_is_isolated(self, tmp_path):
+    def test_runtime_error_is_isolated(self, tmp_path, capsys):
         bad = interval_block(
             name="bad", checks=[{"type": "weyl", "window": [1.0, 1e9]}]
         )
@@ -676,7 +676,9 @@ class TestMainRuns:
         out = tmp_path / "out"
         assert main(["report", "--config", str(config), "--out", str(out)]) == 2
         bad_report = json.loads((out / "bad.report.json").read_text())
-        assert "TrustRangeError" in bad_report["error"]
+        assert bad_report["error"].startswith("TrustRangeError: window edge 1e+09")
+        # stderr was empty, before
+        assert capsys.readouterr().err == f"speclab: bad: {bad_report['error']}\n"
         assert not (out / "bad.spectra.csv").exists()
         good_report = json.loads((out / "good.report.json").read_text())
         assert good_report["ok"] is True
@@ -948,16 +950,25 @@ class TestGridsBuiltWhileParsing:
         message = f"'count' 20 exceeds the 9 unknowns of the mask domain (path={str(path)!r}) at h=0.25"
         self.refused(tmp_path, capsys, {"experiments": [mask_block(path, count=20)]}, message)
 
+    def test_mask_file_of_too_few_nodes(self, tmp_path, capsys):
+        # refused as "cannot read the mask domain", before
+        path = tmp_path / "eight.mask"
+        path.write_text("h 0.25\n###\n#.#\n###\n")
+        message = (
+            f"experiments[0] ('file'): the mask domain (path={str(path)!r}) resolves to "
+            "8 unknowns, at least 9 are required"
+        )
+        self.refused(tmp_path, capsys, {"experiments": [mask_block(path)]}, message)
+
     @pytest.mark.parametrize(
         "content, reason",
         [
             (None, "No such file or directory"),
             (b"h 0.25\n\xff##\n###\n###\n", "'utf-8' codec can't decode byte 0xff"),
-            (b"h 0.25\n###\n#.#\n###\n", "domain resolves to 8 unknowns"),
             (b"h 0.25\n###\n#x#\n###\n", "row 3 has invalid character 'x'"),
             (b"###\n###\n###\n", "first line must be 'h <spacing>'"),
         ],
-        ids=["missing", "not-utf-8", "eight-nodes", "bad-character", "no-header"],
+        ids=["missing", "not-utf-8", "bad-character", "no-header"],
     )
     def test_unreadable_mask_file_names_its_path(self, tmp_path, capsys, content, reason):
         path = tmp_path / "dom.mask"
@@ -1023,7 +1034,7 @@ class TestGridsBuiltWhileParsing:
         rows = list(csv.DictReader(open(out / "levels.spectra.csv", newline="")))
         assert [row["h"] for row in rows] == ["0.25"] * 6 + ["0.125"] * 6
 
-    def test_disconnected_mask_file_reports_the_same_error(self, tmp_path):
+    def test_disconnected_mask_file_reports_the_same_error(self, tmp_path, capsys):
         # the connectivity check moved from the grid to fd_spectra; the report keeps its bytes
         path = tmp_path / "split.mask"
         path.write_text("h 0.1\n###.###\n###.###\n###.###\n")
@@ -1035,6 +1046,9 @@ class TestGridsBuiltWhileParsing:
         assert (out / "split.report.json").read_bytes() == (
             b'{\n  "name": "split",\n'
             b'  "error": "ValueError: mask must form a single 4-connected component"\n}\n'
+        )
+        assert capsys.readouterr().err == (
+            "speclab: split: ValueError: mask must form a single 4-connected component\n"
         )
 
 
@@ -1074,19 +1088,28 @@ class TestPartitionCheckedWhileParsing:
         "h, corners, message",
         [
             # exited 2 from the report, after the whole grid was solved, before
-            (1 / 80, [[0.75, 0.0]], "part rectangle(0.5,1) has nodes outside rectangle(1,1)"),
+            (1 / 80, [[0.75, 0.0]], "parts[0] rectangle(0.5,1) has nodes outside rectangle(1,1)"),
             # named by the nodes it shares with the part before it
             (1 / 16, [[0.0, 0.0], [0.375, 0.0]], "parts overlap at 15 nodes (first: (6, 0))"),
-            (1 / 16, [[0.3, 0.0]], "part rectangle(0.5,1) is not aligned with the whole grid"),
+            (1 / 16, [[0.3, 0.0]], "parts[0] rectangle(0.5,1) is not aligned with the whole grid"),
             # an invalid cast, with a RuntimeWarning, before
-            (1 / 16, [[1e300, 0.0]], "part rectangle(0.5,1) has nodes outside rectangle(1,1)"),
+            (1 / 16, [[1e300, 0.0]], "parts[0] rectangle(0.5,1) has nodes outside rectangle(1,1)"),
             (
                 1 / 16,
                 [[0.5, 0.0], [1.7976931348623157e308, 0.0]],
-                "part rectangle(0.5,1) has nodes outside rectangle(1,1)",
+                "parts[1] rectangle(0.5,1) has nodes outside rectangle(1,1)",
             ),
+            # named by its descriptor alone, the same as its twin's, before
+            (1 / 8, [[0.0, 0.0], [0.75, 0.0]], "parts[1] rectangle(0.5,1) has nodes outside rectangle(1,1)"),
         ],
-        ids=["past-the-edge", "overlapping-pair", "misaligned", "corner-1e300", "corner-max-float"],
+        ids=[
+            "past-the-edge",
+            "overlapping-pair",
+            "misaligned",
+            "corner-1e300",
+            "corner-max-float",
+            "second-of-two-same-size-parts",
+        ],
     )
     def test_bad_partition(self, tmp_path, capsys, h, corners, message):
         parts = [{"type": "rect", "a": 0.5, "b": 1.0, "corner": corner} for corner in corners]
@@ -1098,7 +1121,9 @@ class TestPartitionCheckedWhileParsing:
         path.write_text(ELL_MASK)
         parts = [{"type": "rect", "a": 0.5, "b": 0.5}]
         block = mask_block(path, count=3, checks=[{"type": "decomposition", "parts": parts}])
-        message = "experiments[0].checks[0]: part rectangle(0.5,0.5) has nodes outside mask(ell.mask)"
+        message = (
+            "experiments[0].checks[0]: parts[0] rectangle(0.5,0.5) has nodes outside mask(ell.mask)"
+        )
         self.refused(tmp_path, capsys, {"experiments": [block]}, message)
 
     def test_parts_holding_fewer_unknowns_than_count(self, tmp_path, capsys):
@@ -1433,12 +1458,17 @@ class TestWholeRuns:
             code = main(["report", "--config", str(config), "--out", str(out)])
         err = err.getvalue()
         assert code in (0, 1, 2) and "Traceback" not in err
-        if err:
-            assert code == 2 and err.startswith("speclab: ") and not out.exists()
+        if not out.exists():
+            assert code == 2 and err.startswith("speclab: ")
             return
+        # each experiment that failed while running has one stderr line
+        failed = ""
         for block in blocks:
             report = json.loads((out / f"{block['name']}.report.json").read_text())
-            assert report.get("error", TYPED_ERRORS[0]).split(":")[0] in TYPED_ERRORS
+            if "error" in report:
+                assert report["error"].split(":")[0] in TYPED_ERRORS
+                failed += f"speclab: {block['name']}: {report['error']}\n"
+        assert err == failed
 
 
 #: Blocks that between them run all eight check types, a one-term weyl included.
@@ -1568,19 +1598,6 @@ class TestSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "1"
 
-    def test_readme_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            cmd = [sys.executable, "-m", "speclab.cli", "report"]
-            cmd += ["--config", str(ROOT / "bench" / "readme_config.json"), "--out", str(out)]
-            proc = subprocess.run(cmd, capture_output=True, text=True, env=blas_env(threads))
-            assert proc.returncode == 0, proc.stderr
-            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert any(name.endswith(".spectra.csv") for name in outputs[0])
-        assert any(name.endswith(".report.json") for name in outputs[0])
-        assert outputs[0] == outputs[1]
-
     def test_module_entry_point(self, tmp_path):
         config = write_config(tmp_path, {"experiments": [interval_block(count=6)]})
         out = tmp_path / "out"
@@ -1616,11 +1633,8 @@ class TestSubprocess:
     def scipy_loaded_after(code: str, *args) -> tuple[list[str], str]:
         """The lines ``code`` prints in a fresh process, then the scipy modules it loaded."""
         code += "\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys\n" + code, *map(str, args)],
-            capture_output=True,
-            text=True,
-        )
+        cmd = [sys.executable, "-W", "error::RuntimeWarning", "-c", "import sys\n" + code]
+        proc = subprocess.run([*cmd, *map(str, args)], capture_output=True, text=True, timeout=20)
         assert proc.returncode == 0, proc.stderr
         *printed, loaded = proc.stdout.splitlines()
         return printed, loaded
@@ -1677,7 +1691,10 @@ class TestSubprocess:
         assert printed == ["[19, 171, 1245, 261, 33]"]
         assert loaded == "[]"
 
-    def test_analytic_interval_and_rectangle_report_loads_no_scipy(self, tmp_path):
+    def test_analytic_interval_and_rectangle_report_loads_no_scipy(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        import workloads
+
         readme = json.loads((ROOT / "bench" / "readme_config.json").read_text())
         names = ("rod", "square-heat")
         experiments = [exp for exp in readme["experiments"] if exp["name"] in names]
@@ -1694,9 +1711,13 @@ class TestSubprocess:
         suffixes = ("report.json", "spectra.csv")
         assert sorted(written) == sorted(f"{n}.{s}" for n in names for s in suffixes)
         assert written == {p.name: p.read_bytes() for p in sorted(warm.iterdir())}
+        # every value against its closed form, at oracles.CLOSED_FORM_RTOL
+        expected = workloads.expected_spectra({"experiments": experiments}, refs={})
+        for exp in experiments:
+            assert workloads.check_experiment(exp, cold, expected) == [], exp["name"]
 
     @pytest.mark.parametrize(
-        "experiment, message",
+        "config, message",
         [
             (
                 {
@@ -1712,11 +1733,52 @@ class TestSubprocess:
                 interval_block(checks=[{"type": "counting-chain", "points": 10**51}]),
                 f"'points' must be an integer of 2 or more and at most {MAX_CHAIN_POINTS}",
             ),
+            (
+                {**fd_block(SQUARE, 1e-5), "count": 6},
+                "h=1e-05 meshes the rect domain (a=1, b=1) in a box of 9999800001 lattice nodes",
+            ),
+            # a decomposition part past the square's edge, or far off its lattice
+            (
+                split_block(0.0125, [{"type": "rect", "a": 0.5, "b": 1.0, "corner": [0.75, 0.0]}]),
+                "parts[0] rectangle(0.5,1) has nodes outside rectangle(1,1)",
+            ),
+            (
+                split_block(0.0125, [{"type": "rect", "a": 0.5, "b": 1.0, "corner": [1e300, 0.0]}]),
+                "parts[0] rectangle(0.5,1) has nodes outside rectangle(1,1)",
+            ),
+            (
+                lambda tmp: mask_block(tmp / "nine.mask", count=20),
+                "'count' 20 exceeds the 9 unknowns of the mask domain",
+            ),
+            (
+                lambda tmp: mask_block(tmp / "missing.mask"),
+                "cannot read the mask domain",
+            ),
+            (b'{"experiments": [{"name": "r\xf6d"}]}', "cannot read config: 'utf-8' codec"),
+            (b'{"experiments": ' + b"[" * 100_000, "the JSON nests too deeply"),
         ],
-        ids=["count-above-unknowns", "chain-points"],
+        ids=[
+            "count-above-unknowns",
+            "chain-points",
+            "square-h-1e-5",
+            "part-outside",
+            "part-at-1e300",
+            "count-20-on-9-mask-nodes",
+            "missing-mask",
+            "not-utf-8",
+            "nested",
+        ],
     )
-    def test_refusals_exit_2_and_load_no_scipy(self, tmp_path, experiment, message):
-        config = write_config(tmp_path, {"experiments": [experiment]})
+    def test_refusals_exit_2_and_load_no_scipy(self, tmp_path, config, message):
+        # parse_config refuses each of these before anything is solved; a run
+        # that started to solve the 1e10-node grid instead would time out
+        (tmp_path / "nine.mask").write_text("h 0.25\n###\n###\n###\n")
+        config = config(tmp_path) if callable(config) else config
+        if isinstance(config, bytes):
+            path = tmp_path / "config.json"
+            path.write_bytes(config)
+        else:
+            path = write_config(tmp_path, {"experiments": [config]})
         out = tmp_path / "out"
         code = (
             "import contextlib, io, speclab.cli as cli\n"
@@ -1724,9 +1786,10 @@ class TestSubprocess:
             "with contextlib.redirect_stderr(err):\n"
             "    code = cli.main(sys.argv[1:])\n"
             "print(code)\n"
-            "print(err.getvalue().strip())"
+            "sys.stdout.write(err.getvalue())"
         )
-        printed, loaded = self.scipy_loaded_after(code, "report", "--config", config, "--out", out)
-        assert printed[0] == "2" and printed[1].startswith("speclab: ") and message in printed[1]
+        printed, loaded = self.scipy_loaded_after(code, "report", "--config", path, "--out", out)
+        assert printed[0] == "2" and len(printed) == 2
+        assert printed[1].startswith("speclab: ") and message in printed[1]
         assert loaded == "[]"
         assert not out.exists()

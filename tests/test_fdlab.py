@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import json
 import math
 import os
 import signal
@@ -16,7 +17,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from probes import REASK_PROBES
 
+from speclab.cli import parse_config
 from speclab.fdlab import (
     CapDomain,
     ConvergenceError,
@@ -892,14 +895,10 @@ class TestWorkers:
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [2], indirect=True)
-    @pytest.mark.parametrize(
-        "domain, count",
-        [(rectangle_domain(1.0, 0.6, 1.0 / 40.0), 30), (disk_domain(1.0, 0.05), 40)],
-        ids=["rectangle", "disk"],
-    )
-    def test_re_asks_bit_identical_on_one_and_two_workers(
-        self, monkeypatch, workers, domain, count
-    ):
+    @pytest.mark.parametrize("probe", REASK_PROBES.values(), ids=REASK_PROBES.keys())
+    def test_re_asks_bit_identical_on_one_and_two_workers(self, monkeypatch, workers, probe):
+        (exp,) = parse_config(json.dumps({"experiments": [probe]}))
+        (domain,), count = exp.grids, exp.count
         shorts = []
         merge = spectrum_mod._lowest_over_classes
 

@@ -396,6 +396,7 @@ def heat_trace_check(
     Raises:
         TruncationError: when the spectrum stops too early for the
             truncated sum to represent the full trace at some t.
+        InsufficientDataError: when no time is small enough to judge.
     """
     if spectrum.kind not in MEMBRANE_KINDS:
         raise ValueError("heat trace applies to the membrane problems")
@@ -432,13 +433,18 @@ def heat_trace_check(
             )
         )
     checked = [r for r in rows if r.asymptotic]
+    if not checked:
+        raise InsufficientDataError(
+            f"no time in {times} is judged: each needs 0.25*sqrt(4*pi*t)*boundary < volume, "
+            f"with boundary {boundary:g} and volume {volume:g}"
+        )
     return HeatTraceReport(
         kind=spectrum.kind.value,
         domain=spectrum.domain,
         volume=volume,
         boundary=boundary,
         rtol=rtol,
-        ok=bool(checked) and all(r.rel_deviation <= rtol for r in checked),
+        ok=all(r.rel_deviation <= rtol for r in checked),
         rows=rows,
     )
 

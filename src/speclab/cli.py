@@ -27,6 +27,7 @@ import numpy as np
 from . import analytics
 from .analytic2d import disk_spectrum, rect_spectrum
 from .fdlab import (
+    MIN_CAP_POINTS,
     MIN_UNKNOWNS,
     CapDomain,
     DegenerateDomainError,
@@ -40,95 +41,6 @@ from .fdlab import (
 )
 from .interval1d import interval_spectrum
 from .spectra import CHAIN_ORDER, LENGTH_RANGE, MEMBRANE_KINDS, ProblemKind
-
-@dataclass(frozen=True)
-class DomainType:
-    """Everything the runner knows about one domain type.
-
-    ``required`` numeric fields and ``strings`` must be given;
-    ``optional`` ones fall back to their defaults, a list default marking
-    a point, and every number must lie in its ``DOMAIN_RANGES`` entry.
-    ``grid`` builds the fd mask at one mesh width.  ``box`` counts the
-    lattice box that mask is cut from, saturating as ``axis_nodes`` does,
-    so that a grid is sized before it is built.  A mask file has no
-    ``box``: its grid ignores the width, reads the file's own, and its box
-    is its rows times its width, known once it is read.  ``spectrum`` is
-    the closed form; it, or the cap backend on a cap, covers the
-    ``kinds`` listed.
-    ``geometry`` gives the dimension, volume and boundary measure, None
-    where the shape defines none.  Every callable takes the domain as
-    ``_check_domain`` returns it.
-    """
-
-    required: tuple[str, ...] = ()
-    strings: tuple[str, ...] = ()
-    optional: dict = field(default_factory=dict)
-    grid: Callable | None = None
-    box: Callable | None = None
-    spectrum: Callable | None = None
-    kinds: tuple[ProblemKind, ...] = ()
-    geometry: Callable = lambda d: (2, None, None)
-
-
-#: The domain types a config may name.
-DOMAINS = {
-    "interval": DomainType(
-        required=("length",),
-        grid=lambda d, h: interval_domain(d["length"], h),
-        box=lambda d, h: axis_nodes(d["length"], h),
-        spectrum=lambda d, kind, count: interval_spectrum(d["length"], kind, count),
-        kinds=tuple(ProblemKind),
-        geometry=lambda d: (1, d["length"], 2.0),
-    ),
-    "rect": DomainType(
-        required=("a", "b"),
-        optional={"corner": [0.0, 0.0]},
-        grid=lambda d, h: rectangle_domain(d["a"], d["b"], h, corner=d["corner"]),
-        box=lambda d, h: axis_nodes(d["a"], h) * axis_nodes(d["b"], h),
-        spectrum=lambda d, kind, count: rect_spectrum(d["a"], d["b"], kind, count),
-        kinds=MEMBRANE_KINDS,
-        geometry=lambda d: (2, d["a"] * d["b"], 2.0 * (d["a"] + d["b"])),
-    ),
-    "disk": DomainType(
-        optional={"radius": 1.0, "center": [0.0, 0.0]},
-        grid=lambda d, h: disk_domain(d["radius"], h, center=d["center"]),
-        box=lambda d, h: (2 * math.ceil(min(d["radius"] / h, sys.maxsize)) + 1) ** 2,
-        spectrum=lambda d, kind, count: disk_spectrum(d["radius"], kind, count),
-        kinds=tuple(ProblemKind),
-        geometry=lambda d: (
-            2, math.pi * d["radius"] * d["radius"], 2.0 * math.pi * d["radius"]
-        ),
-    ),
-    "lshape": DomainType(
-        required=("a", "b"),
-        optional={"notch": 0.5, "corner": [0.0, 0.0]},
-        grid=lambda d, h: lshape_domain(
-            d["a"], d["b"], h, notch=d["notch"], corner=d["corner"]
-        ),
-        box=lambda d, h: axis_nodes(d["a"], h) * axis_nodes(d["b"], h),
-        geometry=lambda d: (
-            2, d["a"] * d["b"] * (1.0 - d["notch"] * d["notch"]), 2.0 * (d["a"] + d["b"])
-        ),
-    ),
-    "cap": DomainType(required=("delta",), kinds=MEMBRANE_KINDS),
-    "mask": DomainType(
-        strings=("path",),
-        grid=lambda d, h: read_mask_file(Path(d["path"])),
-    ),
-}
-
-#: Range of each numeric domain field that has one: the test its value
-#: must pass and what that asks for.  Spectra scale as length^-2, so far
-#: outside the length range some of them overflow or underflow.
-_LENGTH = (
-    lambda v: LENGTH_RANGE[0] <= v <= LENGTH_RANGE[1],
-    "a length in [{:g}, {:g}]".format(*LENGTH_RANGE),
-)
-DOMAIN_RANGES = {
-    **dict.fromkeys(("length", "a", "b", "radius"), _LENGTH),
-    "notch": (lambda v: 0 < v < 1, "a fraction in (0, 1)"),
-}
-
 
 #: Ceilings on the sizes a config may ask for, set from measured cost on
 #: a 2-core machine.  The slowest closed-form or cap run they admit, a
@@ -152,6 +64,218 @@ MAX_GRID_NODES = 2**18
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed."""
+
+
+def _require(cond: bool, message: str):
+    if not cond:
+        raise ConfigError(message)
+
+
+def _parsed(where: str, parse: Callable, value):
+    """``parse(value)``, with a ValueError turned into a ConfigError at ``where``."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _is_number(value) -> bool:
+    """A JSON number that is finite as a float; true and false do not count.
+
+    An integer too large for a float fails the comparison, which
+    ``math.isfinite`` would instead answer with an OverflowError.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _is_objects(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, dict) for item in value)
+
+
+#: Marks a field that has no default: it must be given.
+REQUIRED = object()
+
+
+def _fields(where: str, obj: dict, owner: str, schema: dict) -> dict:
+    """The fields of config object ``obj``, each tested and parsed by ``schema``.
+
+    ``schema`` maps each field to its default, or REQUIRED, and its kind:
+    the test a value must pass, what that asks for, and the parse of a
+    value that passed.  A field it lacks, other than ``type``, is refused.
+    A field left out or null takes its default, which is parsed as a given
+    value is; a default of None stays None, for the caller to resolve.
+    """
+    for key in obj:
+        _require(
+            key == "type" or key in schema,
+            f"{where}: {owner} has no field {key!r}, only {list(schema)}",
+        )
+    out = {}
+    for key, (default, (test, what, parse)) in schema.items():
+        value = default if obj.get(key) is None else obj[key]
+        if value is not None:
+            message = f"{where}: {owner} {key!r} must be {what}"
+            _require(value is not REQUIRED and test(value), message)
+            value = _parsed(where, parse, value)
+        out[key] = value
+    return out
+
+
+def _number(test: Callable, what: str) -> tuple:
+    """The kind of a number that passes ``test``."""
+    return (lambda v: _is_number(v) and test(v), what, float)
+
+
+def _numbers(test: Callable, what: str) -> tuple:
+    """The kind of a list of numbers that passes ``test``."""
+    return (lambda v: _is_numbers(v) and test(v), what, lambda v: list(map(float, v)))
+
+
+def _integer(lo: int, hi: int) -> tuple:
+    """The kind of an integer in [lo, hi]."""
+    return (
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi,
+        f"an integer in [{lo}, {hi}]",
+        int,
+    )
+
+
+#: Spectra scale as length^-2, so far outside this range some of them
+#: overflow or underflow.
+_LENGTH = _number(
+    lambda v: LENGTH_RANGE[0] <= v <= LENGTH_RANGE[1],
+    "a length in [{:g}, {:g}]".format(*LENGTH_RANGE),
+)
+_POINT = (
+    lambda v: _is_numbers(v) and len(v) == 2, "a pair of numbers", lambda v: tuple(map(float, v))
+)
+_POSITIVE = _number(lambda v: v > 0, "a positive number")
+_OBJECT = (lambda v: isinstance(v, dict), "an object", dict)
+_OBJECTS = (_is_objects, "a list of objects", list)
+_KIND_NAMES = [kind.value for kind in ProblemKind]
+_KIND_LIST = (
+    lambda v: isinstance(v, list) and v and all(k in _KIND_NAMES and v.count(k) == 1 for k in v),
+    f"a nonempty list of distinct kinds from {_KIND_NAMES}",
+    lambda v: list(map(ProblemKind, v)),
+)
+_NAME = (
+    lambda v: isinstance(v, str) and v and "/" not in v and "\0" not in v,
+    "a file-name-safe string",
+    str,
+)
+
+#: The fields of a spherical cap: a ``sharpness`` cap, and between them
+#: the cap domain and the cap backend.
+CAP_FIELDS = {
+    "delta": (REQUIRED, _number(lambda v: 0 < v < math.pi, "an aperture in (0, pi)")),
+    "points": (CapDomain.points, _integer(MIN_CAP_POINTS, MAX_CAP_POINTS)),
+}
+
+
+@dataclass(frozen=True)
+class DomainType:
+    """Everything the runner knows about one domain type.
+
+    ``fields`` is its schema for ``_fields``.  ``grid`` builds the fd mask
+    at one mesh width.  ``box`` counts the lattice box that mask is cut
+    from, saturating as ``axis_nodes`` does, so that a grid is sized
+    before it is built.  A mask file has no ``box``: its grid ignores the
+    width, reads the file's own, and its box is its rows times its width,
+    known once it is read.  ``spectrum`` is the closed form; it, or the
+    cap backend on a cap, covers the ``kinds`` listed.
+    ``geometry`` gives the dimension, volume and boundary measure, None
+    where the shape defines none.  Every callable takes the domain as
+    ``_check_domain`` returns it.
+    """
+
+    fields: dict
+    grid: Callable | None = None
+    box: Callable | None = None
+    spectrum: Callable | None = None
+    kinds: tuple[ProblemKind, ...] = ()
+    geometry: Callable = lambda d: (2, None, None)
+
+
+_SIDES = {"a": (REQUIRED, _LENGTH), "b": (REQUIRED, _LENGTH)}
+_CORNER = {"corner": ([0.0, 0.0], _POINT)}
+
+#: The domain types a config may name.
+DOMAINS = {
+    "interval": DomainType(
+        {"length": (REQUIRED, _LENGTH)},
+        grid=lambda d, h: interval_domain(d["length"], h),
+        box=lambda d, h: axis_nodes(d["length"], h),
+        spectrum=lambda d, kind, count: interval_spectrum(d["length"], kind, count),
+        kinds=tuple(ProblemKind),
+        geometry=lambda d: (1, d["length"], 2.0),
+    ),
+    "rect": DomainType(
+        {**_SIDES, **_CORNER},
+        grid=lambda d, h: rectangle_domain(d["a"], d["b"], h, corner=d["corner"]),
+        box=lambda d, h: axis_nodes(d["a"], h) * axis_nodes(d["b"], h),
+        spectrum=lambda d, kind, count: rect_spectrum(d["a"], d["b"], kind, count),
+        kinds=MEMBRANE_KINDS,
+        geometry=lambda d: (2, d["a"] * d["b"], 2.0 * (d["a"] + d["b"])),
+    ),
+    "disk": DomainType(
+        {"radius": (1.0, _LENGTH), "center": ([0.0, 0.0], _POINT)},
+        grid=lambda d, h: disk_domain(d["radius"], h, center=d["center"]),
+        box=lambda d, h: (2 * math.ceil(min(d["radius"] / h, sys.maxsize)) + 1) ** 2,
+        spectrum=lambda d, kind, count: disk_spectrum(d["radius"], kind, count),
+        kinds=tuple(ProblemKind),
+        geometry=lambda d: (
+            2, math.pi * d["radius"] * d["radius"], 2.0 * math.pi * d["radius"]
+        ),
+    ),
+    "lshape": DomainType(
+        {**_SIDES, "notch": (0.5, _number(lambda v: 0 < v < 1, "a fraction in (0, 1)")), **_CORNER},
+        grid=lambda d, h: lshape_domain(
+            d["a"], d["b"], h, notch=d["notch"], corner=d["corner"]
+        ),
+        box=lambda d, h: axis_nodes(d["a"], h) * axis_nodes(d["b"], h),
+        geometry=lambda d: (
+            2, d["a"] * d["b"] * (1.0 - d["notch"] * d["notch"]), 2.0 * (d["a"] + d["b"])
+        ),
+    ),
+    "cap": DomainType({"delta": CAP_FIELDS["delta"]}, kinds=MEMBRANE_KINDS),
+    "mask": DomainType(
+        {"path": (REQUIRED, (lambda v: isinstance(v, str), "a string", str))},
+        grid=lambda d, h: read_mask_file(Path(d["path"])),
+    ),
+}
+
+#: One grid solved twice would fake a two-grid uncertainty of 0.
+_WIDTHS = _numbers(
+    lambda v: v and min(v) > 0 and len(set(v)) == len(v),
+    "a nonempty list of distinct positive numbers",
+)
+
+#: The fields of each backend type.  A mask file carries its own mesh
+#: width, so an fd backend on one has no fields.
+BACKENDS = {
+    "analytic": {},
+    "fd": {"h": (REQUIRED, _WIDTHS)},
+    "cap": {"points": CAP_FIELDS["points"]},
+}
+
+#: The fields of an experiment block, and of the config's top level.
+BLOCK_FIELDS = {
+    "name": (REQUIRED, _NAME),
+    "domain": (REQUIRED, _OBJECT),
+    "kinds": (REQUIRED, _KIND_LIST),
+    "backend": (REQUIRED, _OBJECT),
+    "count": (6, _integer(1, MAX_COUNT)),
+    "checks": ([], _OBJECTS),
+}
+TOP_FIELDS = {"experiments": (REQUIRED, _OBJECTS)}
 
 
 def _fmt(x: float) -> str:
@@ -197,80 +321,14 @@ class ExperimentResult:
         return all(c["ok"] for c in self.report["checks"] if c["asserted"])
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ConfigError(message)
-
-
-def _is_number(value) -> bool:
-    """A JSON number that is finite as a float; true and false do not count.
-
-    An integer too large for a float fails the comparison, which
-    ``math.isfinite`` would instead answer with an OverflowError.
-    """
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def _check_domain(where: str, domain) -> dict:
-    """Validate a domain object; returns it with floats and defaults filled in."""
-    _require(isinstance(domain, dict), f"{where}: 'domain' must be an object")
+def _check_domain(where: str, domain: dict) -> dict:
+    """A domain object's type and fields, defaults filled in."""
     dtype = domain.get("type")
     _require(
         isinstance(dtype, str) and dtype in DOMAINS,
         f"{where}: domain type must be one of {sorted(DOMAINS)}",
     )
-    spec = DOMAINS[dtype]
-    out = {"type": dtype}
-    for key in spec.required:
-        _require(
-            _is_number(domain.get(key)), f"{where}: {dtype} domain needs a number {key!r}"
-        )
-        out[key] = float(domain[key])
-    for key, default in spec.optional.items():
-        value = domain.get(key, default)
-        if isinstance(default, list):
-            _require(
-                isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)),
-                f"{where}: domain {key!r} must be a pair of numbers",
-            )
-            out[key] = (float(value[0]), float(value[1]))
-        else:
-            _require(_is_number(value), f"{where}: domain {key!r} must be a number")
-            out[key] = float(value)
-    for key, (test, what) in DOMAIN_RANGES.items():
-        _require(
-            key not in out or test(out[key]), f"{where}: {dtype} domain {key!r} must be {what}"
-        )
-    for key in spec.strings:
-        _require(
-            isinstance(domain.get(key), str), f"{where}: {dtype} domain needs a {key!r} string"
-        )
-        out[key] = domain[key]
-    return out
-
-
-def _parsed(where: str, parse: Callable, value):
-    """``parse(value)``, with a ValueError turned into a ConfigError at ``where``."""
-    try:
-        return parse(value)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _is_positive(value) -> bool:
-    return _is_number(value) and value > 0
-
-
-def _is_numbers(value) -> bool:
-    return isinstance(value, list) and all(map(_is_number, value))
+    return {"type": dtype, **_fields(where, domain, f"{dtype} domain", DOMAINS[dtype].fields)}
 
 
 def _fd_grid(where: str, domain: dict, h: float | None, count: int = 1):
@@ -281,9 +339,9 @@ def _fd_grid(where: str, domain: dict, h: float | None, count: int = 1):
     a grid of fewer than MIN_UNKNOWNS or ``count`` unknowns.
     """
     spec = DOMAINS[domain["type"]]
-    fields = [f"{key}={domain[key]:g}" for key in DOMAIN_RANGES if key in domain]
-    fields += [f"{key}={domain[key]!r}" for key in spec.strings]
-    name = f"the {domain['type']} domain ({', '.join(fields)})"
+    shown = [(k, v) for k, v in domain.items() if k != "type" and not isinstance(v, tuple)]
+    fields = ", ".join(f"{k}={v!r}" if isinstance(v, str) else f"{k}={v:g}" for k, v in shown)
+    name = f"the {domain['type']} domain ({fields})"
     ceiling = f"lattice nodes, above the grid ceiling of {MAX_GRID_NODES}"
     if spec.box is None:
         try:
@@ -316,63 +374,39 @@ def _fd_grid(where: str, domain: dict, h: float | None, count: int = 1):
     return grid
 
 
-def _grid_part(where: str, part) -> dict:
+def _grid_part(where: str, part: dict) -> dict:
     part = _check_domain(where, part)
-    spec = DOMAINS[part["type"]]
     _require(
-        spec.box is not None,
+        DOMAINS[part["type"]].box is not None,
         f"{where}: no fd grid for domain type {part['type']!r}",
     )
     return part
 
 
-#: Every field a check type may read: the test its value must pass, what
-#: that asks for, and the parse of a value that passed.
+#: The kind of every field a check type may read.
 CHECK_FIELDS = {
-    "count": (_is_count, "a positive integer", int),
-    "points": (
-        lambda v: _is_count(v) and 2 <= v <= MAX_CHAIN_POINTS,
-        f"an integer of 2 or more and at most {MAX_CHAIN_POINTS}",
-        int,
+    "count": _integer(1, MAX_COUNT),
+    "points": _integer(2, MAX_CHAIN_POINTS),
+    "rtol": _number(lambda v: v >= 0, "a nonnegative number"),
+    "volume": _POSITIVE,
+    "boundary": _POSITIVE,
+    "taus": _numbers(bool, "a nonempty list of numbers"),
+    "times": _numbers(lambda v: v and min(v) > 0, "a nonempty list of positive numbers"),
+    "window": _numbers(
+        lambda v: len(v) == 2 and 0 <= v[0] < v[1], "a pair [lo, hi] with 0 <= lo < hi"
     ),
-    "rtol": (_is_number, "a number", float),
-    "volume": (_is_positive, "a positive number", float),
-    "boundary": (_is_positive, "a positive number", float),
-    "taus": (
-        lambda v: _is_numbers(v) and v,
-        "a nonempty list of numbers",
-        lambda v: list(map(float, v)),
-    ),
-    "times": (
-        lambda v: _is_numbers(v) and v and min(v) > 0,
-        "a nonempty list of positive numbers",
-        lambda v: list(map(float, v)),
-    ),
-    "window": (
-        lambda v: _is_numbers(v) and len(v) == 2 and 0 <= v[0] < v[1],
-        "a pair [lo, hi] with 0 <= lo < hi",
-        lambda v: list(map(float, v)),
-    ),
-    "kind": (lambda v: isinstance(v, str), "a problem kind", ProblemKind),
+    "kind": (lambda v: v in _KIND_NAMES, f"one of {_KIND_NAMES}", ProblemKind),
     "parts": (
-        lambda v: isinstance(v, list) and v,
+        lambda v: _is_objects(v) and v,
         "a nonempty list of domain objects",
         lambda v: [_grid_part(f"parts[{i}]", part) for i, part in enumerate(v)],
     ),
     "caps": (
-        lambda v: isinstance(v, list)
-        and all(
-            isinstance(c, dict)
-            and _is_number(c.get("delta"))
-            and (
-                c.get("points") is None
-                or _is_count(c["points"]) and c["points"] <= MAX_CAP_POINTS
-            )
-            for c in v
-        ),
-        "a list of objects with a number 'delta' and an optional positive integer "
-        f"'points' of at most {MAX_CAP_POINTS}",
-        lambda v: [CapDomain(float(c["delta"]), c.get("points") or CapDomain.points) for c in v],
+        _is_objects,
+        "a list of cap objects",
+        lambda v: [
+            CapDomain(**_fields(f"caps[{i}]", cap, "cap", CAP_FIELDS)) for i, cap in enumerate(v)
+        ],
     ),
 }
 
@@ -382,8 +416,9 @@ class CheckType:
     """Everything the runner knows about one check type.
 
     ``verb`` runs it, as does ``report``.  ``fields`` maps the fields it
-    reads to defaults, which null also selects; a None ``kind``, ``count``,
-    ``volume`` or ``boundary`` is the experiment's.  The experiment needs
+    reads to defaults, or REQUIRED, and with their ``CHECK_FIELDS`` kinds
+    makes its schema; a None ``kind``, ``count``, ``volume`` or
+    ``boundary`` is the experiment's.  The experiment needs
     all ``kinds``, ``min_count`` values, one of ``backends`` and ``domains``
     and ``min_dim`` dimensions; ``membrane`` limits ``kind`` to membrane
     kinds.  ``run`` takes (check, experiment, finest grid, finest spectra,
@@ -475,7 +510,11 @@ CHECKS = {
         asserted=False,
     ),
     "decomposition": CheckType(
-        "verify", _decomposition, {"parts": [], "count": None}, (ProblemKind.BUCKLING,), ("fd",)
+        "verify",
+        _decomposition,
+        {"parts": REQUIRED, "count": None},
+        (ProblemKind.BUCKLING,),
+        ("fd",),
     ),
     "sharpness": CheckType(
         "verify", _sharpness, {"caps": []}, CHAIN_ORDER, ("analytic",), ("disk",), min_count=2
@@ -505,25 +544,13 @@ VERB_CHECKS = {
 }
 
 
-def _check_check(where: str, check, exp: Experiment) -> dict:
+def _check_check(where: str, check: dict, exp: Experiment) -> dict:
     """Validate one check of an experiment; returns a new dict, every field resolved."""
-    _require(isinstance(check, dict), f"{where} must be an object")
     ctype = check.get("type")
     _require(isinstance(ctype, str) and ctype in CHECKS, f"{where}: unknown check type {ctype!r}")
     spec = CHECKS[ctype]
-    for key in check:
-        _require(
-            key == "type" or key in spec.fields,
-            f"{where}: {ctype} has no field {key!r}, only {list(spec.fields)}",
-        )
-    out = {"type": ctype}
-    for key, default in spec.fields.items():
-        value = default if check.get(key) is None else check[key]
-        if value is not None:
-            test, what, parse = CHECK_FIELDS[key]
-            _require(test(value), f"{where}: {key!r} must be {what}")
-            value = _parsed(f"{where}: {key!r}", parse, value)
-        out[key] = value
+    schema = {key: (default, CHECK_FIELDS[key]) for key, default in spec.fields.items()}
+    out = {"type": ctype, **_fields(where, check, ctype, schema)}
 
     dtype = exp.domain["type"]
     dim, volume, boundary = DOMAINS[dtype].geometry(exp.domain)
@@ -575,77 +602,32 @@ def parse_config(text: str) -> list[Experiment]:
     except RecursionError as exc:
         raise ConfigError("config parse error: the JSON nests too deeply") from exc
     _require(isinstance(raw, dict), "top level must be an object")
-    experiments = raw.get("experiments")
-    _require(isinstance(experiments, list), 'missing "experiments" list')
 
     out: list[Experiment] = []
     names: set[str] = set()
-    for pos, block in enumerate(experiments):
+    for pos, block in enumerate(_fields("config", raw, "top level", TOP_FIELDS)["experiments"]):
         where = f"experiments[{pos}]"
-        _require(isinstance(block, dict), f"{where} must be an object")
-        name = block.get("name")
-        _require(
-            isinstance(name, str) and name and "/" not in name and "\0" not in name,
-            f"{where} needs a file-name-safe 'name'",
-        )
+        fields = _fields(where, block, "experiment", BLOCK_FIELDS)
+        name, kinds, count = fields["name"], fields["kinds"], fields["count"]
         _require(name not in names, f"duplicate experiment name {name!r}")
         names.add(name)
 
-        domain = _check_domain(where, block.get("domain"))
+        domain = _check_domain(where, fields["domain"])
         dtype = domain["type"]
         spec = DOMAINS[dtype]
 
-        kinds_raw = block.get("kinds")
+        btype = fields["backend"].get("type")
         _require(
-            isinstance(kinds_raw, list) and kinds_raw,
-            f"{where}: 'kinds' must be a nonempty list",
-        )
-        kinds = _parsed(where, lambda ks: [ProblemKind(k) for k in ks], kinds_raw)
-        _require(len(set(kinds)) == len(kinds), f"{where}: 'kinds' repeats a kind")
-
-        raw_backend = block.get("backend")
-        _require(isinstance(raw_backend, dict), f"{where}: 'backend' must be an object")
-        btype = raw_backend.get("type")
-        _require(
-            btype in ("analytic", "fd", "cap"),
+            isinstance(btype, str) and btype in BACKENDS,
             f"{where}: backend type must be analytic, fd or cap",
         )
-        backend = {"type": btype}
-        if btype == "fd":
-            _require(
-                spec.grid is not None,
-                f"{where}: fd backend does not support domain {dtype!r}",
-            )
-            if spec.box is None:
-                _require(
-                    "h" not in raw_backend,
-                    f"{where}: mask files carry their own mesh width",
-                )
-            else:
-                hs = raw_backend.get("h")
-                _require(
-                    isinstance(hs, list) and hs and all(map(_is_positive, hs)),
-                    f"{where}: fd backend needs a nonempty list of positive 'h'",
-                )
-                backend["h"] = sorted(map(float, hs), reverse=True)
-                # one grid solved twice would fake a two-grid uncertainty of 0
-                _require(
-                    len(set(backend["h"])) == len(hs),
-                    f"{where}: fd 'h' repeats a mesh width",
-                )
-        elif btype == "analytic":
-            _require(
-                spec.spectrum is not None,
-                f"{where}: analytic backend does not support domain {dtype!r}",
-            )
-        else:
-            _require(dtype == "cap", f"{where}: cap backend needs a cap domain")
-            points = raw_backend.get("points", CapDomain.points)
-            _require(_is_count(points), f"{where}: cap 'points' must be a positive integer")
-            _require(
-                points <= MAX_CAP_POINTS, f"{where}: cap 'points' must be at most {MAX_CAP_POINTS}"
-            )
-            backend["cap"] = _parsed(where, lambda p: CapDomain(domain["delta"], p), points)
+        # the analytic backend needs a closed form, fd a grid, cap a cap
+        supported = {"analytic": spec.spectrum, "fd": spec.grid, "cap": dtype == "cap"}[btype]
+        _require(supported, f"{where}: {btype} backend does not support domain {dtype!r}")
+        schema = BACKENDS[btype] if btype != "fd" or spec.box else {}
+        backend = {"type": btype, **_fields(where, fields["backend"], f"{btype} backend", schema)}
+        if btype == "cap":
+            backend["cap"] = CapDomain(domain["delta"], backend["points"])
         bad = [] if btype == "fd" else [k.value for k in kinds if k not in spec.kinds]
         covered = (
             "membrane"
@@ -658,19 +640,16 @@ def parse_config(text: str) -> list[Experiment]:
             f"problems only, not {bad}",
         )
 
-        count = block.get("count", 6)
-        _require(_is_count(count), f"{where}: 'count' must be a positive integer")
-        _require(count <= MAX_COUNT, f"{where}: 'count' must be at most {MAX_COUNT}")
-        # a mask file ignores the h it is given and carries its own
-        hs = backend.get("h", [None]) if btype == "fd" else []
+        # coarsest first; a mask file carries its own h
+        hs = sorted(backend.get("h", [None]), reverse=True) if btype == "fd" else []
         grids = [_fd_grid(f"{where} ({name!r})", domain, h, count) for h in hs]
         if grids:
             backend["h"] = [grid.h for grid in grids]
 
-        checks = block.get("checks", [])
-        _require(isinstance(checks, list), f"{where}: 'checks' must be a list")
         exp = Experiment(name, domain, kinds, backend, count, grids=grids)
-        exp.checks = [_check_check(f"{where}.checks[{i}]", c, exp) for i, c in enumerate(checks)]
+        exp.checks = [
+            _check_check(f"{where}.checks[{i}]", c, exp) for i, c in enumerate(fields["checks"])
+        ]
         out.append(exp)
     return out
 

@@ -12,7 +12,7 @@ is one 4-connected component.
 
 import importlib
 
-from .cap import CapDomain, cap_spectrum
+from .cap import MIN_CAP_POINTS, CapDomain, cap_spectrum
 from .grid import (
     MIN_UNKNOWNS,
     DegenerateDomainError,
@@ -48,6 +48,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
+    "MIN_CAP_POINTS",
     "MIN_UNKNOWNS",
     "CapDomain",
     "ConvergenceError",

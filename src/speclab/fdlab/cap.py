@@ -54,6 +54,9 @@ from ..spectra import MEMBRANE_KINDS, ProblemKind, Spectrum, check_count, lowest
 #: ulps of each eigenvalue, in charge instead.
 BISECTION_TOL = np.finfo(float).tiny
 
+#: The fewest radial grid points a cap is solved on.
+MIN_CAP_POINTS = 8
+
 
 def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, **kwargs) -> np.ndarray:
     """``scipy.linalg.eigh_tridiagonal``, imported at the first solve."""
@@ -75,8 +78,8 @@ class CapDomain:
                 f"aperture must lie in (0, pi), got {self.delta!r}"
             )
         points = check_count(self.points, "grid points")
-        if points < 8:
-            raise ValueError(f"need at least 8 grid points, got {points}")
+        if points < MIN_CAP_POINTS:
+            raise ValueError(f"need at least {MIN_CAP_POINTS} grid points, got {points}")
         object.__setattr__(self, "points", points)
 
     @property

@@ -279,6 +279,16 @@ class TestHeatTrace:
         assert report.rows[1].asymptotic is False
         assert report.ok  # judged on the t = 0.01 row alone
 
+    def test_no_judged_time_raises_insufficient_data(self):
+        # the report asserted ok false over no judged row, before
+        s = rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 1500)
+        message = (
+            r"no time in \[0.1, 0.2\] is judged: each needs "
+            r"0\.25\*sqrt\(4\*pi\*t\)\*boundary < volume, with boundary 4 and volume 1"
+        )
+        with pytest.raises(InsufficientDataError, match=message):
+            heat_trace_check(s, 1.0, 4.0, [0.2, 0.1])
+
     def test_short_spectrum_raises_truncation(self):
         s = rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 50)
         with pytest.raises(TruncationError, match="tail"):

@@ -24,12 +24,18 @@ from hypothesis import strategies as st
 
 from speclab import fdlab
 from speclab.cli import (
+    BACKENDS,
+    BLOCK_FIELDS,
+    CAP_FIELDS,
+    CHECK_FIELDS,
     CHECKS,
     DOMAINS,
     MAX_CAP_POINTS,
     MAX_CHAIN_POINTS,
     MAX_COUNT,
     MAX_GRID_NODES,
+    REQUIRED,
+    TOP_FIELDS,
     ConfigError,
     main,
     parse_config,
@@ -140,6 +146,41 @@ def mutate(node, data) -> None:
             return
 
 
+def config_objects(config):
+    """Every object of ``config`` with its schema, the top level first."""
+    yield config, TOP_FIELDS
+    for block in config["experiments"]:
+        yield block, BLOCK_FIELDS
+        yield block["domain"], DOMAINS[block["domain"]["type"]].fields
+        yield block["backend"], BACKENDS[block["backend"]["type"]]
+        for check in block.get("checks", []):
+            fields = CHECKS[check["type"]].fields
+            yield check, {key: (default, CHECK_FIELDS[key]) for key, default in fields.items()}
+            yield from ((part, DOMAINS[part["type"]].fields) for part in check.get("parts", []))
+            yield from ((cap, CAP_FIELDS) for cap in check.get("caps", []))
+
+
+def plain(node):
+    """``node`` with every dataclass and array turned into values that compare by ==."""
+    if isinstance(node, np.ndarray):
+        return node.shape, node.tobytes()
+    if dataclasses.is_dataclass(node):
+        return type(node).__name__, plain(vars(node))
+    if isinstance(node, dict):
+        return {key: plain(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [plain(value) for value in node]
+    return node
+
+
+def parsed(config: dict):
+    """The experiments ``config`` parses to, as plain values, or the ConfigError text."""
+    try:
+        return plain(parse_config(json.dumps(config)))
+    except ConfigError as exc:
+        return str(exc)
+
+
 class TestParseConfig:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -159,6 +200,32 @@ class TestParseConfig:
 
     def test_property_test_starts_from_valid_blocks(self, valid_blocks):
         assert len(parse_config(json.dumps({"experiments": valid_blocks}))) == len(VALID_BLOCKS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_an_unknown_field_in_any_object_is_refused_by_name(self, valid_blocks, data):
+        config = {"experiments": copy.deepcopy(valid_blocks)}
+        node, schema = data.draw(st.sampled_from(list(config_objects(config))))
+        key = data.draw(st.text(max_size=8).filter(lambda k: k != "type" and k not in schema))
+        node[key] = data.draw(JSON)
+        with pytest.raises(ConfigError, match=re.escape(f" has no field {key!r}, only [")):
+            parse_config(json.dumps(config))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_null_field_parses_as_if_left_out(self, valid_blocks, data):
+        config = {"experiments": copy.deepcopy(valid_blocks)}
+        fields = [
+            (node, key)
+            for node, schema in config_objects(config)
+            for key, (default, _) in schema.items()
+            if default is not REQUIRED
+        ]
+        node, key = data.draw(st.sampled_from(fields))
+        node[key] = None
+        nulled = parsed(config)
+        del node[key]
+        assert parsed(config) == nulled
 
     def test_minimal_config(self):
         exps = parse_config(json.dumps({"experiments": [interval_block()]}))
@@ -227,7 +294,8 @@ class TestParseConfig:
             "kinds": ["dirichlet"],
             "backend": {"type": "fd", "h": [0.1]},
         }
-        with pytest.raises(ConfigError, match="mesh width"):
+        # a mask file carries its own mesh width
+        with pytest.raises(ConfigError, match=re.escape("fd backend has no field 'h', only []")):
             parse_config(json.dumps({"experiments": [mask_block]}))
 
     def test_weyl2_rejects_fd_backend(self):
@@ -265,12 +333,13 @@ class TestParseConfig:
             "backend": {"type": "fd", "h": hs},
             "checks": [{"type": "chain"}],
         }
-        with pytest.raises(ConfigError, match="fd 'h' repeats a mesh width"):
+        message = "fd backend 'h' must be a nonempty list of distinct positive numbers"
+        with pytest.raises(ConfigError, match=message):
             parse_config(json.dumps({"experiments": [block]}))
         config = write_config(tmp_path, {"experiments": [block]})
         out = tmp_path / "out"
         assert main(["report", "--config", str(config), "--out", str(out)]) == 2
-        assert "repeats a mesh width" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("count", [True, False, 2.0, "6", 0])
@@ -313,9 +382,9 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "field, message",
         [
-            ("a", "rect domain needs a number 'a'"),
-            ("h", "fd backend needs a nonempty list of positive 'h'"),
-            ("rtol", "'rtol' must be a number"),
+            ("a", r"rect domain 'a' must be a length in \[0.001, 1000\]"),
+            ("h", "fd backend 'h' must be a nonempty list of distinct positive numbers"),
+            ("rtol", "weyl 'rtol' must be a nonnegative number"),
         ],
     )
     def test_number_too_large_for_a_float(self, tmp_path, capsys, field, message):
@@ -361,13 +430,13 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "field, size, message",
         [
-            ("count", MAX_COUNT + 1, f"'count' must be at most {MAX_COUNT}"),
-            ("count", HUGE, f"'count' must be at most {MAX_COUNT}"),
-            ("points", MAX_CAP_POINTS + 1, f"cap 'points' must be at most {MAX_CAP_POINTS}"),
-            ("points", HUGE, f"cap 'points' must be at most {MAX_CAP_POINTS}"),
-            ("caps", HUGE, f"'caps' must be .* 'points' of at most {MAX_CAP_POINTS}"),
-            ("chain", MAX_CHAIN_POINTS + 1, f"'points' must be .* at most {MAX_CHAIN_POINTS}"),
-            ("chain", 10**51, f"'points' must be .* at most {MAX_CHAIN_POINTS}"),
+            ("count", MAX_COUNT + 1, rf"experiment 'count' must be an integer in \[1, {MAX_COUNT}\]"),
+            ("count", HUGE, rf"experiment 'count' must be an integer in \[1, {MAX_COUNT}\]"),
+            ("points", MAX_CAP_POINTS + 1, rf"cap backend 'points' must be an integer in \[8, {MAX_CAP_POINTS}\]"),
+            ("points", HUGE, rf"cap backend 'points' must be an integer in \[8, {MAX_CAP_POINTS}\]"),
+            ("caps", HUGE, rf"caps\[0\]: cap 'points' must be an integer in \[8, {MAX_CAP_POINTS}\]"),
+            ("chain", MAX_CHAIN_POINTS + 1, rf"'points' must be an integer in \[2, {MAX_CHAIN_POINTS}\]"),
+            ("chain", 10**51, rf"counting-chain 'points' must be an integer in \[2, {MAX_CHAIN_POINTS}\]"),
         ],
     )
     def test_sizes_above_their_ceilings_exit_2(self, tmp_path, capsys, field, size, message):
@@ -521,7 +590,7 @@ class TestParseConfig:
     def test_repeated_kinds_rejected(self):
         block = interval_block()
         block["kinds"] = ["dirichlet", "buckling", "dirichlet"]
-        with pytest.raises(ConfigError, match="repeats"):
+        with pytest.raises(ConfigError, match="experiment 'kinds' must be a nonempty list of distinct"):
             parse_config(json.dumps({"experiments": [block]}))
 
     @pytest.mark.parametrize(
@@ -576,8 +645,15 @@ class TestParseConfig:
         assert main(["weyl", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "weyl2 needs a 2-D domain" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cap", [{"delta": "2.0"}, {"delta": 2.0, "points": True}, 2.0])
-    def test_sharpness_caps_checked(self, cap):
+    @pytest.mark.parametrize(
+        "cap, message",
+        [
+            ({"delta": "2.0"}, r"caps\[0\]: cap 'delta' must be an aperture in \(0, pi\)"),
+            ({"delta": 2.0, "points": True}, r"caps\[0\]: cap 'points' must be an integer in"),
+            (2.0, "sharpness 'caps' must be a list of cap objects"),
+        ],
+    )
+    def test_sharpness_caps_checked(self, cap, message):
         block = {
             "name": "disk",
             "domain": {"type": "disk"},
@@ -585,7 +661,7 @@ class TestParseConfig:
             "backend": {"type": "analytic"},
             "checks": [{"type": "sharpness", "caps": [cap]}],
         }
-        with pytest.raises(ConfigError, match="'caps'"):
+        with pytest.raises(ConfigError, match=message):
             parse_config(json.dumps({"experiments": [block]}))
 
     def test_unhashable_type_names_rejected(self):
@@ -683,6 +759,22 @@ class TestMainRuns:
         good_report = json.loads((out / "good.report.json").read_text())
         assert good_report["ok"] is True
         assert (out / "good.spectra.csv").exists()
+
+    def test_heat_check_that_judges_no_time_exits_2(self, tmp_path, capsys):
+        # its one row, at a time past the short-time regime, was not judged,
+        # and the check asserted ok false and exited 1, before
+        block = interval_block(checks=[{"type": "heat", "times": [0.5]}], count=40)
+        block.update(domain={"type": "interval", "length": 1.0}, kinds=["dirichlet"])
+        config = write_config(tmp_path, {"experiments": [block]})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 2
+        report = json.loads((out / "rod.report.json").read_text())
+        assert report["error"] == (
+            "InsufficientDataError: no time in [0.5] is judged: each needs "
+            "0.25*sqrt(4*pi*t)*boundary < volume, with boundary 2 and volume 1"
+        )
+        assert capsys.readouterr().err == f"speclab: rod: {report['error']}\n"
+        assert not (out / "rod.spectra.csv").exists()
 
     def test_verb_filtering(self, tmp_path):
         block = interval_block(checks=[{"type": "chain"}, {"type": "weyl", "window": [10.0, 1000.0]}])
@@ -1163,10 +1255,11 @@ class TestConfigFilesThatCrashedReading:
         # ValueError: embedded null byte from opening the outputs, after
         # every spectrum was computed, before
         block = interval_block(name="rod\u0000")
-        with pytest.raises(ConfigError, match="file-name-safe 'name'"):
+        message = "experiments[0]: experiment 'name' must be a file-name-safe string"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(json.dumps({"experiments": [block]}))
         config = write_config(tmp_path, {"experiments": [block]})
-        exits_2(tmp_path, capsys, config, "experiments[0] needs a file-name-safe 'name'")
+        exits_2(tmp_path, capsys, config, message)
 
 
 class TestChecksResolvedBeforeRunning:
@@ -1195,10 +1288,26 @@ class TestChecksResolvedBeforeRunning:
             ),
             (analytic_block(DISK, KINDS[2:], [{"type": "weyl2"}]), "'kind'"),
             ({**interval_block(checks=[{"type": "heat"}]), "kinds": KINDS[2:]}, "'kind'"),
-            (analytic_block(DISK, KINDS, [{"type": "sharpness", "caps": [{"delta": 4.0}]}]), "'caps'"),
+            (
+                analytic_block(DISK, KINDS, [{"type": "sharpness", "caps": [{"delta": 4.0}]}]),
+                "caps[0]: cap 'delta' must be an aperture in (0, pi)",
+            ),
             (
                 analytic_block(DISK, KINDS, [{"type": "sharpness", "caps": [{"delta": 2.0, "points": 5}]}]),
-                "'caps'",
+                "caps[0]: cap 'points' must be an integer in [8, 8000]",
+            ),
+            # a negative rtol judged every fit a failure, exit 1, before
+            (
+                interval_block(checks=[{"type": "weyl", "rtol": -1}], count=40),
+                "weyl 'rtol' must be a nonnegative number",
+            ),
+            (
+                analytic_block(SQUARE, KINDS[:2], [{"type": "weyl2", "rtol": -0.25}], 400),
+                "weyl2 'rtol' must be a nonnegative number",
+            ),
+            (
+                interval_block(checks=[{"type": "heat", "times": [0.1], "rtol": -0.1}], count=40),
+                "heat 'rtol' must be a nonnegative number",
             ),
         ],
     )
@@ -1243,7 +1352,7 @@ class TestChecksResolvedBeforeRunning:
         [
             # [] reported an asserted ok over no tau, and 1 judged tau = 0 alone
             ("taus", [], "'taus' must be a nonempty list of numbers"),
-            ("points", 1, "'points' must be an integer of 2 or more"),
+            ("points", 1, r"'points' must be an integer in \[2, "),
         ],
     )
     def test_counting_chain_needs_more_than_one_tau(self, field, value, message):
@@ -1295,7 +1404,10 @@ class TestChecksResolvedBeforeRunning:
 
     @pytest.mark.parametrize(
         "delta, backend, message",
-        [(4.0, {"type": "cap"}, "aperture"), (1.0, {"type": "cap", "points": 5}, "grid points")],
+        [
+            (4.0, {"type": "cap"}, r"cap domain 'delta' must be an aperture in \(0, pi\)"),
+            (1.0, {"type": "cap", "points": 5}, r"cap backend 'points' must be an integer in \[8, "),
+        ],
     )
     def test_cap_backend_range_checked_at_parse_time(self, delta, backend, message):
         block = {**cap_block([]), "domain": {"type": "cap", "delta": delta}, "backend": backend}
@@ -1731,7 +1843,7 @@ class TestSubprocess:
             ),
             (
                 interval_block(checks=[{"type": "counting-chain", "points": 10**51}]),
-                f"'points' must be an integer of 2 or more and at most {MAX_CHAIN_POINTS}",
+                f"counting-chain 'points' must be an integer in [2, {MAX_CHAIN_POINTS}]",
             ),
             (
                 {**fd_block(SQUARE, 1e-5), "count": 6},
@@ -1754,6 +1866,35 @@ class TestSubprocess:
                 lambda tmp: mask_block(tmp / "missing.mask"),
                 "cannot read the mask domain",
             ),
+            # each misspelt field below ran its default, and exited 0, before
+            (
+                analytic_block({"type": "disk", "radious": 2}, KINDS, []),
+                "disk domain has no field 'radious', only ['radius', 'center']",
+            ),
+            (
+                {**fd_block({"type": "lshape", "a": 1.0, "b": 1.0, "notc": 0.25}, 0.125), "count": 6},
+                "lshape domain has no field 'notc', only ['a', 'b', 'notch', 'corner']",
+            ),
+            (
+                {**fd_block(SQUARE, 0.125), "backend": {"type": "fd", "h": [0.125], "hh": [0.0625]}},
+                "fd backend has no field 'hh', only ['h']",
+            ),
+            (
+                {**cap_block([]), "backend": {"type": "cap", "point": 500}},
+                "cap backend has no field 'point', only ['points']",
+            ),
+            (
+                {**interval_block(), "cout": 40},
+                "experiments[0]: experiment has no field 'cout', only ['name', 'domain',",
+            ),
+            (
+                analytic_block(DISK, KINDS, [{"type": "sharpness", "caps": [{"delta": 2.0, "pionts": 500}]}]),
+                "experiments[0].checks[0]: caps[0]: cap has no field 'pionts', only ['delta', 'points']",
+            ),
+            (
+                json.dumps({"experiments": [interval_block()], "outdir": "results"}).encode(),
+                "config: top level has no field 'outdir', only ['experiments']",
+            ),
             (b'{"experiments": [{"name": "r\xf6d"}]}', "cannot read config: 'utf-8' codec"),
             (b'{"experiments": ' + b"[" * 100_000, "the JSON nests too deeply"),
         ],
@@ -1765,6 +1906,13 @@ class TestSubprocess:
             "part-at-1e300",
             "count-20-on-9-mask-nodes",
             "missing-mask",
+            "misspelt-disk-radius",
+            "misspelt-lshape-notch",
+            "misspelt-fd-backend-h",
+            "misspelt-cap-backend-points",
+            "misspelt-block-count",
+            "misspelt-sharpness-cap-points",
+            "misspelt-top-level",
             "not-utf-8",
             "nested",
         ],

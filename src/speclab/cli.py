@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytics
+from . import analytics, pool
 from .analytic2d import disk_spectrum, rect_spectrum
 from .fdlab import (
     MIN_CAP_POINTS,
@@ -104,21 +104,23 @@ def _is_objects(value) -> bool:
 REQUIRED = object()
 
 
-def _fields(where: str, obj: dict, owner: str, schema: dict) -> dict:
+def _fields(where: str, obj: dict, owner: str, schema: dict, typed: bool = False) -> dict:
     """The fields of config object ``obj``, each tested and parsed by ``schema``.
 
     ``schema`` maps each field to its default, or REQUIRED, and its kind:
     the test a value must pass, what that asks for, and the parse of a
-    value that passed.  A field it lacks, other than ``type``, is refused.
-    A field left out or null takes its default, which is parsed as a given
-    value is; a default of None stays None, for the caller to resolve.
+    value that passed.  A field it lacks is refused, but for the ``type``
+    of a ``typed`` object (a domain, backend, check or part), which the
+    caller has checked and which is kept.  A field left out or null takes
+    its default, which is parsed as a given value is; a default of None
+    stays None, for the caller to resolve.
     """
     for key in obj:
         _require(
-            key == "type" or key in schema,
+            key in schema or (typed and key == "type"),
             f"{where}: {owner} has no field {key!r}, only {list(schema)}",
         )
-    out = {}
+    out = {"type": obj["type"]} if typed else {}
     for key, (default, (test, what, parse)) in schema.items():
         value = default if obj.get(key) is None else obj[key]
         if value is not None:
@@ -190,7 +192,8 @@ class DomainType:
     before it is built.  A mask file has no ``box``: its grid ignores the
     width, reads the file's own, and its box is its rows times its width,
     known once it is read.  ``spectrum`` is the closed form; it, or the
-    cap backend on a cap, covers the ``kinds`` listed.
+    cap backend on a cap, covers the ``kinds`` listed, and ``modules``
+    names the scipy modules they import.
     ``geometry`` gives the dimension, volume and boundary measure, None
     where the shape defines none.  Every callable takes the domain as
     ``_check_domain`` returns it.
@@ -201,6 +204,7 @@ class DomainType:
     box: Callable | None = None
     spectrum: Callable | None = None
     kinds: tuple[ProblemKind, ...] = ()
+    modules: tuple[str, ...] = ()
     geometry: Callable = lambda d: (2, None, None)
 
 
@@ -231,6 +235,7 @@ DOMAINS = {
         box=lambda d, h: (2 * math.ceil(min(d["radius"] / h, sys.maxsize)) + 1) ** 2,
         spectrum=lambda d, kind, count: disk_spectrum(d["radius"], kind, count),
         kinds=tuple(ProblemKind),
+        modules=("scipy.special",),
         geometry=lambda d: (
             2, math.pi * d["radius"] * d["radius"], 2.0 * math.pi * d["radius"]
         ),
@@ -245,7 +250,9 @@ DOMAINS = {
             2, d["a"] * d["b"] * (1.0 - d["notch"] * d["notch"]), 2.0 * (d["a"] + d["b"])
         ),
     ),
-    "cap": DomainType({"delta": CAP_FIELDS["delta"]}, kinds=MEMBRANE_KINDS),
+    "cap": DomainType(
+        {"delta": CAP_FIELDS["delta"]}, kinds=MEMBRANE_KINDS, modules=("scipy.linalg",)
+    ),
     "mask": DomainType(
         {"path": (REQUIRED, (lambda v: isinstance(v, str), "a string", str))},
         grid=lambda d, h: read_mask_file(Path(d["path"])),
@@ -328,7 +335,7 @@ def _check_domain(where: str, domain: dict) -> dict:
         isinstance(dtype, str) and dtype in DOMAINS,
         f"{where}: domain type must be one of {sorted(DOMAINS)}",
     )
-    return {"type": dtype, **_fields(where, domain, f"{dtype} domain", DOMAINS[dtype].fields)}
+    return _fields(where, domain, f"{dtype} domain", DOMAINS[dtype].fields, typed=True)
 
 
 def _fd_grid(where: str, domain: dict, h: float | None, count: int = 1):
@@ -550,7 +557,7 @@ def _check_check(where: str, check: dict, exp: Experiment) -> dict:
     _require(isinstance(ctype, str) and ctype in CHECKS, f"{where}: unknown check type {ctype!r}")
     spec = CHECKS[ctype]
     schema = {key: (default, CHECK_FIELDS[key]) for key, default in spec.fields.items()}
-    out = {"type": ctype, **_fields(where, check, ctype, schema)}
+    out = _fields(where, check, ctype, schema, typed=True)
 
     dtype = exp.domain["type"]
     dim, volume, boundary = DOMAINS[dtype].geometry(exp.domain)
@@ -625,7 +632,7 @@ def parse_config(text: str) -> list[Experiment]:
         supported = {"analytic": spec.spectrum, "fd": spec.grid, "cap": dtype == "cap"}[btype]
         _require(supported, f"{where}: {btype} backend does not support domain {dtype!r}")
         schema = BACKENDS[btype] if btype != "fd" or spec.box else {}
-        backend = {"type": btype, **_fields(where, fields["backend"], f"{btype} backend", schema)}
+        backend = _fields(where, fields["backend"], f"{btype} backend", schema, typed=True)
         if btype == "cap":
             backend["cap"] = CapDomain(domain["delta"], backend["points"])
         bad = [] if btype == "fd" else [k.value for k in kinds if k not in spec.kinds]
@@ -654,23 +661,64 @@ def parse_config(text: str) -> list[Experiment]:
     return out
 
 
-def _compute_spectra(exp: Experiment):
+class _Failed(Exception):
+    """An error met while computing a spectrum, put as ``Type: message`` by ``_error``."""
+
+
+def _error(exc: Exception) -> str:
+    """How an experiment reports the error that stopped it: ``Type: message``."""
+    return str(exc) if isinstance(exc, _Failed) else f"{type(exc).__name__}: {exc}"
+
+
+def _closed_form(exp: Experiment, kind: ProblemKind):
+    """The analytic or cap spectrum of ``kind`` in ``exp``, or its error."""
+    try:
+        if exp.backend["type"] == "cap":
+            return cap_spectrum(exp.backend["cap"], kind, exp.count)
+        return DOMAINS[exp.domain["type"]].spectrum(exp.domain, kind, exp.count)
+    except Exception as exc:
+        return _error(exc)
+
+
+def _closed_forms(experiments: list[Experiment]) -> dict:
+    """Every analytic and cap spectrum, or its error, by (experiment name, kind).
+
+    The (experiment, kind) jobs are dealt round-robin, in config order,
+    over min(CPUs, jobs) bins, which ``pool.spread`` runs at once.  The
+    scipy modules the jobs use load first, before any child is forked,
+    so that no child imports one again.
+    """
+    jobs = [(exp, kind) for exp in experiments if exp.backend["type"] != "fd" for kind in exp.kinds]
+    # __import__, as an import statement and unlike importlib, reports to -X importtime
+    for module in dict.fromkeys(m for exp, _ in jobs for m in DOMAINS[exp.domain["type"]].modules):
+        __import__(module)
+    count = max(1, min(pool.cpus(), len(jobs)))
+    bins = [jobs[i::count] for i in range(count)]
+    done = pool.spread(lambda part: [_closed_form(exp, kind) for exp, kind in part], bins)
+    return {
+        (exp.name, kind): found
+        for part, spectra in zip(bins, done)
+        for (exp, kind), found in zip(part, spectra)
+    }
+
+
+def _compute_spectra(exp: Experiment, closed: dict):
     """All spectra for the experiment.
 
-    Returns (per_level, uncertainties): ``per_level`` pairs each fd grid,
-    coarsest first, with its kind-indexed spectra (the grid is None on
-    the other backends), and the last level is the one checks run on.
-    ``uncertainties`` holds two-grid error estimates when two or more
-    mesh widths were given.
+    ``closed`` holds the spectra of the analytic and cap backends, or
+    their errors, from ``_closed_forms``; the first error, in kind order,
+    is raised as ``_Failed``.  Returns (per_level, uncertainties):
+    ``per_level`` pairs each fd grid, coarsest first, with its
+    kind-indexed spectra (the grid is None on the other backends), and
+    the last level is the one checks run on.  ``uncertainties`` holds
+    two-grid error estimates when two or more mesh widths were given.
     """
-    btype = exp.backend["type"]
-    spec = DOMAINS[exp.domain["type"]]
-    if btype == "analytic":
-        spectra = {kind: spec.spectrum(exp.domain, kind, exp.count) for kind in exp.kinds}
+    if exp.backend["type"] != "fd":
+        spectra = {kind: closed[exp.name, kind] for kind in exp.kinds}
+        for found in spectra.values():
+            if isinstance(found, str):
+                raise _Failed(found)
         per_level = [(None, spectra)]
-    elif btype == "cap":
-        cap = exp.backend["cap"]
-        per_level = [(None, {kind: cap_spectrum(cap, kind, exp.count) for kind in exp.kinds})]
     else:
         # the sparse solvers, and scipy.sparse with them, load here
         from .fdlab import fd_spectra
@@ -694,11 +742,11 @@ def _run_check(check: dict, exp: Experiment, grid, finest, uncertainties) -> dic
     return {**fields, "asserted": ok is not None, "ok": ok}
 
 
-def run_experiment(exp: Experiment, check_types: frozenset[str]) -> ExperimentResult:
-    """Compute the experiment's spectra and run its selected checks."""
+def run_experiment(exp: Experiment, check_types: frozenset[str], closed: dict) -> ExperimentResult:
+    """Compute the experiment's fd spectra, or take its ``closed`` ones; run its selected checks."""
     result = ExperimentResult(name=exp.name)
     try:
-        per_level, uncertainties = _compute_spectra(exp)
+        per_level, uncertainties = _compute_spectra(exp, closed)
         grid, finest = per_level[-1]
         for level, spectra in per_level:
             for kind in exp.kinds:
@@ -728,7 +776,7 @@ def run_experiment(exp: Experiment, check_types: frozenset[str]) -> ExperimentRe
         )
         result.report["ok"] = result.ok
     except Exception as exc:
-        result.error = f"{type(exc).__name__}: {exc}"
+        result.error = _error(exc)
         result.report = {"name": exp.name, "error": result.error}
     return result
 
@@ -760,11 +808,14 @@ def run_config(
 ) -> int:
     """Run all experiments and write their outputs; returns the exit code.
 
-    Each experiment that failed gets one ``speclab:`` line on stderr.
+    The analytic and cap spectra are computed first, spread over the
+    CPUs; then each experiment runs in config order.  Each experiment
+    that failed gets one ``speclab:`` line on stderr.
     """
     if not experiments:
         return 0
-    results = [run_experiment(exp, check_types) for exp in experiments]
+    closed = _closed_forms(experiments)
+    results = [run_experiment(exp, check_types, closed) for exp in experiments]
     write_outputs(results, out_dir)
     failed = [r for r in results if r.error is not None]
     for result in failed:

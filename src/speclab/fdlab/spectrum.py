@@ -50,20 +50,12 @@ SuperLU is deterministic, so that LU is the first one bit for bit.
 Each round runs on every CPU the process may use, since its classes do
 not depend on each other, and gives the values of one CPU bit for bit.
 Its classes are split into min(CPUs, classes) bins by size, the
-largest first, each into the lightest bin.  This process makes the
-asks of bin 0.  Each other bin runs in a child made by ``os.fork``,
-which shares the operators without copying them, sends back only the
-values through a pipe, and leaves by ``os._exit``.  Threads would gain
-nothing: SuperLU's factor and solve and ARPACK hold the GIL.  A child
-that fails has its bin run again here, so an error such as
-``ConvergenceError`` reaches the caller with its type and message.
-One class, one CPU, or a platform without ``os.fork`` make one bin,
-run here with no child.  The cost is memory, since each child holds an
-LU while this process holds another: on the L-shape at
-h = 1/320 with all four kinds, the summed proportional set size of the
-processes peaks at 274-276 MB against 179 MB in one process, and the
-largest process at 186-187 MB against 183 MB; about 3 MB of that are
-the Neumann operators, made before the bilaplacian LUs.
+largest first, each into the lightest bin, and the bins are spread by
+``speclab.pool``: this process makes the asks of bin 0, and a forked
+child the asks of each other bin, sharing the operators without
+copying them.  A child that fails has its bin run again here, so an
+error such as ``ConvergenceError`` reaches the caller with its type and
+message.  One class or one CPU make one bin, run here with no child.
 
 The Neumann Laplacian is singular, so it is shift-inverted at
 sigma = -(pi/D)^2 below zero, with D the side of the grid's bounding
@@ -88,13 +80,12 @@ value, and it is the lowest; it lies in the fully symmetric class.
 from __future__ import annotations
 
 import math
-import os
-import signal
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .. import pool
 from ..spectra import ProblemKind, Spectrum, check_count
 from .grid import GridDomain
 from .operators import SparseSymOperator, assemble_bilaplacian_clamped, assemble_laplacian
@@ -150,87 +141,6 @@ def _lowest_over_classes(
     top = merged[count - 1] if len(merged) >= count else math.inf
     short = [c for c, v in enumerate(values) if len(v) < min(sizes[c], count) and v[-1] <= top]
     return merged[:count], short
-
-
-def _cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _bins(sizes: dict[int, int], bins: int) -> list[list[int]]:
-    """The classes c of ``sizes[c]`` unknowns split into ``bins`` bins.
-
-    The largest class goes first, each into the lightest bin so far.
-    """
-    split, loads = [[] for _ in range(bins)], [0] * bins
-    for c in sorted(sizes, key=sizes.get, reverse=True):
-        lightest = loads.index(min(loads))
-        split[lightest].append(c)
-        loads[lightest] += sizes[c]
-    return split
-
-
-def _fork(run, job):
-    """A child that writes ``run(job)``'s values down a pipe: its pid and pipe.
-
-    The child leaves by ``os._exit``, so it never returns into the caller
-    and runs no exit hooks; an error there is exit status 1.  None if the
-    fork is refused.
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            with open(write, "wb") as pipe:
-                pipe.write(np.concatenate(run(job)).tobytes())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
-def _spread(run, jobs: list[list[tuple]]) -> list[list[np.ndarray]]:
-    """``run(job)`` of every job: the first here, each other in a forked child.
-
-    A job is a list of asks ``(kind, class, k)``, and ``run(job)``
-    returns one float64 array of k values per ask.  A child that fails,
-    by a nonzero exit or a short read, has its job run again here, so
-    that its error is raised here with its type and message.
-    Every child is reaped before this returns or raises.
-    """
-    children = [_fork(run, job) for job in jobs[1:]]
-    reaped = set()
-    try:
-        done = [run(jobs[0])]
-        for job, child in zip(jobs[1:], children):
-            ks = [k for *_, k in job]
-            data, status = b"", 1
-            if child is not None:
-                pid, pipe = child
-                data = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                reaped.add(pid)
-            if status == 0 and len(data) == 8 * sum(ks):
-                done.append(np.split(np.frombuffer(data), np.cumsum(ks)[:-1]))
-            else:
-                done.append(run(job))
-        return done
-    finally:
-        for pid, pipe in filter(None, children):
-            pipe.close()
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
 
 def fd_spectra(
@@ -309,9 +219,9 @@ def fd_spectra(
     asks = [(kind, c, min(size, count, first)) for kind in asked for c, size in enumerate(sizes)]
     while asks:
         cs = {c: sizes[c] for _, c, _ in asks}
-        bins = _bins(cs, min(_cpus(), len(cs)))
+        bins = pool.bins(cs, min(pool.cpus(), len(cs)))
         jobs = [[ask for c in part for ask in asks if ask[1] == c] for part in bins]
-        for job, values in zip(jobs, _spread(answers, jobs)):
+        for job, values in zip(jobs, pool.spread(answers, jobs)):
             found.update(((kind, c), v) for (kind, c, _), v in zip(job, values))
         merged = {
             kind: _lowest_over_classes(

@@ -1751,6 +1751,27 @@ class TestSubprocess:
         *printed, loaded = proc.stdout.splitlines()
         return printed, loaded
 
+    def test_no_forked_worker_imports_a_module(self, tmp_path):
+        # the scipy modules the closed-form and cap spectra use load once,
+        # before the workers are forked; a worker that imported one itself
+        # would print its own line of it
+        config = write_config(
+            tmp_path, {"experiments": [analytic_block(DISK, KINDS, []), cap_block([])]}
+        )
+        # two workers on any machine
+        code = (
+            "import sys, speclab.cli as cli, speclab.pool as pool\n"
+            "pool.cpus = lambda: 2\n"
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
+        cmd = [sys.executable, "-X", "importtime", "-c", code, "report"]
+        args = ["--config", str(config), "--out", str(tmp_path / "out")]
+        proc = subprocess.run([*cmd, *args], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        for module in ("scipy.special", "scipy.linalg"):
+            lines = re.findall(rf"^import time:.*\| *{re.escape(module)}$", proc.stderr, re.M)
+            assert len(lines) == 1, (module, lines)
+
     def test_import_loads_no_scipy(self):
         # the analytic interval and rectangle need numpy alone; each layer
         # imports its scipy subpackage on first use
@@ -1895,6 +1916,19 @@ class TestSubprocess:
                 json.dumps({"experiments": [interval_block()], "outdir": "results"}).encode(),
                 "config: top level has no field 'outdir', only ['experiments']",
             ),
+            # 'type' is read on domains, backends, checks and parts only
+            (
+                json.dumps({"type": "y", "experiments": [interval_block()]}).encode(),
+                "config: top level has no field 'type', only ['experiments']",
+            ),
+            (
+                {**interval_block(), "type": "x"},
+                "experiments[0]: experiment has no field 'type', only ['name', 'domain',",
+            ),
+            (
+                analytic_block(DISK, KINDS, [{"type": "sharpness", "caps": [{"delta": 2.0, "type": "zz"}]}]),
+                "experiments[0].checks[0]: caps[0]: cap has no field 'type', only ['delta', 'points']",
+            ),
             (b'{"experiments": [{"name": "r\xf6d"}]}', "cannot read config: 'utf-8' codec"),
             (b'{"experiments": ' + b"[" * 100_000, "the JSON nests too deeply"),
         ],
@@ -1913,6 +1947,9 @@ class TestSubprocess:
             "misspelt-block-count",
             "misspelt-sharpness-cap-points",
             "misspelt-top-level",
+            "typed-top-level",
+            "typed-block",
+            "typed-sharpness-cap",
             "not-utf-8",
             "nested",
         ],

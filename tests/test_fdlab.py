@@ -19,7 +19,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from probes import REASK_PROBES
 
-from speclab.cli import parse_config
+from speclab import cli, pool
+from speclab.cli import parse_config, run_config
 from speclab.fdlab import (
     CapDomain,
     ConvergenceError,
@@ -85,7 +86,7 @@ def workers(request, monkeypatch):
     in this process.
     """
     count = getattr(request, "param", 1)
-    monkeypatch.setattr(spectrum_mod, "_cpus", lambda: count)
+    monkeypatch.setattr(pool, "cpus", lambda: count)
     return count
 
 
@@ -811,7 +812,7 @@ class TestFdSpectra:
         # L_N, L_D and B of every class this process solves, each factored
         # while no other is held here; a forked worker holds its own
         sizes = [cls.basis.shape[1] for cls in symmetry_classes(domain.mask)]
-        here = spectrum_mod._bins(dict(enumerate(sizes)), workers)[0]
+        here = pool.bins(dict(enumerate(sizes)), workers)[0]
         assert (len(here) == len(sizes)) == (workers == 1)
         assert len(made) == 3 * len(here)
         assert not live
@@ -885,7 +886,7 @@ class TestWorkers:
     ):
         assert len(symmetry_classes(domain.mask)) == classes
         with monkeypatch.context() as patch:
-            patch.setattr(spectrum_mod, "_cpus", lambda: 1)
+            patch.setattr(pool, "cpus", lambda: 1)
             one = fd_spectra(domain, list(ProblemKind), 20)
         forks = self.forks(monkeypatch)
         two = fd_spectra(domain, list(ProblemKind), 20)
@@ -908,7 +909,7 @@ class TestWorkers:
             return values, short
 
         with monkeypatch.context() as patch:
-            patch.setattr(spectrum_mod, "_cpus", lambda: 1)
+            patch.setattr(pool, "cpus", lambda: 1)
             patch.setattr(spectrum_mod, "_lowest_over_classes", recorded)
             one = fd_spectra(domain, list(ProblemKind), count)
         # one class of one kind is asked again, in a second round
@@ -935,7 +936,7 @@ class TestWorkers:
         domain = lshape_domain(1.0, 1.0, 1.0 / 16.0)
         sizes = [cls.basis.shape[1] for cls in symmetry_classes(domain.mask)]
         assert len(set(sizes)) == len(sizes) == 2
-        (failing,) = spectrum_mod._bins(dict(enumerate(sizes)), workers)[where]
+        (failing,) = pool.bins(dict(enumerate(sizes)), workers)[where]
         original = spectrum_mod.solve_gevp
         raised = []
 
@@ -960,7 +961,7 @@ class TestWorkers:
     def test_a_failed_worker_has_its_classes_solved_here(self, monkeypatch, workers, failure):
         domain = rectangle_domain(1.0, 0.75, 1.0 / 16.0)
         with monkeypatch.context() as patch:
-            patch.setattr(spectrum_mod, "_cpus", lambda: 1)
+            patch.setattr(pool, "cpus", lambda: 1)
             one = fd_spectra(domain, list(ProblemKind), 20)
         here = os.getpid()
         original = spectrum_mod.solve_gevp
@@ -980,6 +981,88 @@ class TestWorkers:
             monkeypatch.setattr(os, "fork", refused)
         self.assert_bit_identical(one, fd_spectra(domain, list(ProblemKind), 20))
         self.assert_no_child_left()
+
+
+class TestReportWorkers:
+    """``run_config`` with the analytic and cap spectra spread over forked workers."""
+
+    #: Ten (experiment, kind) jobs, dealt round-robin over two workers:
+    #: the cap's Dirichlet spectrum is the worker's third job.
+    CONFIG = {
+        "experiments": [
+            {
+                "name": "disk",
+                "domain": {"type": "disk", "radius": 1.0},
+                "kinds": ["neumann", "dirichlet", "clamped", "buckling"],
+                "backend": {"type": "analytic"},
+                "count": 20,
+                "checks": [{"type": "chain"}, {"type": "sharpness", "caps": [{"delta": 2.0}]}],
+            },
+            {
+                "name": "cap",
+                "domain": {"type": "cap", "delta": 2.0},
+                "kinds": ["neumann", "dirichlet"],
+                "backend": {"type": "cap", "points": 200},
+                "count": 10,
+            },
+            {
+                "name": "rod",
+                "domain": {"type": "interval", "length": 2.0},
+                "kinds": ["neumann", "dirichlet", "clamped", "buckling"],
+                "backend": {"type": "analytic"},
+                "count": 10,
+                "checks": [{"type": "chain"}],
+            },
+        ]
+    }
+
+    def run(self, out) -> tuple[int, dict[str, bytes]]:
+        """The exit code of a report of CONFIG written to ``out``, and what it wrote."""
+        code = run_config(parse_config(json.dumps(self.CONFIG)), out)
+        return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_outputs_byte_identical_on_one_and_two_workers(self, monkeypatch, tmp_path):
+        with monkeypatch.context() as patch:
+            patch.setattr(pool, "cpus", lambda: 1)
+            patch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+            one = self.run(tmp_path / "one")
+        monkeypatch.setattr(pool, "cpus", lambda: 2)
+        forks = TestWorkers.forks(monkeypatch)
+        assert self.run(tmp_path / "two") == one
+        assert one[0] == 0 and len(forks) == 1
+        TestWorkers.assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raises", "killed"])
+    def test_a_failure_stays_with_its_experiment(self, monkeypatch, tmp_path, capsys, failure):
+        with monkeypatch.context() as patch:
+            patch.setattr(pool, "cpus", lambda: 1)
+            _, one = self.run(tmp_path / "one")
+        here = os.getpid()
+        original = cli.cap_spectrum
+
+        def failing(cap, kind, count):
+            # the cap experiment's Dirichlet spectrum, not the sharpness
+            # check's, raises in the worker; a killed worker's jobs run
+            # again here, where it raises too
+            if kind is ProblemKind.DIRICHLET and cap.points == 200:
+                if os.getpid() != here and failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if os.getpid() != here or failure == "killed":
+                    raise ArithmeticError(f"no cap spectrum in {failure}")
+            return original(cap, kind, count)
+
+        monkeypatch.setattr(cli, "cap_spectrum", failing)
+        monkeypatch.setattr(pool, "cpus", lambda: 2)
+        capsys.readouterr()
+        code, two = self.run(tmp_path / "two")
+        error = f"ArithmeticError: no cap spectrum in {failure}"
+        assert code == 2
+        assert capsys.readouterr().err == f"speclab: cap: {error}\n"
+        assert json.loads(two.pop("cap.report.json")) == {"name": "cap", "error": error}
+        # the failed experiment writes no spectra; every other writes its bytes
+        del one["cap.report.json"], one["cap.spectra.csv"]
+        assert two == one
+        TestWorkers.assert_no_child_left()
 
 
 def five_point_values(a: float, b: float, h: float, kind: str, count: int) -> np.ndarray:

@@ -683,23 +683,19 @@ def _closed_form(exp: Experiment, kind: ProblemKind):
 def _closed_forms(experiments: list[Experiment]) -> dict:
     """Every analytic and cap spectrum, or its error, by (experiment name, kind).
 
-    The (experiment, kind) jobs are dealt round-robin, in config order,
-    over min(CPUs, jobs) bins, which ``pool.spread`` runs at once.  The
-    scipy modules the jobs use load first, before any child is forked,
-    so that no child imports one again.
+    The (experiment, kind) jobs go to ``pool.spread`` in config order,
+    which deals them round-robin over the CPUs.  The scipy modules the
+    jobs use load first, before any child is forked, so that no child
+    imports one again.  A report without such jobs spreads nothing.
     """
     jobs = [(exp, kind) for exp in experiments if exp.backend["type"] != "fd" for kind in exp.kinds]
+    if not jobs:
+        return {}
     # __import__, as an import statement and unlike importlib, reports to -X importtime
     for module in dict.fromkeys(m for exp, _ in jobs for m in DOMAINS[exp.domain["type"]].modules):
         __import__(module)
-    count = max(1, min(pool.cpus(), len(jobs)))
-    bins = [jobs[i::count] for i in range(count)]
-    done = pool.spread(lambda part: [_closed_form(exp, kind) for exp, kind in part], bins)
-    return {
-        (exp.name, kind): found
-        for part, spectra in zip(bins, done)
-        for (exp, kind), found in zip(part, spectra)
-    }
+    done = pool.spread(lambda job: _closed_form(*job), jobs)
+    return {(exp.name, kind): found for (exp, kind), found in zip(jobs, done)}
 
 
 def _compute_spectra(exp: Experiment, closed: dict):

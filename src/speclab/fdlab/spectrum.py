@@ -49,8 +49,8 @@ SuperLU is deterministic, so that LU is the first one bit for bit.
 
 Each round runs on every CPU the process may use, since its classes do
 not depend on each other, and gives the values of one CPU bit for bit.
-Its classes are split into min(CPUs, classes) bins by size, the
-largest first, each into the lightest bin, and the bins are spread by
+Each class asked in the round is one job, and the jobs, listed
+largest class first, are dealt round-robin over the CPUs by
 ``speclab.pool``: this process makes the asks of bin 0, and a forked
 child the asks of each other bin, sharing the operators without
 copying them.  A child that fails has its bin run again here, so an
@@ -194,35 +194,34 @@ def fd_spectra(
     needed = [name for kind in asked for name in problems[kind][:2] if name is not None]
     operators = {name: assembled(name) for name in dict.fromkeys(needed)}
 
-    def answers(job: list[tuple]) -> list[np.ndarray]:
-        """The values of every ask ``(kind, c, k)`` of ``job``, in its order.
+    def answers(job: list[tuple]) -> dict:
+        """The values of every ask ``(kind, c, k)`` of ``job``, by (kind, c).
 
-        The job lists the asks of each class together.  They are made
-        grouped by the operator they factor, in the order of ``problems``,
-        so each (operator, class) is factored once and its LU dies before
-        the next one is made.
+        A job is the asks of one class, and the classes of a round are
+        listed largest first.  The asks are made grouped by the operator
+        they factor, in the order of ``problems``, so each operator of
+        the class is factored once and its LU dies before the next one
+        is made.
         """
-        found, held, lu = {}, None, None
+        values, held, lu = {}, None, None
         for kind, c, k in sorted(job, key=lambda ask: order.index(problems[ask[0]][0])):
             stiffness, mass, sigma, _ = problems[kind]
-            if held != (stiffness, c):
+            if held != stiffness:
                 # the last LU dies, with the solution holding it, before the next
-                held, lu, solution = (stiffness, c), None, None
+                held, lu, solution = stiffness, None, None
             m = None if mass is None else operators[mass][c]
             solution = solve_gevp(operators[stiffness][c], m, count=k, sigma=sigma, lu=lu)
-            lu, found[kind, c] = solution.lu, solution.values
-        return [found[kind, c] for kind, c, _ in job]
+            lu, values[kind, c] = solution.lu, solution.values
+        return values
 
-    # rounds of asks, each spread over the CPUs by the size of the classes
-    # it asks, until no class of any kind is short
+    # rounds of asks, each spread over the CPUs one class a job, the
+    # largest first, until no class of any kind is short
     first, found = _first_ask(count, sum(copies)), {}
     asks = [(kind, c, min(size, count, first)) for kind in asked for c, size in enumerate(sizes)]
     while asks:
-        cs = {c: sizes[c] for _, c, _ in asks}
-        bins = pool.bins(cs, min(pool.cpus(), len(cs)))
-        jobs = [[ask for c in part for ask in asks if ask[1] == c] for part in bins]
-        for job, values in zip(jobs, pool.spread(answers, jobs)):
-            found.update(((kind, c), v) for (kind, c, _), v in zip(job, values))
+        cs = sorted(dict.fromkeys(c for _, c, _ in asks), key=sizes.__getitem__, reverse=True)
+        for values in pool.spread(answers, [[ask for ask in asks if ask[1] == c] for c in cs]):
+            found.update(values)
         merged = {
             kind: _lowest_over_classes(
                 [found[kind, c] for c in range(len(bases))], sizes, copies, count

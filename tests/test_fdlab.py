@@ -7,6 +7,7 @@ import json
 import math
 import os
 import signal
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -88,6 +89,12 @@ def workers(request, monkeypatch):
     count = getattr(request, "param", 1)
     monkeypatch.setattr(pool, "cpus", lambda: count)
     return count
+
+
+def dealt(sizes: list[int], workers: int) -> list[list[int]]:
+    """The classes of ``sizes[c]`` unknowns in each bin: largest first, round-robin."""
+    largest_first = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+    return [largest_first[b::workers] for b in range(workers)]
 
 
 class TestGridDomains:
@@ -812,7 +819,7 @@ class TestFdSpectra:
         # L_N, L_D and B of every class this process solves, each factored
         # while no other is held here; a forked worker holds its own
         sizes = [cls.basis.shape[1] for cls in symmetry_classes(domain.mask)]
-        here = pool.bins(dict(enumerate(sizes)), workers)[0]
+        here = dealt(sizes, workers)[0]
         assert (len(here) == len(sizes)) == (workers == 1)
         assert len(made) == 3 * len(here)
         assert not live
@@ -936,7 +943,7 @@ class TestWorkers:
         domain = lshape_domain(1.0, 1.0, 1.0 / 16.0)
         sizes = [cls.basis.shape[1] for cls in symmetry_classes(domain.mask)]
         assert len(set(sizes)) == len(sizes) == 2
-        (failing,) = pool.bins(dict(enumerate(sizes)), workers)[where]
+        (failing,) = dealt(sizes, workers)[where]
         original = spectrum_mod.solve_gevp
         raised = []
 
@@ -1063,6 +1070,27 @@ class TestReportWorkers:
         del one["cap.report.json"], one["cap.spectra.csv"]
         assert two == one
         TestWorkers.assert_no_child_left()
+
+
+def test_an_fd_only_report_spreads_no_closed_forms(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    calls = []
+    original = pool.spread
+
+    def recorded(run, jobs):
+        calls.append(list(jobs))
+        return original(run, jobs)
+
+    monkeypatch.setattr(pool, "spread", recorded)
+    monkeypatch.setattr(cli, "_closed_form", lambda *job: pytest.fail(f"closed form of {job}"))
+    config = workloads.fd_lshape_config(workloads.NOTCHES[0])
+    assert run_config(parse_config(json.dumps(config)), tmp_path) == 0
+    # every spread is fd_spectra's: one nonempty job of asks per class
+    assert calls
+    for jobs in calls:
+        assert jobs and all(job and all(ask[0] in ProblemKind for ask in job) for job in jobs)
 
 
 def five_point_values(a: float, b: float, h: float, kind: str, count: int) -> np.ndarray:

@@ -3,8 +3,11 @@
 The per-index inequality chain, its counting-function counterpart, Weyl
 fits with and without the boundary term, heat-trace diagnostics,
 buckling decomposition bounds, and the two sharpness studies.
-Everything here consumes immutable Spectrum values and returns
-``Record`` reports.  Every report and row serializes through the one
+Every inequality between two spectra, in the chain, payne, sharpness and
+decomposition checks, is one ``links`` call: its margins and verdicts are
+the rows' margins and verdicts, and a shifted index is a slice of the
+values passed in.  Everything here consumes immutable Spectrum values and
+returns ``Record`` reports.  Every report and row serializes through the one
 ``Record.as_dict``: the class's ``check`` name first, then its fields in
 declaration order, so a report's field order is its JSON layout and its
 verdict is a field set by the function that builds it.  The one solve made
@@ -122,6 +125,20 @@ def two_grid_uncertainty(coarse: Spectrum, fine: Spectrum, count: int) -> np.nda
     return np.abs(coarse.values[:count] - fine.values[:count])
 
 
+def links(lower, upper, slack=0.0, strict=True) -> tuple[list[float], list[bool]]:
+    """Margins ``upper - lower`` and verdicts of the links lower_k < upper_k.
+
+    A strict link holds where its margin exceeds ``slack``, a scalar or one
+    value per index; a non-strict one holds where its margin is >= 0.  With
+    gradual underflow the difference of two finite doubles is 0 only when
+    they are equal, so with no slack each verdict is the comparison of the
+    two values themselves.
+    """
+    margins = np.subtract(upper, lower, dtype=float)
+    verdicts = margins > slack if strict else margins >= 0.0
+    return margins.tolist(), verdicts.tolist()
+
+
 @dataclass(frozen=True)
 class ChainRow(Record):
     """One index of the chain mu_k < lambda_k < Gamma_k < Lambda_k."""
@@ -167,21 +184,20 @@ def inequality_chain_check(
             f"count {count} exceeds the common trusted count {limit}"
         )
 
-    def unc(kind: ProblemKind, idx: int) -> float:
+    def unc(kind: ProblemKind) -> np.ndarray:
+        """The kind's uncertainty at each index, a short bank's last entry reused."""
         if uncertainties is None or kind not in uncertainties:
-            return 0.0
-        bank = uncertainties[kind]
-        return float(bank[idx]) if idx < len(bank) else float(bank[-1])
+            return np.zeros(count)
+        bank = np.asarray(uncertainties[kind], dtype=float)
+        return bank[np.minimum(np.arange(count), len(bank) - 1)]
 
-    rows = []
-    for idx in range(count):
-        vals = tuple(float(spectra[k].values[idx]) for k in CHAIN_ORDER)
-        margins = tuple(vals[j + 1] - vals[j] for j in range(3))
-        passes = tuple(
-            margins[j] > unc(CHAIN_ORDER[j], idx) + unc(CHAIN_ORDER[j + 1], idx)
-            for j in range(3)
-        )
-        rows.append(ChainRow(idx + 1, *vals, margins=margins, passes=passes))
+    vals = [spectra[k].values[:count].tolist() for k in CHAIN_ORDER]
+    slack = [unc(k) for k in CHAIN_ORDER]
+    margins, passes = zip(*(links(vals[j], vals[j + 1], slack[j] + slack[j + 1]) for j in range(3)))
+    rows = [
+        ChainRow(idx + 1, *row, margins=m, passes=p)
+        for idx, (row, m, p) in enumerate(zip(zip(*vals), zip(*margins), zip(*passes)))
+    ]
 
     unc_out = None
     if uncertainties is not None:
@@ -295,23 +311,36 @@ def weyl_boundary_coefficient(dim: int, boundary: float) -> float:
     return 0.25 * (2.0 * math.pi) ** (-dim + 1) * ball_volume(dim - 1) * boundary
 
 
-def weyl_fit(spectrum: Spectrum, dim: int, volume: float, window) -> WeylFit:
-    """One-term least-squares fit N(tau) = c tau^(dim/2) over the window."""
-    taus, counts = _weyl_samples(spectrum, window)
-    basis = taus ** (dim / 2.0)
-    c = float(basis @ counts / (basis @ basis))
+def _weyl_fields(spectrum: Spectrum, dim: int, volume: float, window, points, leading) -> dict:
+    """The ``WeylFit`` fields of a fit over ``points`` samples, leading coefficient ``leading``."""
     theory = weyl_leading_coefficient(dim, volume)
-    return WeylFit(
+    return dict(
         kind=spectrum.kind.value,
         domain=spectrum.domain,
         dim=dim,
         volume=volume,
         window=(float(window[0]), float(window[1])),
-        points=len(taus),
-        leading=c,
+        points=points,
+        leading=leading,
         leading_theory=theory,
-        ratio=c / theory,
+        ratio=leading / theory,
     )
+
+
+def _analytic_membrane(spectrum: Spectrum, what: str) -> None:
+    """Refuse a spectrum that is not a closed-form membrane one; ``what`` names the check."""
+    if spectrum.kind not in MEMBRANE_KINDS:
+        raise ValueError(f"{what} applies to the membrane problems")
+    if spectrum.source != "analytic":
+        raise ValueError(f"{what} needs an analytic spectrum, got source {spectrum.source!r}")
+
+
+def weyl_fit(spectrum: Spectrum, dim: int, volume: float, window) -> WeylFit:
+    """One-term least-squares fit N(tau) = c tau^(dim/2) over the window."""
+    taus, counts = _weyl_samples(spectrum, window)
+    basis = taus ** (dim / 2.0)
+    c = float(basis @ counts / (basis @ basis))
+    return WeylFit(**_weyl_fields(spectrum, dim, volume, window, len(taus), c))
 
 
 def weyl_two_term_fit(
@@ -323,29 +352,15 @@ def weyl_two_term_fit(
     discretization noise, so only analytic spectra are accepted.  The
     sign of c1 must be + for Neumann and - for Dirichlet.
     """
-    if spectrum.source != "analytic":
-        raise ValueError(
-            f"two-term fit needs an analytic spectrum, got source {spectrum.source!r}"
-        )
-    if spectrum.kind not in MEMBRANE_KINDS:
-        raise ValueError("two-term fit applies to the membrane problems")
+    _analytic_membrane(spectrum, "two-term fit")
     taus, counts = _weyl_samples(spectrum, window)
     design = np.column_stack([taus ** (dim / 2.0), taus ** ((dim - 1) / 2.0)])
     coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
     c0, c1 = (float(coef[0]), float(coef[1]))
-    theory0 = weyl_leading_coefficient(dim, volume)
     theory1 = weyl_boundary_coefficient(dim, boundary)
     want_positive = spectrum.kind is ProblemKind.NEUMANN
     return WeylTwoTermFit(
-        kind=spectrum.kind.value,
-        domain=spectrum.domain,
-        dim=dim,
-        volume=volume,
-        window=(float(window[0]), float(window[1])),
-        points=len(taus),
-        leading=c0,
-        leading_theory=theory0,
-        ratio=c0 / theory0,
+        **_weyl_fields(spectrum, dim, volume, window, len(taus), c0),
         boundary=boundary,
         second=c1,
         second_theory=theory1,
@@ -398,12 +413,7 @@ def heat_trace_check(
             truncated sum to represent the full trace at some t.
         InsufficientDataError: when no time is small enough to judge.
     """
-    if spectrum.kind not in MEMBRANE_KINDS:
-        raise ValueError("heat trace applies to the membrane problems")
-    if spectrum.source != "analytic":
-        raise ValueError(
-            f"heat trace needs an analytic spectrum, got source {spectrum.source!r}"
-        )
+    _analytic_membrane(spectrum, "heat trace")
     times = sorted(float(t) for t in np.asarray(times, dtype=float))
     if not times or times[0] <= 0:
         raise ValueError("need positive times")
@@ -567,16 +577,10 @@ def decomposition_check(
     if len(merged) < count:
         raise ValueError("parts supplied fewer eigenvalues than requested")
 
-    whole_values = buckling.values[:count]
+    values, merged = buckling.values[:count].tolist(), merged.tolist()
     rows = [
-        DecompositionRow(
-            k=idx + 1,
-            whole=float(whole_values[idx]),
-            merged=float(merged[idx]),
-            margin=float(merged[idx] - whole_values[idx]),
-            holds=bool(whole_values[idx] <= merged[idx]),
-        )
-        for idx in range(count)
+        DecompositionRow(idx + 1, *row)
+        for idx, row in enumerate(zip(values, merged, *links(values, merged, strict=False)))
     ]
     return DecompositionReport(
         domain=whole.descriptor,
@@ -623,19 +627,11 @@ def payne_scan(dirichlet: Spectrum, buckling: Spectrum, count: int) -> PayneRepo
             f"count {count} needs {count + 1} trusted dirichlet and "
             f"{count} trusted buckling values"
         )
-    rows = []
-    for k in range(1, count + 1):
-        lam_next = float(dirichlet.values[k])
-        buck = float(buckling.values[k - 1])
-        rows.append(
-            PayneRow(
-                k=k,
-                lam_next=lam_next,
-                buck=buck,
-                gap=buck - lam_next,
-                holds=bool(lam_next <= buck),
-            )
-        )
+    lam_next, buck = dirichlet.values[1 : count + 1].tolist(), buckling.values[:count].tolist()
+    rows = [
+        PayneRow(idx + 1, *row)
+        for idx, row in enumerate(zip(lam_next, buck, *links(lam_next, buck, strict=False)))
+    ]
     return PayneReport(domain=domain, holds_all=all(row.holds for row in rows), rows=rows)
 
 
@@ -670,42 +666,21 @@ def sharpness_report(
     mu_2 > lambda_1 is asserted; smaller caps behave like flat domains
     and their rows are informational.
     """
-    rows = []
-    lam = disk_spectra[ProblemKind.DIRICHLET].values
-    gam = disk_spectra[ProblemKind.CLAMPED].values
-    buck = disk_spectra[ProblemKind.BUCKLING].values
-    rows.append(
-        SharpnessRow(
-            label="disk lambda_2 > Gamma_1",
-            left=float(lam[1]),
-            right=float(gam[0]),
-            holds=bool(lam[1] > gam[0]),
-            asserted=True,
-        )
-    )
-    rows.append(
-        SharpnessRow(
-            label="disk Gamma_2 > Lambda_1",
-            left=float(gam[1]),
-            right=float(buck[0]),
-            holds=bool(gam[1] > buck[0]),
-            asserted=True,
-        )
-    )
+    lam, gam, buck = (disk_spectra[k].values[:2].tolist() for k in CHAIN_ORDER[1:])
+    # (label, larger, smaller, asserted) for each ordering
+    orderings = [
+        ("disk lambda_2 > Gamma_1", lam[1], gam[0], True),
+        ("disk Gamma_2 > Lambda_1", gam[1], buck[0], True),
+    ]
     for delta, neumann, dirichlet in cap_results or []:
         if neumann.kind is not ProblemKind.NEUMANN:
             raise ValueError("cap triple must carry (neumann, dirichlet) spectra")
         if dirichlet.kind is not ProblemKind.DIRICHLET:
             raise ValueError("cap triple must carry (neumann, dirichlet) spectra")
-        mu2 = float(neumann.values[1])
-        lam1 = float(dirichlet.values[0])
-        rows.append(
-            SharpnessRow(
-                label=f"cap(delta={delta:g}) mu_2 > lambda_1",
-                left=mu2,
-                right=lam1,
-                holds=bool(mu2 > lam1),
-                asserted=bool(delta > math.pi / 2),
-            )
-        )
+        label = f"cap(delta={delta:g}) mu_2 > lambda_1"
+        mu2, lam1 = float(neumann.values[1]), float(dirichlet.values[0])
+        orderings.append((label, mu2, lam1, bool(delta > math.pi / 2)))
+    labels, larger, smaller, asserted = zip(*orderings)
+    _, holds = links(smaller, larger)
+    rows = [SharpnessRow(*row) for row in zip(labels, larger, smaller, holds, asserted)]
     return SharpnessReport(ok=all(row.holds for row in rows if row.asserted), rows=rows)

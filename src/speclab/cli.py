@@ -565,6 +565,11 @@ def _check_check(where: str, check: dict, exp: Experiment) -> dict:
     context = dict(kind=next(iter(pool), None), count=exp.count, volume=volume, boundary=boundary)
     out.update((key, value) for key, value in context.items() if out.get(key, 0) is None)
     names = " and ".join(k.value for k in spec.kinds)
+    kind_rule = (
+        f"'kind' must be in {[k.value for k in pool]}"
+        if pool
+        else f"needs a {' or '.join(k.value for k in MEMBRANE_KINDS)} spectrum for its 'kind'"
+    )
     for ok, message in (
         (exp.backend["type"] in spec.backends, f"runs on the {' or '.join(spec.backends)} backend"),
         (dtype in spec.domains, f"runs on {' or '.join(spec.domains)} domains"),
@@ -576,7 +581,7 @@ def _check_check(where: str, check: dict, exp: Experiment) -> dict:
         ),
         (exp.count >= spec.min_count, f"needs an experiment 'count' of {spec.min_count} or more"),
         (dim >= spec.min_dim, f"needs a {spec.min_dim}-D domain"),
-        ("kind" not in out or out["kind"] in pool, f"'kind' must be in {[k.value for k in pool]}"),
+        ("kind" not in out or out["kind"] in pool, kind_rule),
         (out.get("count", 0) <= exp.count, f"'count' exceeds the experiment's {exp.count}"),
         (out.get("volume", 0) is not None, f"on a {dtype} domain needs 'volume'"),
         (out.get("boundary", 0) is not None, f"on a {dtype} domain needs 'boundary'"),

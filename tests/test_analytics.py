@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speclab.analytic2d import disk_spectrum, rect_spectrum
 from speclab.analytics import (
@@ -21,6 +24,7 @@ from speclab.analytics import (
     decomposition_check,
     heat_trace_check,
     inequality_chain_check,
+    links,
     payne_scan,
     sharpness_report,
     trusted_edge,
@@ -40,7 +44,7 @@ from speclab.fdlab import (
     rectangle_domain,
 )
 from speclab.interval1d import interval_spectrum
-from speclab.spectra import ProblemKind, Spectrum
+from speclab.spectra import CHAIN_ORDER, ProblemKind, Spectrum
 
 
 def make_spectrum(kind, values, domain="fake", source="analytic", trusted=0):
@@ -594,3 +598,82 @@ class TestSharpness:
             sharpness_report(spectra, cap_results=[(delta, d, d)])
         with pytest.raises(ValueError, match="dirichlet"):
             sharpness_report(spectra, cap_results=[(delta, n, n)])
+
+
+@st.composite
+def tied_spectra(draw):
+    """Nondecreasing value lists of one length, drawn from one small pool.
+
+    Drawing every list from a pool of at most five values forces ties
+    within a list and equal values across lists.
+    """
+    finite = st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True)
+    pool = draw(st.lists(finite, min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(min_value=2, max_value=6))
+    names = [k.value for k in ProblemKind] + ["cap_mu", "cap_lambda", "part_a", "part_b"]
+    values = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    return {name: sorted(draw(values)) for name in names}
+
+
+class TestLinks:
+    def test_equal_values_fail_a_strict_link_and_hold_a_non_strict_one(self):
+        assert links([1.0, 2.0], [1.0, 3.0]) == ([0.0, 1.0], [False, True])
+        assert links([1.0, 2.0], [1.0, 3.0], strict=False) == ([0.0, 1.0], [True, True])
+        assert links([2.0], [1.0], strict=False) == ([-1.0], [False])
+
+    def test_slack_is_judged_index_by_index(self):
+        margins, verdicts = links([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], slack=np.array([0.5, 1.0, 2.0]))
+        assert margins == [1.0, 1.0, 1.0]
+        assert verdicts == [True, False, False]
+
+    def test_subnormal_difference_holds(self):
+        margins, verdicts = links([5e-324], [1e-323])
+        assert margins == [5e-324] and verdicts == [True]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(tied_spectra())
+    def test_every_row_is_the_direct_comparison_of_its_two_values(self, drawn):
+        n = len(drawn["neumann"])
+        spectra = {k: make_spectrum(k, drawn[k.value]) for k in ProblemKind}
+
+        chain = inequality_chain_check(spectra, count=n)
+        for idx, row in enumerate(chain.rows):
+            vals = [drawn[k.value][idx] for k in CHAIN_ORDER]
+            assert list(row.margins) == [vals[j + 1] - vals[j] for j in range(3)]
+            assert list(row.passes) == [vals[j] < vals[j + 1] for j in range(3)]
+        assert chain.ok == all(all(row.passes) for row in chain.rows)
+
+        lam, buck = drawn["dirichlet"], drawn["buckling"]
+        payne = payne_scan(spectra[ProblemKind.DIRICHLET], spectra[ProblemKind.BUCKLING], n - 1)
+        for k, row in enumerate(payne.rows, start=1):
+            assert (row.lam_next, row.buck) == (lam[k], buck[k - 1])
+            assert row.gap == buck[k - 1] - lam[k]
+            assert row.holds == (lam[k] <= buck[k - 1])
+
+        cap = (
+            2.0,
+            make_spectrum(ProblemKind.NEUMANN, drawn["cap_mu"]),
+            make_spectrum(ProblemKind.DIRICHLET, drawn["cap_lambda"]),
+        )
+        gam = drawn["clamped"]
+        sharp = sharpness_report(spectra, [cap])
+        pairs = [(lam[1], gam[0]), (gam[1], buck[0]), (drawn["cap_mu"][1], drawn["cap_lambda"][0])]
+        assert [(row.left, row.right) for row in sharp.rows] == pairs
+        assert [row.holds for row in sharp.rows] == [left > right for left, right in pairs]
+
+        h = 1.0 / 16.0
+        whole = rectangle_domain(1.0, 1.0, h)
+        parts = [rectangle_domain(0.25, 1.0, h), rectangle_domain(0.75, 1.0, h, corner=(0.25, 0.0))]
+        held = {id(parts[0]): drawn["part_a"], id(parts[1]): drawn["part_b"]}
+
+        def solved(domain, kind, count):
+            return make_spectrum(kind, held[id(domain)][:count])
+
+        whole_buckling = make_spectrum(ProblemKind.BUCKLING, buck, domain=whole.descriptor)
+        with mock.patch.object(fdlab, "fd_spectrum", solved):
+            decomposition = decomposition_check(whole, parts, whole_buckling, count=n)
+        merged = sorted(drawn["part_a"] + drawn["part_b"])[:n]
+        for idx, row in enumerate(decomposition.rows):
+            assert (row.whole, row.merged) == (buck[idx], merged[idx])
+            assert row.margin == merged[idx] - buck[idx]
+            assert row.holds == (buck[idx] <= merged[idx])

@@ -1323,6 +1323,26 @@ class TestChecksResolvedBeforeRunning:
         assert err.startswith("speclab: ") and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "block",
+        [
+            analytic_block(DISK, ["clamped"], [{"type": "weyl2"}]),
+            {**interval_block(checks=[{"type": "heat"}]), "kinds": KINDS[2:]},
+        ],
+        ids=["weyl2-clamped-disk", "heat-plate-rod"],
+    )
+    def test_membrane_check_without_a_membrane_kind_names_what_it_needs(
+        self, tmp_path, capsys, block
+    ):
+        # it said "'kind' must be in []" before
+        ctype = block["checks"][0]["type"]
+        config = write_config(tmp_path, {"experiments": [block]})
+        assert main(["report", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"speclab: experiments[0].checks[0]: {ctype} needs a neumann or dirichlet "
+            "spectrum for its 'kind'\n"
+        )
+
     def test_sharpness_needs_a_count_of_two(self):
         # sharpness reads mu_2 of the disk; at count 1 it parsed and then
         # the run died with "IndexError: index 1 is out of bounds"
@@ -1674,6 +1694,11 @@ class TestReadme:
         bench = json.loads((ROOT / "bench" / "readme_config.json").read_text())
         assert json.loads(example) == bench
         parse_config(example)
+
+    def test_library_example_runs(self):
+        readme = (ROOT / "README.md").read_text()
+        example = readme.split("## Library example")[1].split("```python")[1].split("```")[0]
+        exec(compile(example, "README.md", "exec"), {})
 
 
 def blas_env(threads):

@@ -181,25 +181,34 @@ CAP_FIELDS = {
     "points": (CapDomain.points, _integer(MIN_CAP_POINTS, MAX_CAP_POINTS)),
 }
 
+#: One grid solved twice would fake a two-grid uncertainty of 0.
+_WIDTHS = _numbers(
+    lambda v: v and min(v) > 0 and len(set(v)) == len(v),
+    "a nonempty list of distinct positive numbers",
+)
+
 
 @dataclass(frozen=True)
 class DomainType:
     """Everything the runner knows about one domain type.
 
-    ``fields`` is its schema for ``_fields``.  ``grid`` builds the fd mask
-    at one mesh width.  ``box`` counts the lattice box that mask is cut
-    from, saturating as ``axis_nodes`` does, so that a grid is sized
-    before it is built.  A mask file has no ``box``: its grid ignores the
-    width, reads the file's own, and its box is its rows times its width,
-    known once it is read.  ``spectrum`` is the closed form; it, or the
-    cap backend on a cap, covers the ``kinds`` listed, and ``modules``
-    names the scipy modules they import.
-    ``geometry`` gives the dimension, volume and boundary measure, None
-    where the shape defines none.  Every callable takes the domain as
-    ``_check_domain`` returns it.
+    ``fields`` is its schema for ``_fields``.  ``backends`` maps each
+    backend type it takes to that backend's schema; a parsed backend is
+    its ``_fields`` result.  ``grid`` builds the fd mask at one mesh
+    width.  ``box`` counts the lattice box that mask is cut from,
+    saturating as ``axis_nodes`` does, so that a grid is sized before it
+    is built.  A mask file has no ``box``, and its fd backend no fields:
+    its grid ignores the width, reads the file's own, and its box is its
+    rows times its width, known once it is read.  ``spectrum`` is the
+    closed form of every backend but fd, taking (domain, backend, kind,
+    count); it covers the ``kinds`` listed, and ``modules`` names the
+    scipy modules it imports.  ``geometry`` gives the dimension, volume
+    and boundary measure, None where the shape defines none.  Every
+    callable takes the domain as ``_check_domain`` returns it.
     """
 
     fields: dict
+    backends: dict
     grid: Callable | None = None
     box: Callable | None = None
     spectrum: Callable | None = None
@@ -210,30 +219,34 @@ class DomainType:
 
 _SIDES = {"a": (REQUIRED, _LENGTH), "b": (REQUIRED, _LENGTH)}
 _CORNER = {"corner": ([0.0, 0.0], _POINT)}
+_FD = {"fd": {"h": (REQUIRED, _WIDTHS)}}
 
 #: The domain types a config may name.
 DOMAINS = {
     "interval": DomainType(
         {"length": (REQUIRED, _LENGTH)},
+        {"analytic": {}, **_FD},
         grid=lambda d, h: interval_domain(d["length"], h),
         box=lambda d, h: axis_nodes(d["length"], h),
-        spectrum=lambda d, kind, count: interval_spectrum(d["length"], kind, count),
+        spectrum=lambda d, b, kind, count: interval_spectrum(d["length"], kind, count),
         kinds=tuple(ProblemKind),
         geometry=lambda d: (1, d["length"], 2.0),
     ),
     "rect": DomainType(
         {**_SIDES, **_CORNER},
+        {"analytic": {}, **_FD},
         grid=lambda d, h: rectangle_domain(d["a"], d["b"], h, corner=d["corner"]),
         box=lambda d, h: axis_nodes(d["a"], h) * axis_nodes(d["b"], h),
-        spectrum=lambda d, kind, count: rect_spectrum(d["a"], d["b"], kind, count),
+        spectrum=lambda d, b, kind, count: rect_spectrum(d["a"], d["b"], kind, count),
         kinds=MEMBRANE_KINDS,
         geometry=lambda d: (2, d["a"] * d["b"], 2.0 * (d["a"] + d["b"])),
     ),
     "disk": DomainType(
         {"radius": (1.0, _LENGTH), "center": ([0.0, 0.0], _POINT)},
+        {"analytic": {}, **_FD},
         grid=lambda d, h: disk_domain(d["radius"], h, center=d["center"]),
         box=lambda d, h: (2 * math.ceil(min(d["radius"] / h, sys.maxsize)) + 1) ** 2,
-        spectrum=lambda d, kind, count: disk_spectrum(d["radius"], kind, count),
+        spectrum=lambda d, b, kind, count: disk_spectrum(d["radius"], kind, count),
         kinds=tuple(ProblemKind),
         modules=("scipy.special",),
         geometry=lambda d: (
@@ -242,6 +255,7 @@ DOMAINS = {
     ),
     "lshape": DomainType(
         {**_SIDES, "notch": (0.5, _number(lambda v: 0 < v < 1, "a fraction in (0, 1)")), **_CORNER},
+        _FD,
         grid=lambda d, h: lshape_domain(
             d["a"], d["b"], h, notch=d["notch"], corner=d["corner"]
         ),
@@ -251,26 +265,17 @@ DOMAINS = {
         ),
     ),
     "cap": DomainType(
-        {"delta": CAP_FIELDS["delta"]}, kinds=MEMBRANE_KINDS, modules=("scipy.linalg",)
+        {"delta": CAP_FIELDS["delta"]},
+        {"cap": {"points": CAP_FIELDS["points"]}},
+        spectrum=lambda d, b, kind, n: cap_spectrum(CapDomain(d["delta"], b["points"]), kind, n),
+        kinds=MEMBRANE_KINDS,
+        modules=("scipy.linalg",),
     ),
     "mask": DomainType(
         {"path": (REQUIRED, (lambda v: isinstance(v, str), "a string", str))},
+        {"fd": {}},
         grid=lambda d, h: read_mask_file(Path(d["path"])),
     ),
-}
-
-#: One grid solved twice would fake a two-grid uncertainty of 0.
-_WIDTHS = _numbers(
-    lambda v: v and min(v) > 0 and len(set(v)) == len(v),
-    "a nonempty list of distinct positive numbers",
-)
-
-#: The fields of each backend type.  A mask file carries its own mesh
-#: width, so an fd backend on one has no fields.
-BACKENDS = {
-    "analytic": {},
-    "fd": {"h": (REQUIRED, _WIDTHS)},
-    "cap": {"points": CAP_FIELDS["points"]},
 }
 
 #: The fields of an experiment block, and of the config's top level.
@@ -342,38 +347,34 @@ def _fd_grid(where: str, domain: dict, h: float | None, count: int = 1):
     """The fd grid of ``domain`` at ``h``, built, or read from its mask file, once.
 
     A ConfigError refuses a lattice box above MAX_GRID_NODES, before a
-    meshed grid is built; a mask file that cannot be read or parsed; and
-    a grid of fewer than MIN_UNKNOWNS or ``count`` unknowns.
+    meshed grid is built; a mask file that cannot be read or parsed, or
+    whose extent, its width times its larger dimension, is not a length
+    in LENGTH_RANGE; and a grid of fewer than MIN_UNKNOWNS or ``count``
+    unknowns.
     """
     spec = DOMAINS[domain["type"]]
     shown = [(k, v) for k, v in domain.items() if k != "type" and not isinstance(v, tuple)]
     fields = ", ".join(f"{k}={v!r}" if isinstance(v, str) else f"{k}={v:g}" for k, v in shown)
     name = f"the {domain['type']} domain ({fields})"
-    ceiling = f"lattice nodes, above the grid ceiling of {MAX_GRID_NODES}"
-    if spec.box is None:
-        try:
-            grid = spec.grid(domain, h)
-        except DegenerateDomainError as exc:
-            raise ConfigError(
-                f"{where}: {name} resolves to {exc.unknowns} unknowns, "
-                f"at least {MIN_UNKNOWNS} are required"
-            ) from exc
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{where}: cannot read {name}: {exc}") from exc
-        box = grid.mask.size
-        _require(box <= MAX_GRID_NODES, f"{where}: {name} spans a box of {box} {ceiling}")
-    else:
+    above = f"lattice nodes, above the grid ceiling of {MAX_GRID_NODES}"
+    if spec.box is not None:
         box = spec.box(domain, h)
-        _require(
-            box <= MAX_GRID_NODES, f"{where}: h={h:g} meshes {name} in a box of {box} {ceiling}"
-        )
-        try:
-            grid = spec.grid(domain, h)
-        except DegenerateDomainError as exc:
-            raise ConfigError(
-                f"{where}: h={h:g} is too coarse for {name}: it resolves to "
-                f"{exc.unknowns} unknowns, at least {MIN_UNKNOWNS} are required"
-            ) from exc
+        _require(box <= MAX_GRID_NODES, f"{where}: h={h:g} meshes {name} in a box of {box} {above}")
+    try:
+        grid = spec.grid(domain, h)
+    except DegenerateDomainError as exc:
+        subject = name if spec.box is None else f"h={h:g} is too coarse for {name}: it"
+        raise ConfigError(
+            f"{where}: {subject} resolves to {exc.unknowns} unknowns, "
+            f"at least {MIN_UNKNOWNS} are required"
+        ) from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: cannot read {name}: {exc}") from exc
+    if spec.box is None:
+        box = grid.mask.size
+        _require(box <= MAX_GRID_NODES, f"{where}: {name} spans a box of {box} {above}")
+        extent, (test, what, _) = grid.h * max(grid.mask.shape), _LENGTH
+        _require(test(extent), f"{where}: {name} spans {extent:g} at h={grid.h:g}, not {what}")
     n = grid.n_unknowns
     _require(
         count <= n, f"{where}: 'count' {count} exceeds the {n} unknowns of {name} at h={grid.h:g}"
@@ -561,13 +562,13 @@ def _check_check(where: str, check: dict, exp: Experiment) -> dict:
 
     dtype = exp.domain["type"]
     dim, volume, boundary = DOMAINS[dtype].geometry(exp.domain)
-    pool = [k for k in exp.kinds if k in MEMBRANE_KINDS or not spec.membrane]
-    context = dict(kind=next(iter(pool), None), count=exp.count, volume=volume, boundary=boundary)
+    fits = [k for k in exp.kinds if k in MEMBRANE_KINDS or not spec.membrane]
+    context = dict(kind=next(iter(fits), None), count=exp.count, volume=volume, boundary=boundary)
     out.update((key, value) for key, value in context.items() if out.get(key, 0) is None)
     names = " and ".join(k.value for k in spec.kinds)
     kind_rule = (
-        f"'kind' must be in {[k.value for k in pool]}"
-        if pool
+        f"'kind' must be in {[k.value for k in fits]}"
+        if fits
         else f"needs a {' or '.join(k.value for k in MEMBRANE_KINDS)} spectrum for its 'kind'"
     )
     for ok, message in (
@@ -581,7 +582,7 @@ def _check_check(where: str, check: dict, exp: Experiment) -> dict:
         ),
         (exp.count >= spec.min_count, f"needs an experiment 'count' of {spec.min_count} or more"),
         (dim >= spec.min_dim, f"needs a {spec.min_dim}-D domain"),
-        ("kind" not in out or out["kind"] in pool, kind_rule),
+        ("kind" not in out or out["kind"] in fits, kind_rule),
         (out.get("count", 0) <= exp.count, f"'count' exceeds the experiment's {exp.count}"),
         (out.get("volume", 0) is not None, f"on a {dtype} domain needs 'volume'"),
         (out.get("boundary", 0) is not None, f"on a {dtype} domain needs 'boundary'"),
@@ -630,16 +631,12 @@ def parse_config(text: str) -> list[Experiment]:
 
         btype = fields["backend"].get("type")
         _require(
-            isinstance(btype, str) and btype in BACKENDS,
+            isinstance(btype, str) and any(btype in s.backends for s in DOMAINS.values()),
             f"{where}: backend type must be analytic, fd or cap",
         )
-        # the analytic backend needs a closed form, fd a grid, cap a cap
-        supported = {"analytic": spec.spectrum, "fd": spec.grid, "cap": dtype == "cap"}[btype]
-        _require(supported, f"{where}: {btype} backend does not support domain {dtype!r}")
-        schema = BACKENDS[btype] if btype != "fd" or spec.box else {}
+        schema = spec.backends.get(btype)
+        _require(schema is not None, f"{where}: {btype} backend does not support domain {dtype!r}")
         backend = _fields(where, fields["backend"], f"{btype} backend", schema, typed=True)
-        if btype == "cap":
-            backend["cap"] = CapDomain(domain["delta"], backend["points"])
         bad = [] if btype == "fd" else [k.value for k in kinds if k not in spec.kinds]
         covered = (
             "membrane"
@@ -655,8 +652,6 @@ def parse_config(text: str) -> list[Experiment]:
         # coarsest first; a mask file carries its own h
         hs = sorted(backend.get("h", [None]), reverse=True) if btype == "fd" else []
         grids = [_fd_grid(f"{where} ({name!r})", domain, h, count) for h in hs]
-        if grids:
-            backend["h"] = [grid.h for grid in grids]
 
         exp = Experiment(name, domain, kinds, backend, count, grids=grids)
         exp.checks = [
@@ -678,9 +673,7 @@ def _error(exc: Exception) -> str:
 def _closed_form(exp: Experiment, kind: ProblemKind):
     """The analytic or cap spectrum of ``kind`` in ``exp``, or its error."""
     try:
-        if exp.backend["type"] == "cap":
-            return cap_spectrum(exp.backend["cap"], kind, exp.count)
-        return DOMAINS[exp.domain["type"]].spectrum(exp.domain, kind, exp.count)
+        return DOMAINS[exp.domain["type"]].spectrum(exp.domain, exp.backend, kind, exp.count)
     except Exception as exc:
         return _error(exc)
 

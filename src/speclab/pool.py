@@ -21,11 +21,15 @@ h = 1/160, and 0 on the two-class L-shape grids.
 ``os.fork``, which shares this process's memory without copying it,
 sends back only its results, pickled, through a pipe, and leaves by
 ``os._exit``.  Threads would gain nothing: SuperLU's factor and solve
-and ARPACK hold the GIL, as does the Python of the closed forms.  A
-child that fails, by a nonzero exit or a refused fork, has its bin run
-again here, so that an error is raised here with its type and message.
-One bin, whether of one job, on one CPU or on a platform without
-``os.fork``, runs here with no child; no jobs run nothing.
+and ARPACK hold the GIL, as does the Python of the closed forms.  Each
+bin stops at its first job that raises.  A child sends back the results
+before that job, and the job runs again here with the rest of its bin;
+a child that fails by a nonzero exit or a refused fork has its whole
+bin run again here.  The error raised is that of the first job in job
+order left without a result, an object raised in this process with its
+type and message, so it is the same on any number of CPUs.  One bin,
+whether of one job, on one CPU or on a platform without ``os.fork``,
+runs here with no child; no jobs run nothing.
 
 Each child is pinned to a CPU of its own, and this process to the
 first, for the spread.  Left to the scheduler, the processes forked at
@@ -67,13 +71,24 @@ def _pin(cpu: int) -> None:
         pass
 
 
+def _run_until_raised(run, jobs: list, done: list) -> Exception | None:
+    """Append ``run(job)`` of each job to ``done`` until one raises: its error, or None."""
+    for job in jobs:
+        try:
+            done.append(run(job))
+        except Exception as exc:
+            return exc
+    return None
+
+
 def _fork(run, jobs: list, cpu: int):
     """A child on ``cpu`` that pickles ``run(job)`` of each job down a pipe: its pid and pipe.
 
-    The child leaves by ``os._exit``, so it never returns into the caller
-    and runs no exit hooks; an error there is exit status 1, and a child
-    that exits 0 has written its whole result.  None if the fork is
-    refused.
+    The child stops at the first job that raises and sends the results
+    before it.  It leaves by ``os._exit``, so it never returns into the
+    caller and runs no exit hooks; an error there is exit status 1, and
+    a child that exits 0 has written its whole result.  None if the
+    fork is refused.
     """
     read, write = os.pipe()
     try:
@@ -87,8 +102,10 @@ def _fork(run, jobs: list, cpu: int):
         try:
             os.close(read)
             _pin(cpu)
+            done = []
+            _run_until_raised(run, jobs, done)
             with open(write, "wb") as pipe:
-                pickle.dump([run(job) for job in jobs], pipe, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(done, pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -100,10 +117,13 @@ def spread(run, jobs: list) -> list:
     """``run(job)`` of every job, in job order, its bins dealt round-robin.
 
     Job i runs in bin i mod min(``cpus()``, jobs): bin 0 here, each
-    other bin in a forked child.  A child that fails, by a nonzero exit
-    or a refused fork, has its bin run again here, so that its error is
-    raised here with its type and message.  Every child is reaped, and
-    this process's CPU mask restored, before this returns or raises.
+    other bin in a forked child.  A job that raised in a child runs
+    again here with the rest of its bin, and a child that failed by a
+    nonzero exit or a refused fork has its whole bin run here, so that
+    the first job in job order that raises has its error raised here,
+    with its type and message, on any number of CPUs.  Every child is
+    reaped, and this process's CPU mask restored, before this returns
+    or raises.
     """
     count = min(cpus(), len(jobs))
     if count <= 1:
@@ -115,17 +135,20 @@ def spread(run, jobs: list) -> list:
     reaped = set()
     try:
         _pin(allowed[0])
-        done = [[run(job) for job in bins[0]]]
-        for part, child in zip(bins[1:], children):
+        done = [[] for _ in bins]
+        errors = [_run_until_raised(run, bins[0], done[0])]
+        for b, (part, child) in enumerate(zip(bins[1:], children), 1):
             if child is not None:
                 pid, pipe = child
                 data = pipe.read()
                 status = os.waitpid(pid, 0)[1]
                 reaped.add(pid)
                 if status == 0:
-                    done.append(pickle.loads(data))
-                    continue
-            done.append([run(job) for job in part])
+                    done[b] = pickle.loads(data)
+            errors.append(_run_until_raised(run, part[len(done[b]) :], done[b]))
+        for i in range(len(jobs)):
+            if i // count == len(done[i % count]):
+                raise errors[i % count]
         return [done[i % count][i // count] for i in range(len(jobs))]
     finally:
         try:

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from speclab import fdlab
 from speclab.cli import (
-    BACKENDS,
     BLOCK_FIELDS,
     CAP_FIELDS,
     CHECK_FIELDS,
@@ -42,13 +41,12 @@ from speclab.cli import (
     run_config,
 )
 from speclab.fdlab import (
-    CapDomain,
     DegenerateDomainError,
     assemble_laplacian,
     disk_domain,
     read_mask_file,
 )
-from speclab.spectra import ProblemKind
+from speclab.spectra import LENGTH_RANGE, ProblemKind
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -152,7 +150,7 @@ def config_objects(config):
     for block in config["experiments"]:
         yield block, BLOCK_FIELDS
         yield block["domain"], DOMAINS[block["domain"]["type"]].fields
-        yield block["backend"], BACKENDS[block["backend"]["type"]]
+        yield block["backend"], DOMAINS[block["domain"]["type"]].backends[block["backend"]["type"]]
         for check in block.get("checks", []):
             fields = CHECKS[check["type"]].fields
             yield check, {key: (default, CHECK_FIELDS[key]) for key, default in fields.items()}
@@ -464,7 +462,7 @@ class TestParseConfig:
         if field == "count":
             assert exp.count == size
         elif field == "points":
-            assert exp.backend["cap"].points == size
+            assert exp.backend["points"] == size
         elif field == "chain":
             assert exp.checks[0]["points"] == size
         else:
@@ -946,6 +944,39 @@ def cap_block(checks):
     }
 
 
+#: The backend types each domain type takes, and a minimal domain object of each.
+DOMAIN_ROWS = {
+    "interval": (["analytic", "fd"], {"length": 1.0}),
+    "rect": (["analytic", "fd"], {"a": 1.0, "b": 1.0}),
+    "disk": (["analytic", "fd"], {}),
+    "lshape": (["fd"], {"a": 1.0, "b": 1.0}),
+    "cap": (["cap"], {"delta": 1.0}),
+    "mask": (["fd"], {"path": "square.mask"}),
+}
+
+
+@pytest.mark.parametrize("btype", ["analytic", "fd", "cap"])
+@pytest.mark.parametrize("dtype", DOMAIN_ROWS)
+def test_a_block_parses_exactly_when_its_domain_row_lists_its_backend(
+    tmp_path, monkeypatch, dtype, btype
+):
+    monkeypatch.chdir(tmp_path)
+    Path("square.mask").write_text("h 0.125\n" + "#######\n" * 7)
+    takes, fields = DOMAIN_ROWS[dtype]
+    assert list(DOMAINS[dtype].backends) == takes
+    # a mask file carries its own h
+    backend = {"type": btype, "h": [0.0625]} if btype == "fd" and dtype != "mask" else {"type": btype}
+    block = {"name": "minimal", "domain": {"type": dtype, **fields}, "kinds": ["dirichlet"]}
+    payload = json.dumps({"experiments": [{**block, "backend": backend}]})
+    if btype in takes:
+        (exp,) = parse_config(payload)
+        # the parsed backend is its fields, nothing added
+        assert set(exp.backend) == {"type", *DOMAINS[dtype].backends[btype]}
+    else:
+        with pytest.raises(ConfigError, match=f"{btype} backend does not support domain {dtype!r}$"):
+            parse_config(payload)
+
+
 def analytic_block(domain, kinds, checks, count=6):
     return {
         "name": domain["type"],
@@ -1078,6 +1109,22 @@ class TestGridsBuiltWhileParsing:
         message = f"spans a box of {side * side} lattice nodes, above the grid ceiling"
         self.refused(tmp_path, capsys, {"experiments": [mask_block(path)]}, message)
 
+    @pytest.mark.parametrize("h", [1e-200, 1e-80, 1.5e-4, 250.0, 1e80, 1e150])
+    def test_mask_file_outside_the_length_range_refused(self, tmp_path, capsys, h):
+        # 4 rows of 5 nodes span 5 h; these ran into a singular factor or
+        # an overflow after RuntimeWarnings, at run time, before
+        path = tmp_path / "block.mask"
+        path.write_text(f"h {h!r}\n" + "#####\n" * 4)
+        message = f"spans {5 * h:g} at h={h:g}, not a length in [0.001, 1000]"
+        self.refused(tmp_path, capsys, {"experiments": [mask_block(path)]}, message)
+
+    @pytest.mark.parametrize("h, end", [(2e-4, 0), (200.0, 1)])
+    def test_mask_file_at_the_ends_of_the_length_range_accepted(self, tmp_path, h, end):
+        path = tmp_path / "block.mask"
+        path.write_text(f"h {h!r}\n" + "#####\n" * 4)
+        (exp,) = parse_config(json.dumps({"experiments": [mask_block(path)]}))
+        assert 5 * exp.grids[0].h == LENGTH_RANGE[end]
+
     def test_part_too_coarse_at_a_mask_files_h(self, tmp_path, capsys):
         # parts on a mask domain were not checked while parsing, before
         path = tmp_path / "ell.mask"
@@ -1122,7 +1169,7 @@ class TestGridsBuiltWhileParsing:
         out = tmp_path / "out"
         assert run_config(experiments, out) == 0
         assert len(built) == 5
-        assert experiments[0].backend["h"] == [0.125] and experiments[1].backend["h"] == [0.25, 0.125]
+        assert [[grid.h for grid in exp.grids] for exp in experiments] == [[0.125], [0.25, 0.125]]
         rows = list(csv.DictReader(open(out / "levels.spectra.csv", newline="")))
         assert [row["h"] for row in rows] == ["0.25"] * 6 + ["0.125"] * 6
 
@@ -1438,9 +1485,9 @@ class TestChecksResolvedBeforeRunning:
         fd = {**interval_block(), "backend": {"type": "fd", "h": [0.125, 0.25, 1]}}
         fd["domain"] = {"type": "interval", "length": 20.0}
         exps = parse_config(json.dumps({"experiments": [fd, cap_block([])]}))
-        assert exps[0].backend["h"] == [1.0, 0.25, 0.125]
-        assert all(isinstance(h, float) for h in exps[0].backend["h"])
-        assert exps[1].backend["cap"] == CapDomain(1.0, 100)
+        assert [grid.h for grid in exps[0].grids] == [1.0, 0.25, 0.125]
+        assert all(isinstance(grid.h, float) for grid in exps[0].grids)
+        assert (exps[1].domain["delta"], exps[1].backend) == (1.0, {"type": "cap", "points": 100})
 
     def test_parse_leaves_the_callers_checks_alone(self):
         check = {"type": "decomposition", "parts": [{"type": "rect", "a": 0.5, "b": 1}]}

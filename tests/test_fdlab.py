@@ -301,6 +301,85 @@ class TestOperators:
             assemble_laplacian(d, ProblemKind.CLAMPED)
 
 
+def clamped_factor(mask: np.ndarray) -> sp.csr_matrix:
+    """G, in integer stencil units, node by node: the clamped bilaplacian is GᵀG/h⁴.
+
+    Its rows are the Dirichlet Laplacian (d on the diagonal, -1 to each
+    present neighbour); one row per wall node beside the mask, with a 1
+    on each of its mask neighbours; and one row e_i per step from node i
+    onto a wall node with wall behind it, the mirror ghost.  Steps run
+    along the axes the mask spans, as the assembler's do.
+    """
+    axes = [unit for unit, size in zip([(1, 0), (0, 1)], mask.shape) if size > 1]
+    steps = [(sign * dy, sign * dx) for dy, dx in axes for sign in (1, -1)]
+    index = {(int(y), int(x)): i for i, (y, x) in enumerate(np.argwhere(mask))}
+
+    def at(node, step, times=1):
+        return node[0] + times * step[0], node[1] + times * step[1]
+
+    rows = []
+    for node, i in index.items():
+        row = {index[at(node, s)]: -1 for s in steps if at(node, s) in index}
+        rows.append({i: len(steps), **row})
+    walls = dict.fromkeys(at(node, s) for node in index for s in steps if at(node, s) not in index)
+    rows += [{index[at(wall, s)]: 1 for s in steps if at(wall, s) in index} for wall in walls]
+    for node, i in index.items():
+        rows += [{i: 1} for s in steps if at(node, s) not in index and at(node, s, 2) not in index]
+    coords = [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()]
+    r, c, v = map(np.array, zip(*coords))
+    return sp.csr_matrix((v.astype(float), (r, c)), shape=(len(rows), len(index)))
+
+
+def random_mask(seed: int) -> np.ndarray:
+    """A seeded mask with holes and one-node walls between its regions."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((rng.integers(6, 14), rng.integers(6, 14))) < 0.75
+    mask[:, rng.integers(mask.shape[1])] = False
+    return mask
+
+
+class TestClampedFactor:
+    """The clamped bilaplacian is GᵀG/h⁴ bit for bit, G built in the test only."""
+
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            rectangle_domain(1.0, 1.0, 0.25),
+            rectangle_domain(1.0, 0.75, 1.0 / 16.0),
+            rectangle_domain(0.3, 2.0, 0.1),
+            lshape_domain(1.0, 1.0, 1.0 / 160.0, notch=39.0 / 80.0),
+            lshape_domain(1.0, 0.8, 1.0 / 20.0),
+            disk_domain(1.0, 0.25),
+            disk_domain(1.0, 1.0 / 12.0),
+            interval_domain(1.0, 1.0 / 16.0),
+            GridDomain(h=0.125, mask=np.ones((12, 1), dtype=bool), origin=(0.0, 0.0)),
+            *[GridDomain(h=0.5, mask=random_mask(seed), origin=(0.0, 0.0)) for seed in range(12)],
+        ],
+        ids=lambda d: d.descriptor if d.descriptor != "mask" else None,
+    )
+    def test_bilaplacian_is_the_factor_squared(self, domain):
+        factor = clamped_factor(domain.mask)
+        ours = (factor.T @ factor).tocsr() / domain.h**4
+        theirs = assemble_bilaplacian_clamped(domain).matrix.tocsr()
+        for matrix in (ours, theirs):
+            matrix.sort_indices()
+        assert np.array_equal(ours.indptr, theirs.indptr)
+        assert np.array_equal(ours.indices, theirs.indices)
+        assert ours.data.tobytes() == theirs.data.tobytes()
+
+    def test_random_masks_have_holes_and_one_node_walls(self):
+        # a wall node with mask on all four sides, and one with mask on both sides of one axis
+        holes = walls = 0
+        for seed in range(12):
+            padded = np.pad(random_mask(seed), 1)
+            inside = padded[1:-1, 1:-1]
+            up, down = padded[:-2, 1:-1], padded[2:, 1:-1]
+            left, right = padded[1:-1, :-2], padded[1:-1, 2:]
+            holes += np.count_nonzero(~inside & up & down & left & right)
+            walls += np.count_nonzero(~inside & ((up & down) | (left & right)))
+        assert holes and walls > holes
+
+
 class TestSolver:
     def test_diagonal_matrix(self):
         op = SparseSymOperator(sp.diags([3.0, 1.0, 2.0, 5.0, 4.0, 6.0, 7.0, 8.0, 9.0]).tocsr())

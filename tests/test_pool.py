@@ -56,3 +56,33 @@ def test_a_failed_child_has_its_bin_run_here():
 
     jobs = list(range(4))
     assert pool.spread(run, jobs) == [(job, here) for job in jobs]
+
+
+def test_a_job_that_raised_in_a_child_runs_here_with_the_rest_of_its_bin():
+    here = os.getpid()
+
+    def run(job):
+        if job == 3 and os.getpid() != here:
+            raise ArithmeticError("failed in the child")
+        return job, os.getpid()
+
+    jobs, pids = zip(*pool.spread(run, list(range(6))))
+    # bin 1 holds jobs 1, 3 and 5: job 1 came from the child, 3 and 5 ran here
+    assert jobs == tuple(range(6))
+    assert pids[1] != here and pids[:1] + pids[2:] == (here,) * 5
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_first_failing_job_in_job_order_raises_here(monkeypatch, cpus):
+    # on two CPUs job 2 fails in bin 0 here and job 1 in the child
+    monkeypatch.setattr(pool, "cpus", lambda: cpus)
+    here = os.getpid()
+
+    def run(job):
+        if job in (1, 2):
+            raise ArithmeticError(job, os.getpid())
+        return job
+
+    with pytest.raises(ArithmeticError) as info:
+        pool.spread(run, [0, 1, 2, 3])
+    assert info.value.args == (1, here)

@@ -50,7 +50,6 @@ def rect_spectrum(a: float, b: float, kind: ProblemKind, count: int) -> Spectrum
         domain=f"rect({a:g}x{b:g})",
         values=np.sort(values)[:count],
         source="analytic",
-        trusted_count=count,
     )
 
 
@@ -136,5 +135,4 @@ def disk_spectrum(radius: float, kind: ProblemKind, count: int) -> Spectrum:
         domain=f"disk(R={radius:g})",
         values=values,
         source="analytic",
-        trusted_count=count,
     )

@@ -163,16 +163,12 @@ class ChainReport(Record):
     uncertainty: dict[str, list[float]] | None
 
 
-def inequality_chain_check(
-    spectra: dict[ProblemKind, Spectrum],
-    count: int,
-    uncertainties: dict[ProblemKind, np.ndarray] | None = None,
-) -> ChainReport:
+def inequality_chain_check(spectra: dict[ProblemKind, Spectrum], count: int) -> ChainReport:
     """Check mu_k < lambda_k < Gamma_k < Lambda_k for k = 1..count.
 
-    A margin passes when it exceeds the summed uncertainty of its two
-    endpoints, so grid error can never produce a false strictness claim.
-    Analytic spectra default to zero uncertainty.
+    A margin passes when it exceeds the summed ``uncertainty`` bars of its
+    two endpoints, so grid error can never produce a false strictness
+    claim.  A spectrum without bars adds no slack.
     """
     missing = [k.value for k in CHAIN_ORDER if k not in spectra]
     if missing:
@@ -184,29 +180,17 @@ def inequality_chain_check(
             f"count {count} exceeds the common trusted count {limit}"
         )
 
-    def unc(kind: ProblemKind) -> np.ndarray:
-        """The kind's uncertainty at each index, a short bank's last entry reused."""
-        if uncertainties is None or kind not in uncertainties:
-            return np.zeros(count)
-        bank = np.asarray(uncertainties[kind], dtype=float)
-        return bank[np.minimum(np.arange(count), len(bank) - 1)]
-
+    bars = {k: s.uncertainty[:count] for k, s in spectra.items() if s.uncertainty is not None}
     vals = [spectra[k].values[:count].tolist() for k in CHAIN_ORDER]
-    slack = [unc(k) for k in CHAIN_ORDER]
+    slack = [bars.get(k, 0.0) for k in CHAIN_ORDER]
     margins, passes = zip(*(links(vals[j], vals[j + 1], slack[j] + slack[j + 1]) for j in range(3)))
     rows = [
         ChainRow(idx + 1, *row, margins=m, passes=p)
         for idx, (row, m, p) in enumerate(zip(zip(*vals), zip(*margins), zip(*passes)))
     ]
-
-    unc_out = None
-    if uncertainties is not None:
-        unc_out = {
-            k.value: [float(v) for v in np.asarray(u)[:count]]
-            for k, u in uncertainties.items()
-        }
     ok = all(all(row.passes) for row in rows)
-    return ChainReport(domain=domain, ok=ok, rows=rows, uncertainty=unc_out)
+    unc = {k.value: u.tolist() for k, u in bars.items()} or None
+    return ChainReport(domain=domain, ok=ok, rows=rows, uncertainty=unc)
 
 
 @dataclass(frozen=True)

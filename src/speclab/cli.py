@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -429,9 +429,9 @@ class CheckType:
     ``boundary`` is the experiment's.  The experiment needs
     all ``kinds``, ``min_count`` values, one of ``backends`` and ``domains``
     and ``min_dim`` dimensions; ``membrane`` limits ``kind`` to membrane
-    kinds.  ``run`` takes (check, experiment, finest grid, finest spectra,
-    uncertainties) and returns the report fields and a verdict, which is
-    asserted where ``asserted`` is set.
+    kinds.  ``run`` takes (check, experiment, finest spectra) and returns
+    the report fields and a verdict, which is asserted where ``asserted``
+    is set.
     """
 
     verb: str
@@ -450,11 +450,11 @@ def _judged(report) -> tuple[dict, bool]:
     return report.as_dict(), report.ok
 
 
-def _chain(check, exp, grid, finest, unc):
-    return _judged(analytics.inequality_chain_check(finest, exp.count, uncertainties=unc))
+def _chain(check, exp, finest):
+    return _judged(analytics.inequality_chain_check(finest, exp.count))
 
 
-def _counting_chain(check, exp, grid, finest, unc):
+def _counting_chain(check, exp, finest):
     taus = check["taus"]
     if taus is None:
         edge = min(analytics.trusted_edge(s) for s in finest.values())
@@ -462,18 +462,19 @@ def _counting_chain(check, exp, grid, finest, unc):
     return _judged(analytics.counting_chain_check(finest, taus))
 
 
-def _payne(check, exp, grid, finest, unc):
+def _payne(check, exp, finest):
     dirichlet, buckling = finest[ProblemKind.DIRICHLET], finest[ProblemKind.BUCKLING]
     rep = analytics.payne_scan(dirichlet, buckling, exp.count - 1)
     return rep.as_dict(), rep.holds_all
 
 
-def _decomposition(check, exp, grid, finest, unc):
+def _decomposition(check, exp, finest):
     buckling = finest[ProblemKind.BUCKLING]
-    return _judged(analytics.decomposition_check(grid, check["parts"], buckling, check["count"]))
+    parts = check["parts"]
+    return _judged(analytics.decomposition_check(exp.grids[-1], parts, buckling, check["count"]))
 
 
-def _sharpness(check, exp, grid, finest, unc):
+def _sharpness(check, exp, finest):
     neumann, dirichlet = ProblemKind.NEUMANN, ProblemKind.DIRICHLET
     caps = [
         (c.delta, cap_spectrum(c, neumann, 2), cap_spectrum(c, dirichlet, 1)) for c in check["caps"]
@@ -481,7 +482,7 @@ def _sharpness(check, exp, grid, finest, unc):
     return _judged(analytics.sharpness_report(finest, caps))
 
 
-def _weyl(check, exp, grid, finest, unc):
+def _weyl(check, exp, finest):
     spectrum, rtol = finest[check["kind"]], check["rtol"]
     edge = analytics.trusted_edge(spectrum)
     window = check["window"] or (edge / 10.0, edge)
@@ -489,7 +490,7 @@ def _weyl(check, exp, grid, finest, unc):
     return rep.as_dict(), None if rtol is None else abs(rep.ratio - 1.0) <= rtol
 
 
-def _weyl2(check, exp, grid, finest, unc):
+def _weyl2(check, exp, finest):
     spectrum, rtol = finest[check["kind"]], check["rtol"]
     edge = analytics.trusted_edge(spectrum)
     window = check["window"] or (edge / 10.0, edge)
@@ -499,7 +500,7 @@ def _weyl2(check, exp, grid, finest, unc):
     return {**rep.as_dict(), "rtol": rtol}, ok
 
 
-def _heat(check, exp, grid, finest, unc):
+def _heat(check, exp, finest):
     args = (check["volume"], check["boundary"], check["times"], check["dim"], check["rtol"])
     return _judged(analytics.heat_trace_check(finest[check["kind"]], *args))
 
@@ -701,11 +702,11 @@ def _compute_spectra(exp: Experiment, closed: dict):
 
     ``closed`` holds the spectra of the analytic and cap backends, or
     their errors, from ``_closed_forms``; the first error, in kind order,
-    is raised as ``_Failed``.  Returns (per_level, uncertainties):
-    ``per_level`` pairs each fd grid, coarsest first, with its
-    kind-indexed spectra (the grid is None on the other backends), and
-    the last level is the one checks run on.  ``uncertainties`` holds
-    two-grid error estimates when two or more mesh widths were given.
+    is raised as ``_Failed``.  Returns the levels: each fd grid, coarsest
+    first, paired with its kind-indexed spectra (the grid is None on the
+    other backends).  The last level is the one checks run on; when two
+    or more mesh widths were given, each of its spectra carries its
+    two-grid ``uncertainty`` against the level before.
     """
     if exp.backend["type"] != "fd":
         spectra = {kind: closed[exp.name, kind] for kind in exp.kinds}
@@ -719,19 +720,17 @@ def _compute_spectra(exp: Experiment, closed: dict):
 
         per_level = [(grid, fd_spectra(grid, exp.kinds, exp.count)) for grid in exp.grids]
 
-    uncertainties = None
     if len(per_level) >= 2:
         coarse, finest = per_level[-2][1], per_level[-1][1]
-        uncertainties = {
-            kind: analytics.two_grid_uncertainty(coarse[kind], finest[kind], exp.count)
-            for kind in exp.kinds
-        }
-    return per_level, uncertainties
+        for kind, spectrum in finest.items():
+            bars = analytics.two_grid_uncertainty(coarse[kind], spectrum, exp.count)
+            finest[kind] = replace(spectrum, uncertainty=bars)
+    return per_level
 
 
-def _run_check(check: dict, exp: Experiment, grid, finest, uncertainties) -> dict:
+def _run_check(check: dict, exp: Experiment, finest) -> dict:
     spec = CHECKS[check["type"]]
-    fields, verdict = spec.run(check, exp, grid, finest, uncertainties)
+    fields, verdict = spec.run(check, exp, finest)
     ok = verdict if spec.asserted else None
     return {**fields, "asserted": ok is not None, "ok": ok}
 
@@ -740,8 +739,8 @@ def run_experiment(exp: Experiment, check_types: frozenset[str], closed: dict) -
     """Compute the experiment's fd spectra, or take its ``closed`` ones; run its selected checks."""
     result = ExperimentResult(name=exp.name)
     try:
-        per_level, uncertainties = _compute_spectra(exp, closed)
-        grid, finest = per_level[-1]
+        per_level = _compute_spectra(exp, closed)
+        finest = per_level[-1][1]
         for level, spectra in per_level:
             for kind in exp.kinds:
                 spectrum = spectra[kind]
@@ -755,11 +754,8 @@ def run_experiment(exp: Experiment, check_types: frozenset[str], closed: dict) -
                             _fmt(level.h) if level is not None else "",
                         )
                     )
-        checks = [
-            _run_check(check, exp, grid, finest, uncertainties)
-            for check in exp.checks
-            if check["type"] in check_types
-        ]
+        selected = [check for check in exp.checks if check["type"] in check_types]
+        checks = [_run_check(check, exp, finest) for check in selected]
         result.report = _round12(
             {
                 "name": exp.name,

@@ -163,5 +163,4 @@ def cap_spectrum(
         domain=domain.descriptor,
         values=out,
         source=f"cap(n={domain.points})",
-        trusted_count=len(out),
     )

@@ -171,7 +171,10 @@ def lshape_domain(
 def read_mask_file(path: str | Path) -> GridDomain:
     """Read a domain from the ``h ...`` / ``#``-row text format.
 
-    A malformed file raises ValueError; naming the path is left to the caller.
+    Rows shorter than the widest are padded with wall.  Blank lines may
+    follow the last row, but a blank line before it is refused rather
+    than read as the end of a row.  A malformed file raises ValueError
+    naming the file line at fault; naming the path is left to the caller.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -182,9 +185,15 @@ def read_mask_file(path: str | Path) -> GridDomain:
         h = float(parts[1])
     except ValueError as exc:
         raise ValueError(f"bad spacing {parts[1]!r}") from exc
-    rows = [line for line in lines[1:] if line.strip()]
+    rows = lines[1:]
+    while rows and not rows[-1].strip():
+        rows.pop()
     if not rows:
         raise ValueError("no mask rows")
+    # rows[j] is file line j + 2
+    blank = [j for j, row in enumerate(rows) if not row.strip()]
+    if blank:
+        raise ValueError(f"line {blank[0] + 2} is blank, before the last row")
     width = max(len(r) for r in rows)
     cells = np.array([row.ljust(width, ".") for row in rows]).view("U1").reshape(len(rows), -1)
     mask = cells == "#"

@@ -88,6 +88,5 @@ def interval_spectrum(length: float, kind: ProblemKind, count: int) -> Spectrum:
         domain=f"interval(L={length:g})",
         values=values,
         source="analytic",
-        trusted_count=count,
     )
 

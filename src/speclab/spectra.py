@@ -151,6 +151,11 @@ class Spectrum:
             ``fd(h=0.025)``.
         trusted_count: how many leading values are deemed reliable;
             counting queries refuse to look past this index.
+        uncertainty: one nonnegative error bar per value, or None where
+            the values carry none.  The finest grid of a multi-width fd
+            run carries its two-grid bars |e_k(h_coarse) - e_k(h_fine)|,
+            which the chain check takes as its links' slack.  It is left
+            out of ``repr`` and of equality.
     """
 
     kind: ProblemKind
@@ -158,6 +163,7 @@ class Spectrum:
     values: np.ndarray
     source: str
     trusted_count: int = field(default=0)
+    uncertainty: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.kind = ProblemKind(self.kind)
@@ -174,6 +180,12 @@ class Spectrum:
             raise ValueError(
                 f"trusted_count must lie in [1, {self.values.size}], got {self.trusted_count}"
             )
+        if self.uncertainty is not None:
+            self.uncertainty = np.asarray(self.uncertainty, dtype=float)
+            if self.uncertainty.shape != self.values.shape:
+                raise ValueError("spectrum uncertainty needs one error bar per value")
+            if not np.all(self.uncertainty >= 0):
+                raise ValueError("spectrum uncertainty must be nonnegative, not nan")
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -108,8 +109,10 @@ class TestInequalityChain:
         assert report.as_dict()["check"] == "chain"
 
     def test_large_uncertainty_defeats_margins(self):
-        unc = {ProblemKind.DIRICHLET: np.full(5, 100.0)}
-        report = inequality_chain_check(self.disk_spectra(), count=5, uncertainties=unc)
+        spectra = self.disk_spectra()
+        dirichlet = spectra[ProblemKind.DIRICHLET]
+        spectra[ProblemKind.DIRICHLET] = replace(dirichlet, uncertainty=np.full(5, 100.0))
+        report = inequality_chain_check(spectra, count=5)
         assert not report.ok
         # only the two comparisons touching the dirichlet values fail
         for row in report.rows:
@@ -117,10 +120,33 @@ class TestInequalityChain:
             assert row.passes[2]
         assert report.uncertainty == {"dirichlet": [100.0] * 5}
 
-    def test_short_uncertainty_bank_reuses_last_entry(self):
-        unc = {ProblemKind.NEUMANN: np.array([1e6])}
-        report = inequality_chain_check(self.disk_spectra(), count=3, uncertainties=unc)
+    def test_bars_are_read_up_to_the_count(self):
+        spectra = self.disk_spectra()
+        neumann = spectra[ProblemKind.NEUMANN]
+        spectra[ProblemKind.NEUMANN] = replace(neumann, uncertainty=[1e6, 1e6, 1e6, 0.0, 0.0])
+        report = inequality_chain_check(spectra, count=3)
         assert all(not row.passes[0] for row in report.rows)
+        assert report.uncertainty == {"neumann": [1e6] * 3}
+        assert inequality_chain_check(self.disk_spectra(), count=3).uncertainty is None
+
+    @pytest.mark.parametrize(
+        "bars, reason",
+        [
+            ([1e6], "one error bar per value"),
+            (np.zeros((5, 1)), "one error bar per value"),
+            ([0.0, 0.0, -1e-9, 0.0, 0.0], "nonnegative"),
+            ([0.0, math.nan, 0.0, 0.0, 0.0], "nonnegative, not nan"),
+        ],
+        ids=["short", "2-d", "negative", "nan"],
+    )
+    def test_spectrum_refuses_malformed_bars(self, bars, reason):
+        neumann = self.disk_spectra()[ProblemKind.NEUMANN]
+        with pytest.raises(ValueError, match=reason):
+            replace(neumann, uncertainty=bars)
+        kept = replace(neumann, uncertainty=[0.0, 1.0, 2.0, 3.0, math.inf])
+        # the bars stay out of repr and equality
+        assert kept == neumann and repr(kept) == repr(neumann)
+        assert kept.uncertainty.dtype == float and neumann.uncertainty is None
 
     def test_missing_kind_rejected(self):
         spectra = self.disk_spectra()

@@ -22,7 +22,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speclab import fdlab
+from speclab import cli, fdlab
 from speclab.cli import (
     BLOCK_FIELDS,
     CAP_FIELDS,
@@ -809,6 +809,40 @@ class TestMainRuns:
         assert len(lines) == 1 + 2 * 4 * 4
         assert {line.split(",")[4] for line in lines[1:]} == {"0.0625", "0.03125"}
 
+    def test_only_the_finest_of_two_grids_carries_bars(self):
+        kinds = ["neumann", "dirichlet", "clamped", "buckling"]
+        blocks = [
+            {
+                "name": name,
+                "domain": domain,
+                "kinds": kinds,
+                "backend": backend,
+                "count": 4,
+                "checks": [{"type": "chain"}],
+            }
+            for name, domain, backend in (
+                ("two", {"type": "rect", "a": 1.0, "b": 1.0}, {"type": "fd", "h": [0.0625, 0.125]}),
+                ("one", {"type": "rect", "a": 1.0, "b": 1.0}, {"type": "fd", "h": [0.125]}),
+                ("disk", {"type": "disk"}, {"type": "analytic"}),
+            )
+        ]
+        experiments = parse_config(json.dumps({"experiments": blocks}))
+        closed = cli._closed_forms(experiments)
+        (_, coarse), (_, finest) = cli._compute_spectra(experiments[0], closed)
+        for kind in ProblemKind:
+            assert coarse[kind].uncertainty is None
+            bars = np.abs(coarse[kind].values - finest[kind].values)
+            assert np.array_equal(finest[kind].uncertainty, bars)
+        for exp in experiments[1:]:
+            [(_, spectra)] = cli._compute_spectra(exp, closed)
+            assert all(s.uncertainty is None for s in spectra.values())
+        chains = [
+            cli.run_experiment(exp, cli.VERB_CHECKS["verify"], closed).report["checks"][0]
+            for exp in experiments
+        ]
+        assert list(chains[0]["uncertainty"]) == kinds
+        assert [chain["uncertainty"] for chain in chains[1:]] == [None, None]
+
     def test_square_report_keeps_every_copy_of_a_multiple_value(self, tmp_path):
         # the unit square at h = 1/16 has 15 x 15 nodes and the Neumann
         # values 4/h^2 (sin^2(i pi / 30) + sin^2(j pi / 30)); 267.188428424
@@ -1090,8 +1124,10 @@ class TestGridsBuiltWhileParsing:
             (b"h 0.25\n\xff##\n###\n###\n", "'utf-8' codec can't decode byte 0xff"),
             (b"h 0.25\n###\n#x#\n###\n", "row 3 has invalid character 'x'"),
             (b"###\n###\n###\n", "first line must be 'h <spacing>'"),
+            # read as one 4x5 block of 20 unknowns before
+            (b"h 0.1\n#####\n#####\n\n#####\n#####\n", "line 4 is blank, before the last row"),
         ],
-        ids=["missing", "not-utf-8", "bad-character", "no-header"],
+        ids=["missing", "not-utf-8", "bad-character", "no-header", "blank-line"],
     )
     def test_unreadable_mask_file_names_its_path(self, tmp_path, capsys, content, reason):
         path = tmp_path / "dom.mask"

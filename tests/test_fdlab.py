@@ -162,6 +162,34 @@ class TestGridDomains:
         with pytest.raises(ValueError, match="invalid character"):
             read_mask_file(path)
 
+    # a blank line between rows was dropped, joining the rows around it
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("h 0.1\n#####\n#####\n\n#####\n#####\n", 4),
+            ("h 0.1\n\n##x##\n#####\n", 2),
+            ("h 0.1\n#####\n   \n#####\n#####\n", 3),
+        ],
+        ids=["between-rows", "after-header", "spaces-only"],
+    )
+    def test_mask_file_refuses_a_blank_line_before_the_last_row(self, tmp_path, text, line):
+        path = tmp_path / "gap.mask"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^line {line} is blank, before the last row$"):
+            read_mask_file(path)
+
+    def test_mask_file_rows_are_named_by_their_file_line(self, tmp_path):
+        path = tmp_path / "bad.mask"
+        path.write_text("h 0.1\n#####\n#####\n##x##\n\n \n")
+        with pytest.raises(ValueError, match="^row 4 has invalid character 'x'$"):
+            read_mask_file(path)
+
+    def test_mask_file_pads_short_rows_with_wall_and_allows_trailing_blanks(self, tmp_path):
+        path = tmp_path / "ragged.mask"
+        path.write_text("h 0.25\n####\n##\n####\n\n\n")
+        expected = np.array([[c == "#" for c in row] for row in ("####", "##..", "####")])
+        assert np.array_equal(read_mask_file(path).mask, expected)
+
     def test_mask_file_requires_header(self, tmp_path):
         path = tmp_path / "bad.mask"
         path.write_text("###\n###\n###\n")

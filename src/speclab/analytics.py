@@ -7,10 +7,9 @@ Every inequality between two spectra, in the chain, payne, sharpness and
 decomposition checks, is one ``links`` call: its margins and verdicts are
 the rows' margins and verdicts, and a shifted index is a slice of the
 values passed in.  Everything here consumes immutable Spectrum values and
-returns ``Record`` reports.  Every report and row serializes through the one
-``Record.as_dict``: the class's ``check`` name first, then its fields in
-declaration order, so a report's field order is its JSON layout and its
-verdict is a field set by the function that builds it.  The one solve made
+returns the plain dict it reports: its ``check`` name first, then its
+fields in the order the JSON shows them, with its verdict among them.  A
+report's rows are plain dicts too, with no ``check``.  The one solve made
 here is the decomposition check's: it takes the whole domain's buckling
 spectrum from its caller and solves only the parts.  Its partition rule,
 ``check_partition``, needs no spectrum, so a config's parts are judged
@@ -24,8 +23,6 @@ discretization artifacts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import ClassVar
 
 import numpy as np
 
@@ -50,34 +47,6 @@ class TruncationError(ValueError):
 
 class PartitionError(ValueError):
     """Decomposition parts overlap or escape the containing domain."""
-
-
-@dataclass(frozen=True)
-class Record:
-    """A report or row whose fields, in order, are its JSON layout."""
-
-    #: The JSON ``check`` name a report leads with; rows have none.
-    check: ClassVar[str | None] = None
-
-    def as_dict(self) -> dict:
-        """The ``check`` name, then every field under its ``key`` metadata or name.
-
-        Nested records become dicts, tuples and arrays become lists.
-        """
-        out = {} if self.check is None else {"check": self.check}
-        for f in fields(self):
-            out[f.metadata.get("key", f.name)] = _plain(getattr(self, f.name))
-        return out
-
-
-def _plain(value):
-    if isinstance(value, Record):
-        return value.as_dict()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
 
 
 def ball_volume(dim: int) -> float:
@@ -139,36 +108,23 @@ def links(lower, upper, slack=0.0, strict=True) -> tuple[list[float], list[bool]
     return margins.tolist(), verdicts.tolist()
 
 
-@dataclass(frozen=True)
-class ChainRow(Record):
-    """One index of the chain mu_k < lambda_k < Gamma_k < Lambda_k."""
-
-    k: int
-    mu: float
-    lam: float = field(metadata={"key": "lambda"})
-    gamma: float
-    buck: float = field(metadata={"key": "Lambda"})
-    margins: tuple[float, float, float]
-    passes: tuple[bool, bool, bool]
+def _indexed_rows(keys: str, *columns) -> list[dict]:
+    """One row per index: ``k`` from 1, then each column's entry, under ``keys``."""
+    names = ["k", *keys.split()]
+    return [dict(zip(names, (k, *row))) for k, row in enumerate(zip(*columns), start=1)]
 
 
-@dataclass(frozen=True)
-class ChainReport(Record):
-    """Chain verdicts for one domain, margins judged against grid error."""
-
-    check = "chain"
-    domain: str
-    ok: bool
-    rows: list[ChainRow]
-    uncertainty: dict[str, list[float]] | None
-
-
-def inequality_chain_check(spectra: dict[ProblemKind, Spectrum], count: int) -> ChainReport:
+def inequality_chain_check(spectra: dict[ProblemKind, Spectrum], count: int) -> dict:
     """Check mu_k < lambda_k < Gamma_k < Lambda_k for k = 1..count.
 
     A margin passes when it exceeds the summed ``uncertainty`` bars of its
     two endpoints, so grid error can never produce a false strictness
     claim.  A spectrum without bars adds no slack.
+
+    Returns the report ``check`` ("chain"), ``domain``, ``ok``, ``rows``
+    and ``uncertainty``, each kind's bars or None where no spectrum has
+    any.  Each row holds ``k``, ``mu``, ``lambda``, ``gamma``, ``Lambda``
+    and the three links' ``margins`` and ``passes``.
     """
     missing = [k.value for k in CHAIN_ORDER if k not in spectra]
     if missing:
@@ -184,31 +140,24 @@ def inequality_chain_check(spectra: dict[ProblemKind, Spectrum], count: int) -> 
     vals = [spectra[k].values[:count].tolist() for k in CHAIN_ORDER]
     slack = [bars.get(k, 0.0) for k in CHAIN_ORDER]
     margins, passes = zip(*(links(vals[j], vals[j + 1], slack[j] + slack[j + 1]) for j in range(3)))
-    rows = [
-        ChainRow(idx + 1, *row, margins=m, passes=p)
-        for idx, (row, m, p) in enumerate(zip(zip(*vals), zip(*margins), zip(*passes)))
-    ]
-    ok = all(all(row.passes) for row in rows)
-    unc = {k.value: u.tolist() for k, u in bars.items()} or None
-    return ChainReport(domain=domain, ok=ok, rows=rows, uncertainty=unc)
+    keys = "mu lambda gamma Lambda margins passes"
+    rows = _indexed_rows(keys, *vals, zip(*margins), zip(*passes))
+    return {
+        "check": "chain",
+        "domain": domain,
+        "ok": all(all(row["passes"]) for row in rows),
+        "rows": rows,
+        "uncertainty": {k.value: u.tolist() for k, u in bars.items()} or None,
+    }
 
 
-@dataclass(frozen=True)
-class CountingChainReport(Record):
-    """N^(N) >= N^(D) >= N^(P) >= N^(B) tabulated over a tau grid."""
+def counting_chain_check(spectra: dict[ProblemKind, Spectrum], taus) -> dict:
+    """Verify N^(N) >= N^(D) >= N^(P) >= N^(B) at every tau in the grid.
 
-    check = "counting-chain"
-    domain: str
-    ok: bool
-    taus: list[float]
-    counts: dict[str, list[int]]
-    violations: list[dict]
-
-
-def counting_chain_check(
-    spectra: dict[ProblemKind, Spectrum], taus
-) -> CountingChainReport:
-    """Verify the counting chain at every tau in the grid."""
+    Returns the report ``check`` ("counting-chain"), ``domain``, ``ok``,
+    ``taus``, ``counts`` (each kind's counts at the taus) and
+    ``violations``, one ``tau``, ``pair`` and ``counts`` per broken link.
+    """
     missing = [k.value for k in CHAIN_ORDER if k not in spectra]
     if missing:
         raise ValueError(f"counting chain needs all four spectra, missing {missing}")
@@ -228,40 +177,14 @@ def counting_chain_check(
         }
         for i, j in np.argwhere(table[:-1].T < table[1:].T)
     ]
-    return CountingChainReport(
-        domain=domain,
-        ok=not violations,
-        taus=taus.tolist(),
-        counts={k.value: row.tolist() for k, row in zip(CHAIN_ORDER, table)},
-        violations=violations,
-    )
-
-
-@dataclass(frozen=True)
-class WeylFit(Record):
-    """Fitted counting-function coefficients against the theoretical ones."""
-
-    check = "weyl"
-    kind: str
-    domain: str
-    dim: int
-    volume: float
-    window: tuple[float, float]
-    points: int
-    leading: float
-    leading_theory: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class WeylTwoTermFit(WeylFit):
-    """A Weyl fit that also fits the boundary term."""
-
-    boundary: float
-    second: float
-    second_theory: float
-    second_sign_ok: bool
-    second_ratio: float
+    return {
+        "check": "counting-chain",
+        "domain": domain,
+        "ok": not violations,
+        "taus": taus.tolist(),
+        "counts": {k.value: row.tolist() for k, row in zip(CHAIN_ORDER, table)},
+        "violations": violations,
+    }
 
 
 def _weyl_samples(spectrum: Spectrum, window) -> tuple[np.ndarray, np.ndarray]:
@@ -296,19 +219,20 @@ def weyl_boundary_coefficient(dim: int, boundary: float) -> float:
 
 
 def _weyl_fields(spectrum: Spectrum, dim: int, volume: float, window, points, leading) -> dict:
-    """The ``WeylFit`` fields of a fit over ``points`` samples, leading coefficient ``leading``."""
+    """The report both Weyl fits share, over ``points`` samples with coefficient ``leading``."""
     theory = weyl_leading_coefficient(dim, volume)
-    return dict(
-        kind=spectrum.kind.value,
-        domain=spectrum.domain,
-        dim=dim,
-        volume=volume,
-        window=(float(window[0]), float(window[1])),
-        points=points,
-        leading=leading,
-        leading_theory=theory,
-        ratio=leading / theory,
-    )
+    return {
+        "check": "weyl",
+        "kind": spectrum.kind.value,
+        "domain": spectrum.domain,
+        "dim": dim,
+        "volume": volume,
+        "window": (float(window[0]), float(window[1])),
+        "points": points,
+        "leading": leading,
+        "leading_theory": theory,
+        "ratio": leading / theory,
+    }
 
 
 def _analytic_membrane(spectrum: Spectrum, what: str) -> None:
@@ -319,22 +243,31 @@ def _analytic_membrane(spectrum: Spectrum, what: str) -> None:
         raise ValueError(f"{what} needs an analytic spectrum, got source {spectrum.source!r}")
 
 
-def weyl_fit(spectrum: Spectrum, dim: int, volume: float, window) -> WeylFit:
-    """One-term least-squares fit N(tau) = c tau^(dim/2) over the window."""
+def weyl_fit(spectrum: Spectrum, dim: int, volume: float, window) -> dict:
+    """One-term least-squares fit N(tau) = c tau^(dim/2) over the window.
+
+    Returns the report ``check`` ("weyl"), ``kind``, ``domain``, ``dim``,
+    ``volume``, ``window``, ``points``, c as ``leading``,
+    ``leading_theory`` and their ``ratio``.
+    """
     taus, counts = _weyl_samples(spectrum, window)
     basis = taus ** (dim / 2.0)
     c = float(basis @ counts / (basis @ basis))
-    return WeylFit(**_weyl_fields(spectrum, dim, volume, window, len(taus), c))
+    return _weyl_fields(spectrum, dim, volume, window, len(taus), c)
 
 
 def weyl_two_term_fit(
     spectrum: Spectrum, dim: int, volume: float, boundary: float, window
-) -> WeylTwoTermFit:
+) -> dict:
     """Two-term fit N(tau) = c0 tau^(dim/2) + c1 tau^((dim-1)/2).
 
     The boundary term is tiny relative to the bulk and drowns in
     discretization noise, so only analytic spectra are accepted.  The
     sign of c1 must be + for Neumann and - for Dirichlet.
+
+    Returns ``weyl_fit``'s report keys, c0 as ``leading`` and still
+    ``check`` "weyl", then ``boundary``, c1 as ``second``,
+    ``second_theory``, ``second_sign_ok`` and ``second_ratio``.
     """
     _analytic_membrane(spectrum, "two-term fit")
     taus, counts = _weyl_samples(spectrum, window)
@@ -343,39 +276,14 @@ def weyl_two_term_fit(
     c0, c1 = (float(coef[0]), float(coef[1]))
     theory1 = weyl_boundary_coefficient(dim, boundary)
     want_positive = spectrum.kind is ProblemKind.NEUMANN
-    return WeylTwoTermFit(
+    return {
         **_weyl_fields(spectrum, dim, volume, window, len(taus), c0),
-        boundary=boundary,
-        second=c1,
-        second_theory=theory1,
-        second_sign_ok=(c1 > 0) == want_positive,
-        second_ratio=abs(c1) / theory1,
-    )
-
-
-@dataclass(frozen=True)
-class HeatTraceRow(Record):
-    """Scaled heat trace against the two-term prediction at one time."""
-
-    t: float
-    scaled_trace: float
-    predicted: float
-    rel_deviation: float
-    asymptotic: bool
-
-
-@dataclass(frozen=True)
-class HeatTraceReport(Record):
-    """Short-time heat trace comparison for a membrane spectrum."""
-
-    check = "heat"
-    kind: str
-    domain: str
-    volume: float
-    boundary: float
-    rtol: float
-    ok: bool
-    rows: list[HeatTraceRow]
+        "boundary": boundary,
+        "second": c1,
+        "second_theory": theory1,
+        "second_sign_ok": (c1 > 0) == want_positive,
+        "second_ratio": abs(c1) / theory1,
+    }
 
 
 def heat_trace_check(
@@ -385,12 +293,17 @@ def heat_trace_check(
     times,
     dim: int = 2,
     rtol: float = 0.1,
-) -> HeatTraceReport:
+) -> dict:
     """Compare (4 pi t)^(dim/2) sum exp(-t e_k) with vol +- boundary term.
 
     The boundary correction enters with + for Neumann and - for
     Dirichlet.  Times where the correction is no longer small against
     the volume are tail dominated; they are reported but not judged.
+
+    Returns the report ``check`` ("heat"), ``kind``, ``domain``,
+    ``volume``, ``boundary``, ``rtol``, ``ok`` and ``rows``, one per time
+    in ascending order: ``t``, ``scaled_trace``, ``predicted``,
+    ``rel_deviation`` and whether it is judged, ``asymptotic``.
 
     Raises:
         TruncationError: when the spectrum stops too early for the
@@ -418,51 +331,30 @@ def heat_trace_check(
         correction = 0.25 * math.sqrt(4.0 * math.pi * t) * boundary
         predicted = volume + sign * correction
         rows.append(
-            HeatTraceRow(
-                t=t,
-                scaled_trace=scaled,
-                predicted=predicted,
-                rel_deviation=abs(scaled - predicted) / abs(predicted),
-                asymptotic=correction < volume,
-            )
+            {
+                "t": t,
+                "scaled_trace": scaled,
+                "predicted": predicted,
+                "rel_deviation": abs(scaled - predicted) / abs(predicted),
+                "asymptotic": correction < volume,
+            }
         )
-    checked = [r for r in rows if r.asymptotic]
+    checked = [r for r in rows if r["asymptotic"]]
     if not checked:
         raise InsufficientDataError(
             f"no time in {times} is judged: each needs 0.25*sqrt(4*pi*t)*boundary < volume, "
             f"with boundary {boundary:g} and volume {volume:g}"
         )
-    return HeatTraceReport(
-        kind=spectrum.kind.value,
-        domain=spectrum.domain,
-        volume=volume,
-        boundary=boundary,
-        rtol=rtol,
-        ok=all(r.rel_deviation <= rtol for r in checked),
-        rows=rows,
-    )
-
-
-@dataclass(frozen=True)
-class DecompositionRow(Record):
-    """Whole-domain buckling value against the merged-parts value."""
-
-    k: int
-    whole: float
-    merged: float
-    margin: float
-    holds: bool
-
-
-@dataclass(frozen=True)
-class DecompositionReport(Record):
-    """Domain-decomposition upper bound Lambda_k <= Lambda*_k."""
-
-    check = "decomposition"
-    domain: str
-    parts: list[str]
-    ok: bool
-    rows: list[DecompositionRow]
+    return {
+        "check": "heat",
+        "kind": spectrum.kind.value,
+        "domain": spectrum.domain,
+        "volume": volume,
+        "boundary": boundary,
+        "rtol": rtol,
+        "ok": all(r["rel_deviation"] <= rtol for r in checked),
+        "rows": rows,
+    }
 
 
 def check_partition(whole, parts) -> None:
@@ -517,9 +409,7 @@ def _congruence_key(domain) -> tuple:
     return domain.h, min((image.shape, image.tobytes()) for image in images)
 
 
-def decomposition_check(
-    whole, parts, buckling: Spectrum, count: int
-) -> DecompositionReport:
+def decomposition_check(whole, parts, buckling: Spectrum, count: int) -> dict:
     """Buckling eigenvalues of the whole against a disjoint decomposition.
 
     Restricting trial functions to the parts can only raise Rayleigh
@@ -529,6 +419,11 @@ def decomposition_check(
     solved; only the parts are solved here, each at ``count`` or at its
     number of unknowns if that is smaller.  Congruent parts, such as
     two translated halves, are solved once and counted once each.
+
+    Returns the report ``check`` ("decomposition"), ``domain``, the
+    ``parts``' descriptors, ``ok`` and ``rows``: ``k``, the ``whole``
+    value Lambda_k, the ``merged`` value Lambda*_k, their ``margin`` and
+    whether the bound ``holds``.
 
     Raises:
         PartitionError: from ``check_partition``: parts overlap, stick
@@ -562,44 +457,26 @@ def decomposition_check(
         raise ValueError("parts supplied fewer eigenvalues than requested")
 
     values, merged = buckling.values[:count].tolist(), merged.tolist()
-    rows = [
-        DecompositionRow(idx + 1, *row)
-        for idx, row in enumerate(zip(values, merged, *links(values, merged, strict=False)))
-    ]
-    return DecompositionReport(
-        domain=whole.descriptor,
-        parts=[p.descriptor for p in parts],
-        ok=all(row.holds for row in rows),
-        rows=rows,
-    )
+    columns = (values, merged, *links(values, merged, strict=False))
+    rows = _indexed_rows("whole merged margin holds", *columns)
+    return {
+        "check": "decomposition",
+        "domain": whole.descriptor,
+        "parts": [p.descriptor for p in parts],
+        "ok": all(row["holds"] for row in rows),
+        "rows": rows,
+    }
 
 
-@dataclass(frozen=True)
-class PayneRow(Record):
-    """lambda_(k+1) against Lambda_k for one index."""
-
-    k: int
-    lam_next: float = field(metadata={"key": "lambda_next"})
-    buck: float = field(metadata={"key": "Lambda"})
-    gap: float
-    holds: bool
-
-
-@dataclass(frozen=True)
-class PayneReport(Record):
-    """Observations on the conjectured bound lambda_(k+1) <= Lambda_k."""
-
-    check = "payne"
-    domain: str
-    holds_all: bool
-    rows: list[PayneRow]
-
-
-def payne_scan(dirichlet: Spectrum, buckling: Spectrum, count: int) -> PayneReport:
+def payne_scan(dirichlet: Spectrum, buckling: Spectrum, count: int) -> dict:
     """Report lambda_(k+1) - Lambda_k for k = 1..count.
 
     The bound holds on intervals only up to k = 1 and fails at k = 2,
     so this scan records observations rather than asserting them.
+
+    Returns the report ``check`` ("payne"), ``domain``, ``holds_all`` and
+    ``rows``: ``k``, ``lambda_next`` (lambda_(k+1)), ``Lambda``
+    (Lambda_k), their ``gap`` and whether the bound ``holds``.
     """
     if dirichlet.kind is not ProblemKind.DIRICHLET:
         raise ValueError(f"expected a dirichlet spectrum, got {dirichlet.kind.value}")
@@ -612,43 +489,27 @@ def payne_scan(dirichlet: Spectrum, buckling: Spectrum, count: int) -> PayneRepo
             f"{count} trusted buckling values"
         )
     lam_next, buck = dirichlet.values[1 : count + 1].tolist(), buckling.values[:count].tolist()
-    rows = [
-        PayneRow(idx + 1, *row)
-        for idx, row in enumerate(zip(lam_next, buck, *links(lam_next, buck, strict=False)))
-    ]
-    return PayneReport(domain=domain, holds_all=all(row.holds for row in rows), rows=rows)
-
-
-@dataclass(frozen=True)
-class SharpnessRow(Record):
-    """One ordering observation with its expectation."""
-
-    label: str
-    left: float
-    right: float
-    holds: bool
-    asserted: bool
-
-
-@dataclass(frozen=True)
-class SharpnessReport(Record):
-    """Orderings showing the chain inequalities cannot be improved."""
-
-    check = "sharpness"
-    ok: bool
-    rows: list[SharpnessRow]
+    columns = (lam_next, buck, *links(lam_next, buck, strict=False))
+    rows = _indexed_rows("lambda_next Lambda gap holds", *columns)
+    holds_all = all(row["holds"] for row in rows)
+    return {"check": "payne", "domain": domain, "holds_all": holds_all, "rows": rows}
 
 
 def sharpness_report(
     disk_spectra: dict[ProblemKind, Spectrum],
     cap_results: list[tuple[float, Spectrum, Spectrum]] | None = None,
-) -> SharpnessReport:
+) -> dict:
     """Sharpness orderings on the unit disk plus cap comparisons.
 
     ``cap_results`` holds (delta, neumann spectrum, dirichlet spectrum)
     triples.  For apertures beyond the hemisphere the reversal
     mu_2 > lambda_1 is asserted; smaller caps behave like flat domains
     and their rows are informational.
+
+    Returns the report ``check`` ("sharpness"), ``ok`` over the asserted
+    rows, and ``rows``: the ordering's ``label``, its ``left`` (larger)
+    and ``right`` (smaller) sides, whether it ``holds`` and whether it is
+    ``asserted``.
     """
     lam, gam, buck = (disk_spectra[k].values[:2].tolist() for k in CHAIN_ORDER[1:])
     # (label, larger, smaller, asserted) for each ordering
@@ -666,5 +527,7 @@ def sharpness_report(
         orderings.append((label, mu2, lam1, bool(delta > math.pi / 2)))
     labels, larger, smaller, asserted = zip(*orderings)
     _, holds = links(smaller, larger)
-    rows = [SharpnessRow(*row) for row in zip(labels, larger, smaller, holds, asserted)]
-    return SharpnessReport(ok=all(row.holds for row in rows if row.asserted), rows=rows)
+    keys = ("label", "left", "right", "holds", "asserted")
+    rows = [dict(zip(keys, row)) for row in zip(labels, larger, smaller, holds, asserted)]
+    ok = all(row["holds"] for row in rows if row["asserted"])
+    return {"check": "sharpness", "ok": ok, "rows": rows}

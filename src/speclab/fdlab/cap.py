@@ -45,7 +45,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..spectra import MEMBRANE_KINDS, ProblemKind, Spectrum, check_count, lowest_over_orders
+from ..spectra import (
+    LENGTH_RANGE,
+    MEMBRANE_KINDS,
+    ProblemKind,
+    Spectrum,
+    check_count,
+    lowest_over_orders,
+)
 
 #: Absolute bisection tolerance for LAPACK ``stebz``.  Its default (any
 #: value <= 0) is eps * ||T||, and ||T|| ~ 4 / h^2 + m^2 / sin t dwarfs
@@ -67,15 +74,20 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, **kwargs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CapDomain:
-    """Geodesic ball of aperture ``delta`` on the unit sphere."""
+    """Geodesic ball of aperture ``delta`` on the unit sphere.
+
+    Its values scale as delta^-2, as they do in a length, so ``delta``
+    lies in [LENGTH_RANGE[0], pi).  Far below that floor the radial
+    solve fails to converge or overflows.
+    """
 
     delta: float
     points: int = 4000
 
     def __post_init__(self):
-        if not (0.0 < self.delta < math.pi):
+        if not (LENGTH_RANGE[0] <= self.delta < math.pi):
             raise ValueError(
-                f"aperture must lie in (0, pi), got {self.delta!r}"
+                f"aperture must lie in [{LENGTH_RANGE[0]:g}, pi), got {self.delta!r}"
             )
         points = check_count(self.points, "grid points")
         if points < MIN_CAP_POINTS:

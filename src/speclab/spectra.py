@@ -163,7 +163,7 @@ class Spectrum:
     values: np.ndarray
     source: str
     trusted_count: int = field(default=0)
-    uncertainty: np.ndarray | None = field(default=None, repr=False, compare=False)
+    uncertainty: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.kind = ProblemKind(self.kind)
@@ -186,6 +186,14 @@ class Spectrum:
                 raise ValueError("spectrum uncertainty needs one error bar per value")
             if not np.all(self.uncertainty >= 0):
                 raise ValueError("spectrum uncertainty must be nonnegative, not nan")
+
+    def __eq__(self, other) -> bool:
+        """Same kind, domain, source, trusted count and values."""
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return (self.kind, self.domain, self.source, self.trusted_count) == (
+            other.kind, other.domain, other.source, other.trusted_count
+        ) and np.array_equal(self.values, other.values)
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -99,7 +99,7 @@ class TestAcceptance:
             }
             report = inequality_chain_check(finest, count=15)
             elapsed = time.perf_counter() - start
-            domain_ok = report.ok and elapsed < 120.0
+            domain_ok = report["ok"] and elapsed < 120.0
             verdict(
                 f"chain beats two-grid uncertainty on {label} (k<=15) in {elapsed:.1f}s",
                 domain_ok,
@@ -175,13 +175,13 @@ class TestAcceptance:
         }
         d, n = fits[ProblemKind.DIRICHLET], fits[ProblemKind.NEUMANN]
         ok = (
-            d.second < 0 < n.second
-            and abs(d.second_ratio - 1.0) <= 0.25
-            and abs(n.second_ratio - 1.0) <= 0.25
+            d["second"] < 0 < n["second"]
+            and abs(d["second_ratio"] - 1.0) <= 0.25
+            and abs(n["second_ratio"] - 1.0) <= 0.25
         )
         verdict(
             "two-term fit: boundary coefficient signs and magnitudes "
-            f"(D {d.second:+.3f}, N {n.second:+.3f}, theory {d.second_theory:.3f})",
+            f"(D {d['second']:+.3f}, N {n['second']:+.3f}, theory {d['second_theory']:.3f})",
             ok,
         )
 
@@ -195,7 +195,7 @@ class TestAcceptance:
         edge = min(trusted_edge(s) for s in square.values())
         square_report = counting_chain_check(square, np.linspace(0.0, edge, 50))
 
-        ok = disk_report.ok and square_report.ok
+        ok = disk_report["ok"] and square_report["ok"]
         verdict("counting chain clean at 50 thresholds (disk analytic, square fd)", ok)
 
     def test_07_halving_the_square_raises_buckling(self):
@@ -207,7 +207,7 @@ class TestAcceptance:
         ]
         buckling = fd_spectrum(whole, ProblemKind.BUCKLING, 10)
         report = decomposition_check(whole, halves, buckling, count=10)
-        ok = report.ok and len(report.rows) == 10
+        ok = report["ok"] and len(report["rows"]) == 10
         verdict("square buckling below merged half-rectangle values (k<=10)", ok)
 
     def test_08_cap_reversal_across_the_hemisphere(self):
@@ -231,10 +231,10 @@ class TestAcceptance:
         spectrum = rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 1500)
         report = heat_trace_check(spectrum, 1.0, 4.0, [0.002, 0.005, 0.01])
         form_ok = all(
-            abs(row.predicted - (1.0 - math.sqrt(4.0 * math.pi * row.t))) < 1e-12
-            for row in report.rows
+            abs(row["predicted"] - (1.0 - math.sqrt(4.0 * math.pi * row["t"]))) < 1e-12
+            for row in report["rows"]
         )
-        ok = report.ok and form_ok and all(r.rel_deviation < 0.1 for r in report.rows)
+        ok = report["ok"] and form_ok and all(r["rel_deviation"] < 0.1 for r in report["rows"])
         verdict("heat trace matches 1 - sqrt(4 pi t) within 10%", ok)
 
     def test_10_product_ansatz_leaves_a_residual(self):

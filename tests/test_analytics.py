@@ -63,7 +63,7 @@ class TestCounting:
         spectra = {k: make_spectrum(k, [1, 2, 3, 4, 5, 6], trusted=4) for k in ProblemKind}
         assert trusted_edge(spectra[ProblemKind.DIRICHLET]) == 4.0
         report = counting_chain_check(spectra, [0.0, 2.0 - 1e-9, 2.0, 4.0])
-        assert report.counts["dirichlet"] == [0, 1, 2, 4]
+        assert report["counts"]["dirichlet"] == [0, 1, 2, 4]
         with pytest.raises(TrustRangeError, match=r"tau=4\.5 beyond trusted range"):
             counting_chain_check(spectra, [1.0, 4.5])
 
@@ -73,6 +73,31 @@ class TestCounting:
         assert ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
         with pytest.raises(ValueError):
             ball_volume(0)
+
+
+class TestSpectrumEquality:
+    def test_equal_values_in_two_arrays_compare_equal(self):
+        # it raised "The truth value of an array ... is ambiguous", before
+        one, two = (Spectrum("dirichlet", "d", [1.0, 2.0], "x") for _ in range(2))
+        assert one == two and not one != two
+        assert one == replace(two, uncertainty=[0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"kind": "neumann"},
+            {"domain": "e"},
+            {"source": "y"},
+            {"trusted_count": 1},
+            {"values": [1.0, 3.0]},
+            {"values": [1.0, 2.0, 3.0]},
+        ],
+        ids=["kind", "domain", "source", "trusted_count", "value", "length"],
+    )
+    def test_any_other_field_tells_them_apart(self, change):
+        base = dict(kind="dirichlet", domain="d", values=[1.0, 2.0], source="x")
+        assert Spectrum(**base) != Spectrum(**{**base, **change})
+        assert Spectrum(**base) != "d"
 
 
 class TestTwoGridUncertainty:
@@ -101,33 +126,33 @@ class TestInequalityChain:
 
     def test_disk_chain_passes(self):
         report = inequality_chain_check(self.disk_spectra(), count=5)
-        assert report.ok
-        assert report.domain == "disk(R=1)"
-        assert len(report.rows) == 5
-        for row in report.rows:
-            assert all(m > 0 for m in row.margins)
-        assert report.as_dict()["check"] == "chain"
+        assert report["ok"]
+        assert report["domain"] == "disk(R=1)"
+        assert len(report["rows"]) == 5
+        for row in report["rows"]:
+            assert all(m > 0 for m in row["margins"])
+        assert report["check"] == "chain"
 
     def test_large_uncertainty_defeats_margins(self):
         spectra = self.disk_spectra()
         dirichlet = spectra[ProblemKind.DIRICHLET]
         spectra[ProblemKind.DIRICHLET] = replace(dirichlet, uncertainty=np.full(5, 100.0))
         report = inequality_chain_check(spectra, count=5)
-        assert not report.ok
+        assert not report["ok"]
         # only the two comparisons touching the dirichlet values fail
-        for row in report.rows:
-            assert not row.passes[0] and not row.passes[1]
-            assert row.passes[2]
-        assert report.uncertainty == {"dirichlet": [100.0] * 5}
+        for row in report["rows"]:
+            assert not row["passes"][0] and not row["passes"][1]
+            assert row["passes"][2]
+        assert report["uncertainty"] == {"dirichlet": [100.0] * 5}
 
     def test_bars_are_read_up_to_the_count(self):
         spectra = self.disk_spectra()
         neumann = spectra[ProblemKind.NEUMANN]
         spectra[ProblemKind.NEUMANN] = replace(neumann, uncertainty=[1e6, 1e6, 1e6, 0.0, 0.0])
         report = inequality_chain_check(spectra, count=3)
-        assert all(not row.passes[0] for row in report.rows)
-        assert report.uncertainty == {"neumann": [1e6] * 3}
-        assert inequality_chain_check(self.disk_spectra(), count=3).uncertainty is None
+        assert all(not row["passes"][0] for row in report["rows"])
+        assert report["uncertainty"] == {"neumann": [1e6] * 3}
+        assert inequality_chain_check(self.disk_spectra(), count=3)["uncertainty"] is None
 
     @pytest.mark.parametrize(
         "bars, reason",
@@ -170,8 +195,8 @@ class TestCountingChain:
         spectra = {k: disk_spectrum(1.0, k, 25) for k in ProblemKind}
         taus = np.linspace(0.0, 30.0, 21)
         report = counting_chain_check(spectra, taus)
-        assert report.ok and not report.violations
-        counts = report.counts
+        assert report["ok"] and not report["violations"]
+        counts = report["counts"]
         for j in range(21):
             assert (
                 counts["neumann"][j]
@@ -188,9 +213,9 @@ class TestCountingChain:
             ProblemKind.BUCKLING: make_spectrum(ProblemKind.BUCKLING, [2.7, 3.2, 3.3]),
         }
         report = counting_chain_check(spectra, [0.75])
-        assert not report.ok
-        assert report.violations[0]["pair"] == "dirichlet>=clamped"
-        assert report.violations[0]["counts"] == [1, 0, 1, 0]
+        assert not report["ok"]
+        assert report["violations"][0]["pair"] == "dirichlet>=clamped"
+        assert report["violations"][0]["counts"] == [1, 0, 1, 0]
 
     def test_tau_beyond_trust_propagates(self):
         spectra = {k: disk_spectrum(1.0, k, 4) for k in ProblemKind}
@@ -204,18 +229,18 @@ class TestWeylFit:
         # at every sample point
         s = interval_spectrum(math.pi, ProblemKind.DIRICHLET, 400)
         fit = weyl_fit(s, 1, math.pi, (400.0, 160000.0))
-        assert fit.leading_theory == pytest.approx(1.0)
-        assert abs(fit.ratio - 1.0) < 1e-12
-        assert fit.points == 380
+        assert fit["leading_theory"] == pytest.approx(1.0)
+        assert abs(fit["ratio"] - 1.0) < 1e-12
+        assert fit["points"] == 380
 
     def test_unit_square_one_term_underestimates(self):
         # the uncompensated boundary term depresses the one-term fit by
         # a few percent at these tau; frozen for regression
         s = rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 900)
         fit = weyl_fit(s, 2, 1.0, (1e3, 1e4))
-        assert fit.ratio == pytest.approx(0.9547721666655846, rel=1e-12)
-        assert 0.9 < fit.ratio < 0.97
-        assert "second" not in fit.as_dict()
+        assert fit["ratio"] == pytest.approx(0.9547721666655846, rel=1e-12)
+        assert 0.9 < fit["ratio"] < 0.97
+        assert "second" not in fit
 
     def test_split_double_value_samples_like_an_exact_pair(self):
         # a double eigenvalue can come back as two floats a hair apart;
@@ -229,10 +254,10 @@ class TestWeylFit:
             for fit, extra in ((weyl_fit, ()), (weyl_two_term_fit, (4.0,)))
         ]
         for plain, nudged in zip(fits[:2], fits[2:]):
-            assert nudged.points == plain.points == 25
-            assert nudged.leading == pytest.approx(plain.leading, rel=1e-12)
-            assert nudged.ratio == pytest.approx(plain.ratio, rel=1e-12)
-        assert fits[3].second == pytest.approx(fits[1].second, rel=1e-11)
+            assert nudged["points"] == plain["points"] == 25
+            assert nudged["leading"] == pytest.approx(plain["leading"], rel=1e-12)
+            assert nudged["ratio"] == pytest.approx(plain["ratio"], rel=1e-12)
+        assert fits[3]["second"] == pytest.approx(fits[1]["second"], rel=1e-11)
 
     def test_window_validation(self):
         s = rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 60)
@@ -246,19 +271,19 @@ class TestWeylFit:
     def test_two_term_square_dirichlet(self):
         s = rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 8200)
         fit = weyl_two_term_fit(s, 2, 1.0, 4.0, (100.0, 1e5))
-        assert fit.ratio == pytest.approx(0.9995356081843253, rel=1e-10)
-        assert fit.second == pytest.approx(-0.30160746137523176, rel=1e-10)
-        assert fit.second_theory == pytest.approx(1.0 / math.pi)
-        assert fit.second_sign_ok
-        assert abs(fit.second_ratio - 1.0) < 0.25
+        assert fit["ratio"] == pytest.approx(0.9995356081843253, rel=1e-10)
+        assert fit["second"] == pytest.approx(-0.30160746137523176, rel=1e-10)
+        assert fit["second_theory"] == pytest.approx(1.0 / math.pi)
+        assert fit["second_sign_ok"]
+        assert abs(fit["second_ratio"] - 1.0) < 0.25
 
     def test_two_term_square_neumann(self):
         s = rect_spectrum(1.0, 1.0, ProblemKind.NEUMANN, 8200)
         fit = weyl_two_term_fit(s, 2, 1.0, 4.0, (100.0, 1e5))
-        assert fit.second == pytest.approx(0.33502962123632307, rel=1e-10)
-        assert fit.second_sign_ok
-        assert abs(fit.second_ratio - 1.0) < 0.25
-        assert fit.as_dict()["second_sign_ok"] is True
+        assert fit["second"] == pytest.approx(0.33502962123632307, rel=1e-10)
+        assert fit["second_sign_ok"]
+        assert abs(fit["second_ratio"] - 1.0) < 0.25
+        assert fit["second_sign_ok"] is True
 
     def test_two_term_requires_analytic_source(self):
         s = make_spectrum(
@@ -282,32 +307,32 @@ class TestHeatTrace:
     def test_square_dirichlet_two_term_agreement(self):
         s = rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 1500)
         report = heat_trace_check(s, 1.0, 4.0, [0.002, 0.005, 0.01])
-        assert report.ok
+        assert report["ok"]
         expected = [
             (0.002, 0.8477500934029393, 0.8414669080957595),
             (0.005, 0.765045135804849, 0.7493371725369),
             (0.01, 0.6769251563547949, 0.6455092298188968),
         ]
-        for row, (t, scaled, predicted) in zip(report.rows, expected):
-            assert row.t == t
-            assert row.scaled_trace == pytest.approx(scaled, rel=1e-10)
-            assert row.predicted == pytest.approx(predicted, rel=1e-10)
-            assert row.rel_deviation < 0.1
-            assert row.asymptotic
+        for row, (t, scaled, predicted) in zip(report["rows"], expected):
+            assert row["t"] == t
+            assert row["scaled_trace"] == pytest.approx(scaled, rel=1e-10)
+            assert row["predicted"] == pytest.approx(predicted, rel=1e-10)
+            assert row["rel_deviation"] < 0.1
+            assert row["asymptotic"]
 
     def test_square_neumann_correction_enters_positively(self):
         s = rect_spectrum(1.0, 1.0, ProblemKind.NEUMANN, 1500)
         report = heat_trace_check(s, 1.0, 4.0, [0.002, 0.01])
-        assert report.ok
-        for row in report.rows:
-            assert row.predicted > 1.0
-        assert report.rows[0].scaled_trace == pytest.approx(1.1648162772114197, rel=1e-10)
+        assert report["ok"]
+        for row in report["rows"]:
+            assert row["predicted"] > 1.0
+        assert report["rows"][0]["scaled_trace"] == pytest.approx(1.1648162772114197, rel=1e-10)
 
     def test_large_times_reported_but_not_judged(self):
         s = rect_spectrum(1.0, 1.0, ProblemKind.DIRICHLET, 1500)
         report = heat_trace_check(s, 1.0, 4.0, [0.01, 0.1])
-        assert report.rows[1].asymptotic is False
-        assert report.ok  # judged on the t = 0.01 row alone
+        assert report["rows"][1]["asymptotic"] is False
+        assert report["ok"]  # judged on the t = 0.01 row alone
 
     def test_no_judged_time_raises_insufficient_data(self):
         # the report asserted ok false over no judged row, before
@@ -359,17 +384,17 @@ class TestDecomposition:
 
     def test_halves_bound_the_square_from_above(self):
         report = decomposition_check(self.whole(), self.halves(), self.buckling(6), count=6)
-        assert report.ok
-        assert report.parts == ["rectangle(0.5,1)", "rectangle(0.5,1)"]
-        for row in report.rows:
-            assert row.margin > 0
-            assert row.holds
+        assert report["ok"]
+        assert report["parts"] == ["rectangle(0.5,1)", "rectangle(0.5,1)"]
+        for row in report["rows"]:
+            assert row["margin"] > 0
+            assert row["holds"]
 
     def test_identity_partition_is_tight(self):
         report = decomposition_check(self.whole(), [self.whole()], self.buckling(4), count=4)
-        assert report.ok
-        for row in report.rows:
-            assert row.margin == 0.0
+        assert report["ok"]
+        for row in report["rows"]:
+            assert row["margin"] == 0.0
 
     def test_quarters_also_bound(self):
         quarters = [
@@ -378,7 +403,7 @@ class TestDecomposition:
             for y in (0.0, 0.5)
         ]
         report = decomposition_check(self.whole(), quarters, self.buckling(4), count=4)
-        assert report.ok
+        assert report["ok"]
 
     def test_overlapping_parts_rejected(self):
         parts = [
@@ -486,7 +511,7 @@ class TestDecomposition:
         assert strip.n_unknowns == 14
         buckling = fd_spectrum(whole, ProblemKind.BUCKLING, 15)
         report = decomposition_check(whole, [strip, rest], buckling, count=15)
-        assert report.ok
+        assert report["ok"]
         expected = np.sort(
             np.concatenate(
                 [
@@ -495,7 +520,7 @@ class TestDecomposition:
                 ]
             )
         )[:15]
-        assert [row.merged for row in report.rows] == expected.tolist()
+        assert [row["merged"] for row in report["rows"]] == expected.tolist()
 
     @pytest.mark.parametrize(
         "parts",
@@ -527,12 +552,12 @@ class TestDecomposition:
         monkeypatch.setattr(fdlab, "fd_spectrum", counted)
         report = decomposition_check(self.whole(), parts, self.buckling(count), count=count)
         assert len(solved) == 1 and solved[0] is parts[0]
-        merged = [row.merged for row in report.rows]
+        merged = [row["merged"] for row in report["rows"]]
         # the first part's values, counted once for each part
         assert merged == np.sort(np.concatenate([apart[0], apart[0]]))[:count].tolist()
         # the same values, in exact arithmetic, as the parts solved apart
         assert np.allclose(merged, np.sort(np.concatenate(apart))[:count], rtol=1e-12, atol=0.0)
-        assert report.ok
+        assert report["ok"]
 
     def test_parts_holding_fewer_than_count_values_rejected(self):
         corner = [rectangle_domain(0.25, 0.25, self.H)]
@@ -548,10 +573,10 @@ class TestPayneScan:
         d = disk_spectrum(1.0, ProblemKind.DIRICHLET, 4)
         b = disk_spectrum(1.0, ProblemKind.BUCKLING, 3)
         report = payne_scan(d, b, 3)
-        assert report.holds_all
-        assert report.rows[0].gap == 0.0
-        assert report.rows[1].gap > 0.0
-        assert report.rows[2].gap == 0.0
+        assert report["holds_all"]
+        assert report["rows"][0]["gap"] == 0.0
+        assert report["rows"][1]["gap"] > 0.0
+        assert report["rows"][2]["gap"] == 0.0
 
     @pytest.mark.parametrize("length", [1.0, 0.3, 2.0])
     def test_interval_fails_at_every_even_k(self, length):
@@ -560,9 +585,9 @@ class TestPayneScan:
         d = interval_spectrum(length, ProblemKind.DIRICHLET, 7)
         b = interval_spectrum(length, ProblemKind.BUCKLING, 6)
         report = payne_scan(d, b, 6)
-        assert not report.holds_all
-        assert [row.holds for row in report.rows] == [True, False] * 3
-        assert [row.gap == 0.0 for row in report.rows] == [True, False] * 3
+        assert not report["holds_all"]
+        assert [row["holds"] for row in report["rows"]] == [True, False] * 3
+        assert [row["gap"] == 0.0 for row in report["rows"]] == [True, False] * 3
 
     def test_kind_order_enforced(self):
         d = disk_spectrum(1.0, ProblemKind.DIRICHLET, 4)
@@ -598,10 +623,10 @@ class TestSharpness:
     def test_disk_orderings_hold(self):
         spectra = {k: disk_spectrum(1.0, k, 2) for k in ProblemKind}
         report = sharpness_report(spectra)
-        assert report.ok
-        labels = [row.label for row in report.rows]
+        assert report["ok"]
+        labels = [row["label"] for row in report["rows"]]
         assert labels == ["disk lambda_2 > Gamma_1", "disk Gamma_2 > Lambda_1"]
-        assert all(row.asserted and row.holds for row in report.rows)
+        assert all(row["asserted"] and row["holds"] for row in report["rows"])
 
     def test_cap_rows_asserted_only_beyond_hemisphere(self):
         spectra = {k: disk_spectrum(1.0, k, 2) for k in ProblemKind}
@@ -612,10 +637,10 @@ class TestSharpness:
                 self.cap_pair(0.40 * math.pi),
             ],
         )
-        wide, narrow = report.rows[2], report.rows[3]
-        assert wide.asserted and wide.holds
-        assert not narrow.asserted and not narrow.holds
-        assert report.ok
+        wide, narrow = report["rows"][2], report["rows"][3]
+        assert wide["asserted"] and wide["holds"]
+        assert not narrow["asserted"] and not narrow["holds"]
+        assert report["ok"]
 
     def test_cap_triples_validated(self):
         spectra = {k: disk_spectrum(1.0, k, 2) for k in ProblemKind}
@@ -663,18 +688,18 @@ class TestLinks:
         spectra = {k: make_spectrum(k, drawn[k.value]) for k in ProblemKind}
 
         chain = inequality_chain_check(spectra, count=n)
-        for idx, row in enumerate(chain.rows):
+        for idx, row in enumerate(chain["rows"]):
             vals = [drawn[k.value][idx] for k in CHAIN_ORDER]
-            assert list(row.margins) == [vals[j + 1] - vals[j] for j in range(3)]
-            assert list(row.passes) == [vals[j] < vals[j + 1] for j in range(3)]
-        assert chain.ok == all(all(row.passes) for row in chain.rows)
+            assert list(row["margins"]) == [vals[j + 1] - vals[j] for j in range(3)]
+            assert list(row["passes"]) == [vals[j] < vals[j + 1] for j in range(3)]
+        assert chain["ok"] == all(all(row["passes"]) for row in chain["rows"])
 
         lam, buck = drawn["dirichlet"], drawn["buckling"]
         payne = payne_scan(spectra[ProblemKind.DIRICHLET], spectra[ProblemKind.BUCKLING], n - 1)
-        for k, row in enumerate(payne.rows, start=1):
-            assert (row.lam_next, row.buck) == (lam[k], buck[k - 1])
-            assert row.gap == buck[k - 1] - lam[k]
-            assert row.holds == (lam[k] <= buck[k - 1])
+        for k, row in enumerate(payne["rows"], start=1):
+            assert (row["lambda_next"], row["Lambda"]) == (lam[k], buck[k - 1])
+            assert row["gap"] == buck[k - 1] - lam[k]
+            assert row["holds"] == (lam[k] <= buck[k - 1])
 
         cap = (
             2.0,
@@ -684,8 +709,8 @@ class TestLinks:
         gam = drawn["clamped"]
         sharp = sharpness_report(spectra, [cap])
         pairs = [(lam[1], gam[0]), (gam[1], buck[0]), (drawn["cap_mu"][1], drawn["cap_lambda"][0])]
-        assert [(row.left, row.right) for row in sharp.rows] == pairs
-        assert [row.holds for row in sharp.rows] == [left > right for left, right in pairs]
+        assert [(row["left"], row["right"]) for row in sharp["rows"]] == pairs
+        assert [row["holds"] for row in sharp["rows"]] == [left > right for left, right in pairs]
 
         h = 1.0 / 16.0
         whole = rectangle_domain(1.0, 1.0, h)
@@ -699,7 +724,7 @@ class TestLinks:
         with mock.patch.object(fdlab, "fd_spectrum", solved):
             decomposition = decomposition_check(whole, parts, whole_buckling, count=n)
         merged = sorted(drawn["part_a"] + drawn["part_b"])[:n]
-        for idx, row in enumerate(decomposition.rows):
-            assert (row.whole, row.merged) == (buck[idx], merged[idx])
-            assert row.margin == merged[idx] - buck[idx]
-            assert row.holds == (buck[idx] <= merged[idx])
+        for idx, row in enumerate(decomposition["rows"]):
+            assert (row["whole"], row["merged"]) == (buck[idx], merged[idx])
+            assert row["margin"] == merged[idx] - buck[idx]
+            assert row["holds"] == (buck[idx] <= merged[idx])

@@ -14,7 +14,7 @@ from speclab.fdlab import CapDomain, cap_spectrum
 from speclab.fdlab import cap
 from speclab.fdlab.cap import _radial_values
 from speclab.specfun import bessel_j_prime_zero, bessel_j_zero
-from speclab.spectra import ProblemKind, lowest_over_orders
+from speclab.spectra import LENGTH_RANGE, ProblemKind, lowest_over_orders
 
 
 class TestHemisphere:
@@ -96,6 +96,16 @@ class TestStructure:
             with pytest.raises(ValueError, match="grid points"):
                 CapDomain(math.pi / 2, points=points)
         assert CapDomain(1.0, points=1000.0).points == 1000
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-100, 1e-300])
+    def test_aperture_below_the_shortest_length_refused(self, delta):
+        # the solve raised LinAlgError at 1e-100 and OverflowError at 1e-300, before
+        with pytest.raises(ValueError, match=r"aperture must lie in \[0\.001, pi\)"):
+            CapDomain(delta)
+
+    def test_shortest_aperture_solves(self):
+        values = cap_spectrum(CapDomain(LENGTH_RANGE[0], points=200), ProblemKind.DIRICHLET, 2)
+        assert np.all(np.isfinite(values.values)) and values.values[0] > 0
 
     def test_kind_and_count_validation(self):
         with pytest.raises(ValueError, match="membrane"):

@@ -646,7 +646,7 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "cap, message",
         [
-            ({"delta": "2.0"}, r"caps\[0\]: cap 'delta' must be an aperture in \(0, pi\)"),
+            ({"delta": "2.0"}, r"caps\[0\]: cap 'delta' must be an aperture in \[0\.001, pi\)"),
             ({"delta": 2.0, "points": True}, r"caps\[0\]: cap 'points' must be an integer in"),
             (2.0, "sharpness 'caps' must be a list of cap objects"),
         ],
@@ -1373,7 +1373,7 @@ class TestChecksResolvedBeforeRunning:
             ({**interval_block(checks=[{"type": "heat"}]), "kinds": KINDS[2:]}, "'kind'"),
             (
                 analytic_block(DISK, KINDS, [{"type": "sharpness", "caps": [{"delta": 4.0}]}]),
-                "caps[0]: cap 'delta' must be an aperture in (0, pi)",
+                "caps[0]: cap 'delta' must be an aperture in [0.001, pi)",
             ),
             (
                 analytic_block(DISK, KINDS, [{"type": "sharpness", "caps": [{"delta": 2.0, "points": 5}]}]),
@@ -1508,7 +1508,7 @@ class TestChecksResolvedBeforeRunning:
     @pytest.mark.parametrize(
         "delta, backend, message",
         [
-            (4.0, {"type": "cap"}, r"cap domain 'delta' must be an aperture in \(0, pi\)"),
+            (4.0, {"type": "cap"}, r"cap domain 'delta' must be an aperture in \[0\.001, pi\)"),
             (1.0, {"type": "cap", "points": 5}, r"cap backend 'points' must be an integer in \[8, "),
         ],
     )
@@ -1516,6 +1516,29 @@ class TestChecksResolvedBeforeRunning:
         block = {**cap_block([]), "domain": {"type": "cap", "delta": delta}, "backend": backend}
         with pytest.raises(ConfigError, match=message):
             parse_config(json.dumps({"experiments": [block]}))
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            (
+                {**cap_block([]), "domain": {"type": "cap", "delta": 1e-300}},
+                "cap domain 'delta' must be an aperture in [0.001, pi)",
+            ),
+            (
+                analytic_block(DISK, KINDS, [{"type": "sharpness", "caps": [{"delta": 1e-300}]}]),
+                "caps[0]: cap 'delta' must be an aperture in [0.001, pi)",
+            ),
+        ],
+        ids=["domain", "sharpness"],
+    )
+    def test_tiny_aperture_exits_2_at_parse_time(self, tmp_path, capsys, block, message):
+        # it exited 2 only while solving, with an untyped OverflowError, before
+        config = write_config(tmp_path, {"experiments": [block]})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("speclab: experiments[0]") and message in err
+        assert not out.exists()
 
     def test_backend_block_resolved(self):
         fd = {**interval_block(), "backend": {"type": "fd", "h": [0.125, 0.25, 1]}}
@@ -1749,7 +1772,114 @@ LAYOUT = {
 }
 
 
+#: One config with every check type on every backend it takes: an analytic
+#: rod, an analytic disk with an unjudged heat time and clamped weyl, a
+#: two-width fd rod, and an fd rect whose weyl window passes the trusted edge.
+ALL_CHECKS_BLOCKS = [
+    interval_block(
+        checks=[
+            {"type": "chain"},
+            {"type": "counting-chain", "taus": [0.5, 10.0, 100.0, 1000.0]},
+            {"type": "payne"},
+            {"type": "weyl", "kind": "dirichlet"},
+            {"type": "weyl", "kind": "dirichlet", "rtol": 0.05},
+            {"type": "heat", "kind": "neumann"},
+        ],
+        count=400,
+    ),
+    analytic_block(
+        DISK,
+        KINDS,
+        [
+            {"type": "weyl2", "kind": "dirichlet"},
+            {"type": "heat", "kind": "dirichlet", "times": [0.03, 0.05, 5.0]},
+            {"type": "weyl", "kind": "clamped"},
+            {"type": "sharpness", "caps": [{"delta": 2.0, "points": 500}, {"delta": 1.0, "points": 500}]},
+        ],
+        count=300,
+    ),
+    {
+        **interval_block("fdrod", count=6),
+        "backend": {"type": "fd", "h": [0.02, 0.01]},
+        "checks": [
+            {"type": "chain"},
+            {"type": "payne"},
+            {"type": "counting-chain"},
+            {"type": "decomposition", "parts": [{"type": "interval", "length": 2.0}]},
+        ],
+    },
+    {
+        "name": "fdrect",
+        "domain": {"type": "rect", "a": 1.0, "b": 0.5},
+        "kinds": ["dirichlet"],
+        "backend": {"type": "fd", "h": [0.05]},
+        "checks": [{"type": "weyl", "kind": "dirichlet", "window": [1.0, 1e5]}],
+    },
+]
+
+#: Per check type, the keys of its entry, then of its rows, that hold lists.
+LIST_KEYS = {
+    "chain": ("rows", "margins passes"),
+    "counting-chain": ("taus violations", None),
+    "decomposition": ("parts rows", ""),
+    "sharpness": ("rows", ""),
+    "payne": ("rows", ""),
+    "weyl": ("window", None),
+    "weyl2": ("window", None),
+    "heat": ("rows", ""),
+}
+
+#: Per check type, the keys of its entry, then of its rows, that hold verdicts.
+VERDICT_KEYS = {
+    "chain": ("ok asserted", ""),
+    "counting-chain": ("ok asserted", None),
+    "decomposition": ("ok asserted", "holds"),
+    "sharpness": ("ok asserted", "holds asserted"),
+    "payne": ("holds_all asserted ok", "holds"),
+    "weyl": ("asserted ok", None),
+    "weyl2": ("second_sign_ok asserted ok", None),
+    "heat": ("ok asserted", "asymptotic"),
+}
+
+
 class TestReportLayout:
+    def test_all_checks_config_keeps_keys_lists_and_verdicts(self, tmp_path):
+        assert {c["type"] for b in ALL_CHECKS_BLOCKS for c in b["checks"]} == set(CHECKS)
+        config = write_config(tmp_path, {"experiments": ALL_CHECKS_BLOCKS})
+        out = tmp_path / "out"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(["report", "--config", str(config), "--out", str(out)]) == 2
+        assert err.getvalue() == (
+            "speclab: fdrect: TrustRangeError: window edge 100000 beyond trusted range 191.941\n"
+        )
+        *blocks, broken = ALL_CHECKS_BLOCKS
+        for block in blocks:
+            report = json.loads((out / f"{block['name']}.report.json").read_text())
+            assert list(report) == ["name", "domain", "count", "checks", "ok"]
+            assert isinstance(report["checks"], list) and isinstance(report["ok"], bool)
+            assert len(report["checks"]) == len(block["checks"])
+            for check, entry in zip(block["checks"], report["checks"]):
+                ctype = check["type"]
+                keys, row_keys = LAYOUT[ctype]
+                assert list(entry) == keys.split()
+                assert entry["check"] == {"weyl2": "weyl"}.get(ctype, ctype)
+                assert entry["asserted"] == (entry["ok"] is not None)
+                (lists, row_lists), (verdicts, row_verdicts) = LIST_KEYS[ctype], VERDICT_KEYS[ctype]
+                assert all(isinstance(entry[key], list) for key in lists.split())
+                assert all(isinstance(entry[key], (bool, type(None))) for key in verdicts.split())
+                if row_keys is None:
+                    assert "rows" not in entry
+                    continue
+                assert entry["rows"]
+                for row in entry["rows"]:
+                    assert list(row) == row_keys.split() and "check" not in row
+                    assert all(isinstance(row[key], list) for key in row_lists.split())
+                    assert all(isinstance(row[key], bool) for key in row_verdicts.split())
+                    assert all(isinstance(v, bool) for v in row.get("passes", []))
+        report = json.loads((out / f"{broken['name']}.report.json").read_text())
+        assert list(report) == ["name", "error"] and isinstance(report["error"], str)
+        assert not (out / f"{broken['name']}.spectra.csv").exists()
+
     def test_every_check_type_keeps_its_key_order(self, tmp_path):
         assert {c["type"] for b in LAYOUT_BLOCKS for c in b["checks"]} == set(CHECKS)
         config = write_config(tmp_path, {"experiments": LAYOUT_BLOCKS})

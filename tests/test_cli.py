@@ -1842,7 +1842,41 @@ VERDICT_KEYS = {
 }
 
 
+def assert_reports_keep_their_layout(out, blocks):
+    """Each block's report: its keys in order, then per check its keys, rows, lists and verdicts."""
+    for block in blocks:
+        report = json.loads((out / f"{block['name']}.report.json").read_text())
+        assert list(report) == ["name", "domain", "count", "checks", "ok"]
+        assert isinstance(report["checks"], list) and isinstance(report["ok"], bool)
+        assert len(report["checks"]) == len(block["checks"])
+        for check, entry in zip(block["checks"], report["checks"]):
+            ctype = check["type"]
+            keys, row_keys = LAYOUT[ctype]
+            assert list(entry) == keys.split()
+            assert entry["check"] == {"weyl2": "weyl"}.get(ctype, ctype)
+            assert entry["asserted"] == (entry["ok"] is not None)
+            (lists, row_lists), (verdicts, row_verdicts) = LIST_KEYS[ctype], VERDICT_KEYS[ctype]
+            assert all(isinstance(entry[key], list) for key in lists.split())
+            assert all(isinstance(entry[key], (bool, type(None))) for key in verdicts.split())
+            if row_keys is None:
+                assert "rows" not in entry
+                continue
+            assert entry["rows"]
+            for row in entry["rows"]:
+                assert list(row) == row_keys.split() and "check" not in row
+                assert all(isinstance(row[key], list) for key in row_lists.split())
+                assert all(isinstance(row[key], bool) for key in row_verdicts.split())
+                assert all(isinstance(v, bool) for v in row.get("passes", []))
+
+
 class TestReportLayout:
+    def test_every_check_type_keeps_its_key_order(self, tmp_path):
+        assert {c["type"] for b in LAYOUT_BLOCKS for c in b["checks"]} == set(CHECKS)
+        config = write_config(tmp_path, {"experiments": LAYOUT_BLOCKS})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+        assert_reports_keep_their_layout(out, LAYOUT_BLOCKS)
+
     def test_all_checks_config_keeps_keys_lists_and_verdicts(self, tmp_path):
         assert {c["type"] for b in ALL_CHECKS_BLOCKS for c in b["checks"]} == set(CHECKS)
         config = write_config(tmp_path, {"experiments": ALL_CHECKS_BLOCKS})
@@ -1853,51 +1887,10 @@ class TestReportLayout:
             "speclab: fdrect: TrustRangeError: window edge 100000 beyond trusted range 191.941\n"
         )
         *blocks, broken = ALL_CHECKS_BLOCKS
-        for block in blocks:
-            report = json.loads((out / f"{block['name']}.report.json").read_text())
-            assert list(report) == ["name", "domain", "count", "checks", "ok"]
-            assert isinstance(report["checks"], list) and isinstance(report["ok"], bool)
-            assert len(report["checks"]) == len(block["checks"])
-            for check, entry in zip(block["checks"], report["checks"]):
-                ctype = check["type"]
-                keys, row_keys = LAYOUT[ctype]
-                assert list(entry) == keys.split()
-                assert entry["check"] == {"weyl2": "weyl"}.get(ctype, ctype)
-                assert entry["asserted"] == (entry["ok"] is not None)
-                (lists, row_lists), (verdicts, row_verdicts) = LIST_KEYS[ctype], VERDICT_KEYS[ctype]
-                assert all(isinstance(entry[key], list) for key in lists.split())
-                assert all(isinstance(entry[key], (bool, type(None))) for key in verdicts.split())
-                if row_keys is None:
-                    assert "rows" not in entry
-                    continue
-                assert entry["rows"]
-                for row in entry["rows"]:
-                    assert list(row) == row_keys.split() and "check" not in row
-                    assert all(isinstance(row[key], list) for key in row_lists.split())
-                    assert all(isinstance(row[key], bool) for key in row_verdicts.split())
-                    assert all(isinstance(v, bool) for v in row.get("passes", []))
+        assert_reports_keep_their_layout(out, blocks)
         report = json.loads((out / f"{broken['name']}.report.json").read_text())
         assert list(report) == ["name", "error"] and isinstance(report["error"], str)
         assert not (out / f"{broken['name']}.spectra.csv").exists()
-
-    def test_every_check_type_keeps_its_key_order(self, tmp_path):
-        assert {c["type"] for b in LAYOUT_BLOCKS for c in b["checks"]} == set(CHECKS)
-        config = write_config(tmp_path, {"experiments": LAYOUT_BLOCKS})
-        out = tmp_path / "out"
-        assert main(["report", "--config", str(config), "--out", str(out)]) == 0
-        for block in LAYOUT_BLOCKS:
-            report = json.loads((out / f"{block['name']}.report.json").read_text())
-            assert list(report) == ["name", "domain", "count", "checks", "ok"]
-            assert len(report["checks"]) == len(block["checks"])
-            for check, entry in zip(block["checks"], report["checks"]):
-                keys, row_keys = LAYOUT[check["type"]]
-                assert list(entry) == keys.split()
-                assert entry["check"] == {"weyl2": "weyl"}.get(check["type"], check["type"])
-                if row_keys is None:
-                    assert "rows" not in entry
-                else:
-                    assert entry["rows"]
-                    assert all(list(row) == row_keys.split() for row in entry["rows"])
 
 
 class TestReadme:

@@ -328,12 +328,6 @@ class ExperimentResult:
     report: dict = field(default_factory=dict)
     error: str | None = None
 
-    @property
-    def ok(self) -> bool:
-        if self.error is not None:
-            return False
-        return all(c["ok"] for c in self.report["checks"] if c["asserted"])
-
 
 def _check_domain(where: str, domain: dict) -> dict:
     """A domain object's type and fields, defaults filled in."""
@@ -758,7 +752,7 @@ def run_experiment(exp: Experiment, check_types: frozenset[str], closed: dict) -
                 "checks": checks,
             }
         )
-        result.report["ok"] = result.ok
+        result.report["ok"] = all(c["ok"] for c in checks if c["asserted"])
     except Exception as exc:
         result.error = _error(exc)
         result.report = {"name": exp.name, "error": result.error}
@@ -806,7 +800,7 @@ def run_config(
         print(f"speclab: {result.name}: {result.error}", file=sys.stderr)
     if failed:
         return 2
-    if any(not r.ok for r in results):
+    if not all(r.report["ok"] for r in results):
         return 1
     return 0
 

@@ -151,13 +151,10 @@ def lshape_domain(
     The notch is the block [a (1 - notch), a] x [b (1 - notch), b]; its
     two inner edges belong to the boundary, so nodes on them are wall.
     """
-    a = check_positive("side a", a)
-    b = check_positive("side b", b)
-    h = check_positive("spacing h", h)
-    notch = float(notch)
+    base = rectangle_domain(a, b, h, corner=corner)
+    a, b, h, notch = float(a), float(b), base.h, float(notch)
     if not 0.0 < notch < 1.0:
         raise ValueError(f"notch fraction must lie in (0, 1), got {notch!r}")
-    base = rectangle_domain(a, b, h, corner=corner)
     ny, nx = base.mask.shape
     notched = _past_notch(ny, h, b, notch)[:, None] & _past_notch(nx, h, a, notch)[None, :]
     return GridDomain(

@@ -41,18 +41,15 @@ def clamped_beam_roots(count: int) -> np.ndarray:
     """The first ``count`` roots z_k of cos(z) cosh(z) = 1, ascending.
 
     z_k lies within 0.4 of (2k + 1) pi / 2.  Solved as cos z - sech z = 0
-    to keep the function bounded.  Past z = 710, where cosh overflows,
-    sech z < 1e-308 is taken as 0.
+    to keep the function bounded.  Where cosh overflows to inf, sech z
+    (below 1e-308 there) comes out as exactly 0.
     """
     k = np.arange(1, check_count(count, "root count") + 1, dtype=float)
     center = (2 * k + 1) * math.pi / 2
 
     def f(z):
-        # cosh only where it is finite
-        sech = np.zeros_like(z)
-        below = z < 710.0
-        sech[below] = 1.0 / np.cosh(z[below])
-        return np.cos(z) - sech
+        with np.errstate(over="ignore"):
+            return np.cos(z) - 1.0 / np.cosh(z)
 
     return find_root(f, center - 0.4, center + 0.4)
 

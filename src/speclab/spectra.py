@@ -47,20 +47,22 @@ def _real(value):
         return value
 
 
+def _checked(name: str, value, test: Callable[[float], bool], what: str) -> float:
+    """``value`` as a float; ValueError, saying it must be ``what``, unless ``test`` holds."""
+    value = _real(value)
+    if not (isinstance(value, float) and test(value)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def check_positive(name: str, value: float) -> float:
     """``value`` as a float; ValueError unless it is finite and positive."""
-    value = _real(value)
-    if not (isinstance(value, float) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    return value
+    return _checked(name, value, lambda v: math.isfinite(v) and v > 0, "positive")
 
 
 def check_nonnegative(name: str, value: float) -> float:
     """``value`` as a float; ValueError unless it is finite and >= 0."""
-    value = _real(value)
-    if not (isinstance(value, float) and math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
+    return _checked(name, value, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
 
 
 #: Lengths (sides, radii) accepted where a length sets a spectrum's
@@ -72,10 +74,7 @@ LENGTH_RANGE = (1e-3, 1e3)
 def check_length(name: str, value: float) -> float:
     """``value`` as a float; ValueError unless it lies in ``LENGTH_RANGE``."""
     lo, hi = LENGTH_RANGE
-    value = _real(value)
-    if not (isinstance(value, float) and lo <= value <= hi):
-        raise ValueError(f"{name} must be a length in [{lo:g}, {hi:g}], got {value!r}")
-    return value
+    return _checked(name, value, lambda v: lo <= v <= hi, f"a length in [{lo:g}, {hi:g}]")
 
 
 def _whole(value, name: str, least: int) -> int:

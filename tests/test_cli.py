@@ -21,6 +21,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from probes import ALL_CHECKS_BLOCKS
 
 from speclab import cli, fdlab
 from speclab.cli import (
@@ -1771,51 +1772,6 @@ LAYOUT = {
     ),
 }
 
-
-#: One config with every check type on every backend it takes: an analytic
-#: rod, an analytic disk with an unjudged heat time and clamped weyl, a
-#: two-width fd rod, and an fd rect whose weyl window passes the trusted edge.
-ALL_CHECKS_BLOCKS = [
-    interval_block(
-        checks=[
-            {"type": "chain"},
-            {"type": "counting-chain", "taus": [0.5, 10.0, 100.0, 1000.0]},
-            {"type": "payne"},
-            {"type": "weyl", "kind": "dirichlet"},
-            {"type": "weyl", "kind": "dirichlet", "rtol": 0.05},
-            {"type": "heat", "kind": "neumann"},
-        ],
-        count=400,
-    ),
-    analytic_block(
-        DISK,
-        KINDS,
-        [
-            {"type": "weyl2", "kind": "dirichlet"},
-            {"type": "heat", "kind": "dirichlet", "times": [0.03, 0.05, 5.0]},
-            {"type": "weyl", "kind": "clamped"},
-            {"type": "sharpness", "caps": [{"delta": 2.0, "points": 500}, {"delta": 1.0, "points": 500}]},
-        ],
-        count=300,
-    ),
-    {
-        **interval_block("fdrod", count=6),
-        "backend": {"type": "fd", "h": [0.02, 0.01]},
-        "checks": [
-            {"type": "chain"},
-            {"type": "payne"},
-            {"type": "counting-chain"},
-            {"type": "decomposition", "parts": [{"type": "interval", "length": 2.0}]},
-        ],
-    },
-    {
-        "name": "fdrect",
-        "domain": {"type": "rect", "a": 1.0, "b": 0.5},
-        "kinds": ["dirichlet"],
-        "backend": {"type": "fd", "h": [0.05]},
-        "checks": [{"type": "weyl", "kind": "dirichlet", "window": [1.0, 1e5]}],
-    },
-]
 
 #: Per check type, the keys of its entry, then of its rows, that hold lists.
 LIST_KEYS = {

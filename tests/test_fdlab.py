@@ -6,6 +6,7 @@ import errno
 import json
 import math
 import os
+import re
 import signal
 from pathlib import Path
 from unittest import mock
@@ -212,6 +213,64 @@ class TestGridDomains:
     def test_interval_domain_needs_nine_nodes(self):
         with pytest.raises(DegenerateDomainError):
             interval_domain(1.0, 0.2)
+
+    # each builder's good arguments and the name each one is refused under
+    BUILDERS = {
+        "rectangle": (rectangle_domain, (1.0, 1.0, 0.125), ("side a", "side b", "spacing h")),
+        "lshape": (lshape_domain, (1.0, 1.0, 0.125), ("side a", "side b", "spacing h")),
+        "interval": (interval_domain, (1.0, 0.0625), ("length", "spacing h")),
+        "disk": (disk_domain, (1.0, 0.25), ("radius", "spacing h")),
+        "grid": (
+            lambda h: GridDomain(h=h, mask=np.ones((3, 3), dtype=bool), origin=(0.0, 0.0)),
+            (0.1,),
+            ("grid spacing",),
+        ),
+    }
+    BAD_LENGTHS = [
+        (None, "None"), ("x", "'x'"), (math.nan, "nan"), (math.inf, "inf"), (0, "0.0"), (-1, "-1.0")
+    ]
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("bad, shown", BAD_LENGTHS, ids=[shown for _, shown in BAD_LENGTHS])
+    def test_a_bad_side_radius_or_width_is_refused_by_name(self, builder, bad, shown):
+        build, good, names = self.BUILDERS[builder]
+        for position, name in enumerate(names):
+            args = list(good)
+            args[position] = bad
+            message = f"{name} must be positive, got {shown}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(*args)
+
+    @pytest.mark.parametrize(
+        "notch, error, message",
+        [
+            (math.nan, ValueError, "notch fraction must lie in (0, 1), got nan"),
+            (math.inf, ValueError, "notch fraction must lie in (0, 1), got inf"),
+            (0, ValueError, "notch fraction must lie in (0, 1), got 0.0"),
+            (-1, ValueError, "notch fraction must lie in (0, 1), got -1.0"),
+            (1, ValueError, "notch fraction must lie in (0, 1), got 1.0"),
+            ("x", ValueError, "could not convert string to float: 'x'"),
+            (None, TypeError, "float() argument must be a string or a real number, not 'NoneType'"),
+        ],
+        ids=["nan", "inf", "0", "-1", "1", "x", "None"],
+    )
+    def test_a_bad_notch_is_refused(self, notch, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            lshape_domain(1.0, 1.0, 0.125, notch=notch)
+        # a bad side is named before a bad notch
+        with pytest.raises(ValueError, match="^side a must be positive, got -1.0$"):
+            lshape_domain(-1.0, 1.0, 0.125, notch=notch)
+
+    def test_strings_that_convert_build_the_same_grid(self):
+        for built, expected in (
+            (lshape_domain("1", "1", "0.125", notch="0.5"), lshape_domain(1.0, 1.0, 0.125)),
+            (rectangle_domain("1", "0.5", "0.125"), rectangle_domain(1.0, 0.5, 0.125)),
+        ):
+            assert (built.h, built.origin, built.descriptor) == (
+                expected.h, expected.origin, expected.descriptor
+            )
+            assert type(built.h) is float
+            assert np.array_equal(built.mask, expected.mask)
 
 
 class TestOperators:

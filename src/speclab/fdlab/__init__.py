@@ -31,6 +31,7 @@ _SPARSE = {
     "assemble_bilaplacian_clamped": "operators",
     "assemble_laplacian": "operators",
     "ConvergenceError": "solver",
+    "IndefiniteSpectrumError": "spectrum",
     "EvpSolution": "solver",
     "solve_gevp": "solver",
     "fd_spectra": "spectrum",
@@ -55,6 +56,7 @@ __all__ = [
     "DegenerateDomainError",
     "EvpSolution",
     "GridDomain",
+    "IndefiniteSpectrumError",
     "SparseSymOperator",
     "assemble_bilaplacian_clamped",
     "assemble_laplacian",

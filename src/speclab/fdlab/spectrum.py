@@ -2,8 +2,9 @@
 
 The membrane problems discretize the Laplacian directly.  The clamped
 plate solves the bilaplacian and reports square roots of the computed
-eigenvalues, matching the convention used by the analytic backends.
-Buckling solves the pencil (bilaplacian, Dirichlet Laplacian).
+eigenvalues, matching the convention used by the analytic backends;
+they are roots of values already checked positive (below).  Buckling
+solves the pencil (bilaplacian, Dirichlet Laplacian).
 
 Every grid is split into its symmetry classes, each solved on its
 own.  A mask that maps onto itself under a row flip, a column flip or
@@ -75,6 +76,16 @@ structural: the flux form annihilates constants exactly, and
 ``fd_spectra`` refuses a mask that is not one 4-connected component,
 so the constants span the whole null space.  There is exactly one null
 value, and it is the lowest; it lies in the fully symmetric class.
+
+Every other value is positive in exact arithmetic: the Dirichlet
+Laplacian and the bilaplacian are positive definite, and a connected
+mask leaves the Neumann Laplacian one null value.  So once the classes
+are merged, a Dirichlet, clamped or buckling value at or below zero,
+or a Neumann value at or below zero past the structural one, raises
+``IndefiniteSpectrumError``, naming the kind, the index, the raw value
+and the grid.  Such a value is the solver's error, not a spectrum: on a
+rod at h = 2e-5 roundoff turns the lowest bilaplacian values negative.
+Nothing is clamped to zero.
 """
 
 from __future__ import annotations
@@ -89,12 +100,16 @@ from .. import pool
 from ..spectra import ProblemKind, Spectrum, check_count
 from .grid import GridDomain
 from .operators import SparseSymOperator, assemble_bilaplacian_clamped, assemble_laplacian
-from .solver import solve_gevp
+from .solver import ConvergenceError, solve_gevp
 from .symmetry import project, symmetry_classes
 
 #: Fraction of the grid's degrees of freedom a discrete eigenvalue may
 #: use up before it stops tracking the continuum problem at all.
 TRUST_FRACTION = 4
+
+
+class IndefiniteSpectrumError(ConvergenceError):
+    """Raised when a solved value that the operators make positive is not."""
 
 
 def _neumann_shift(domain: GridDomain) -> float:
@@ -148,7 +163,8 @@ def fd_spectra(
 ) -> dict[ProblemKind, Spectrum]:
     """Lowest ``count`` eigenvalues of every one of ``kinds`` on a grid domain.
 
-    Raises ValueError first if the mask is not one 4-connected component.
+    Raises ValueError first if the mask is not one 4-connected component,
+    and ``IndefiniteSpectrumError`` if a value that must be positive is not.
     """
     _require_connected(domain.mask)
     kinds = [ProblemKind(kind) for kind in kinds]
@@ -168,9 +184,7 @@ def fd_spectra(
     # operator is shifted below zero so that its LU exists.  The kinds that
     # factor one stiffness operator stand together, the bilaplacian's first
     problems = {
-        ProblemKind.CLAMPED: (
-            ProblemKind.CLAMPED, None, 0.0, lambda v: np.sqrt(np.maximum(v, 0.0))
-        ),
+        ProblemKind.CLAMPED: (ProblemKind.CLAMPED, None, 0.0, np.sqrt),
         ProblemKind.BUCKLING: (ProblemKind.CLAMPED, ProblemKind.DIRICHLET, 0.0, lambda v: v),
         ProblemKind.DIRICHLET: (ProblemKind.DIRICHLET, None, 0.0, lambda v: v),
         ProblemKind.NEUMANN: (
@@ -233,6 +247,15 @@ def fd_spectra(
             for kind in asked
             for c in merged[kind][1]
         ]
+
+    for kind in asked:
+        # the values are ascending, so the lowest past Neumann's structural zero decides
+        k, values = int(kind is ProblemKind.NEUMANN), merged[kind][0]
+        if k < len(values) and values[k] <= 0:
+            raise IndefiniteSpectrumError(
+                f"{kind.value} value {k + 1} is {values[k]:g} on {domain.descriptor} "
+                f"at h={domain.h:g}, where it must be positive"
+            )
 
     return {
         kind: Spectrum(

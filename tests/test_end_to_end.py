@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -166,3 +167,19 @@ def test_lshape_at_h_1_320_holds_the_product_modes(tmp_path):
 
     for index, (p, q) in ((3, (1, 1)), (8, (1, 2)), (9, (2, 1)), (14, (2, 2))):
         assert math.isclose(dirichlet[index - 1], exact(p, q), rel_tol=1e-11), index
+
+
+def test_a_rod_whose_fine_grid_solves_negative_plate_values_exits_2(tmp_path):
+    # at h = 2e-5 roundoff turns the lowest clamped values negative; they
+    # were reported as zeros, and the chain check then refuted the paper's
+    # ordering with exit 1.  Which fourth-order kind breaks first is roundoff.
+    domain, backend = {"type": "interval", "length": 1.0}, {"type": "fd", "h": [5e-5, 2e-5]}
+    config = experiment("rod", domain, KINDS, backend, 6)
+    config["experiments"][0]["checks"] = [{"type": "chain"}]
+    run = report(config, tmp_path / "out")
+    assert run.code == 2
+    assert re.fullmatch(
+        r"speclab: rod: IndefiniteSpectrumError: (clamped|buckling) value 1 is -[0-9.e+]+ "
+        r"on interval\(1\) at h=2e-05, where it must be positive\n",
+        run.stderr,
+    ), run.stderr

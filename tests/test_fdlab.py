@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import json
 import math
@@ -28,6 +29,7 @@ from speclab.fdlab import (
     ConvergenceError,
     DegenerateDomainError,
     GridDomain,
+    IndefiniteSpectrumError,
     SparseSymOperator,
     assemble_bilaplacian_clamped,
     assemble_laplacian,
@@ -846,6 +848,29 @@ class TestFdSpectra:
 
         monkeypatch.setattr(module, name, counted)
         return calls
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "clamped", "buckling"])
+    @pytest.mark.usefixtures("workers")
+    def test_a_nonpositive_value_is_refused(self, monkeypatch, kind):
+        # the clamp sqrt(max(v, 0)) reported a negative clamped value as 0,
+        # and a negative buckling or Dirichlet value went out as it was
+        original, negated = spectrum_mod.solve_gevp, []
+
+        def negating_one_ask(*args, **kwargs):
+            solution = original(*args, **kwargs)
+            if not negated:
+                negated.append(-solution.values[0])
+                solution = dataclasses.replace(solution, values=np.r_[negated[0], solution.values[1:]])
+            return solution
+
+        monkeypatch.setattr(spectrum_mod, "solve_gevp", negating_one_ask)
+        with pytest.raises(IndefiniteSpectrumError) as raised:
+            fd_spectra(rectangle_domain(1.0, 0.5, 1.0 / 16.0), [kind], 5)
+        assert isinstance(raised.value, ConvergenceError)
+        assert str(raised.value) == (
+            f"{kind} value 1 is {negated[0]:g} on rectangle(1,0.5) at h=0.0625, "
+            "where it must be positive"
+        )
 
     @pytest.mark.parametrize(
         "domain, classes",

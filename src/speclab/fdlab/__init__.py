@@ -31,11 +31,11 @@ _SPARSE = {
     "assemble_bilaplacian_clamped": "operators",
     "assemble_laplacian": "operators",
     "ConvergenceError": "solver",
-    "IndefiniteSpectrumError": "spectrum",
     "EvpSolution": "solver",
     "solve_gevp": "solver",
     "fd_spectra": "spectrum",
     "fd_spectrum": "spectrum",
+    "IndefiniteSpectrumError": "spectrum",
     "symmetry_classes": "symmetry",
 }
 

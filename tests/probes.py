@@ -1,4 +1,4 @@
-"""Experiment blocks that more than one test module runs."""
+"""Experiment blocks that more than one test module, or `same_outputs.py`, runs."""
 
 from __future__ import annotations
 
@@ -52,7 +52,10 @@ ALL_CHECKS_BLOCKS = [
             {"type": "weyl2", "kind": "dirichlet"},
             {"type": "heat", "kind": "dirichlet", "times": [0.03, 0.05, 5.0]},
             {"type": "weyl", "kind": "clamped"},
-            {"type": "sharpness", "caps": [{"delta": 2.0, "points": 500}, {"delta": 1.0, "points": 500}]},
+            {
+                "type": "sharpness",
+                "caps": [{"delta": 2.0, "points": 500}, {"delta": 1.0, "points": 500}],
+            },
         ],
     },
     {

@@ -860,7 +860,8 @@ class TestFdSpectra:
             solution = original(*args, **kwargs)
             if not negated:
                 negated.append(-solution.values[0])
-                solution = dataclasses.replace(solution, values=np.r_[negated[0], solution.values[1:]])
+                values = np.r_[negated[0], solution.values[1:]]
+                solution = dataclasses.replace(solution, values=values)
             return solution
 
         monkeypatch.setattr(spectrum_mod, "solve_gevp", negating_one_ask)

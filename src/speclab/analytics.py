@@ -108,6 +108,14 @@ def links(lower, upper, slack=0.0, strict=True) -> tuple[list[float], list[bool]
     return margins.tolist(), verdicts.tolist()
 
 
+def _chain_domain(spectra: dict[ProblemKind, Spectrum], check: str) -> str:
+    """The one domain of the four chain spectra; ValueError, led by ``check``, if one is missing."""
+    missing = [k.value for k in CHAIN_ORDER if k not in spectra]
+    if missing:
+        raise ValueError(f"{check} needs all four spectra, missing {missing}")
+    return _shared_domain([spectra[k] for k in CHAIN_ORDER])
+
+
 def _indexed_rows(keys: str, *columns) -> list[dict]:
     """One row per index: ``k`` from 1, then each column's entry, under ``keys``."""
     names = ["k", *keys.split()]
@@ -126,10 +134,7 @@ def inequality_chain_check(spectra: dict[ProblemKind, Spectrum], count: int) -> 
     any.  Each row holds ``k``, ``mu``, ``lambda``, ``gamma``, ``Lambda``
     and the three links' ``margins`` and ``passes``.
     """
-    missing = [k.value for k in CHAIN_ORDER if k not in spectra]
-    if missing:
-        raise ValueError(f"chain check needs all four spectra, missing {missing}")
-    domain = _shared_domain([spectra[k] for k in CHAIN_ORDER])
+    domain = _chain_domain(spectra, "chain check")
     limit = min(spectra[k].trusted_count for k in CHAIN_ORDER)
     if count > limit:
         raise TrustRangeError(
@@ -158,10 +163,7 @@ def counting_chain_check(spectra: dict[ProblemKind, Spectrum], taus) -> dict:
     ``taus``, ``counts`` (each kind's counts at the taus) and
     ``violations``, one ``tau``, ``pair`` and ``counts`` per broken link.
     """
-    missing = [k.value for k in CHAIN_ORDER if k not in spectra]
-    if missing:
-        raise ValueError(f"counting chain needs all four spectra, missing {missing}")
-    domain = _shared_domain([spectra[k] for k in CHAIN_ORDER])
+    domain = _chain_domain(spectra, "counting chain")
     taus = np.asarray(taus, dtype=float)
     # tabulate up to the first tau beyond any trusted edge, so the error
     # names that tau and the first kind in chain order it exceeds
@@ -518,9 +520,7 @@ def sharpness_report(
         ("disk Gamma_2 > Lambda_1", gam[1], buck[0], True),
     ]
     for delta, neumann, dirichlet in cap_results or []:
-        if neumann.kind is not ProblemKind.NEUMANN:
-            raise ValueError("cap triple must carry (neumann, dirichlet) spectra")
-        if dirichlet.kind is not ProblemKind.DIRICHLET:
+        if (neumann.kind, dirichlet.kind) != MEMBRANE_KINDS:
             raise ValueError("cap triple must carry (neumann, dirichlet) spectra")
         label = f"cap(delta={delta:g}) mu_2 > lambda_1"
         mu2, lam1 = float(neumann.values[1]), float(dirichlet.values[0])

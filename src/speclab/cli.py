@@ -326,7 +326,6 @@ class ExperimentResult:
     name: str
     csv_rows: list[tuple] = field(default_factory=list)
     report: dict = field(default_factory=dict)
-    error: str | None = None
 
 
 def _check_domain(where: str, domain: dict) -> dict:
@@ -677,7 +676,7 @@ def _closed_forms(experiments: list[Experiment]) -> dict:
     jobs use load first, before any child is forked, so that no child
     imports one again.  A report without such jobs spreads nothing.
     """
-    jobs = [(exp, kind) for exp in experiments if exp.backend["type"] != "fd" for kind in exp.kinds]
+    jobs = [(exp, kind) for exp in experiments if not exp.grids for kind in exp.kinds]
     if not jobs:
         return {}
     # __import__, as an import statement and unlike importlib, reports to -X importtime
@@ -687,35 +686,33 @@ def _closed_forms(experiments: list[Experiment]) -> dict:
     return {(exp.name, kind): found for (exp, kind), found in zip(jobs, done)}
 
 
-def _compute_spectra(exp: Experiment, closed: dict):
-    """All spectra for the experiment.
+def _levels(exp: Experiment, closed: dict) -> list[dict]:
+    """The kind-indexed spectra of each level of ``exp``, coarsest first.
 
-    ``closed`` holds the spectra of the analytic and cap backends, or
-    their errors, from ``_closed_forms``; the first error, in kind order,
-    is raised as ``_Failed``.  Returns the levels: each fd grid, coarsest
-    first, paired with its kind-indexed spectra (the grid is None on the
-    other backends).  The last level is the one checks run on; when two
-    or more mesh widths were given, each of its spectra carries its
-    two-grid ``uncertainty`` against the level before.
+    The levels of an fd experiment are its ``grids``.  The analytic and
+    cap backends, which have none, give one level, taken from ``closed``
+    (``_closed_forms``): their first error, in kind order, is raised as
+    ``_Failed``.  The last level is the one checks run on; when two or
+    more mesh widths were given, each of its spectra carries its two-grid
+    ``uncertainty`` against the level before.
     """
-    if exp.backend["type"] != "fd":
-        spectra = {kind: closed[exp.name, kind] for kind in exp.kinds}
-        for found in spectra.values():
-            if isinstance(found, str):
-                raise _Failed(found)
-        per_level = [(None, spectra)]
-    else:
+    if exp.grids:
         # the sparse solvers, and scipy.sparse with them, load here
         from .fdlab import fd_spectra
 
-        per_level = [(grid, fd_spectra(grid, exp.kinds, exp.count)) for grid in exp.grids]
+        levels = [fd_spectra(grid, exp.kinds, exp.count) for grid in exp.grids]
+    else:
+        levels = [{kind: closed[exp.name, kind] for kind in exp.kinds}]
+        for found in levels[0].values():
+            if isinstance(found, str):
+                raise _Failed(found)
 
-    if len(per_level) >= 2:
-        coarse, finest = per_level[-2][1], per_level[-1][1]
+    if len(levels) >= 2:
+        coarse, finest = levels[-2:]
         for kind, spectrum in finest.items():
             bars = analytics.two_grid_uncertainty(coarse[kind], spectrum, exp.count)
             finest[kind] = replace(spectrum, uncertainty=bars)
-    return per_level
+    return levels
 
 
 def _run_check(check: dict, exp: Experiment, finest) -> dict:
@@ -727,9 +724,9 @@ def run_experiment(exp: Experiment, check_types: frozenset[str], closed: dict) -
     """Compute the experiment's fd spectra, or take its ``closed`` ones; run its selected checks."""
     result = ExperimentResult(name=exp.name)
     try:
-        per_level = _compute_spectra(exp, closed)
-        finest = per_level[-1][1]
-        for level, spectra in per_level:
+        levels = _levels(exp, closed)
+        finest = levels[-1]
+        for grid, spectra in zip(exp.grids or [None], levels):
             for kind in exp.kinds:
                 spectrum = spectra[kind]
                 for idx, value in enumerate(spectrum.values, start=1):
@@ -739,7 +736,7 @@ def run_experiment(exp: Experiment, check_types: frozenset[str], closed: dict) -
                             kind.value,
                             _fmt(float(value)),
                             spectrum.source,
-                            _fmt(level.h) if level is not None else "",
+                            _fmt(grid.h) if grid is not None else "",
                         )
                     )
         selected = [check for check in exp.checks if check["type"] in check_types]
@@ -754,8 +751,7 @@ def run_experiment(exp: Experiment, check_types: frozenset[str], closed: dict) -
         )
         result.report["ok"] = all(c["ok"] for c in checks if c["asserted"])
     except Exception as exc:
-        result.error = _error(exc)
-        result.report = {"name": exp.name, "error": result.error}
+        result.report = {"name": exp.name, "error": _error(exc)}
     return result
 
 
@@ -764,7 +760,7 @@ def write_outputs(results: list[ExperimentResult], out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for result in results:
-        if result.error is None:
+        if "error" not in result.report:
             csv_path = out_dir / f"{result.name}.spectra.csv"
             with open(csv_path, "w", newline="") as handle:
                 writer = csv.writer(handle)
@@ -795,9 +791,9 @@ def run_config(
     closed = _closed_forms(experiments)
     results = [run_experiment(exp, check_types, closed) for exp in experiments]
     write_outputs(results, out_dir)
-    failed = [r for r in results if r.error is not None]
+    failed = [r for r in results if "error" in r.report]
     for result in failed:
-        print(f"speclab: {result.name}: {result.error}", file=sys.stderr)
+        print(f"speclab: {result.name}: {result.report['error']}", file=sys.stderr)
     if failed:
         return 2
     if not all(r.report["ok"] for r in results):

@@ -1,13 +1,16 @@
 """Finite-difference laboratory: grids, operators, eigensolver, spectra.
 
 The grid builders, ``read_mask_file`` and the cap backend need numpy
-alone and load with the package.  The sparse side (``operators``,
-``solver``, ``spectrum``, ``symmetry``) imports ``scipy.sparse`` and
-``scipy.sparse.linalg``, so its names load on first access: ``from
-speclab.fdlab import fd_spectra`` imports them then, and a run that
-never solves on a grid never does.  So a grid is built and sized
-without scipy; ``fd_spectra`` checks, before it solves, that its mask
-is one 4-connected component.
+alone and load with the package.  The sparse side (``symmetry``,
+``operators``, ``solver``, ``spectrum``) imports ``scipy.sparse`` and
+``scipy.sparse.linalg``, so its names in ``__all__`` load on first
+access: such a name is looked up in those submodules in that order,
+each after the ones it imports, so the first that holds it is the one
+that defines it.  ``from speclab.fdlab import fd_spectra`` imports them
+then, and a run that never solves on a grid never does.  A name outside
+``__all__`` is an AttributeError that imports nothing.  So a grid is
+built and sized without scipy; ``fd_spectra`` checks, before it solves,
+that its mask is one 4-connected component.
 """
 
 import importlib
@@ -25,27 +28,17 @@ from .grid import (
     rectangle_domain,
 )
 
-#: The submodule that defines each name loaded on first access.
-_SPARSE = {
-    "SparseSymOperator": "operators",
-    "assemble_bilaplacian_clamped": "operators",
-    "assemble_laplacian": "operators",
-    "ConvergenceError": "solver",
-    "EvpSolution": "solver",
-    "solve_gevp": "solver",
-    "fd_spectra": "spectrum",
-    "fd_spectrum": "spectrum",
-    "IndefiniteSpectrumError": "spectrum",
-    "symmetry_classes": "symmetry",
-}
+#: The submodules whose names load on first access, each after those it imports.
+_SPARSE_MODULES = ("symmetry", "operators", "solver", "spectrum")
 
 
 def __getattr__(name: str):
-    if name not in _SPARSE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_SPARSE[name]}", __name__), name)
-    globals()[name] = value
-    return value
+    for module in _SPARSE_MODULES if name in __all__ else ():
+        module = importlib.import_module(f".{module}", __name__)
+        if hasattr(module, name):
+            globals()[name] = value = getattr(module, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -70,22 +70,26 @@ Comp. 35, 1980): on the L-shape at h = 1/160 the Neumann spectrum
 takes 172 solves over its two classes with that shift and 99 with
 -(pi/D)^2.
 
-The lowest Neumann value is reported as exactly 0.0, with no threshold,
-since the solver returns it as roundoff of either sign.  That zero is
-structural: the flux form annihilates constants exactly, and
+The lowest Neumann value of the fully symmetric class, class 0, whose
+character is the trivial one, is set to exactly 0.0 as soon as that
+class is solved, with no threshold, since the solver returns it as
+roundoff of either sign.  That zero is structural: the flux form
+annihilates constants exactly, the constants lie in that class, and
 ``fd_spectra`` refuses a mask that is not one 4-connected component,
-so the constants span the whole null space.  There is exactly one null
-value, and it is the lowest; it lies in the fully symmetric class.
+so they span the whole null space.  There is exactly one null value,
+and it is the lowest.
 
 Every other value is positive in exact arithmetic: the Dirichlet
 Laplacian and the bilaplacian are positive definite, and a connected
 mask leaves the Neumann Laplacian one null value.  So once the classes
-are merged, a Dirichlet, clamped or buckling value at or below zero,
-or a Neumann value at or below zero past the structural one, raises
-``IndefiniteSpectrumError``, naming the kind, the index, the raw value
-and the grid.  Such a value is the solver's error, not a spectrum: on a
-rod at h = 2e-5 roundoff turns the lowest bilaplacian values negative.
-Nothing is clamped to zero.
+are merged, a Dirichlet, clamped or buckling value at or below zero
+raises ``IndefiniteSpectrumError``, naming the kind, the index, the raw
+value and the grid.  So does a Neumann value at or below zero, read
+past the structural zero only when that exact 0.0 is the lowest merged
+value, so a value another class puts below it is caught whatever the
+sign of the zero's roundoff was.  Such a value is the solver's error,
+not a spectrum: on a rod at h = 2e-5 roundoff turns the lowest
+bilaplacian values negative.  Nothing is clamped to zero.
 """
 
 from __future__ import annotations
@@ -187,9 +191,7 @@ def fd_spectra(
         ProblemKind.CLAMPED: (ProblemKind.CLAMPED, None, 0.0, np.sqrt),
         ProblemKind.BUCKLING: (ProblemKind.CLAMPED, ProblemKind.DIRICHLET, 0.0, lambda v: v),
         ProblemKind.DIRICHLET: (ProblemKind.DIRICHLET, None, 0.0, lambda v: v),
-        ProblemKind.NEUMANN: (
-            ProblemKind.NEUMANN, None, _neumann_shift(domain), lambda v: np.r_[0.0, v[1:]]
-        ),
+        ProblemKind.NEUMANN: (ProblemKind.NEUMANN, None, _neumann_shift(domain), lambda v: v),
     }
     order = list(problems)
     asked = [kind for kind in order if kind in kinds]
@@ -226,6 +228,9 @@ def fd_spectra(
             m = None if mass is None else operators[mass][c]
             solution = solve_gevp(operators[stiffness][c], m, count=k, sigma=sigma, lu=lu)
             lu, values[kind, c] = solution.lu, solution.values
+            if (kind, c) == (ProblemKind.NEUMANN, 0):
+                # the trivial class holds the constants: its lowest value is the zero
+                values[kind, c] = np.r_[0.0, solution.values[1:]]
         return values
 
     # rounds of asks, each spread over the CPUs one class a job, the
@@ -249,8 +254,10 @@ def fd_spectra(
         ]
 
     for kind in asked:
-        # the values are ascending, so the lowest past Neumann's structural zero decides
-        k, values = int(kind is ProblemKind.NEUMANN), merged[kind][0]
+        # the values are ascending, so the lowest decides, or the next past the
+        # structural zero when that zero is the lowest
+        values = merged[kind][0]
+        k = int(kind is ProblemKind.NEUMANN and values[0] == 0.0)
         if k < len(values) and values[k] <= 0:
             raise IndefiniteSpectrumError(
                 f"{kind.value} value {k + 1} is {values[k]:g} on {domain.descriptor} "

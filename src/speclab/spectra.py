@@ -19,7 +19,7 @@ import numpy as np
 
 
 class ProblemKind(str, Enum):
-    """The four eigenvalue problems handled by the package."""
+    """The four eigenvalue problems handled by the package, in chain order."""
 
     NEUMANN = "neumann"
     DIRICHLET = "dirichlet"
@@ -27,13 +27,9 @@ class ProblemKind(str, Enum):
     BUCKLING = "buckling"
 
 
-#: Kinds in the order the one-index-at-a-time inequalities run.
-CHAIN_ORDER = (
-    ProblemKind.NEUMANN,
-    ProblemKind.DIRICHLET,
-    ProblemKind.CLAMPED,
-    ProblemKind.BUCKLING,
-)
+#: Kinds in the order the one-index-at-a-time inequalities run, the
+#: order ``ProblemKind`` declares them in.
+CHAIN_ORDER = tuple(ProblemKind)
 
 #: Second-order membrane problems (the ones with Weyl/heat predictions here).
 MEMBRANE_KINDS = (ProblemKind.NEUMANN, ProblemKind.DIRICHLET)

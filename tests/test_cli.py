@@ -829,13 +829,13 @@ class TestMainRuns:
         ]
         experiments = parse_config(json.dumps({"experiments": blocks}))
         closed = cli._closed_forms(experiments)
-        (_, coarse), (_, finest) = cli._compute_spectra(experiments[0], closed)
+        coarse, finest = cli._levels(experiments[0], closed)
         for kind in ProblemKind:
             assert coarse[kind].uncertainty is None
             bars = np.abs(coarse[kind].values - finest[kind].values)
             assert np.array_equal(finest[kind].uncertainty, bars)
         for exp in experiments[1:]:
-            [(_, spectra)] = cli._compute_spectra(exp, closed)
+            [spectra] = cli._levels(exp, closed)
             assert all(s.uncertainty is None for s in spectra.values())
         chains = [
             cli.run_experiment(exp, cli.VERB_CHECKS["verify"], closed).report["checks"][0]
@@ -2009,6 +2009,20 @@ class TestSubprocess:
         )
         printed, loaded = self.scipy_loaded_after(code, mask)
         assert printed == ["[19, 171, 1245, 261, 33]"]
+        assert loaded == "[]"
+
+    @pytest.mark.parametrize("name", ["np", "project", "TRUST_FRACTION"])
+    def test_a_name_outside_fdlab_all_is_refused_and_loads_no_scipy(self, name):
+        # each of these is held by a sparse submodule, but not public
+        code = (
+            "import speclab.fdlab as fdlab\n"
+            "try:\n"
+            "    getattr(fdlab, sys.argv[1])\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)"
+        )
+        printed, loaded = self.scipy_loaded_after(code, name)
+        assert printed == [f"module 'speclab.fdlab' has no attribute {name!r}"]
         assert loaded == "[]"
 
     def test_analytic_interval_and_rectangle_report_loads_no_scipy(self, tmp_path, monkeypatch):

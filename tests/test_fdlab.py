@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import importlib
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from probes import REASK_PROBES
 
-from speclab import cli, pool
+from speclab import cli, fdlab, pool
 from speclab.cli import parse_config, run_config
 from speclab.fdlab import (
     CapDomain,
@@ -44,6 +45,8 @@ from speclab.fdlab import (
     solve_gevp,
     symmetry_classes,
 )
+from speclab.fdlab import cap as cap_mod
+from speclab.fdlab import grid as grid_mod
 from speclab.fdlab import solver as solver_mod
 from speclab.fdlab import spectrum as spectrum_mod
 from speclab.fdlab import symmetry as symmetry_mod
@@ -92,6 +95,17 @@ def workers(request, monkeypatch):
     count = getattr(request, "param", 1)
     monkeypatch.setattr(pool, "cpus", lambda: count)
     return count
+
+
+def test_every_public_fdlab_name_is_the_one_its_submodule_defines():
+    for name in fdlab.__all__:
+        value = getattr(fdlab, name)
+        if callable(value):
+            home = importlib.import_module(value.__module__)
+        else:  # the two integer constants
+            home = {"MIN_CAP_POINTS": cap_mod, "MIN_UNKNOWNS": grid_mod}[name]
+        assert home.__name__.startswith("speclab.fdlab."), name
+        assert getattr(home, name) is value, name
 
 
 def dealt(sizes: list[int], workers: int) -> list[list[int]]:
@@ -870,6 +884,31 @@ class TestFdSpectra:
         assert isinstance(raised.value, ConvergenceError)
         assert str(raised.value) == (
             f"{kind} value 1 is {negated[0]:g} on rectangle(1,0.5) at h=0.0625, "
+            "where it must be positive"
+        )
+
+    @pytest.mark.usefixtures("workers")
+    def test_a_negative_neumann_value_is_refused_past_a_positive_zero(self, monkeypatch):
+        # with every class's values merged and the lowest taken as the zero,
+        # a zero whose roundoff came out positive sorted above a negative
+        # value of another class, and that value was reported as the zero
+        original, negated = spectrum_mod.solve_gevp, []
+
+        def positive_zero_and_one_negated_class(*args, **kwargs):
+            solution = original(*args, **kwargs)
+            values = solution.values
+            if kwargs["sigma"] < 0 and abs(values[0]) < 1e-9:
+                values = np.r_[1e-14, values[1:]]
+            elif kwargs["sigma"] < 0 and not negated:
+                negated.append(-values[0])
+                values = np.r_[negated[0], values[1:]]
+            return dataclasses.replace(solution, values=values)
+
+        monkeypatch.setattr(spectrum_mod, "solve_gevp", positive_zero_and_one_negated_class)
+        with pytest.raises(IndefiniteSpectrumError) as raised:
+            fd_spectra(rectangle_domain(1.0, 0.7, 0.1), ["neumann"], 6)
+        assert str(raised.value) == (
+            f"neumann value 1 is {negated[0]:g} on rectangle(1,0.7) at h=0.1, "
             "where it must be positive"
         )
 
